@@ -324,6 +324,31 @@ class Topology:
                 frontier.append(nxt)
         return None
 
+    def routes_from(self, src: int) -> dict[int, tuple[int, float, float]]:
+        """Route costs from ``src`` to every device it can reach.
+
+        Maps each reachable device to (hops, latency sum, 1/bandwidth sum)
+        along the route ``shortest_hop_path`` picks: a full BFS over the
+        same sorted neighbor lists builds the same parent tree, and each
+        sum is accumulated down that tree from an int 0, the same left fold
+        as summing the path's links, so the floats are bit-identical.
+        ``src`` itself maps to (0, 0, 0); unreachable devices are absent.
+        """
+        if src not in self.devices:
+            raise KeyError(f"unknown device {src} in route query")
+        routes: dict[int, tuple[int, float, float]] = {src: (0, 0, 0)}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            hops, lat_sum, inv_bw_sum = routes[node]
+            for nxt in self._adj[node]:
+                if nxt in routes:
+                    continue
+                link = self.link(node, nxt)
+                routes[nxt] = (hops + 1, lat_sum + link.latency, inv_bw_sum + 1.0 / link.bandwidth)
+                frontier.append(nxt)
+        return routes
+
     def hop_count(
         self, src: int, dst: int, dead: frozenset[int] | set[int] = frozenset()
     ) -> int | None:

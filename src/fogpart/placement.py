@@ -130,7 +130,10 @@ class PlacementContext:
     """Shared state for one partition-aware placement run.
 
     Owns the mutable residual device copies, the network partition lookup,
-    the per-gateway transmission tables, and the placement audit trail.
+    one route table per gateway, and the placement audit trail. A gateway's
+    table comes from a single ``Topology.routes_from`` BFS the first time
+    the gateway is asked for, and then serves every transmission-time query
+    from it for the rest of the run.
     """
 
     def __init__(
@@ -152,50 +155,73 @@ class PlacementContext:
         self.config = config
         self.audit: list[CommitRecord] = []
         self.unreachable_fps: set[int] = set()
-        # per-gateway route costs: device -> (latency sum, 1/bandwidth sum)
-        self._route_cache: dict[int, dict[int, tuple[float, float]]] = {}
+        # gateway -> device -> (hops, latency sum, 1/bandwidth sum)
+        self._routes: dict[int, dict[int, tuple[int, float, float]]] = {}
 
     def network_partition_of(self, device_id: int) -> int:
         return self.network.assignment[device_id]
 
-    def _routes_from(self, gateway: int) -> dict[int, tuple[float, float]]:
-        cached = self._route_cache.get(gateway)
-        if cached is None:
-            cached = {}
-            for did in self.topology.devices:
-                path = self.topology.shortest_hop_path(gateway, did)
-                if path is None:
-                    continue
-                cached[did] = (
-                    sum(link.latency for link in path),
-                    sum(1.0 / link.bandwidth for link in path),
-                )
-            self._route_cache[gateway] = cached
-        return cached
-
     def transmission_ms(self, gateway: int, device_id: int, size: float) -> float:
         """T from a gateway to a device for a message of ``size`` bytes; inf if unreachable."""
-        route = self._routes_from(gateway).get(device_id)
+        routes = self._routes.get(gateway)
+        if routes is None:
+            routes = self._routes[gateway] = self.topology.routes_from(gateway)
+        route = routes.get(device_id)
         if route is None:
             return math.inf
-        lat_sum, inv_bw_sum = route
+        _, lat_sum, inv_bw_sum = route
         return lat_sum + size * inv_bw_sum
 
-    def device_matrix(self, fp_id: int, gateway: int, size: float) -> list[int]:
-        """Alive devices of a feature partition, ascending by (T, device id)."""
-        rows = []
-        for did in self.fps.device_index[fp_id]:
-            device = self.devices[did]
-            if not device.alive:
-                continue
-            rows.append((self.transmission_ms(gateway, did, size), did))
-        rows.sort()
-        return [did for _, did in rows]
+    def device_rows(self, fp_id: int, gateway: int, size: float) -> list[tuple[float, int]]:
+        """Alive devices of a feature partition as (T, device id), ascending.
 
-    def rank_feature_partitions(self, service: Service, user: User, size: float) -> list[int]:
-        """All feature partition ids, descending fitness, ties by id ascending."""
+        The first row's T is the partition's nearest-device time T_min;
+        unreachable devices sort last with T = inf.
+        """
+        rows = [
+            (self.transmission_ms(gateway, did, size), did)
+            for did in self.fps.device_index[fp_id]
+            if self.devices[did].alive
+        ]
+        rows.sort()
+        return rows
+
+    def app_tables(
+        self, gateway: int, size: float
+    ) -> tuple[dict[int, list[int]], dict[int, float | None]]:
+        """Device matrix and proximity term of every feature partition.
+
+        Both depend only on (fp, gateway, entry-message size), never on the
+        service, so ``select_feature_partitions`` builds them once per
+        application and ranks every service against them. The device
+        matrix lists device ids ascending by (T, id). The proximity term is
+        beta / (1 + T_min), or None for a partition with no reachable
+        device, which is also flagged in ``unreachable_fps``.
+        """
+        d_matrix: dict[int, list[int]] = {}
+        terms: dict[int, float | None] = {}
+        for fp_id in self.fps.ids():
+            rows = self.device_rows(fp_id, gateway, size)
+            d_matrix[fp_id] = [did for _, did in rows]
+            terms[fp_id] = _proximity(fp_id, rows, self.config, self)
+        return d_matrix, terms
+
+    def rank_feature_partitions(
+        self,
+        service: Service,
+        user: User,
+        size: float,
+        proximities: Mapping[int, float | None] | None = None,
+    ) -> list[int]:
+        """All feature partition ids, descending fitness, ties by id ascending.
+
+        ``proximities`` are the terms ``app_tables`` returns for the user's
+        gateway and ``size``; they are computed here when not given.
+        """
+        if proximities is None:
+            _, proximities = self.app_tables(user.gateway, size)
         scored = [
-            (-fitness(fp_id, service, user, self.config, self, size), fp_id)
+            (-_score(fp_id, service, self.config, self, proximities[fp_id]), fp_id)
             for fp_id in self.fps.ids()
         ]
         scored.sort()
@@ -205,6 +231,20 @@ class PlacementContext:
         record = commit_placement(device, service, app_id=app_id, deadline_ms=deadline_ms)
         self.audit.append(record)
         return record
+
+
+def _proximity(
+    fp_id: int, rows: Sequence[tuple[float, int]], config: FitnessConfig, ctx: PlacementContext
+) -> float | None:
+    """beta / (1 + T_min) from a partition's sorted ``device_rows``.
+
+    When no device of the partition is reachable the term is None and the
+    partition is flagged in ``ctx.unreachable_fps``.
+    """
+    if not rows or math.isinf(rows[0][0]):
+        ctx.unreachable_fps.add(fp_id)
+        return None
+    return config.beta / (1.0 + rows[0][0])
 
 
 def fitness(
@@ -219,24 +259,31 @@ def fitness(
 
     When no device of the partition is reachable from the user's gateway
     the proximity term is dropped and the partition is flagged in
-    ``ctx.unreachable_fps``.
+    ``ctx.unreachable_fps``. This scores one partition on its own;
+    placement splits the score in two, taking the proximity term from
+    ``PlacementContext.app_tables`` once per application and only the
+    similarity term per service, with the same result.
     """
+    rows = ctx.device_rows(fp_id, user.gateway, message_size)
+    return _score(fp_id, service, config, ctx, _proximity(fp_id, rows, config, ctx))
+
+
+def _score(
+    fp_id: int,
+    service: Service,
+    config: FitnessConfig,
+    ctx: PlacementContext,
+    proximity_term: float | None,
+) -> float:
+    """``fitness`` with its proximity term given; None drops the term."""
     members = ctx.fps.feature_partitions[fp_id]
     max_sim = max(
         demand_similarity(ctx.compressed.features[node], service, config.normalization_ranges)
         for node in members
     )
-    t_min = math.inf
-    for did in ctx.fps.device_index[fp_id]:
-        if not ctx.devices[did].alive:
-            continue
-        t = ctx.transmission_ms(user.gateway, did, message_size)
-        if t < t_min:
-            t_min = t
-    if math.isinf(t_min):
-        ctx.unreachable_fps.add(fp_id)
+    if proximity_term is None:
         return config.alpha * max_sim
-    return config.alpha * max_sim + config.beta / (1.0 + t_min)
+    return config.alpha * max_sim + proximity_term
 
 
 def sort_applications(apps: Iterable[Application]) -> list[Application]:
@@ -319,19 +366,20 @@ def select_feature_partitions(app: Application, ctx: PlacementContext) -> Placem
     """Place every service of one application; failures become None entries.
 
     Services are walked in topological order so the entry service defines
-    the anchor network partition. Response times are attached when the app
-    is fully placed and routable.
+    the anchor network partition. The device matrix and the proximity terms
+    are built once for the application and shared by all its services.
+    Response times are attached when the app is fully placed and routable.
     """
     if app.user is None or app.user not in ctx.users:
         raise ValueError(f"app {app.id}: requesting user unknown")
     user = ctx.users[app.user]
     size = app.entry_message.size
+    d_matrix, proximities = ctx.app_tables(user.gateway, size)
     assignment: dict[int, int | None] = {}
     anchor: int | None = None
     for sid in app.topological_order():
         service = app.service(sid)
-        fp_rank = ctx.rank_feature_partitions(service, user, size)
-        d_matrix = {fp_id: ctx.device_matrix(fp_id, user.gateway, size) for fp_id in fp_rank}
+        fp_rank = ctx.rank_feature_partitions(service, user, size, proximities)
         device_id = place_service(ctx, fp_rank, d_matrix, service, app.deadline, anchor, app.id)
         assignment[sid] = device_id
         if device_id is not None and anchor is None:

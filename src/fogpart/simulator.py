@@ -91,16 +91,6 @@ def inject_failure(state: SimulationState, time_s: float) -> None:
     state.epoch += 1
 
 
-def hop_distance(
-    topology: Topology,
-    gateway: int,
-    device: int,
-    dead: frozenset[int] | set[int] = frozenset(),
-) -> int | None:
-    """Live shortest-path hop count; 0 on the gateway itself, None if unreachable."""
-    return topology.hop_count(gateway, device, dead)
-
-
 def run(
     scenario: Scenario,
     plans: Mapping[int, PlacementPlan],

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogpart.model import (
     Application,
@@ -349,3 +351,62 @@ class TestTopology:
         devices = [make_device(0), make_device(1)]
         with pytest.raises(ValueError):
             Topology(devices, [one_hop(), NetworkLink(1, 0, 1.0, 1.0)])
+
+
+class TestHopCount:
+    def topo(self):
+        devices = [Device(i, 10, 20.0, 10.0, 10.0) for i in range(4)]
+        links = [NetworkLink(i, i + 1, 75000.0, 5.0) for i in range(3)]
+        return Topology(devices, links)
+
+    def test_gateway_itself_is_zero(self):
+        assert self.topo().hop_count(0, 0) == 0
+
+    def test_neighbor_is_one(self):
+        assert self.topo().hop_count(0, 1) == 1
+
+    def test_far_end_of_chain(self):
+        assert self.topo().hop_count(0, 3) == 3
+
+    def test_unreachable_is_none(self):
+        assert self.topo().hop_count(0, 3, dead={1}) is None
+
+
+@st.composite
+def topologies(draw):
+    """Up to 9 devices with any subset of links, so often disconnected."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True)
+                 if n > 1 else st.just([]))
+    links = [
+        NetworkLink(
+            a,
+            b,
+            bandwidth=draw(st.floats(1e-3, 1e6)),
+            latency=draw(st.floats(0.0, 100.0)),
+        )
+        for a, b in pairs
+    ]
+    return Topology([make_device(i) for i in range(n)], links)
+
+
+class TestRoutesFrom:
+    @settings(max_examples=200, deadline=None)
+    @given(topologies())
+    def test_matches_shortest_hop_path_exactly(self, topo):
+        for src in topo.devices:
+            routes = topo.routes_from(src)
+            for dst in topo.devices:
+                path = topo.shortest_hop_path(src, dst)
+                if path is None:
+                    assert dst not in routes
+                else:
+                    assert routes[dst] == (
+                        len(path),
+                        sum(link.latency for link in path),
+                        sum(1.0 / link.bandwidth for link in path),
+                    )
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(KeyError):
+            Topology([make_device(0)], []).routes_from(1)

@@ -1,4 +1,4 @@
-"""Event-driven execution, failure injection, and hop distances."""
+"""Event-driven execution and failure injection."""
 
 from __future__ import annotations
 
@@ -11,13 +11,12 @@ from fogpart.model import (
     NetworkLink,
     PlacementPlan,
     Service,
-    Topology,
     USER,
     User,
 )
 from fogpart.scenario import AppRequest, Scenario, ScenarioConfig
 from fogpart import simulator
-from fogpart.simulator import FAULTY, FAILED_DEPENDENCY, MISSED, RELIABLE, SATISFIED, hop_distance
+from fogpart.simulator import FAULTY, FAILED_DEPENDENCY, MISSED, RELIABLE, SATISFIED
 
 
 def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
@@ -147,21 +146,3 @@ class TestFaultyRun:
         assert len(result.outcomes) == len([t for t, _ in sc.schedule if t <= 30.0])
         assert all(o.status in (SATISFIED, MISSED, FAILED_DEPENDENCY) for o in result.outcomes)
 
-
-class TestHopDistance:
-    def topo(self):
-        devices = [Device(i, 10, 20.0, 10.0, 10.0) for i in range(4)]
-        links = [NetworkLink(i, i + 1, 75000.0, 5.0) for i in range(3)]
-        return Topology(devices, links)
-
-    def test_gateway_itself_is_zero(self):
-        assert hop_distance(self.topo(), 0, 0) == 0
-
-    def test_neighbor_is_one(self):
-        assert hop_distance(self.topo(), 0, 1) == 1
-
-    def test_far_end_of_chain(self):
-        assert hop_distance(self.topo(), 0, 3) == 3
-
-    def test_unreachable_is_none(self):
-        assert hop_distance(self.topo(), 0, 3, dead={1}) is None
