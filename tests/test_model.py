@@ -376,8 +376,7 @@ class TestHopCount:
 def topologies(draw):
     """Up to 9 devices with any subset of links, so often disconnected."""
     n = draw(st.integers(1, 9))
-    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True)
-                 if n > 1 else st.just([]))
+    pairs = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
     links = [
         NetworkLink(
             a,
