@@ -4,9 +4,13 @@ Each case runs ``generate → partition → place ×3 strategies`` in-process
 through ``fogpart.cli.main`` with ``SOURCE_DATE_EPOCH=0``. The D-SMALL case
 also runs ``simulate`` for every strategy in both modes, then ``report``;
 its faulty mode kills one device every 2 s, so about half the fog dies
-within the 100 s horizon. The expected hashes were captured from the code
-before placement routed once per gateway; a change that moves any of them
-changes program output.
+within the 100 s horizon. The ``-d5000`` case draws deadlines from
+300–5000 ms, so they bind: reliable satisfaction differs between strategies
+(576, 576 and 960 of 1,856 requests) and every faulty run mixes all three
+outcome statuses. The expected hashes were captured from the code before
+placement routed once per gateway (the ``-d5000`` case: before the
+simulator classified once per failure epoch); a change that moves any of
+them changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -33,6 +37,7 @@ CASES = {
     "SMALL-seed0": ("SMALL", 0, {}, False),
     "SMALL-seed1": ("SMALL", 1, {}, False),
     "D-SMALL-seed0-h100": ("D-SMALL", 0, {"horizon_s": 100.0}, True),
+    "D-SMALL-seed0-h100-d5000": ("D-SMALL", 0, {"horizon_s": 100.0, "deadline_range_ms": [300, 5000]}, True),
 }
 
 GOLDEN = {
@@ -83,6 +88,54 @@ GOLDEN = {
             "94af249e6c3b0c8e73681b682108084118c497537dd4ac4a1550871e70efbb03",
         "simulate/multilayer-reliable/outcomes.csv":
             "a2d3a2f6e7723513a8b2968b56542e08437d8c70eaacca4d23f5dc2afc0e4a2f",
+    },
+    "D-SMALL-seed0-h100-d5000": {
+        "generate/scenario.json":
+            "c73a26a3f620fbaa984289a3ec7ea332582a4d78913b6d8fcc7ed4bb295b5672",
+        "partition/modularity.csv":
+            "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
+        "partition/partitions.json":
+            "bc76162166561cf9ad43ee12f0935199c7e4816c33659eabd5e55618d2bd0f31",
+        "place/connectivity_greedy/metrics.json":
+            "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
+        "place/connectivity_greedy/plans.json":
+            "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+        "place/first_fit/metrics.json":
+            "d8c01453018aa20629af43a1e5a231cbc994828cb74a230a446d07d4ff2855af",
+        "place/first_fit/plans.json":
+            "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+        "place/multilayer/metrics.json":
+            "e5801a8fddd753658977994fdd9a5e3049ece215f62494465ed8b91ec0e73022",
+        "place/multilayer/plans.json":
+            "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+        "report/comparison.csv":
+            "e927d232c407c304b92d5d56d8bdad209a154dab31eacdabaf9cfcdc7aba68c5",
+        "report/report.json":
+            "2471eab7792add6eef5ee3aa9ef4de5f87ed97ee422f2a58749f8f006497fd57",
+        "simulate/connectivity_greedy-faulty/metrics.json":
+            "bb9730d7010503c5230f087ff91e5dc86b652d4531f3a0aebe891d4912496e5c",
+        "simulate/connectivity_greedy-faulty/outcomes.csv":
+            "c0ac68eeb8152573226291b03632b6f7c08faaae6a8924c464706c41877c4fff",
+        "simulate/connectivity_greedy-reliable/metrics.json":
+            "4b9e53e8c1368832238b2d3d7131037492401caa43ca12dba9151031e6099a7d",
+        "simulate/connectivity_greedy-reliable/outcomes.csv":
+            "6239dcf510a222458694a9e078a63b4e2efa4a2425303d2529849381b025c271",
+        "simulate/first_fit-faulty/metrics.json":
+            "dd4f7bc9a0bf99cfd99349bc03e6388c97865e6cc6f32d9743a67a74ea67989b",
+        "simulate/first_fit-faulty/outcomes.csv":
+            "df1c76c8c3ac4bda5b9148eb5b54c10c84b234889600a02f49510fb4e118c5fd",
+        "simulate/first_fit-reliable/metrics.json":
+            "c22930fda0bd401742023f239f7e30fc34787c15ddf469cc7542d5f62d62dc25",
+        "simulate/first_fit-reliable/outcomes.csv":
+            "999b9e7634dcebf502e93210d92ad272af3f69af1f84ffa230c2bfd0d7d88b3b",
+        "simulate/multilayer-faulty/metrics.json":
+            "460376d2c41de4efe669c60976c7a780027d5e89aaa0d07e92a3f4c0b975d31c",
+        "simulate/multilayer-faulty/outcomes.csv":
+            "c23ee2b71ae8b0c39b5f86a17226cc97b29f11cb6186dc2393317b896d0433d8",
+        "simulate/multilayer-reliable/metrics.json":
+            "4d22a733ef012504a3c3c448a2c5eafb98a4a4ada0c07f7c91b88a66d44ba0f9",
+        "simulate/multilayer-reliable/outcomes.csv":
+            "999b9e7634dcebf502e93210d92ad272af3f69af1f84ffa230c2bfd0d7d88b3b",
     },
     "SMALL-seed0": {
         "generate/scenario.json":
