@@ -15,12 +15,12 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .metrics import (
     cumulative_series,
-    deadline_satisfaction,
     emit_report,
     hop_histogram,
     hop_summary,
@@ -120,7 +120,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     graph = build_multilayer(
         [d.fresh_copy() for d in scenario.devices], scenario.links, min_weight=args.min_weight
     )
-    fps, network, layer_sets, compressed = multilayer_resource_partition(graph, seed=args.seed)
+    fps, network, layer_sets, compressed = multilayer_resource_partition(graph)
     out = Path(args.out)
     payload = partitions_to_dict(fps, network, layer_sets, compressed)
     artifacts = [dump_json(out / "partitions.json", payload)]
@@ -204,17 +204,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     artifacts = [
         write_csv(out / "outcomes.csv", ["time_s", "requests", "satisfied", "cumulative_ratio"], rows)
     ]
+    tally = Counter(o.status for o in result.outcomes)
+    requests = sum(tally.values())
     metrics = {
         "schema_version": 1,
         "scenario": scenario.config.scale,
         "strategy": strategy,
         "mode": result.mode,
         "horizon_s": result.horizon_s,
-        "requests": len(result.outcomes),
-        "deadline_satisfaction": deadline_satisfaction(result.outcomes),
+        "requests": requests,
+        "deadline_satisfaction": tally[simulator.SATISFIED] / requests if requests else 0.0,
         "failures": len(result.deaths),
         "outcome_counts": {
-            status: sum(1 for o in result.outcomes if o.status == status)
+            status: tally[status]
             for status in (simulator.SATISFIED, simulator.MISSED, simulator.FAILED_DEPENDENCY)
         },
     }
@@ -222,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_manifest(out, "simulate", args.seed, config_to_dict(scenario.config), artifacts)
     log.info(
         "simulated %s/%s: %d requests, satisfaction %.4f",
-        strategy, result.mode, len(result.outcomes), metrics["deadline_satisfaction"],
+        strategy, result.mode, requests, metrics["deadline_satisfaction"],
     )
     return 0
 
@@ -272,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="run the multilayer partitioning pipeline")
     p.add_argument("--scenario", type=Path, required=True)
     p.add_argument("--min-weight", type=float, default=0.0, help="drop similarity edges below this weight")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the manifest only; partitioning is deterministic",
+    )
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_partition)
 

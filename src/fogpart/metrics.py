@@ -60,13 +60,6 @@ def resource_wastage(
     return 1.0 - consumed / offered
 
 
-def deadline_satisfaction(outcomes: Sequence[RequestOutcome]) -> float:
-    """Satisfied requests over all requests; 0.0 when nothing was requested."""
-    if not outcomes:
-        return 0.0
-    return sum(1 for o in outcomes if o.status == SATISFIED) / len(outcomes)
-
-
 def cumulative_series(
     outcomes: Sequence[RequestOutcome],
 ) -> list[tuple[float, int, int, float]]:

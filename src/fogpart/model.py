@@ -26,10 +26,6 @@ class UnreachableError(RuntimeError):
     """No live route exists between two devices."""
 
 
-class LinkDownError(RuntimeError):
-    """A transmission path crosses a link with a dead endpoint."""
-
-
 @dataclass
 class Device:
     """A fog node with fixed capacities and mutable residual state.
@@ -362,7 +358,7 @@ class Topology:
         path = self.shortest_hop_path(src, dst, dead)
         if path is None:
             raise UnreachableError(f"no live route from {src} to {dst}")
-        return transmission_time(path, size, dead)
+        return transmission_time(path, size)
 
 
 def placement_valid(service: Service, device: Device, deadline_ms: float) -> bool:
@@ -389,11 +385,7 @@ def execution_time(service: Service, device: Device) -> float:
     return service.workload / device.cpu_speed * MS_PER_S
 
 
-def transmission_time(
-    link_path: Sequence[NetworkLink],
-    size: float,
-    dead: frozenset[int] | set[int] = frozenset(),
-) -> float:
+def transmission_time(link_path: Sequence[NetworkLink], size: float) -> float:
     """Sum of per-link latency + size/bandwidth over a hop path (ms).
 
     The empty path means co-located endpoints and costs nothing.
@@ -402,8 +394,6 @@ def transmission_time(
         raise ValueError("message size must be positive")
     total = 0.0
     for link in link_path:
-        if link.a in dead or link.b in dead:
-            raise LinkDownError(f"link {link.key} has a dead endpoint")
         total += link.latency + size / link.bandwidth
     return total
 

@@ -260,14 +260,12 @@ def modularity(view: LayerView, assignment: Mapping[int, int]) -> float:
     return _modularity_raw(adj, loops, comm)
 
 
-def louvain_partition(view: LayerView, seed: int = 0) -> PartitionSet:
+def louvain_partition(view: LayerView) -> PartitionSet:
     """Two-phase Louvain partitioning of one layer.
 
     The sweep order is fixed (ascending device id), which makes the result
-    deterministic; ``seed`` is kept for interface stability and does not
-    currently alter the search.
+    deterministic.
     """
-    del seed
     if not view.nodes:
         raise ValueError("cannot partition an empty layer view")
     parts, q = _louvain(view.nodes, view.adjacency)
@@ -338,23 +336,17 @@ def compress_graph(
     )
 
 
-def feature_partition(
-    cg: CompressedGraph,
-    seed: int = 0,
-    unit_weights: bool = False,
-) -> FeaturePartitionSet:
+def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
     """Louvain over the compressed graph, weighted by feature similarity.
 
-    Edge weights default to 1 / (1 + euclidean feature distance) so that
-    clusters group layer partitions with similar average resources; unit
-    weights are available for sensitivity checks.
+    Edge weights are 1 / (1 + euclidean feature distance) so that clusters
+    group layer partitions with similar average resources.
     """
-    del seed
     if not cg.nodes:
         raise ValueError("cannot feature-partition an empty compressed graph")
     adjacency: dict[CompressedNode, dict[CompressedNode, float]] = {n: {} for n in cg.nodes}
     for a, b in cg.edges:
-        w = 1.0 if unit_weights else 1.0 / (1.0 + cg.features[a].distance(cg.features[b]))
+        w = 1.0 / (1.0 + cg.features[a].distance(cg.features[b]))
         adjacency[a][b] = w
         adjacency[b][a] = w
     parts, q = _louvain(cg.nodes, adjacency)
@@ -422,8 +414,6 @@ def multilayer_modularity(
 
 def multilayer_resource_partition(
     graph: MultilayerGraph,
-    seed: int = 0,
-    unit_weights: bool = False,
 ) -> tuple[FeaturePartitionSet, PartitionSet, dict[Layer, PartitionSet], CompressedGraph]:
     """End-to-end partitioning pipeline.
 
@@ -433,13 +423,13 @@ def multilayer_resource_partition(
     per-resource-layer partitions, compressed graph); the trailing two are
     exposed for reporting and diagnostics.
     """
-    network = louvain_partition(layer_view(graph, Layer.NETWORK), seed)
+    network = louvain_partition(layer_view(graph, Layer.NETWORK))
     layer_sets: dict[Layer, PartitionSet] = {}
     for layer in RESOURCE_LAYERS:
-        layer_sets[layer] = louvain_partition(layer_view(graph, layer), seed)
+        layer_sets[layer] = louvain_partition(layer_view(graph, layer))
     cg = compress_graph(
         [layer_sets[layer] for layer in RESOURCE_LAYERS],
         {d.id: d for d in graph.devices},
     )
-    fps = feature_partition(cg, seed, unit_weights=unit_weights)
+    fps = feature_partition(cg)
     return fps, network, layer_sets, cg

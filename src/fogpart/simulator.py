@@ -1,17 +1,20 @@
-"""Deterministic event-driven execution of placed applications over time.
+"""Replay of placed applications over the request schedule, one verdict per failure epoch.
 
 Requests fire at their scheduled times; in faulty mode one device dies per
 failure period until none remain. There is no queuing model: concurrent
 requests never slow each other, and no re-placement happens after a
-failure.
+failure. A request's outcome is therefore a function of the request and of
+its failure epoch (the set of devices dead at its time) alone, so ``run``
+classifies each request once per epoch and repeats that verdict for every
+later tick of the same epoch.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .model import (
@@ -19,6 +22,7 @@ from .model import (
     PlacementPlan,
     Topology,
     UnreachableError,
+    User,
     deadline_satisfied,
     response_times,
 )
@@ -42,32 +46,6 @@ class RequestOutcome:
     rt_ms: float | None = None
 
 
-@dataclass(frozen=True)
-class FailureSchedule:
-    """One failure per period; the victim order is a seeded permutation."""
-
-    period_s: float
-    victims: tuple[int, ...]
-
-    @classmethod
-    def build(cls, device_ids: Sequence[int], seed: int, period_s: float = 20.0) -> "FailureSchedule":
-        if period_s <= 0:
-            raise ValueError("failure period must be positive")
-        order = sorted(device_ids)
-        random.Random(f"{seed}:failures").shuffle(order)
-        return cls(period_s=period_s, victims=tuple(order))
-
-
-@dataclass
-class SimulationState:
-    clock_ms: float
-    topology: Topology
-    dead: set[int] = field(default_factory=set)
-    pending_victims: deque[int] = field(default_factory=deque)
-    deaths: list[tuple[float, int]] = field(default_factory=list)
-    epoch: int = 0
-
-
 @dataclass
 class SimulationResult:
     mode: str
@@ -75,20 +53,28 @@ class SimulationResult:
     outcomes: list[RequestOutcome]
     deaths: list[tuple[float, int]]
 
-    @property
-    def satisfied(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == SATISFIED)
 
+def failure_deaths(
+    device_ids: Sequence[int], seed: int, period_s: float, horizon_s: float
+) -> list[tuple[float, int]]:
+    """Deaths ``(time_s, victim)``: one per period, victims in a seeded order.
 
-def inject_failure(state: SimulationState, time_s: float) -> None:
-    """Kill the next victim: residuals freeze, nothing is re-placed."""
-    if not state.pending_victims:
-        raise RuntimeError("no devices left to fail")
-    victim = state.pending_victims.popleft()
-    state.topology.devices[victim].alive = False
-    state.dead.add(victim)
-    state.deaths.append((time_s, victim))
-    state.epoch += 1
+    Times accumulate as ``t += period_s`` from ``t = period_s``, which fixes
+    how they round and so how they tie with request times. The list stops
+    at the horizon or when every device is dead.
+    """
+    if period_s <= 0:
+        raise ValueError("failure period must be positive")
+    victims = sorted(device_ids)
+    random.Random(f"{seed}:failures").shuffle(victims)
+    deaths: list[tuple[float, int]] = []
+    t = period_s
+    for victim in victims:
+        if t > horizon_s:
+            break
+        deaths.append((t, victim))
+        t += period_s
+    return deaths
 
 
 def run(
@@ -99,85 +85,61 @@ def run(
     failure_period_s: float = 20.0,
     seed: int = 0,
 ) -> SimulationResult:
-    """Process every scheduled request and classify its outcome.
+    """Classify every scheduled request up to the horizon, in time order.
 
-    A request whose app has an unplaced service, a dead host, or no live
-    route fails its dependency; otherwise the response time decides between
-    satisfied and missed. Failures scheduled at the same instant as
-    requests are applied first.
+    Requests are taken in time order, schedule order breaking ties. Before
+    each request every death at or before its time is applied, so failures
+    precede requests at the same instant. A request whose app has an
+    unplaced service, a dead host, or no live route fails its dependency;
+    otherwise the response time decides between satisfied and missed. The
+    verdict is computed once per request and failure epoch: the memo is
+    emptied at each death, since epochs never recur.
     """
     if mode not in (RELIABLE, FAULTY):
         raise ValueError(f"unknown mode {mode!r}")
     horizon = scenario.config.horizon_s if horizon_s is None else horizon_s
+    deaths: list[tuple[float, int]] = []
+    if mode == FAULTY:
+        fog_ids = [d.id for d in scenario.devices if d.id != scenario.cloud_id]
+        deaths = failure_deaths(fog_ids, seed, failure_period_s, horizon)
     topology = scenario.topology()
     users = scenario.users_by_id()
     instances = {inst.id: inst for inst in scenario.instances()}
 
-    state = SimulationState(clock_ms=0.0, topology=topology)
-    events: list[tuple[float, int, int, int]] = []  # (time_s, priority, seq, payload)
-    seq = 0
-    if mode == FAULTY:
-        fog_ids = [d.id for d in scenario.devices if d.id != scenario.cloud_id]
-        schedule = FailureSchedule.build(fog_ids, seed, failure_period_s)
-        state.pending_victims = deque(schedule.victims)
-        t = schedule.period_s
-        remaining = len(schedule.victims)
-        while remaining > 0 and t <= horizon:
-            events.append((t, 0, seq, -1))
-            seq += 1
-            t += schedule.period_s
-            remaining -= 1
-    for t, request_id in scenario.schedule:
-        if t <= horizon:
-            events.append((t, 1, seq, request_id))
-            seq += 1
-    events.sort()
-
+    requests = sorted((e for e in scenario.schedule if e[0] <= horizon), key=itemgetter(0))
     outcomes: list[RequestOutcome] = []
-    rt_cache: dict[tuple[int, int], float | None] = {}
-    for time_s, priority, _, payload in events:
-        state.clock_ms = time_s * 1000.0
-        if priority == 0:
-            inject_failure(state, time_s)
-            continue
-        request_id = payload
-        outcomes.append(
-            _classify(request_id, time_s, instances, users, plans, state, rt_cache)
-        )
-    log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(state.deaths))
-    return SimulationResult(
-        mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=list(state.deaths)
-    )
+    dead: frozenset[int] = frozenset()
+    epoch = 0
+    verdicts: dict[int, tuple[str, float | None]] = {}
+    for time_s, request_id in requests:
+        while epoch < len(deaths) and deaths[epoch][0] <= time_s:
+            dead = dead | {deaths[epoch][1]}
+            epoch += 1
+            verdicts = {}
+        verdict = verdicts.get(request_id)
+        if verdict is None:
+            verdict = verdicts[request_id] = _classify(
+                instances.get(request_id), plans.get(request_id), topology, users, dead
+            )
+        outcomes.append(RequestOutcome(time_s, request_id, *verdict))
+    log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
+    return SimulationResult(mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=deaths)
 
 
 def _classify(
-    request_id: int,
-    time_s: float,
-    instances: Mapping[int, Application],
-    users: Mapping[int, object],
-    plans: Mapping[int, PlacementPlan],
-    state: SimulationState,
-    rt_cache: dict[tuple[int, int], float | None],
-) -> RequestOutcome:
-    plan = plans.get(request_id)
-    app = instances.get(request_id)
+    app: Application | None,
+    plan: PlacementPlan | None,
+    topology: Topology,
+    users: Mapping[int, User],
+    dead: frozenset[int],
+) -> tuple[str, float | None]:
+    """(status, response time in ms) of one request while ``dead`` are down."""
     if plan is None or app is None or not plan.fully_placed:
-        return RequestOutcome(time_s, request_id, FAILED_DEPENDENCY)
-    if any(host in state.dead for host in plan.assignment.values()):
-        return RequestOutcome(time_s, request_id, FAILED_DEPENDENCY)
-
-    key = (request_id, state.epoch)
-    if key not in rt_cache:
-        gateway = users[app.user].gateway
-        try:
-            _, rt_a = response_times(
-                app, plan.assignment, state.topology, gateway, frozenset(state.dead)
-            )
-            rt_cache[key] = rt_a
-        except UnreachableError:
-            rt_cache[key] = None
-    rt_a = rt_cache[key]
-    if rt_a is None:
-        return RequestOutcome(time_s, request_id, FAILED_DEPENDENCY)
-    status = SATISFIED if deadline_satisfied(app, rt_a) else MISSED
-    return RequestOutcome(time_s, request_id, status, rt_ms=rt_a)
+        return FAILED_DEPENDENCY, None
+    if any(host in dead for host in plan.assignment.values()):
+        return FAILED_DEPENDENCY, None
+    try:
+        _, rt_a = response_times(app, plan.assignment, topology, users[app.user].gateway, dead)
+    except UnreachableError:
+        return FAILED_DEPENDENCY, None
+    return (SATISFIED if deadline_satisfied(app, rt_a) else MISSED), rt_a

@@ -125,12 +125,6 @@ class TestTransmissionTime:
         path = [one_hop(), NetworkLink(1, 2, 75000.0, 5.0)]
         assert transmission_time(path, 1_500_000.0) == 50.0
 
-    def test_dead_endpoint_raises(self):
-        from fogpart.model import LinkDownError
-
-        with pytest.raises(LinkDownError):
-            transmission_time([one_hop()], 10.0, dead={1})
-
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
             transmission_time([one_hop()], 0.0)

@@ -164,8 +164,8 @@ class TestLouvain:
     def test_deterministic(self):
         rng = random.Random(41)
         view = random_view(rng)
-        a = louvain_partition(view, seed=0)
-        b = louvain_partition(view, seed=0)
+        a = louvain_partition(view)
+        b = louvain_partition(view)
         assert a.partitions == b.partitions
         assert a.modularity == b.modularity
 
@@ -431,7 +431,7 @@ class TestPipeline:
         ]
         links = [NetworkLink(rng.randrange(i), i, 75000.0, 5.0) for i in range(1, 20)]
         g = build_multilayer(devices, links)
-        a = multilayer_resource_partition(g, seed=0)
-        b = multilayer_resource_partition(g, seed=0)
+        a = multilayer_resource_partition(g)
+        b = multilayer_resource_partition(g)
         assert a[0].feature_partitions == b[0].feature_partitions
         assert a[1].partitions == b[1].partitions

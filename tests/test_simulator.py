@@ -1,8 +1,13 @@
-"""Event-driven execution and failure injection."""
+"""Request replay, failure injection, and the per-epoch classification contract."""
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogpart.model import (
     Application,
@@ -11,8 +16,10 @@ from fogpart.model import (
     NetworkLink,
     PlacementPlan,
     Service,
+    UnreachableError,
     USER,
     User,
+    response_times,
 )
 from fogpart.scenario import AppRequest, Scenario, ScenarioConfig
 from fogpart import simulator
@@ -146,3 +153,133 @@ class TestFaultyRun:
         assert len(result.outcomes) == len([t for t, _ in sc.schedule if t <= 30.0])
         assert all(o.status in (SATISFIED, MISSED, FAILED_DEPENDENCY) for o in result.outcomes)
 
+
+    def test_request_at_host_death_time_fails(self):
+        # the gateway hosts both services, so only its own death matters
+        sc = tiny_scenario(horizon=60.0, period=1.0)
+        result = simulator.run(
+            sc, full_plans(sc, host=0), mode=FAULTY, failure_period_s=10.0, seed=0
+        )
+        death_time = next(t for t, d in result.deaths if d == 0)
+        before = [o.status for o in result.outcomes if o.time_s == death_time - 1.0]
+        at = [o.status for o in result.outcomes if o.time_s == death_time]
+        assert before == [SATISFIED, SATISFIED]
+        assert at == [FAILED_DEPENDENCY, FAILED_DEPENDENCY]
+
+    def test_nonpositive_failure_period_rejected(self):
+        sc = tiny_scenario()
+        with pytest.raises(ValueError):
+            simulator.run(sc, full_plans(sc), mode=FAULTY, failure_period_s=0.0)
+
+
+class TestScheduleOrder:
+    def test_unsorted_schedule_runs_in_stable_time_order(self):
+        sc = tiny_scenario(horizon=3.0)
+        sc.schedule = [(3.0, 1), (1.0, 1), (4.0, 0), (3.0, 0), (1.0, 0), (2.0, 1)]
+        result = simulator.run(sc, full_plans(sc), mode=RELIABLE)
+        assert [(o.time_s, o.request_id) for o in result.outcomes] == [
+            (1.0, 1), (1.0, 0), (2.0, 1), (3.0, 1), (3.0, 0)
+        ]
+
+
+def oracle_run(scenario, plans, mode, horizon, period, seed):
+    """Every request classified from scratch against the deaths up to its time."""
+    deaths = []
+    if mode == FAULTY:
+        victims = sorted(d.id for d in scenario.devices if d.id != scenario.cloud_id)
+        random.Random(f"{seed}:failures").shuffle(victims)
+        t = period
+        for victim in victims:
+            if t > horizon:
+                break
+            deaths.append((t, victim))
+            t += period
+    topology = scenario.topology()
+    users = scenario.users_by_id()
+    apps = {app.id: app for app in scenario.instances()}
+    order = sorted(range(len(scenario.schedule)), key=lambda i: (scenario.schedule[i][0], i))
+    rows = []
+    for i in order:
+        t, rid = scenario.schedule[i]
+        if t > horizon:
+            continue
+        dead = frozenset(victim for death_t, victim in deaths if death_t <= t)
+        app, plan = apps.get(rid), plans.get(rid)
+        status, rt = FAILED_DEPENDENCY, None
+        hosts = [] if plan is None else list(plan.assignment.values())
+        if app is not None and hosts and all(h is not None and h not in dead for h in hosts):
+            try:
+                _, rt = response_times(app, plan.assignment, topology, users[app.user].gateway, dead)
+                status = SATISFIED if rt < app.deadline else MISSED
+            except UnreachableError:
+                pass
+        rows.append((t, rid, status, rt))
+    return rows, deaths
+
+
+@st.composite
+def simulations(draw):
+    """Small, often disconnected topologies, partial plans and shuffled schedules."""
+    n = draw(st.integers(2, 7))
+    devices = [Device(i, 10, draw(st.sampled_from([10.0, 20.0, 40.0])), 25.0, 25.0) for i in range(n)]
+    pairs = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    links = [NetworkLink(a, b, 75000.0, draw(st.floats(1.0, 10.0))) for a, b in pairs]
+    templates = []
+    for app_id in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        templates.append(Application(
+            app_id,
+            [Service(s, 20.0, 1.0, 1.0) for s in range(k)],
+            [Message(USER, 0, 1_500_000.0)] + [Message(s - 1, s, 1_500_000.0) for s in range(1, k)],
+            draw(st.floats(500.0, 4000.0)),
+        ))
+    n_users = draw(st.integers(1, 3))
+    users = [User(u, gateway=draw(st.integers(0, n - 1))) for u in range(n_users)]
+    requests = [
+        AppRequest(u, u, draw(st.integers(0, len(templates) - 1))) for u in range(n_users)
+    ]
+    plans = {}
+    for req in requests:
+        if draw(st.integers(0, 9)) == 0:
+            continue  # no plan at all
+        services = templates[req.app_id].services
+        # -1 leaves a service unplaced
+        hosts = [draw(st.integers(-1, n - 1)) for _ in services]
+        plans[req.request_id] = PlacementPlan(
+            assignment={s.id: (None if h < 0 else h) for s, h in zip(services, hosts)}
+        )
+    ticks = st.integers(0, 12).map(float)
+    schedule = draw(st.lists(st.tuples(ticks, st.integers(0, n_users - 1)), max_size=40))
+    cfg = ScenarioConfig(device_count=4, gateway_count=1, app_count=1, user_count=1, seed=0)
+    scenario = Scenario(
+        config=cfg,
+        devices=devices,
+        links=links,
+        gateways=(0,),
+        cloud_id=n - 1,
+        apps=templates,
+        users=users,
+        requests=requests,
+        schedule=schedule,
+    )
+    return (
+        scenario,
+        plans,
+        draw(st.sampled_from([RELIABLE, FAULTY])),
+        draw(st.integers(0, 14).map(float)),
+        draw(st.integers(1, 4).map(float)),  # failure periods land on request ticks
+        draw(st.integers(0, 3)),
+    )
+
+
+class TestEpochClassificationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(simulations())
+    def test_run_matches_from_scratch_oracle(self, case):
+        scenario, plans, mode, horizon, period, seed = case
+        result = simulator.run(
+            scenario, plans, mode=mode, horizon_s=horizon, failure_period_s=period, seed=seed
+        )
+        rows, deaths = oracle_run(scenario, plans, mode, horizon, period, seed)
+        assert [(o.time_s, o.request_id, o.status, o.rt_ms) for o in result.outcomes] == rows
+        assert result.deaths == deaths
