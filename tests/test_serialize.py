@@ -1,0 +1,262 @@
+"""Round trips of every versioned JSON document through its text form."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER, User
+from fogpart.multilayer import RESOURCE_LAYERS, Layer
+from fogpart.partitioner import CompressedGraph, FeaturePartitionSet, FeatureTriplet, PartitionSet
+from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig
+from fogpart.serialize import (
+    config_from_dict,
+    config_to_dict,
+    partitions_from_dict,
+    partitions_to_dict,
+    plans_from_dict,
+    plans_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
+
+
+def through_json(payload):
+    """The document as a reader sees it after ``dump_json``."""
+    return json.loads(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def ordered_pair(elements):
+    return st.tuples(elements, elements).map(lambda p: (min(p), max(p)))
+
+
+@st.composite
+def configs(draw):
+    devices = draw(st.integers(3, 500))
+    return ScenarioConfig(
+        device_count=devices,
+        gateway_count=draw(st.integers(0, devices - 1)),
+        ba_attachment=draw(st.integers(1, devices - 1)),
+        cores_range=draw(ordered_pair(st.integers(1, 64))),
+        cpu_speed_range=draw(ordered_pair(positive)),
+        mem_range=draw(ordered_pair(positive)),
+        storage_range=draw(ordered_pair(positive)),
+        service_count_range=draw(ordered_pair(st.integers(1, 20))),
+        deadline_range_ms=draw(ordered_pair(positive)),
+        service_mem_range=draw(ordered_pair(positive)),
+        service_storage_range=draw(ordered_pair(positive)),
+        message_size_range_kb=draw(ordered_pair(positive)),
+        workload_range=draw(ordered_pair(positive)),
+        latency_ms=draw(st.floats(0.0, 1e3)),
+        bandwidth_bytes_per_ms=draw(positive),
+        request_period_s=draw(positive),
+        horizon_s=draw(st.floats(0.0, 1e5)),
+        cloud_factor=draw(positive),
+        app_count=draw(st.integers(1, 50)),
+        user_count=draw(st.integers(1, 200)),
+        deadline_mode=draw(st.booleans()),
+        scale=draw(st.sampled_from([None, *sorted(PRESETS)])),
+        seed=draw(st.integers(-(2**40), 2**40)),
+    )
+
+
+@st.composite
+def applications(draw, app_id):
+    n = draw(st.integers(1, 4))
+    services = [Service(i, draw(positive), draw(positive), draw(positive)) for i in range(n)]
+    messages = [Message(USER, 0, draw(positive))]
+    for i in range(1, n):
+        messages.append(Message(draw(st.integers(0, i - 1)), i, draw(positive)))
+    user = draw(st.one_of(st.none(), st.integers(0, 5)))
+    return Application(app_id, services, messages, draw(positive), user=user)
+
+
+@st.composite
+def scenarios(draw):
+    cfg = draw(configs())
+    n = draw(st.integers(1, 6))
+    devices = [
+        Device(i, draw(st.integers(1, 30)), draw(positive), draw(positive), draw(positive))
+        for i in range(n)
+    ]
+    links = [
+        NetworkLink(draw(st.integers(0, i - 1)), i, draw(positive), draw(st.floats(0.0, 100.0)))
+        for i in range(1, n)
+    ]
+    apps = [draw(applications(a)) for a in range(draw(st.integers(0, 3)))]
+    users = [User(u, draw(st.integers(0, n - 1))) for u in range(draw(st.integers(0, 4)))]
+    requests = [
+        AppRequest(r, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+        for r in range(draw(st.integers(0, 4)))
+    ]
+    schedule = draw(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 10)), max_size=8))
+    return Scenario(
+        config=cfg,
+        devices=devices,
+        links=links,
+        gateways=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3))),
+        cloud_id=n - 1,
+        apps=apps,
+        users=users,
+        requests=requests,
+        schedule=schedule,
+    )
+
+
+def app_fields(app: Application):
+    return (app.id, app.services, app.messages, app.deadline, app.user)
+
+
+@st.composite
+def layer_partition(draw, layer, device_ids):
+    labels = {d: draw(st.integers(0, len(device_ids) - 1)) for d in device_ids}
+    partitions = {
+        pid: frozenset(d for d, lab in labels.items() if lab == pid) for pid in set(labels.values())
+    }
+    return PartitionSet(layer, labels, partitions, draw(finite))
+
+
+@st.composite
+def partition_results(draw):
+    device_ids = list(range(draw(st.integers(1, 6))))
+    network = draw(layer_partition(Layer.NETWORK, device_ids))
+    layer_sets = {layer: draw(layer_partition(layer, device_ids)) for layer in RESOURCE_LAYERS}
+    members = {
+        (layer, pid): devs for layer, ps in layer_sets.items() for pid, devs in ps.partitions.items()
+    }
+    nodes = tuple(sorted(members))
+    features = {node: FeatureTriplet(draw(finite), draw(finite), draw(finite)) for node in nodes}
+    edges = tuple(
+        sorted(
+            (a, b)
+            for i, a in enumerate(nodes)
+            for b in nodes[i + 1:]
+            if a[0] != b[0] and members[a] & members[b]
+        )
+    )
+    cg = CompressedGraph(nodes=nodes, edges=edges, members=members, features=features)
+    groups = {node: draw(st.integers(0, len(nodes) - 1)) for node in nodes}
+    fp_ids = sorted(set(groups.values()))
+    feature_partitions = {
+        fp: frozenset(n for n, g in groups.items() if g == old) for fp, old in enumerate(fp_ids)
+    }
+    device_index = {
+        fp: frozenset(d for n in ns for d in members[n]) for fp, ns in feature_partitions.items()
+    }
+    fps = FeaturePartitionSet(feature_partitions, device_index, draw(finite))
+    return fps, network, layer_sets, cg
+
+
+@st.composite
+def plan_sets(draw):
+    plans = {}
+    for request_id in draw(st.lists(st.integers(0, 1000), unique=True, max_size=5)):
+        sids = range(draw(st.integers(1, 4)))
+        assignment = {sid: draw(st.one_of(st.none(), st.integers(0, 99))) for sid in sids}
+        per_service = draw(st.dictionaries(st.sampled_from(list(sids)), finite))
+        plans[request_id] = PlacementPlan(
+            assignment=assignment,
+            per_service_rt=per_service,
+            app_rt=draw(st.one_of(st.none(), finite)),
+        )
+    return plans
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_round_trip(self, cfg):
+        assert config_from_dict(through_json(config_to_dict(cfg))) == cfg
+
+    def test_every_field_written(self):
+        data = config_to_dict(ScenarioConfig())
+        assert len(data) == 23
+        assert data["cores_range"] == [10, 25]
+        assert data["scale"] is None
+
+
+class TestScenarioRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    def test_round_trip(self, scenario):
+        data = through_json(scenario_to_dict(scenario))
+        back = scenario_from_dict(data)
+        assert back.config == scenario.config
+        assert back.devices == scenario.devices
+        assert back.links == scenario.links
+        assert back.gateways == scenario.gateways
+        assert back.cloud_id == scenario.cloud_id
+        assert [app_fields(a) for a in back.apps] == [app_fields(a) for a in scenario.apps]
+        assert back.users == scenario.users
+        assert back.requests == scenario.requests
+        assert back.schedule == scenario.schedule
+        assert through_json(scenario_to_dict(back)) == data
+
+
+class TestPartitionsRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(partition_results())
+    def test_round_trip(self, result):
+        fps, network, layer_sets, cg = result
+        data = through_json(partitions_to_dict(fps, network, layer_sets, cg))
+        assert partitions_from_dict(data) == (fps, network, layer_sets, cg)
+
+
+class TestPlansRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(plan_sets(), st.sampled_from(["multilayer", "first_fit"]), finite, finite)
+    def test_round_trip(self, plans, strategy, alpha, beta):
+        data = through_json(plans_to_dict(plans, strategy, alpha, beta))
+        assert plans_from_dict(data) == (plans, strategy)
+        assert (data["alpha"], data["beta"]) == (alpha, beta)
+
+    def test_unplaced_service_and_missing_rt(self):
+        plans = {7: PlacementPlan(assignment={0: 3, 1: None})}
+        data = through_json(plans_to_dict(plans, "first_fit", 0.5, 0.5))
+        assert data["plans"]["7"]["assignment"] == {"0": 3, "1": "invalid"}
+        assert data["plans"]["7"]["app_rt_ms"] is None
+        assert plans_from_dict(data) == (plans, "first_fit")
+
+
+class TestSchemaVersion:
+    def documents(self):
+        scenario = Scenario(
+            config=ScenarioConfig(),
+            devices=[Device(0, 1, 1.0, 1.0, 1.0)],
+            links=[],
+            gateways=(),
+            cloud_id=0,
+            apps=[],
+            users=[],
+            requests=[],
+        )
+        ps = PartitionSet(Layer.NETWORK, {0: 0}, {0: frozenset({0})}, 0.0)
+        node = (Layer.CPU, 0)
+        cg = CompressedGraph((node,), (), {node: frozenset({0})}, {node: FeatureTriplet(1.0, 1.0, 1.0)})
+        fps = FeaturePartitionSet({0: frozenset({node})}, {0: frozenset({0})}, 0.0)
+        layer_sets = {Layer.CPU: PartitionSet(Layer.CPU, {0: 0}, {0: frozenset({0})}, 0.0)}
+        return [
+            (scenario_from_dict, scenario_to_dict(scenario)),
+            (partitions_from_dict, partitions_to_dict(fps, ps, layer_sets, cg)),
+            (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5)),
+        ]
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_wrong_version_rejected(self, version):
+        for reader, data in self.documents():
+            data = dict(data, schema_version=version)
+            with pytest.raises(ValueError, match="schema_version"):
+                reader(data)
+
+    def test_missing_version_rejected(self):
+        for reader, data in self.documents():
+            data = dict(data)
+            del data["schema_version"]
+            with pytest.raises(ValueError, match="schema_version"):
+                reader(data)
