@@ -26,7 +26,6 @@ from .partitioner import (
     feature_partition,
     louvain_partition,
     modularity,
-    multilayer_modularity,
     multilayer_resource_partition,
     partition_feature,
 )

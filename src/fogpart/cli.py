@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .metrics import (
+    REPORT_COLUMNS,
     cumulative_series,
     emit_report,
     hop_histogram,
@@ -237,20 +238,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not metrics_path.exists():
             raise ConfigError(f"run directory {run_dir} has no metrics.json")
         data = load_json(metrics_path)
-        rows.append(
-            {
-                "run": run_dir.name,
-                "scenario": data.get("scenario"),
-                "strategy": data.get("strategy"),
-                "placement_success_rate": data.get("placement_success_rate"),
-                "resource_wastage": data.get("resource_wastage"),
-                "deadline_satisfaction": data.get("deadline_satisfaction"),
-                "hop_mean": data.get("hop_mean"),
-                "hop_max": data.get("hop_max"),
-                "unreachable_services": data.get("unreachable_services"),
-                "hop_histogram": data.get("hop_histogram"),
-            }
-        )
+        row = {col: data.get(col) for col in (*REPORT_COLUMNS, "hop_histogram")}
+        row["run"] = run_dir.name
+        rows.append(row)
     out = Path(args.out)
     artifacts = emit_report(rows, out)
     _write_manifest(out, "report", None, {"runs": [str(r) for r in args.runs]}, artifacts)

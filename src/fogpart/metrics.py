@@ -112,36 +112,27 @@ REPORT_COLUMNS = (
 )
 
 
-def emit_report(
-    rows: Sequence[Mapping[str, object]],
-    out_dir: Path,
-    formats: Sequence[str] = ("csv", "json"),
-) -> list[Path]:
-    """Write the cross-run comparison table; returns the created paths.
+def emit_report(rows: Sequence[Mapping[str, object]], out_dir: Path) -> list[Path]:
+    """Write ``comparison.csv`` and ``report.json``; returns their paths.
 
     The CSV column order is fixed (REPORT_COLUMNS) and the JSON document is
     key-sorted, so reruns produce identical bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    csv_path = out_dir / "comparison.csv"
+    json_path = out_dir / "report.json"
     try:
-        if "csv" in formats:
-            path = out_dir / "comparison.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(REPORT_COLUMNS)
-                for row in rows:
-                    writer.writerow([_cell(row.get(col)) for col in REPORT_COLUMNS])
-            written.append(path)
-        if "json" in formats:
-            path = out_dir / "report.json"
-            payload = {"schema_version": 1, "runs": [dict(sorted(r.items())) for r in rows]}
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            written.append(path)
+        with csv_path.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(REPORT_COLUMNS)
+            for row in rows:
+                writer.writerow([_cell(row.get(col)) for col in REPORT_COLUMNS])
+        payload = {"schema_version": 1, "runs": [dict(sorted(r.items())) for r in rows]}
+        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
-    return written
+    return [csv_path, json_path]
 
 
 def _cell(value: object) -> object:

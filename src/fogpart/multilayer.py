@@ -2,8 +2,9 @@
 
 One layer mirrors the physical network; the CPU, memory, and storage layers
 are complete graphs over the same devices whose edge weights encode how
-close two devices are in that single resource dimension. Replicas of each
-device are linked across every layer pair.
+close two devices are in that single resource dimension. The coupling of
+a device's replicas across layers is not stored as edges; compression
+links two layer partitions exactly when they share a device.
 """
 
 from __future__ import annotations
@@ -61,31 +62,13 @@ class LayerView:
     nodes: tuple[int, ...]
     adjacency: Mapping[int, Mapping[int, float]]
 
-    def weight(self, i: int, j: int) -> float:
-        return self.adjacency.get(i, {}).get(j, 0.0)
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Undirected edges (i < j, weight), sorted."""
-        out = []
-        for i in self.nodes:
-            for j, w in self.adjacency[i].items():
-                if i < j:
-                    out.append((i, j, w))
-        out.sort()
-        return out
-
-    def total_weight(self) -> float:
-        """Sum of undirected edge weights (each edge counted once)."""
-        return sum(w for _, _, w in self.edges())
-
 
 @dataclass(frozen=True)
 class MultilayerGraph:
-    """Devices replicated across the four layers, with intra- and inter-layer edges."""
+    """Devices replicated across the four layers, with each layer's edges."""
 
     devices: tuple[Device, ...]
     intra_edges: Mapping[Layer, Mapping[tuple[int, int], float]]
-    inter_edges: tuple[tuple[int, Layer, Layer], ...]
 
     @property
     def layers(self) -> tuple[Layer, ...]:
@@ -141,17 +124,11 @@ def build_multilayer(
             if w >= min_weight:
                 edges[(d_i.id, d_j.id)] = w
         intra[layer] = edges
-
-    inter = tuple(
-        (d.id, la, lb)
-        for d in ordered
-        for la, lb in combinations((Layer.NETWORK, *RESOURCE_LAYERS), 2)
-    )
-    return MultilayerGraph(devices=ordered, intra_edges=intra, inter_edges=inter)
+    return MultilayerGraph(devices=ordered, intra_edges=intra)
 
 
 def layer_view(graph: MultilayerGraph, layer: Layer) -> LayerView:
-    """Weighted single-layer projection; inter-layer edges are never included."""
+    """Weighted projection of one layer's edges."""
     if layer not in graph.layers:
         raise ValueError(f"unknown layer {layer!r}")
     return make_layer_view(layer, graph.device_ids(), graph.intra_edges[layer])

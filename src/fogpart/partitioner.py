@@ -361,57 +361,6 @@ def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
     return FeaturePartitionSet(feature_partitions, device_index, q)
 
 
-def multilayer_modularity(
-    graph: MultilayerGraph,
-    assignments: Mapping[Layer, Mapping[int, int]],
-    replica_groups: Mapping[tuple[Layer, int], Hashable] | None = None,
-) -> float:
-    """Full multilayer modularity: per-layer terms plus inter-layer coupling.
-
-    The intra term of each layer is normalized by that layer's own ordered
-    weight; the whole sum is normalized by the ordered weight across all
-    layers. A device's replicas in two layers count as co-partitioned iff
-    ``replica_groups`` maps their (layer, partition) pairs to equal keys;
-    with the default None, replicas never couple, so a graph whose edges
-    live in a single layer reduces exactly to the single-layer score.
-    """
-    views = {layer: layer_view(graph, layer) for layer in graph.layers}
-    layer_two_w = {layer: 2.0 * views[layer].total_weight() for layer in graph.layers}
-    two_w = sum(layer_two_w.values())
-    if two_w <= 0.0:
-        return 0.0
-
-    total = 0.0
-    for layer in graph.layers:
-        if layer_two_w[layer] <= 0.0:
-            continue
-        view = views[layer]
-        assignment = assignments[layer]
-        strength = {i: sum(view.adjacency[i].values()) for i in view.nodes}
-        sig_in: dict[int, float] = {}
-        sig_tot: dict[int, float] = {}
-        for i in view.nodes:
-            c = assignment[i]
-            sig_tot[c] = sig_tot.get(c, 0.0) + strength[i]
-            sig_in[c] = sig_in.get(c, 0.0)
-        for i in view.nodes:
-            ci = assignment[i]
-            for j, w in view.adjacency[i].items():
-                if assignment[j] == ci:
-                    sig_in[ci] += w
-        total += sum(sig_in[c] - sig_tot[c] ** 2 / layer_two_w[layer] for c in sig_tot)
-
-    if replica_groups is not None:
-        for dev, la, lb in graph.inter_edges:
-            ga = replica_groups.get((la, assignments[la][dev]))
-            gb = replica_groups.get((lb, assignments[lb][dev]))
-            if ga is not None and ga == gb:
-                # one inter-layer edge per unordered pair; both ordered
-                # directions contribute
-                total += 2.0
-    return total / two_w
-
-
 def multilayer_resource_partition(
     graph: MultilayerGraph,
 ) -> tuple[FeaturePartitionSet, PartitionSet, dict[Layer, PartitionSet], CompressedGraph]:

@@ -1,17 +1,25 @@
-"""Deadline-ordered service placement over feature partitions, plus baselines.
+"""Deadline-ordered service placement: one admission scan, three candidate orders.
 
-The partition-aware strategy ranks feature partitions per service by a
-weighted mix of demand similarity and user proximity, then walks each
-partition's devices in ascending transmission time. All services of one
-application must land inside the network partition anchored by its first
-successfully placed service.
+Every strategy places an application's services in topological order, and
+each service goes to the first device of a candidate order that passes
+``placement_valid`` (``place_service``). The strategies differ only in the
+order they offer:
+
+- ``first_fit``: every device, by ascending id;
+- ``connectivity_greedy``: the members, ascending, of the network partition
+  with the most residual units when the application arrives;
+- ``multilayer``: feature partitions by descending fitness (a weighted mix of
+  demand similarity and user proximity), each partition's devices by
+  ascending transmission time, skipping devices outside the network
+  partition anchored by the application's first placed service.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Application,
@@ -207,30 +215,19 @@ class PlacementContext:
         return d_matrix, terms
 
     def rank_feature_partitions(
-        self,
-        service: Service,
-        user: User,
-        size: float,
-        proximities: Mapping[int, float | None] | None = None,
+        self, service: Service, proximities: Mapping[int, float | None]
     ) -> list[int]:
         """All feature partition ids, descending fitness, ties by id ascending.
 
-        ``proximities`` are the terms ``app_tables`` returns for the user's
-        gateway and ``size``; they are computed here when not given.
+        ``proximities`` are the terms ``app_tables`` returns for the
+        requesting user's gateway and entry-message size.
         """
-        if proximities is None:
-            _, proximities = self.app_tables(user.gateway, size)
         scored = [
             (-_score(fp_id, service, self.config, self, proximities[fp_id]), fp_id)
             for fp_id in self.fps.ids()
         ]
         scored.sort()
         return [fp_id for _, fp_id in scored]
-
-    def commit(self, app_id: int, service: Service, device: Device, deadline_ms: float) -> CommitRecord:
-        record = commit_placement(device, service, app_id=app_id, deadline_ms=deadline_ms)
-        self.audit.append(record)
-        return record
 
 
 def _proximity(
@@ -337,29 +334,42 @@ def rollback_placement(device: Device, record: CommitRecord) -> None:
 
 
 def place_service(
-    ctx: PlacementContext,
+    service: Service,
+    candidates: Iterable[int],
+    app: Application,
+    devices: Mapping[int, Device],
+    audit: list[CommitRecord],
+) -> int | None:
+    """The admission scan shared by every strategy.
+
+    Walks ``candidates`` in order and commits ``service`` to the first
+    device that passes ``placement_valid`` against the app deadline,
+    appending the commit record to ``audit``. Returns that device id, or
+    None when no candidate admits the service.
+    """
+    for did in candidates:
+        device = devices[did]
+        if placement_valid(service, device, app.deadline):
+            audit.append(commit_placement(device, service, app_id=app.id, deadline_ms=app.deadline))
+            return did
+    return None
+
+
+def anchored_order(
     fp_rank: Sequence[int],
     d_matrix: Mapping[int, Sequence[int]],
-    service: Service,
-    deadline_ms: float,
+    network: PartitionSet,
     anchor: int | None,
-    app_id: int = -1,
-) -> int | None:
-    """First feasible device walking partitions by fitness and devices by T.
+) -> Iterator[int]:
+    """Multilayer candidate order: partitions by rank, then devices by T.
 
-    Devices outside the anchor network partition are skipped (no anchor yet
-    means the service itself will define it). Returns the device id and
-    commits its residuals, or None when nothing feasible remains.
+    Devices outside the anchor network partition are skipped; no anchor yet
+    means the service being placed will define it.
     """
     for fp_id in fp_rank:
         for did in d_matrix[fp_id]:
-            if anchor is not None and ctx.network_partition_of(did) != anchor:
-                continue
-            device = ctx.devices[did]
-            if placement_valid(service, device, deadline_ms):
-                ctx.commit(app_id, service, device, deadline_ms)
-                return did
-    return None
+            if anchor is None or network.assignment[did] == anchor:
+                yield did
 
 
 def select_feature_partitions(app: Application, ctx: PlacementContext) -> PlacementPlan:
@@ -368,38 +378,35 @@ def select_feature_partitions(app: Application, ctx: PlacementContext) -> Placem
     Services are walked in topological order so the entry service defines
     the anchor network partition. The device matrix and the proximity terms
     are built once for the application and shared by all its services.
-    Response times are attached when the app is fully placed and routable.
     """
     if app.user is None or app.user not in ctx.users:
         raise ValueError(f"app {app.id}: requesting user unknown")
-    user = ctx.users[app.user]
-    size = app.entry_message.size
-    d_matrix, proximities = ctx.app_tables(user.gateway, size)
+    gateway = ctx.users[app.user].gateway
+    d_matrix, proximities = ctx.app_tables(gateway, app.entry_message.size)
     assignment: dict[int, int | None] = {}
     anchor: int | None = None
     for sid in app.topological_order():
         service = app.service(sid)
-        fp_rank = ctx.rank_feature_partitions(service, user, size, proximities)
-        device_id = place_service(ctx, fp_rank, d_matrix, service, app.deadline, anchor, app.id)
+        fp_rank = ctx.rank_feature_partitions(service, proximities)
+        order = anchored_order(fp_rank, d_matrix, ctx.network, anchor)
+        device_id = place_service(service, order, app, ctx.devices, ctx.audit)
         assignment[sid] = device_id
         if device_id is not None and anchor is None:
             anchor = ctx.network_partition_of(device_id)
-    plan = PlacementPlan(assignment=assignment)
-    _attach_response_times(plan, app, ctx.topology, user.gateway)
-    return plan
+    return PlacementPlan(assignment=assignment)
 
 
-def _attach_response_times(
-    plan: PlacementPlan, app: Application, topology: Topology, gateway: int
-) -> None:
-    if not plan.fully_placed:
-        return
-    try:
-        per_service, rt_a = response_times(app, plan.assignment, topology, gateway)
-    except (UnplacedDependencyError, UnreachableError):
-        return
-    plan.per_service_rt = per_service
-    plan.app_rt = rt_a
+def _place_in_order(
+    app: Application,
+    order: Sequence[int],
+    devices: Mapping[int, Device],
+    audit: list[CommitRecord],
+) -> PlacementPlan:
+    """Offer every service of ``app`` the same candidate order."""
+    assignment: dict[int, int | None] = {}
+    for sid in app.topological_order():
+        assignment[sid] = place_service(app.service(sid), order, app, devices, audit)
+    return PlacementPlan(assignment=assignment)
 
 
 def _residual_units(device: Device) -> float:
@@ -412,30 +419,17 @@ def _residual_units(device: Device) -> float:
 def baseline_first_fit(
     app: Application,
     devices: Mapping[int, Device],
-    audit: list[CommitRecord] | None = None,
+    audit: list[CommitRecord],
 ) -> PlacementPlan:
-    """Each service lands on the first resource-feasible device by id."""
-    ordered = [devices[k] for k in sorted(devices)]
-    assignment: dict[int, int | None] = {}
-    for sid in app.topological_order():
-        service = app.service(sid)
-        chosen: int | None = None
-        for device in ordered:
-            if placement_valid(service, device, app.deadline):
-                record = commit_placement(device, service, app_id=app.id, deadline_ms=app.deadline)
-                if audit is not None:
-                    audit.append(record)
-                chosen = device.id
-                break
-        assignment[sid] = chosen
-    return PlacementPlan(assignment=assignment)
+    """Each service lands on the first admissible device by id."""
+    return _place_in_order(app, sorted(devices), devices, audit)
 
 
 def baseline_connectivity_greedy(
     app: Application,
     network: PartitionSet,
     devices: Mapping[int, Device],
-    audit: list[CommitRecord] | None = None,
+    audit: list[CommitRecord],
 ) -> PlacementPlan:
     """Whole app into the network partition with most residual units, first-fit inside.
 
@@ -448,21 +442,8 @@ def baseline_connectivity_greedy(
         units = sum(_residual_units(devices[d]) for d in network.partitions[pid] if d in devices)
         if units > best_units:
             best_pid, best_units = pid, units
-    assignment: dict[int, int | None] = {}
-    member_ids = sorted(network.partitions.get(best_pid, frozenset()))
-    for sid in app.topological_order():
-        service = app.service(sid)
-        chosen: int | None = None
-        for did in member_ids:
-            device = devices[did]
-            if placement_valid(service, device, app.deadline):
-                record = commit_placement(device, service, app_id=app.id, deadline_ms=app.deadline)
-                if audit is not None:
-                    audit.append(record)
-                chosen = did
-                break
-        assignment[sid] = chosen
-    return PlacementPlan(assignment=assignment)
+    members = sorted(network.partitions.get(best_pid, frozenset()))
+    return _place_in_order(app, members, devices, audit)
 
 
 @dataclass
@@ -493,16 +474,17 @@ def run_placement(
     """Place every application instance (deadline order) with one strategy.
 
     Each run starts from pristine residual copies of the devices, so
-    strategies can be compared on identical inputs.
+    strategies can be compared on identical inputs. Response times are
+    attached to every plan that is fully placed, routable and requested by
+    a known user.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     fresh = {d.id: d.fresh_copy() for d in devices}
     topology = Topology(fresh.values(), topology_links)
     ordered = sort_applications(instances)
-    plans: dict[int, PlacementPlan] = {}
     audit: list[CommitRecord] = []
-    unreachable: frozenset[int] = frozenset()
+    unreachable: set[int] = set()
 
     if strategy == "multilayer":
         if feature_partitions is None or compressed is None or network is None:
@@ -515,22 +497,28 @@ def run_placement(
         ctx = PlacementContext(
             fresh, topology, feature_partitions, compressed, network, users, config
         )
-        for app in ordered:
-            plans[app.id] = select_feature_partitions(app, ctx)
-        audit = ctx.audit
-        unreachable = frozenset(ctx.unreachable_fps)
+        audit, unreachable = ctx.audit, ctx.unreachable_fps
+        place = partial(select_feature_partitions, ctx=ctx)
+    elif strategy == "first_fit":
+        place = partial(baseline_first_fit, devices=fresh, audit=audit)
     else:
-        for app in ordered:
-            if strategy == "first_fit":
-                plan = baseline_first_fit(app, fresh, audit)
-            else:
-                if network is None:
-                    raise ValueError("connectivity_greedy requires network partitions")
-                plan = baseline_connectivity_greedy(app, network, fresh, audit)
-            user = users.get(app.user) if app.user is not None else None
-            if user is not None:
-                _attach_response_times(plan, app, topology, user.gateway)
-            plans[app.id] = plan
+        if network is None:
+            raise ValueError("connectivity_greedy requires network partitions")
+        place = partial(baseline_connectivity_greedy, network=network, devices=fresh, audit=audit)
+
+    plans: dict[int, PlacementPlan] = {}
+    for app in ordered:
+        plan = place(app)
+        plans[app.id] = plan
+        user = users.get(app.user)
+        if user is None or not plan.fully_placed:
+            continue
+        try:
+            plan.per_service_rt, plan.app_rt = response_times(
+                app, plan.assignment, topology, user.gateway
+            )
+        except (UnplacedDependencyError, UnreachableError):
+            pass
 
     return PlacementRun(
         strategy=strategy,
@@ -539,5 +527,5 @@ def run_placement(
         devices=fresh,
         alpha=alpha,
         beta=beta,
-        unreachable_fps=unreachable,
+        unreachable_fps=frozenset(unreachable),
     )

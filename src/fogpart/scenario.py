@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import networkx as nx
@@ -69,18 +69,7 @@ class ScenarioConfig:
             raise ConfigError("device_count must exceed ba_attachment")
         if self.ba_attachment < 1:
             raise ConfigError("ba_attachment must be at least 1")
-        for name in (
-            "cores_range",
-            "cpu_speed_range",
-            "mem_range",
-            "storage_range",
-            "service_count_range",
-            "deadline_range_ms",
-            "service_mem_range",
-            "service_storage_range",
-            "message_size_range_kb",
-            "workload_range",
-        ):
+        for name in RANGE_FIELDS:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigError(f"{name}: min must not exceed max")
@@ -98,6 +87,12 @@ class ScenarioConfig:
         return replace(
             self, scale=scale, app_count=apps, user_count=users, deadline_mode=deadline_mode
         )
+
+
+#: The (min, max) fields of ScenarioConfig, in declaration order.
+RANGE_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(ScenarioConfig) if isinstance(f.default, tuple)
+)
 
 
 @dataclass(frozen=True)

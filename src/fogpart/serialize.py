@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -20,7 +21,7 @@ from .partitioner import (
     FeatureTriplet,
     PartitionSet,
 )
-from .scenario import AppRequest, Scenario, ScenarioConfig
+from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
 SCHEMA_VERSION = 1
 
@@ -53,47 +54,15 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    return {
-        "device_count": cfg.device_count,
-        "gateway_count": cfg.gateway_count,
-        "ba_attachment": cfg.ba_attachment,
-        "cores_range": list(cfg.cores_range),
-        "cpu_speed_range": list(cfg.cpu_speed_range),
-        "mem_range": list(cfg.mem_range),
-        "storage_range": list(cfg.storage_range),
-        "service_count_range": list(cfg.service_count_range),
-        "deadline_range_ms": list(cfg.deadline_range_ms),
-        "service_mem_range": list(cfg.service_mem_range),
-        "service_storage_range": list(cfg.service_storage_range),
-        "message_size_range_kb": list(cfg.message_size_range_kb),
-        "workload_range": list(cfg.workload_range),
-        "latency_ms": cfg.latency_ms,
-        "bandwidth_bytes_per_ms": cfg.bandwidth_bytes_per_ms,
-        "request_period_s": cfg.request_period_s,
-        "horizon_s": cfg.horizon_s,
-        "cloud_factor": cfg.cloud_factor,
-        "app_count": cfg.app_count,
-        "user_count": cfg.user_count,
-        "deadline_mode": cfg.deadline_mode,
-        "scale": cfg.scale,
-        "seed": cfg.seed,
-    }
+    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    for name in RANGE_FIELDS:
+        data[name] = list(data[name])
+    return data
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     kwargs = dict(data)
-    for name in (
-        "cores_range",
-        "cpu_speed_range",
-        "mem_range",
-        "storage_range",
-        "service_count_range",
-        "deadline_range_ms",
-        "service_mem_range",
-        "service_storage_range",
-        "message_size_range_kb",
-        "workload_range",
-    ):
+    for name in RANGE_FIELDS:
         if name in kwargs:
             kwargs[name] = tuple(kwargs[name])
     return ScenarioConfig(**kwargs)

@@ -83,12 +83,6 @@ class TestBuildMultilayer:
         for layer in RESOURCE_LAYERS:
             assert len(g.intra_edges[layer]) == 0
 
-    def test_inter_edges_one_per_device_per_layer_pair(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
-        assert len(g.inter_edges) == len(devices) * 6  # C(4 layers, 2)
-        assert len(set(g.inter_edges)) == len(g.inter_edges)
-
     def test_duplicate_device_rejected(self):
         devices, links = small_infrastructure()
         with pytest.raises(DuplicateDeviceError):
@@ -104,7 +98,6 @@ class TestBuildMultilayer:
         a = build_multilayer(devices, links)
         b = build_multilayer([d.fresh_copy() for d in devices], list(links))
         assert a.intra_edges == b.intra_edges
-        assert a.inter_edges == b.inter_edges
 
 
 class TestLayerView:
@@ -112,18 +105,15 @@ class TestLayerView:
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
         view = layer_view(g, Layer.NETWORK)
-        assert [(a, b) for a, b, _ in view.edges()] == [(0, 1), (1, 2), (2, 3)]
+        assert view.adjacency == {
+            0: {1: 1.0},
+            1: {0: 1.0, 2: 1.0},
+            2: {1: 1.0, 3: 1.0},
+            3: {2: 1.0},
+        }
 
     def test_every_device_in_every_layer(self):
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
         for layer in g.layers:
             assert layer_view(g, layer).nodes == (0, 1, 2, 3)
-
-    def test_total_weight_accumulates(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
-        view = layer_view(g, Layer.CPU)
-        assert view.total_weight() == pytest.approx(
-            sum(g.intra_edges[Layer.CPU].values())
-        )

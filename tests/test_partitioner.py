@@ -15,7 +15,7 @@ from conftest import (
     two_pairs_view,
 )
 from fogpart.model import Device, NetworkLink
-from fogpart.multilayer import Layer, build_multilayer, layer_view, make_layer_view
+from fogpart.multilayer import Layer, build_multilayer, make_layer_view
 from fogpart.partitioner import (
     EmptyPartitionError,
     FeatureTriplet,
@@ -23,7 +23,6 @@ from fogpart.partitioner import (
     feature_partition,
     louvain_partition,
     modularity,
-    multilayer_modularity,
     multilayer_resource_partition,
     partition_feature,
     _modularity_raw,
@@ -306,82 +305,6 @@ class TestFeaturePartition:
             assert not (seen & nodes)
             seen |= nodes
         assert seen == set(cg.nodes)
-
-
-def two_layer_multigraph():
-    """Multilayer graph whose CPU/MEM layers carry the worked-example edges."""
-    devices = [fig_devices()[i] for i in (1, 2, 3, 4)]
-    links = [NetworkLink(1, 2, 75000.0, 5.0), NetworkLink(2, 3, 75000.0, 5.0)]
-    g = build_multilayer(devices, links)
-    intra = dict(g.intra_edges)
-    intra[Layer.CPU] = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
-    intra[Layer.MEM] = {(1, 2): 1.0, (3, 4): 1.0}
-    intra[Layer.STORAGE] = {}
-    intra[Layer.NETWORK] = {}
-    return type(g)(devices=g.devices, intra_edges=intra, inter_edges=g.inter_edges)
-
-
-class TestMultilayerModularity:
-    def test_single_populated_layer_reduces_to_single_layer_score(self):
-        g = two_layer_multigraph()
-        intra = dict(g.intra_edges)
-        intra[Layer.MEM] = {}
-        g1 = type(g)(devices=g.devices, intra_edges=intra, inter_edges=g.inter_edges)
-        assignments = {
-            layer: {1: 0, 2: 0, 3: 0, 4: 1} for layer in g1.layers
-        }
-        expected = modularity(triangle_view(), {1: 0, 2: 0, 3: 0, 4: 1})
-        assert multilayer_modularity(g1, assignments) == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_weight_graph_scores_zero(self):
-        g = two_layer_multigraph()
-        intra = {layer: {} for layer in g.layers}
-        g0 = type(g)(devices=g.devices, intra_edges=intra, inter_edges=g.inter_edges)
-        assignments = {layer: {i: i for i in (1, 2, 3, 4)} for layer in g0.layers}
-        assert multilayer_modularity(g0, assignments) == 0.0
-
-    def test_against_term_by_term_oracle(self):
-        g = two_layer_multigraph()
-        assignments = {
-            Layer.NETWORK: {1: 0, 2: 0, 3: 0, 4: 1},
-            Layer.CPU: {1: 0, 2: 0, 3: 0, 4: 1},
-            Layer.MEM: {1: 0, 2: 0, 3: 1, 4: 1},
-            Layer.STORAGE: {1: 0, 2: 1, 3: 2, 4: 3},
-        }
-        # replica coupling mirrors the worked example's feature grouping
-        groups = {
-            (Layer.CPU, 0): "A",
-            (Layer.MEM, 0): "A",
-            (Layer.CPU, 1): "B",
-            (Layer.MEM, 1): "B",
-        }
-
-        # oracle: literal quadruple loop over layers and ordered device pairs
-        views = {layer: layer_view(g, layer) for layer in g.layers}
-        two_w_l = {layer: 2.0 * views[layer].total_weight() for layer in g.layers}
-        two_w = sum(two_w_l.values())
-        total = 0.0
-        ids = [1, 2, 3, 4]
-        for layer in g.layers:
-            if two_w_l[layer] == 0:
-                continue
-            view = views[layer]
-            sigma = {i: sum(view.adjacency[i].values()) for i in ids}
-            for i in ids:
-                for j in ids:
-                    if assignments[layer][i] != assignments[layer][j]:
-                        continue
-                    w = view.weight(i, j)
-                    total += w - sigma[i] * sigma[j] / two_w_l[layer]
-        for dev, la, lb in g.inter_edges:
-            ga = groups.get((la, assignments[la][dev]))
-            gb = groups.get((lb, assignments[lb][dev]))
-            if ga is not None and ga == gb:
-                total += 2.0
-        expected = total / two_w
-
-        got = multilayer_modularity(g, assignments, replica_groups=groups)
-        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestPipeline:

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogpart.model import (
     Application,
@@ -16,7 +18,9 @@ from fogpart.model import (
     Topology,
     USER,
     User,
+    execution_time,
     placement_valid,
+    response_times,
 )
 from fogpart.multilayer import Layer
 from fogpart.partitioner import (
@@ -30,6 +34,7 @@ from fogpart.placement import (
     FitnessConfig,
     OverCommitError,
     PlacementContext,
+    anchored_order,
     baseline_connectivity_greedy,
     baseline_first_fit,
     commit_placement,
@@ -254,7 +259,8 @@ class TestPlaceService:
         s = Service(0, 20.0, 1.0, 1.0)
         rank = [1, 0]  # FP1 (devices 2,3) ranked first on purpose
         d_matrix = {1: [2, 3], 0: [0, 1]}
-        chosen = place_service(ctx, rank, d_matrix, s, 50000.0, anchor=0)
+        order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
+        chosen = place_service(s, order, app_of([s]), ctx.devices, ctx.audit)
         assert chosen in (0, 1)
 
     def test_anchor_exhaustion_yields_invalid(self):
@@ -264,7 +270,32 @@ class TestPlaceService:
         ctx.devices[1].residual_cores = 0
         rank = [0, 1]
         d_matrix = {0: [0, 1], 1: [2, 3]}
-        assert place_service(ctx, rank, d_matrix, s, 50000.0, anchor=0) is None
+        order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
+        assert place_service(s, order, app_of([s]), ctx.devices, ctx.audit) is None
+        assert ctx.audit == []
+
+    def test_first_admissible_candidate_committed_and_audited(self):
+        devices = {i: Device(i, 2, 20.0, 10.0, 10.0) for i in range(3)}
+        devices[2].residual_mem = 0.5
+        s = Service(4, 20.0, 1.0, 1.0)
+        app = app_of([s], deadline=700.0, app_id=9)
+        audit: list[CommitRecord] = []
+        assert place_service(s, [2, 1, 0], app, devices, audit) == 1
+        assert audit == [CommitRecord(9, s, 1, 700.0, 2, 10.0, 10.0)]
+        assert (devices[1].residual_cores, devices[1].residual_mem) == (1, 9.0)
+        assert devices[0].residual_cores == 2
+
+    def test_deadline_blind_admission(self):
+        # Pinned, not fixed: placement_valid compares workload / cpu_speed
+        # (seconds) with the deadline (ms), so a service that runs for
+        # 3,000 ms is admitted under a 300 ms deadline.
+        device = Device(0, 1, 20.0, 10.0, 10.0)
+        s = Service(0, 60.0, 1.0, 1.0)
+        assert execution_time(s, device) == 3000.0
+        app = app_of([s], deadline=300.0)
+        audit: list[CommitRecord] = []
+        assert place_service(s, [0], app, {0: device}, audit) == 0
+        assert audit[0].deadline_ms == 300.0
 
 
 class TestSelectFeaturePartitions:
@@ -275,7 +306,6 @@ class TestSelectFeaturePartitions:
         assert plan.fully_placed
         partitions = {ctx.network_partition_of(d) for d in plan.assignment.values()}
         assert partitions == {0}
-        assert plan.app_rt is not None
 
     def test_oversized_service_invalid(self):
         ctx = line_context()
@@ -285,7 +315,6 @@ class TestSelectFeaturePartitions:
         plan = select_feature_partitions(app, ctx)
         assert plan.assignment[0] is not None
         assert plan.assignment[1] is None
-        assert plan.app_rt is None
 
     def test_core_exhaustion_spills_within_partition(self):
         ctx = line_context(core_counts=(1, 10, 10, 10))
@@ -298,7 +327,8 @@ class TestSelectFeaturePartitions:
     def test_rank_is_permutation_of_all_fps(self):
         ctx = line_context()
         s = Service(0, 25.0, 5.0, 5.0)
-        rank = ctx.rank_feature_partitions(s, ctx.users[0], 1.0)
+        _, proximities = ctx.app_tables(ctx.users[0].gateway, 1.0)
+        rank = ctx.rank_feature_partitions(s, proximities)
         assert sorted(rank) == [0, 1]
 
 
@@ -319,13 +349,13 @@ class TestBaselines:
     def test_first_fit_stacks_until_cores_run_out(self):
         devices = {0: Device(0, 2, 20.0, 100.0, 100.0), 1: Device(1, 10, 20.0, 100.0, 100.0)}
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        plan = baseline_first_fit(app, devices)
+        plan = baseline_first_fit(app, devices, [])
         assert [plan.assignment[i] for i in range(3)] == [0, 0, 1]
 
     def test_first_fit_infeasible_service_invalid(self):
         devices = {0: Device(0, 2, 20.0, 5.0, 5.0)}
         app = app_of([Service(0, 20.0, 50.0, 1.0)])
-        plan = baseline_first_fit(app, devices)
+        plan = baseline_first_fit(app, devices, [])
         assert plan.assignment[0] is None
 
     def test_connectivity_greedy_stays_in_one_partition(self):
@@ -337,7 +367,7 @@ class TestBaselines:
             0.0,
         )
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(4)])
-        plan = baseline_connectivity_greedy(app, network, devices)
+        plan = baseline_connectivity_greedy(app, network, devices, [])
         partitions = {network.assignment[d] for d in plan.assignment.values()}
         assert len(partitions) == 1
 
@@ -367,7 +397,14 @@ class TestBaselines:
 
 
 class TestRunPlacementInvariants:
-    def run_multilayer(self, seed=0):
+    """Invariants of the admission scan under the multilayer candidate order.
+
+    Subclasses rerun every test under the baselines' candidate orders.
+    """
+
+    strategy = "multilayer"
+
+    def run_strategy(self, seed=0):
         rng = random.Random(seed)
         devices = [
             Device(i, rng.randint(2, 4), rng.uniform(20, 60), rng.uniform(5, 10), rng.uniform(5, 10))
@@ -390,13 +427,14 @@ class TestRunPlacementInvariants:
         graph = build_multilayer([d.fresh_copy() for d in devices], links)
         fps, network, _, cg = multilayer_resource_partition(graph)
         run = run_placement(
-            apps, devices, links, users, "multilayer",
+            apps, devices, links, users, self.strategy,
             feature_partitions=fps, compressed=cg, network=network,
         )
-        return run, network, devices
+        return run, network, devices, apps, links, users
 
     def test_audit_replays_placement_valid(self):
-        run, _, _ = self.run_multilayer()
+        run, *_ = self.run_strategy()
+        assert run.audit
         for record in run.audit:
             snapshot = Device(
                 record.device_id,
@@ -410,8 +448,19 @@ class TestRunPlacementInvariants:
             )
             assert placement_valid(record.service, snapshot, record.deadline_ms)
 
+    def test_audit_matches_plans(self):
+        run, *_ = self.run_strategy()
+        placed = sorted(
+            (app_id, sid, did)
+            for app_id, plan in run.plans.items()
+            for sid, did in plan.assignment.items()
+            if did is not None
+        )
+        audited = sorted((r.app_id, r.service.id, r.device_id) for r in run.audit)
+        assert audited == placed
+
     def test_residuals_non_negative_and_conserved(self):
-        run, _, originals = self.run_multilayer()
+        run, _, originals, *_ = self.run_strategy()
         committed: dict[int, list] = {}
         for record in run.audit:
             committed.setdefault(record.device_id, []).append(record.service)
@@ -427,16 +476,101 @@ class TestRunPlacementInvariants:
             )
 
     def test_app_confined_to_one_network_partition(self):
-        run, network, _ = self.run_multilayer()
+        run, network, *_ = self.run_strategy()
         for plan in run.plans.values():
             partitions = {
                 network.assignment[d] for d in plan.assignment.values() if d is not None
             }
             assert len(partitions) <= 1
 
+    def test_response_times_attached_to_fully_placed_plans(self):
+        run, _, devices, apps, links, users = self.run_strategy()
+        topology = Topology([d.fresh_copy() for d in devices], links)
+        for app in apps:
+            plan = run.plans[app.id]
+            if plan.fully_placed:
+                expected = response_times(app, plan.assignment, topology, users[app.user].gateway)
+                assert (plan.per_service_rt, plan.app_rt) == expected
+            else:
+                assert (plan.per_service_rt, plan.app_rt) == ({}, None)
+
     def test_deterministic(self):
-        a, _, _ = self.run_multilayer(seed=5)
-        b, _, _ = self.run_multilayer(seed=5)
+        a, *_ = self.run_strategy(seed=5)
+        b, *_ = self.run_strategy(seed=5)
         assert {k: p.assignment for k, p in a.plans.items()} == {
             k: p.assignment for k, p in b.plans.items()
         }
+
+
+class TestConnectivityGreedyInvariants(TestRunPlacementInvariants):
+    strategy = "connectivity_greedy"
+
+
+class TestFirstFitInvariants(TestRunPlacementInvariants):
+    strategy = "first_fit"
+    # first fit ignores network partitions, so confinement is not its invariant
+    test_app_confined_to_one_network_partition = None
+
+
+@st.composite
+def ranking_inputs(draw):
+    """A random context over 2-6 devices, some dead, grouped into feature partitions."""
+    n = draw(st.integers(2, 6))
+    devices = {
+        i: Device(i, 4, draw(st.sampled_from([20.0, 35.0, 60.0])), 10.0, 10.0) for i in range(n)
+    }
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        devices[i].alive = False
+    links = [
+        NetworkLink(draw(st.integers(0, i - 1)), i, draw(st.sampled_from([1000.0, 75000.0])), 5.0)
+        for i in range(1, n)
+        if draw(st.booleans())
+    ]
+    groups = {i: draw(st.integers(0, n - 1)) for i in range(n)}
+    labels = sorted(set(groups.values()))
+    members = {
+        (Layer.CPU, fp): frozenset(i for i, g in groups.items() if g == label)
+        for fp, label in enumerate(labels)
+    }
+    features = {
+        node: FeatureTriplet(
+            sum(devices[d].cpu_speed for d in devs) / len(devs),
+            sum(devices[d].mem for d in devs) / len(devs),
+            sum(devices[d].storage for d in devs) / len(devs),
+        )
+        for node, devs in members.items()
+    }
+    compressed = CompressedGraph(tuple(sorted(members)), (), members, features)
+    fps = FeaturePartitionSet(
+        {fp: frozenset({(Layer.CPU, fp)}) for fp in range(len(labels))},
+        {fp: members[(Layer.CPU, fp)] for fp in range(len(labels))},
+        0.0,
+    )
+    network = PartitionSet(Layer.NETWORK, {i: 0 for i in range(n)}, {0: frozenset(range(n))}, 0.0)
+    alpha, beta = draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.9)]))
+    config = FitnessConfig(alpha, beta, RANGES)
+    gateway = draw(st.integers(0, n - 1))
+    users = {0: User(0, gateway=gateway)}
+    ctx = PlacementContext(devices, Topology(devices.values(), links), fps, compressed, network, users, config)
+    service = Service(
+        0,
+        draw(st.floats(20.0, 60.0)),
+        draw(st.floats(1.0, 25.0)),
+        draw(st.floats(1.0, 25.0)),
+    )
+    size = draw(st.floats(1.0, 5e6))
+    return ctx, service, size
+
+
+class TestRankMatchesFitness:
+    @settings(max_examples=150, deadline=None)
+    @given(ranking_inputs())
+    def test_rank_sorts_by_fitness_then_id(self, inputs):
+        ctx, service, size = inputs
+        user = ctx.users[0]
+        _, proximities = ctx.app_tables(user.gateway, size)
+        expected = sorted(
+            ctx.fps.ids(),
+            key=lambda fp: (-fitness(fp, service, user, ctx.config, ctx, size), fp),
+        )
+        assert ctx.rank_feature_partitions(service, proximities) == expected
