@@ -7,10 +7,14 @@ its faulty mode kills one device every 2 s, so about half the fog dies
 within the 100 s horizon. The ``-d5000`` case draws deadlines from
 300–5000 ms, so they bind: reliable satisfaction differs between strategies
 (576, 576 and 960 of 1,856 requests) and every faulty run mixes all three
-outcome statuses. The expected hashes were captured from the code before
+outcome statuses. The SMALL cases stop at ~29 devices. ``LARGE-n200-seed0``
+has 201 devices: Louvain aggregates at least once on each complete
+similarity layer (twice on CPU and STORAGE) and compression yields 3
+feature partitions. The expected hashes were captured from the code before
 placement routed once per gateway (the ``-d5000`` case: before the
-simulator classified once per failure epoch); a change that moves any of
-them changes program output.
+simulator classified once per failure epoch; ``LARGE-n200-seed0``: before
+the similarity layers were stored as index-ordered rows). A change that
+moves any of them changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -38,6 +42,7 @@ CASES = {
     "SMALL-seed1": ("SMALL", 1, {}, False),
     "D-SMALL-seed0-h100": ("D-SMALL", 0, {"horizon_s": 100.0}, True),
     "D-SMALL-seed0-h100-d5000": ("D-SMALL", 0, {"horizon_s": 100.0, "deadline_range_ms": [300, 5000]}, True),
+    "LARGE-n200-seed0": ("LARGE", 0, {"device_count": 200, "gateway_count": 50}, False),
 }
 
 GOLDEN = {
@@ -136,6 +141,26 @@ GOLDEN = {
             "4d22a733ef012504a3c3c448a2c5eafb98a4a4ada0c07f7c91b88a66d44ba0f9",
         "simulate/multilayer-reliable/outcomes.csv":
             "999b9e7634dcebf502e93210d92ad272af3f69af1f84ffa230c2bfd0d7d88b3b",
+    },
+    "LARGE-n200-seed0": {
+        "generate/scenario.json":
+            "a4f2f7a06ca3491b55c96c37175cc6bed037fd1bc0281ccb792f8ae9cc432f7d",
+        "partition/modularity.csv":
+            "bb381d5f1bbd939361cd95aca91cc4bd0d9dbe6569a61e1ecc22950ecc2530fb",
+        "partition/partitions.json":
+            "44ed6668ed8c671cd48126a72c29987ffb3cea34d32fea4fb4fbf516dc419743",
+        "place/connectivity_greedy/metrics.json":
+            "c656dcecb6e52bbd23ec8c581b0c6ee1050d97d45b89a59ed178ad0eb6a513ed",
+        "place/connectivity_greedy/plans.json":
+            "663535eedd1f3161e339eb3928fd879c62297c8444a4592e9c7e521d16f0c65e",
+        "place/first_fit/metrics.json":
+            "c47c1629e3d9f4915dc0c4222fe1343e5e1d18bdd0bf515ff3aea8cf5d825fa6",
+        "place/first_fit/plans.json":
+            "2efc643e64beceae0d219d964bfab0608d07061f191bc79ee2acb76f3187a944",
+        "place/multilayer/metrics.json":
+            "de605c84e3b1899f19a0c2f5a4815be6280170d40b538dbc5a42338ed1212f07",
+        "place/multilayer/plans.json":
+            "c95f2a14260dc453aac8e48f46d8ac17aa63a4ff3e01d3f8e09131e971807a68",
     },
     "SMALL-seed0": {
         "generate/scenario.json":
