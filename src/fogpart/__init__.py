@@ -16,7 +16,7 @@ from .model import (
     response_times,
     transmission_time,
 )
-from .multilayer import Layer, LayerView, MultilayerGraph, build_multilayer, layer_view, similarity_weight
+from .multilayer import Layer, LayerView, MultilayerGraph, build_multilayer, layer_view
 from .partitioner import (
     CompressedGraph,
     FeaturePartitionSet,

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .model import Device, NetworkLink
+
+
+N = TypeVar("N")
 
 
 class Layer(IntEnum):
@@ -46,36 +48,48 @@ def resource_value(device: Device, layer: Layer) -> float:
     raise ValueError(f"layer {layer!r} carries no scalar resource")
 
 
-def similarity_weight(d_i: Device, d_j: Device, layer: Layer) -> float:
-    """Similarity score 1 / (1 + |R_i - R_j|) in (0, 1]; 1 means identical."""
-    if d_i.id == d_j.id:
-        raise ValueError("similarity is defined for distinct devices")
-    gap = abs(resource_value(d_i, layer) - resource_value(d_j, layer))
-    return 1.0 / (1.0 + gap)
-
-
 @dataclass(frozen=True)
 class LayerView:
-    """Single-layer weighted projection used by the partitioner."""
+    """One layer as index-ordered rows, the form the Louvain core reads.
+
+    ``nodes`` holds the device ids ascending. ``rows[k]`` maps the position
+    in ``nodes`` of each neighbour of ``nodes[k]`` to the edge weight, in
+    ascending position order; every undirected edge sits in both rows, and
+    no row holds its own position. ``len(view)`` is the undirected edge count.
+    """
 
     layer: Layer
     nodes: tuple[int, ...]
-    adjacency: Mapping[int, Mapping[int, float]]
+    rows: tuple[dict[int, float], ...]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows)) // 2
 
 
 @dataclass(frozen=True)
 class MultilayerGraph:
-    """Devices replicated across the four layers, with each layer's edges."""
+    """Devices replicated across the four layers, with each layer's view."""
 
     devices: tuple[Device, ...]
-    intra_edges: Mapping[Layer, Mapping[tuple[int, int], float]]
+    intra_edges: Mapping[Layer, LayerView]
 
     @property
     def layers(self) -> tuple[Layer, ...]:
         return (Layer.NETWORK, Layer.CPU, Layer.MEM, Layer.STORAGE)
 
-    def device_ids(self) -> tuple[int, ...]:
-        return tuple(d.id for d in self.devices)
+
+def index_rows(
+    node_ids: Iterable[N],
+    edges: Mapping[tuple[N, N], float],
+) -> tuple[tuple[N, ...], tuple[dict[int, float], ...]]:
+    """Ascending node ids and their index-ordered rows, from undirected edges."""
+    nodes = tuple(sorted(node_ids))
+    index = {nid: k for k, nid in enumerate(nodes)}
+    rows: list[dict[int, float]] = [{} for _ in nodes]
+    for (i, j), w in edges.items():
+        rows[index[i]][index[j]] = w
+        rows[index[j]][index[i]] = w
+    return nodes, tuple(dict(sorted(row.items())) for row in rows)
 
 
 def make_layer_view(
@@ -84,12 +98,7 @@ def make_layer_view(
     edges: Mapping[tuple[int, int], float],
 ) -> LayerView:
     """Assemble a LayerView from an undirected (i < j) edge-weight mapping."""
-    adjacency: dict[int, dict[int, float]] = {i: {} for i in node_ids}
-    for (i, j), w in edges.items():
-        adjacency[i][j] = w
-        adjacency[j][i] = w
-    nodes = tuple(sorted(node_ids))
-    return LayerView(layer, nodes, {i: dict(sorted(adjacency[i].items())) for i in nodes})
+    return LayerView(layer, *index_rows(node_ids, edges))
 
 
 def build_multilayer(
@@ -100,8 +109,10 @@ def build_multilayer(
     """Construct the four-layer graph.
 
     Network edges mirror the physical links with unit weight. Each resource
-    layer is the complete similarity graph over all devices; edges with a
-    weight strictly below ``min_weight`` are dropped (the default keeps all).
+    layer is the complete similarity graph over all devices, weighted
+    1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources;
+    edges with a weight strictly below ``min_weight`` are dropped (the
+    default keeps all).
     """
     seen: set[int] = set()
     for d in devices:
@@ -116,19 +127,25 @@ def build_multilayer(
         network[link.key] = 1.0
 
     ordered = tuple(sorted(devices, key=lambda d: d.id))
-    intra: dict[Layer, dict[tuple[int, int], float]] = {Layer.NETWORK: network}
+    ids = tuple(d.id for d in ordered)
+    intra: dict[Layer, LayerView] = {Layer.NETWORK: make_layer_view(Layer.NETWORK, ids, network)}
     for layer in RESOURCE_LAYERS:
-        edges: dict[tuple[int, int], float] = {}
-        for d_i, d_j in combinations(ordered, 2):
-            w = similarity_weight(d_i, d_j, layer)
-            if w >= min_weight:
-                edges[(d_i.id, d_j.id)] = w
-        intra[layer] = edges
+        vals = [resource_value(d, layer) for d in ordered]
+        rows: list[dict[int, float]] = [{} for _ in ordered]
+        # filling pairs k < j in order leaves every row ascending
+        for k, va in enumerate(vals):
+            row = rows[k]
+            for j in range(k + 1, len(vals)):
+                w = 1.0 / (1.0 + abs(va - vals[j]))
+                if w >= min_weight:
+                    row[j] = w
+                    rows[j][k] = w
+        intra[layer] = LayerView(layer, ids, tuple(rows))
     return MultilayerGraph(devices=ordered, intra_edges=intra)
 
 
 def layer_view(graph: MultilayerGraph, layer: Layer) -> LayerView:
-    """Weighted projection of one layer's edges."""
+    """The stored view of one layer."""
     if layer not in graph.layers:
         raise ValueError(f"unknown layer {layer!r}")
-    return make_layer_view(layer, graph.device_ids(), graph.intra_edges[layer])
+    return graph.intra_edges[layer]

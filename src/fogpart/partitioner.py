@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import Device
-from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, layer_view
+from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, index_rows, layer_view
 
 #: Minimum improvement treated as a strictly positive modularity gain.
 GAIN_EPS = 1e-12
@@ -196,22 +196,17 @@ def _aggregate(
 
 def _louvain(
     node_ids: Sequence[Hashable],
-    adjacency: Mapping[Hashable, Mapping[Hashable, float]],
+    adj: Sequence[Mapping[int, float]],
 ) -> tuple[list[frozenset[Hashable]], float]:
     """Two-phase Louvain; returns the best partition seen and its modularity.
 
-    Each iterative step runs the local-move phase and then aggregates the
-    communities into a new network; the loop stops at the first step that
-    fails to improve modularity.
+    ``adj`` holds the index-ordered rows of ``node_ids`` (see ``index_rows``)
+    and is read as it is. Each iterative step runs the local-move phase and
+    then aggregates the communities into a new network; the loop stops at
+    the first step that fails to improve modularity.
     """
-    ordered = sorted(node_ids)
-    index = {nid: k for k, nid in enumerate(ordered)}
-    adj: list[dict[int, float]] = [
-        {index[j]: w for j, w in sorted(adjacency.get(nid, {}).items(), key=lambda kv: index[kv[0]])}
-        for nid in ordered
-    ]
-    loops = [0.0] * len(ordered)
-    groups: list[frozenset[Hashable]] = [frozenset([nid]) for nid in ordered]
+    loops = [0.0] * len(node_ids)
+    groups: list[frozenset[Hashable]] = [frozenset([nid]) for nid in node_ids]
 
     best_parts = list(groups)
     best_q = _modularity_raw(adj, loops, list(range(len(adj))))
@@ -252,12 +247,8 @@ def modularity(view: LayerView, assignment: Mapping[int, int]) -> float:
     missing = [n for n in view.nodes if n not in assignment]
     if missing:
         raise ValueError(f"assignment misses nodes {missing[:5]}")
-    ordered = sorted(view.nodes)
-    index = {nid: k for k, nid in enumerate(ordered)}
-    adj = [{index[j]: w for j, w in view.adjacency[nid].items()} for nid in ordered]
-    loops = [0.0] * len(ordered)
-    comm = [assignment[nid] for nid in ordered]
-    return _modularity_raw(adj, loops, comm)
+    comm = [assignment[nid] for nid in view.nodes]
+    return _modularity_raw(view.rows, [0.0] * len(view.nodes), comm)
 
 
 def louvain_partition(view: LayerView) -> PartitionSet:
@@ -268,7 +259,7 @@ def louvain_partition(view: LayerView) -> PartitionSet:
     """
     if not view.nodes:
         raise ValueError("cannot partition an empty layer view")
-    parts, q = _louvain(view.nodes, view.adjacency)
+    parts, q = _louvain(view.nodes, view.rows)
     partitions: dict[int, frozenset[int]] = {}
     assignment: dict[int, int] = {}
     for pid, members in enumerate(_label_partitions(parts)):
@@ -279,7 +270,16 @@ def louvain_partition(view: LayerView) -> PartitionSet:
 
 
 def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
-    """Componentwise arithmetic mean of the member devices' resource triplets."""
+    """Componentwise arithmetic mean of the member devices' resource triplets.
+
+    The sums run in the order ``devices`` yields. Callers pass a partition's
+    frozenset, whose iteration order depends on how the set was built, so two
+    equal sets can give means that differ in the last bit: devices 0, 8 and
+    16 at CPU 0.1, 0.2 and 0.3 average 0.20000000000000004 from
+    ``frozenset([0, 8, 16])`` and 0.19999999999999998 from
+    ``frozenset([16, 8, 0])``. Louvain therefore builds its groups by
+    ``set.update`` in a fixed order.
+    """
     devs = list(devices)
     if not devs:
         raise EmptyPartitionError("cannot compute the feature of an empty partition")
@@ -344,12 +344,8 @@ def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
     """
     if not cg.nodes:
         raise ValueError("cannot feature-partition an empty compressed graph")
-    adjacency: dict[CompressedNode, dict[CompressedNode, float]] = {n: {} for n in cg.nodes}
-    for a, b in cg.edges:
-        w = 1.0 / (1.0 + cg.features[a].distance(cg.features[b]))
-        adjacency[a][b] = w
-        adjacency[b][a] = w
-    parts, q = _louvain(cg.nodes, adjacency)
+    weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
+    parts, q = _louvain(*index_rows(cg.nodes, weights))
     feature_partitions: dict[int, frozenset[CompressedNode]] = {}
     device_index: dict[int, frozenset[int]] = {}
     for fp_id, nodes in enumerate(_label_partitions(parts)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from fogpart.multilayer import (
     RESOURCE_LAYERS,
     build_multilayer,
     layer_view,
-    similarity_weight,
+    make_layer_view,
 )
 
 
@@ -22,21 +23,28 @@ def devices_with_speeds(speeds):
     return [Device(i, 10, s, 10.0 + i, 10.0 + i) for i, s in enumerate(speeds)]
 
 
+def similarity(d_i, d_j, layer):
+    """The weight ``build_multilayer`` stores for the pair, checked in both rows."""
+    view = layer_view(build_multilayer([d_i, d_j], []), layer)
+    assert view.rows[0][1] == view.rows[1][0]
+    return view.rows[0][1]
+
+
 class TestSimilarityWeight:
     def test_identical_resources_score_one(self):
         a = Device(0, 10, 20.0, 10.0, 10.0)
         b = Device(1, 10, 20.0, 12.0, 13.0)
-        assert similarity_weight(a, b, Layer.CPU) == 1.0
+        assert similarity(a, b, Layer.CPU) == 1.0
 
     def test_unit_gap_halves(self):
         a = Device(0, 10, 20.0, 10.0, 10.0)
         b = Device(1, 10, 21.0, 10.0, 10.0)
-        assert similarity_weight(a, b, Layer.CPU) == 0.5
+        assert similarity(a, b, Layer.CPU) == 0.5
 
     def test_range_endpoints(self):
         a = Device(0, 10, 20.0, 10.0, 10.0)
         b = Device(1, 10, 60.0, 10.0, 10.0)
-        assert similarity_weight(a, b, Layer.CPU) == pytest.approx(1.0 / 41.0)
+        assert similarity(a, b, Layer.CPU) == pytest.approx(1.0 / 41.0)
 
     def test_symmetric_and_bounded(self):
         rng = random.Random(3)
@@ -44,14 +52,9 @@ class TestSimilarityWeight:
             a = Device(0, 10, rng.uniform(20, 60), rng.uniform(10, 25), rng.uniform(10, 25))
             b = Device(1, 10, rng.uniform(20, 60), rng.uniform(10, 25), rng.uniform(10, 25))
             for layer in RESOURCE_LAYERS:
-                w = similarity_weight(a, b, layer)
-                assert w == similarity_weight(b, a, layer)
+                w = similarity(a, b, layer)
+                assert w == similarity(replace(b, id=0), replace(a, id=1), layer)
                 assert 0.0 < w <= 1.0
-
-    def test_same_device_rejected(self):
-        a = Device(0, 10, 20.0, 10.0, 10.0)
-        with pytest.raises(ValueError):
-            similarity_weight(a, a, Layer.CPU)
 
 
 def small_infrastructure():
@@ -75,7 +78,7 @@ class TestBuildMultilayer:
     def test_network_weights_are_unit(self):
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
-        assert all(w == 1.0 for w in g.intra_edges[Layer.NETWORK].values())
+        assert all(w == 1.0 for row in g.intra_edges[Layer.NETWORK].rows for w in row.values())
 
     def test_min_weight_one_prunes_distinct_resources(self):
         devices, links = small_infrastructure()
@@ -105,12 +108,23 @@ class TestLayerView:
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
         view = layer_view(g, Layer.NETWORK)
-        assert view.adjacency == {
-            0: {1: 1.0},
-            1: {0: 1.0, 2: 1.0},
-            2: {1: 1.0, 3: 1.0},
-            3: {2: 1.0},
-        }
+        assert view.nodes == (0, 1, 2, 3)
+        assert view.rows == (
+            {1: 1.0},
+            {0: 1.0, 2: 1.0},
+            {1: 1.0, 3: 1.0},
+            {2: 1.0},
+        )
+
+    def test_rows_index_ascending_ids_in_ascending_order(self):
+        view = make_layer_view(Layer.CPU, [5, 1, 3], {(3, 5): 0.5, (1, 5): 0.25, (1, 3): 1.0})
+        assert view.nodes == (1, 3, 5)
+        assert [list(row.items()) for row in view.rows] == [
+            [(1, 1.0), (2, 0.25)],
+            [(0, 1.0), (2, 0.5)],
+            [(0, 0.25), (1, 0.5)],
+        ]
+        assert len(view) == 3
 
     def test_every_device_in_every_layer(self):
         devices, links = small_infrastructure()

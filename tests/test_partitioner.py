@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assignment_of,
@@ -15,8 +18,16 @@ from conftest import (
     two_pairs_view,
 )
 from fogpart.model import Device, NetworkLink
-from fogpart.multilayer import Layer, build_multilayer, make_layer_view
+from fogpart.multilayer import (
+    Layer,
+    RESOURCE_LAYERS,
+    build_multilayer,
+    layer_view,
+    make_layer_view,
+    resource_value,
+)
 from fogpart.partitioner import (
+    GAIN_EPS,
     EmptyPartitionError,
     FeatureTriplet,
     compress_graph,
@@ -25,8 +36,11 @@ from fogpart.partitioner import (
     modularity,
     multilayer_resource_partition,
     partition_feature,
+    _aggregate,
+    _label_partitions,
     _modularity_raw,
     _move_gain,
+    _phase1,
 )
 
 
@@ -84,11 +98,8 @@ class TestMoveGainEquivalence:
         rng = random.Random(17)
         for _ in range(100):
             view = random_view(rng)
-            nodes = sorted(view.nodes)
-            index = {n: i for i, n in enumerate(nodes)}
-            adj = [
-                {index[j]: w for j, w in view.adjacency[n].items()} for n in nodes
-            ]
+            nodes = view.nodes
+            adj = view.rows
             loops = [0.0] * len(nodes)
             strength = [sum(a.values()) for a in adj]
             two_w = sum(strength)
@@ -186,6 +197,15 @@ class TestPartitionFeature:
     def test_empty_rejected(self):
         with pytest.raises(EmptyPartitionError):
             partition_feature([])
+
+    def test_sum_follows_frozenset_iteration_order(self):
+        # equal sets built in a different order iterate differently, and the
+        # float sum follows that order; pinned, not fixed (see the docstring)
+        devs = {i: Device(i, 10, cpu, 10.0, 10.0) for i, cpu in ((0, 0.1), (8, 0.2), (16, 0.3))}
+        ascending, descending = frozenset([0, 8, 16]), frozenset([16, 8, 0])
+        assert ascending == descending
+        assert partition_feature(devs[d] for d in ascending).avg_cpu == 0.20000000000000004
+        assert partition_feature(devs[d] for d in descending).avg_cpu == 0.19999999999999998
 
 
 class TestCompressGraph:
@@ -358,3 +378,97 @@ class TestPipeline:
         b = multilayer_resource_partition(g)
         assert a[0].feature_partitions == b[0].feature_partitions
         assert a[1].partitions == b[1].partitions
+
+
+# ---------------------------------------------------------------------------
+# Reference: the path that stored each layer as an edge dict, copied it into a
+# dict-of-dicts view, and re-indexed and re-sorted it inside every Louvain run.
+# ---------------------------------------------------------------------------
+
+
+def reference_edges(devices, links, min_weight):
+    ordered = sorted(devices, key=lambda d: d.id)
+    intra = {Layer.NETWORK: {link.key: 1.0 for link in links}}
+    for layer in RESOURCE_LAYERS:
+        edges = {}
+        for d_i, d_j in combinations(ordered, 2):
+            w = 1.0 / (1.0 + abs(resource_value(d_i, layer) - resource_value(d_j, layer)))
+            if w >= min_weight:
+                edges[(d_i.id, d_j.id)] = w
+        intra[layer] = edges
+    return [d.id for d in ordered], intra
+
+
+def reference_adjacency(node_ids, edges):
+    adjacency = {i: {} for i in node_ids}
+    for (i, j), w in edges.items():
+        adjacency[i][j] = w
+        adjacency[j][i] = w
+    return {i: dict(sorted(adjacency[i].items())) for i in sorted(node_ids)}
+
+
+def reference_louvain(node_ids, adjacency):
+    ordered = sorted(node_ids)
+    index = {nid: k for k, nid in enumerate(ordered)}
+    adj = [
+        {index[j]: w for j, w in sorted(adjacency.get(nid, {}).items(), key=lambda kv: index[kv[0]])}
+        for nid in ordered
+    ]
+    loops = [0.0] * len(ordered)
+    groups = [frozenset([nid]) for nid in ordered]
+    best_parts = list(groups)
+    best_q = _modularity_raw(adj, loops, list(range(len(adj))))
+    while True:
+        comm, moved = _phase1(adj, loops)
+        if not moved:
+            break
+        q = _modularity_raw(adj, loops, comm)
+        adj, loops, remap = _aggregate(adj, loops, comm)
+        merged = [set() for _ in range(len(remap))]
+        for i, c in enumerate(comm):
+            merged[remap[c]].update(groups[i])
+        groups = [frozenset(g) for g in merged]
+        if q > best_q + GAIN_EPS:
+            best_parts = list(groups)
+            best_q = q
+        else:
+            break
+    return _label_partitions(best_parts), best_q
+
+
+@st.composite
+def infrastructures(draw):
+    """1-9 devices with sparse ids, repeated resources and any subset of links."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True))
+    value = st.sampled_from([10.0, 12.5, 20.0, 21.0, 60.0]) | st.floats(10.0, 60.0)
+    devices = [Device(i, 4, draw(value), draw(value), draw(value)) for i in ids]
+    pairs = list(combinations(sorted(ids), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    links = [NetworkLink(a, b, 75000.0, 5.0) for a, b in chosen]
+    return draw(st.permutations(devices)), links, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+class TestRowsMatchReferencePath:
+    @settings(max_examples=200, deadline=None)
+    @given(infrastructures())
+    def test_louvain_and_feature_partition_exactly_equal(self, infra):
+        devices, links, min_weight = infra
+        graph = build_multilayer(devices, links, min_weight=min_weight)
+        node_ids, intra = reference_edges(devices, links, min_weight)
+        for layer in graph.layers:
+            assert len(graph.intra_edges[layer]) == len(intra[layer])
+        layer_sets = {}
+        for layer in graph.layers:
+            ps = louvain_partition(layer_view(graph, layer))
+            parts, q = reference_louvain(node_ids, reference_adjacency(node_ids, intra[layer]))
+            assert [list(p) for p in ps.partitions.values()] == [list(p) for p in parts]
+            assert ps.assignment == {d: pid for pid, p in enumerate(parts) for d in p}
+            assert ps.modularity == q
+            layer_sets[layer] = ps
+
+        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], devices)
+        weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
+        parts, q = reference_louvain(cg.nodes, reference_adjacency(cg.nodes, weights))
+        fps = feature_partition(cg)
+        assert [list(p) for p in fps.feature_partitions.values()] == [list(p) for p in parts]
+        assert fps.modularity == q
