@@ -36,7 +36,6 @@ from fogpart.partitioner import (
     modularity,
     multilayer_resource_partition,
     partition_feature,
-    _aggregate,
     _label_partitions,
     _modularity_raw,
     _move_gain,
@@ -381,6 +380,128 @@ class TestPipeline:
 
 
 # ---------------------------------------------------------------------------
+# Frozen reference Louvain steps: the local-move phase that re-sums every
+# node's row on every sweep, the full modularity pass and the aggregation, as
+# they stood before the local moves kept per-community link sums. They stay
+# here unchanged so that the module's steps are checked against an
+# independent oracle and not against themselves.
+# ---------------------------------------------------------------------------
+
+
+def frozen_strengths(adj, loops):
+    return [sum(adj[i].values()) + loops[i] for i in range(len(adj))]
+
+
+def frozen_modularity_raw(adj, loops, comm):
+    strength = frozen_strengths(adj, loops)
+    two_w = sum(strength)
+    if two_w <= 0.0:
+        return 0.0
+    sig_in = {}
+    sig_tot = {}
+    for i, c in enumerate(comm):
+        sig_tot[c] = sig_tot.get(c, 0.0) + strength[i]
+        sig_in[c] = sig_in.get(c, 0.0) + loops[i]
+    for i in range(len(adj)):
+        ci = comm[i]
+        for j, w in adj[i].items():
+            if comm[j] == ci:
+                sig_in[ci] += w
+    return sum(sig_in[c] - sig_tot[c] ** 2 / two_w for c in sig_tot) / two_w
+
+
+def frozen_move_gain(k_in, node_strength, comm_strength, w):
+    return k_in / w - comm_strength * node_strength / (2.0 * w * w)
+
+
+def frozen_phase1(adj, loops):
+    n = len(adj)
+    strength = frozen_strengths(adj, loops)
+    comm = list(range(n))
+    two_w = sum(strength)
+    if two_w <= 0.0:
+        return comm, False
+    w = two_w / 2.0
+    comm_strength = list(strength)
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        for i in range(n):
+            ci = comm[i]
+            comm_strength[ci] -= strength[i]
+            links = {}
+            for j, wij in adj[i].items():
+                cj = comm[j]
+                links[cj] = links.get(cj, 0.0) + wij
+            best_c = ci
+            best_gain = frozen_move_gain(links.get(ci, 0.0), strength[i], comm_strength[ci], w)
+            for c in sorted(links):
+                if c == ci:
+                    continue
+                gain = frozen_move_gain(links[c], strength[i], comm_strength[c], w)
+                if gain > best_gain + GAIN_EPS:
+                    best_c, best_gain = c, gain
+            comm[i] = best_c
+            comm_strength[best_c] += strength[i]
+            if best_c != ci:
+                moved = True
+                improved = True
+    return comm, improved
+
+
+def frozen_aggregate(adj, loops, comm):
+    labels = sorted(set(comm))
+    remap = {lab: idx for idx, lab in enumerate(labels)}
+    k = len(labels)
+    new_adj = [dict() for _ in range(k)]
+    new_loops = [0.0] * k
+    for i in range(len(adj)):
+        ci = remap[comm[i]]
+        new_loops[ci] += loops[i]
+        for j, wij in adj[i].items():
+            cj = remap[comm[j]]
+            if ci == cj:
+                new_loops[ci] += wij
+            else:
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + wij
+    return new_adj, new_loops, remap
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric rows over 2-60 nodes, often sparse or disconnected.
+
+    Edge weights repeat a few drawn tie-prone values, rows list neighbours
+    in drawn (not ascending) order, and half the graphs carry nonzero
+    self-loop mass as after aggregation.
+    """
+    n = draw(st.integers(2, 60))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    weight = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0]) | st.floats(0.01, 5.0)
+    pool = draw(st.lists(weight, min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    chosen = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    rng.shuffle(chosen)
+    adj = [{} for _ in range(n)]
+    for i, j in chosen:
+        adj[i][j] = adj[j][i] = rng.choice(pool)
+    loops = [0.0] * n
+    if draw(st.booleans()):
+        masses = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.01, 10.0), min_size=1, max_size=4))
+        loops = [rng.choice(masses) for _ in range(n)]
+    return adj, loops
+
+
+class TestPhase1MatchesFrozenReference:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_graphs())
+    def test_labels_and_moved_exactly_equal(self, graph):
+        adj, loops = graph
+        assert _phase1(adj, loops) == frozen_phase1(adj, loops)
+
+
+# ---------------------------------------------------------------------------
 # Reference: the path that stored each layer as an edge dict, copied it into a
 # dict-of-dicts view, and re-indexed and re-sorted it inside every Louvain run.
 # ---------------------------------------------------------------------------
@@ -417,13 +538,13 @@ def reference_louvain(node_ids, adjacency):
     loops = [0.0] * len(ordered)
     groups = [frozenset([nid]) for nid in ordered]
     best_parts = list(groups)
-    best_q = _modularity_raw(adj, loops, list(range(len(adj))))
+    best_q = frozen_modularity_raw(adj, loops, list(range(len(adj))))
     while True:
-        comm, moved = _phase1(adj, loops)
+        comm, moved = frozen_phase1(adj, loops)
         if not moved:
             break
-        q = _modularity_raw(adj, loops, comm)
-        adj, loops, remap = _aggregate(adj, loops, comm)
+        q = frozen_modularity_raw(adj, loops, comm)
+        adj, loops, remap = frozen_aggregate(adj, loops, comm)
         merged = [set() for _ in range(len(remap))]
         for i, c in enumerate(comm):
             merged[remap[c]].update(groups[i])
