@@ -11,6 +11,7 @@ a partition is identical before and after aggregation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -34,9 +35,6 @@ class PartitionSet:
     assignment: Mapping[int, int]
     partitions: Mapping[int, frozenset[int]]
     modularity: float
-
-    def partition_of(self, device_id: int) -> int:
-        return self.assignment[device_id]
 
 
 @dataclass(frozen=True)
@@ -115,14 +113,67 @@ def _modularity_raw(
     return sum(sig_in[c] - sig_tot[c] ** 2 / two_w for c in sig_tot) / two_w
 
 
-def _move_gain(k_in: float, node_strength: float, comm_strength: float, w: float) -> float:
-    """Modularity delta of pulling an isolated node into a community.
+def _singletons_modularity(adj: Sequence[Mapping[int, float]], loops: Sequence[float]) -> float:
+    """``_modularity_raw`` of the all-singletons partition, without the link pass.
 
-    ``k_in`` is the node's undirected weight into the community,
-    ``comm_strength`` the community's total strength without the node,
-    ``w`` the undirected total weight of the graph.
+    Rows hold no self entries, so no link is intra-community and each node's
+    term is ``loops[i] - strength[i] ** 2 / two_w``; they are summed in node
+    order, the order ``_modularity_raw`` uses, so the two agree bit for bit.
     """
-    return k_in / w - comm_strength * node_strength / (2.0 * w * w)
+    strength = _strengths(adj, loops)
+    two_w = sum(strength)
+    if two_w <= 0.0:
+        return 0.0
+    return sum(loops[i] - strength[i] ** 2 / two_w for i in range(len(adj))) / two_w
+
+
+#: Scale of the rounding bound on gains from kept link sums: 8 units of
+#: roundoff (8 * 2**-53); see ``_phase1``.
+_ROUND = 2.0**-50
+
+
+def _row_links(row: Mapping[int, float], comm: Sequence[int]) -> dict[int, float]:
+    """A node's link weight into each neighbouring community, summed in row order."""
+    links: dict[int, float] = {}
+    for j, wij in row.items():
+        cj = comm[j]
+        links[cj] = links.get(cj, 0.0) + wij
+    return links
+
+
+def _best_move(
+    links: Mapping[int, float],
+    ci: int,
+    node_strength: float,
+    comm_strength: Sequence[float],
+    w: float,
+    tol: float,
+) -> int | None:
+    """The community a node moves to, or None if a comparison is too close to call.
+
+    The gain of pulling the isolated node into community c is
+    ``links[c] / w - comm_strength[c] * node_strength / (2 w^2)``: ``links[c]``
+    is its undirected weight into c, ``comm_strength`` excludes the node and
+    ``w`` is the graph's undirected total weight. The node's own community
+    ``ci`` is the starting best; the candidates in ``links`` are tried in
+    ascending label order, and one replaces the best only when its gain is
+    larger than ``best_gain + GAIN_EPS``, so ties keep the earlier choice.
+    Returns None as soon as some ``gain - (best_gain + GAIN_EPS)`` lies
+    within ``tol`` of zero; a negative ``tol`` trusts every comparison.
+    """
+    ww2 = 2.0 * w * w
+    best_c = ci
+    best_gain = links.get(ci, 0.0) / w - comm_strength[ci] * node_strength / ww2
+    for c in sorted(links):
+        if c == ci:
+            continue
+        gain = links[c] / w - comm_strength[c] * node_strength / ww2
+        margin = gain - (best_gain + GAIN_EPS)
+        if -tol <= margin <= tol:
+            return None
+        if margin > 0.0:
+            best_c, best_gain = c, gain
+    return best_c
 
 
 def _phase1(
@@ -132,8 +183,40 @@ def _phase1(
     """Sequential local moves from singletons; returns (community labels, moved?).
 
     Nodes are swept in ascending index order until a full sweep makes no
-    move. A node changes community only for a strictly positive gain over
-    staying put; ties keep the current community.
+    move. A node changes community only for a gain over staying put larger
+    than GAIN_EPS; ties keep the current community (``_best_move``).
+
+    The first sweep sums every node's links into each neighbouring community
+    from its row, in row order. If anything moved, the phase then keeps those
+    sums per node, with the number of neighbours behind each: one pass builds
+    them, and each later move of a node updates its neighbours' entries,
+    subtracting each link from the old community and adding it to the new
+    one, and dropping an entry whose count reaches 0. The kept keys are thus
+    exactly the communities a re-sum would find.
+
+    A kept sum can differ from the row-order re-sum in its last bits, so it
+    decides a node only when no comparison is close. With u = 2**-53, weights
+    >= 0, s the node's strength, d its degree and t the moves made since its
+    sums were last exact (``moves - fresh[i]``):
+    - every link sum, kept or re-summed, lies in [0, s] (up to roundoff);
+    - the re-sum of up to d terms is within d*u*s of the real sum, and so is
+      the kept sum when built or refreshed from it; each of the at most 2t
+      later updates rounds once, by at most u*s;
+    - so the two sums differ by at most (2d + 2t)*u*s. Each gain
+      ``k/w - c*s/(2w^2)`` has both terms in [0, s/w] (community strengths
+      are at most 2w) and the second term is computed identically on both
+      paths; the division and the subtraction add 2u*s/w more per path, so
+      the gains differ by at most u*(s/w)*(2d + 2t + 4);
+    - the threshold ``best_gain + GAIN_EPS`` inherits that error plus
+      2u*(s/w + GAIN_EPS) from its own rounding.
+    A comparison whose kept margin exceeds u*((s/w)*(4d + 4t + 10) +
+    2*GAIN_EPS) therefore has the sign of the exact one. ``tol`` is twice
+    that, which also covers the roundoff of computing it. When some margin is
+    within ``tol``, the node's row is re-summed in row order, its kept sums
+    are replaced by the re-sums, and the decision is taken from them: the
+    same path and the same floats as a full re-sum. Every decision, and with
+    it every label, therefore equals that of re-summing each row on every
+    sweep.
     """
     n = len(adj)
     strength = _strengths(adj, loops)
@@ -143,31 +226,50 @@ def _phase1(
         return comm, False
     w = two_w / 2.0
     comm_strength = list(strength)
-    improved = False
-    moved = True
+    moved = False
+    for i in range(n):
+        ci = comm[i]
+        comm_strength[ci] -= strength[i]
+        best_c = _best_move(_row_links(adj[i], comm), ci, strength[i], comm_strength, w, -1.0)
+        comm[i] = best_c
+        comm_strength[best_c] += strength[i]
+        moved = moved or best_c != ci
+    if not moved:
+        return comm, False
+
+    kept = [_row_links(row, comm) for row in adj]
+    count = [Counter(map(comm.__getitem__, row)) for row in adj]
+    moves = 0
+    fresh = [0] * n
     while moved:
         moved = False
         for i in range(n):
             ci = comm[i]
-            comm_strength[ci] -= strength[i]
-            links: dict[int, float] = {}
-            for j, wij in adj[i].items():
-                cj = comm[j]
-                links[cj] = links.get(cj, 0.0) + wij
-            best_c = ci
-            best_gain = _move_gain(links.get(ci, 0.0), strength[i], comm_strength[ci], w)
-            for c in sorted(links):
-                if c == ci:
-                    continue
-                gain = _move_gain(links[c], strength[i], comm_strength[c], w)
-                if gain > best_gain + GAIN_EPS:
-                    best_c, best_gain = c, gain
+            row = adj[i]
+            s_i = strength[i]
+            comm_strength[ci] -= s_i
+            tol = _ROUND * (s_i / w * (len(row) + moves - fresh[i] + 3) + GAIN_EPS)
+            best_c = _best_move(kept[i], ci, s_i, comm_strength, w, tol)
+            if best_c is None:
+                kept[i] = _row_links(row, comm)
+                fresh[i] = moves
+                best_c = _best_move(kept[i], ci, s_i, comm_strength, w, -1.0)
             comm[i] = best_c
-            comm_strength[best_c] += strength[i]
-            if best_c != ci:
-                moved = True
-                improved = True
-    return comm, improved
+            comm_strength[best_c] += s_i
+            if best_c == ci:
+                continue
+            moved = True
+            moves += 1
+            for j, wij in row.items():
+                links, nbrs = kept[j], count[j]
+                if nbrs[ci] == 1:
+                    del links[ci], nbrs[ci]
+                else:
+                    nbrs[ci] -= 1
+                    links[ci] -= wij
+                links[best_c] = links.get(best_c, 0.0) + wij
+                nbrs[best_c] += 1
+    return comm, True
 
 
 def _aggregate(
@@ -209,7 +311,7 @@ def _louvain(
     groups: list[frozenset[Hashable]] = [frozenset([nid]) for nid in node_ids]
 
     best_parts = list(groups)
-    best_q = _modularity_raw(adj, loops, list(range(len(adj))))
+    best_q = _singletons_modularity(adj, loops)
     while True:
         comm, moved = _phase1(adj, loops)
         if not moved:

@@ -22,10 +22,12 @@ from fogpart.multilayer import (
     Layer,
     RESOURCE_LAYERS,
     build_multilayer,
+    index_rows,
     layer_view,
     make_layer_view,
     resource_value,
 )
+from fogpart import partitioner
 from fogpart.partitioner import (
     GAIN_EPS,
     EmptyPartitionError,
@@ -38,8 +40,8 @@ from fogpart.partitioner import (
     partition_feature,
     _label_partitions,
     _modularity_raw,
-    _move_gain,
     _phase1,
+    _singletons_modularity,
 )
 
 
@@ -119,7 +121,7 @@ class TestMoveGainEquivalence:
             comm_strength = sum(
                 strength[i] for i in range(len(nodes)) if base[i] == base[target]
             )
-            gain = _move_gain(k_in, strength[node], comm_strength, w)
+            gain = frozen_move_gain(k_in, strength[node], comm_strength, w)
             assert q_after - q_before == pytest.approx(gain, abs=1e-12)
 
 
@@ -501,6 +503,36 @@ class TestPhase1MatchesFrozenReference:
         assert _phase1(adj, loops) == frozen_phase1(adj, loops)
 
 
+def near_tie_graph():
+    """Seven nodes linked by 0.1 or 0.3, and an isolated node 7 whose loop
+    mass sets the total weight.
+
+    After the first sweep the communities are {0}, {1}, {2, 4, 5} and
+    {3, 6}, labelled 1, 3, 4 and 6. Node 1 keeps its link into community 4
+    as 0.1 + 0.1 + 0.1 = 0.30000000000000004; node 0 then joins community 4
+    and the kept sum becomes 0.6000000000000001, while node 1's row sums to
+    0.3 + 0.1 + 0.1 + 0.1 = 0.6. Node 7's loop mass is tuned so that node
+    1's gain for joining community 4 lies within the rounding bound of
+    GAIN_EPS, where the two sums decide differently.
+    """
+    heavy = {(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (2, 4), (3, 6), (4, 5)}
+    adj = [{j: 0.3 if (min(i, j), max(i, j)) in heavy else 0.1 for j in range(7) if j != i} for i in range(7)]
+    return adj + [{}], [0.0] * 7 + [6.599999999509994]
+
+
+class TestKeptLinkSums:
+    def test_near_tie_is_decided_from_the_row(self):
+        adj, loops = near_tie_graph()
+        assert _phase1(adj, loops) == frozen_phase1(adj, loops) == ([4, 6, 4, 6, 4, 4, 6, 7], True)
+
+    def test_kept_sums_alone_decide_the_near_tie_wrongly(self, monkeypatch):
+        # with a zero bound only an exact tie falls back, so the kept sum
+        # 0.6000000000000001 moves node 1 into community 4
+        monkeypatch.setattr(partitioner, "_ROUND", 0.0)
+        adj, loops = near_tie_graph()
+        assert _phase1(adj, loops) == ([4, 4, 4, 4, 4, 4, 4, 7], True)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the path that stored each layer as an edge dict, copied it into a
 # dict-of-dicts view, and re-indexed and re-sorted it inside every Louvain run.
@@ -593,3 +625,34 @@ class TestRowsMatchReferencePath:
         fps = feature_partition(cg)
         assert [list(p) for p in fps.feature_partitions.values()] == [list(p) for p in parts]
         assert fps.modularity == q
+
+
+class TestNeverBelowSingletonsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(infrastructures())
+    def test_louvain_and_feature_partition_at_least_singletons(self, infra):
+        devices, links, min_weight = infra
+        graph = build_multilayer(devices, links, min_weight=min_weight)
+        layer_sets = {}
+        for layer in graph.layers:
+            view = layer_view(graph, layer)
+            ps = louvain_partition(view)
+            assert ps.modularity >= modularity(view, {n: n for n in view.nodes})
+            singles = list(range(len(view.nodes)))
+            loops = [0.0] * len(view.nodes)
+            assert _singletons_modularity(view.rows, loops) == _modularity_raw(view.rows, loops, singles)
+            layer_sets[layer] = ps
+
+        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], devices)
+        weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
+        _, rows = index_rows(cg.nodes, weights)
+        loops = [0.0] * len(rows)
+        singles_q = _modularity_raw(rows, loops, list(range(len(rows))))
+        assert feature_partition(cg).modularity >= singles_q
+        assert _singletons_modularity(rows, loops) == singles_q
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_singletons_modularity_equals_full_pass_with_loops(self, graph):
+        adj, loops = graph
+        assert _singletons_modularity(adj, loops) == frozen_modularity_raw(adj, loops, list(range(len(adj))))
