@@ -195,9 +195,9 @@ def _phase1(
     exactly the communities a re-sum would find.
 
     A kept sum can differ from the row-order re-sum in its last bits, so it
-    decides a node only when no comparison is close. With u = 2**-53, weights
-    >= 0, s the node's strength, d its degree and t the moves made since its
-    sums were last exact (``moves - fresh[i]``):
+    decides a node only when no comparison is close. With u = 2**-53,
+    weights >= 0 (and no underflow), s the node's strength, d its degree and
+    t the moves made since its sums were last exact (``moves - fresh[i]``):
     - every link sum, kept or re-summed, lies in [0, s] (up to roundoff);
     - the re-sum of up to d terms is within d*u*s of the real sum, and so is
       the kept sum when built or refreshed from it; each of the at most 2t
@@ -210,11 +210,11 @@ def _phase1(
     - the threshold ``best_gain + GAIN_EPS`` inherits that error plus
       2u*(s/w + GAIN_EPS) from its own rounding.
     A comparison whose kept margin exceeds u*((s/w)*(4d + 4t + 10) +
-    2*GAIN_EPS) therefore has the sign of the exact one. ``tol`` is twice
-    that, which also covers the roundoff of computing it. When some margin is
-    within ``tol``, the node's row is re-summed in row order, its kept sums
-    are replaced by the re-sums, and the decision is taken from them: the
-    same path and the same floats as a full re-sum. Every decision, and with
+    2*GAIN_EPS) therefore has the sign of the exact one. ``tol`` is at least
+    twice that, which also covers the roundoff of computing it. When some
+    margin is within ``tol``, the node's row is re-summed in row order, its
+    kept sums are replaced by the re-sums, and the decision is taken from
+    them: the same path and the same floats as a full re-sum. Every decision, and with
     it every label, therefore equals that of re-summing each row on every
     sweep.
     """
