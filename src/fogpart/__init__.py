@@ -34,11 +34,8 @@ from .placement import (
     PlacementContext,
     baseline_connectivity_greedy,
     baseline_first_fit,
-    commit_placement,
     demand_similarity,
-    fitness,
     place_service,
-    rollback_placement,
     run_placement,
     select_feature_partitions,
     sort_applications,

@@ -151,8 +151,9 @@ def cmd_place(args: argparse.Namespace) -> int:
         if args.partitions is None:
             raise ConfigError(f"strategy {args.strategy} requires --partitions")
         fps, network, _, compressed = partitions_from_dict(load_json(args.partitions))
+    instances = scenario.instances()
     run = run_placement(
-        instances=scenario.instances(),
+        instances=instances,
         devices=scenario.devices,
         topology_links=scenario.links,
         users=scenario.users_by_id(),
@@ -164,10 +165,10 @@ def cmd_place(args: argparse.Namespace) -> int:
         beta=args.beta,
     )
     out = Path(args.out)
-    artifacts = [dump_json(out / "plans.json", plans_to_dict(run.plans, run.strategy, run.alpha, run.beta))]
+    artifacts = [dump_json(out / "plans.json", plans_to_dict(run.plans, args.strategy, args.alpha, args.beta))]
 
-    instances = {a.id: a for a in scenario.instances()}
-    placements = [(instances[rid], plan) for rid, plan in sorted(run.plans.items())]
+    by_id = {a.id: a for a in instances}
+    placements = [(by_id[rid], plan) for rid, plan in sorted(run.plans.items())]
     topology = scenario.topology()
     gateways = {u.id: u.gateway for u in scenario.users}
     histogram = hop_histogram(placements, topology, gateways)
@@ -175,7 +176,7 @@ def cmd_place(args: argparse.Namespace) -> int:
     metrics = {
         "schema_version": 1,
         "scenario": scenario.config.scale,
-        "strategy": run.strategy,
+        "strategy": args.strategy,
         "placement_success_rate": placement_success_rate(run.plans.values()),
         "resource_wastage": resource_wastage(placements, scenario.devices),
         "hop_histogram": {str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
@@ -185,7 +186,7 @@ def cmd_place(args: argparse.Namespace) -> int:
     }
     artifacts.append(dump_json(out / "metrics.json", metrics))
     _write_manifest(out, "place", None, config_to_dict(scenario.config), artifacts)
-    log.info("placed with %s: success rate %.4f", run.strategy, metrics["placement_success_rate"])
+    log.info("placed with %s: success rate %.4f", args.strategy, metrics["placement_success_rate"])
     return 0
 
 

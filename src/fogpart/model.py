@@ -62,11 +62,6 @@ class Device:
         if not 0 <= self.residual_storage <= self.storage:
             raise ValueError(f"device {self.id}: residual storage outside [0, storage]")
 
-    @property
-    def triplet(self) -> tuple[float, float, float]:
-        """(cpu_speed, mem, storage) capacity triplet."""
-        return (self.cpu_speed, self.mem, self.storage)
-
     def fresh_copy(self) -> "Device":
         """A pristine copy: full residuals, alive."""
         return Device(self.id, self.cores, self.cpu_speed, self.mem, self.storage)
@@ -92,13 +87,6 @@ class NetworkLink:
     @property
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-    def other(self, device_id: int) -> int:
-        if device_id == self.a:
-            return self.b
-        if device_id == self.b:
-            return self.a
-        raise KeyError(f"device {device_id} is not an endpoint of {self.key}")
 
 
 @dataclass(frozen=True)
@@ -248,9 +236,6 @@ class PlacementPlan:
     def fully_placed(self) -> bool:
         return bool(self.assignment) and all(d is not None for d in self.assignment.values())
 
-    def placed_services(self) -> list[int]:
-        return [sid for sid, d in self.assignment.items() if d is not None]
-
 
 class Topology:
     """Devices plus bidirectional links, with deterministic shortest-hop routing.
@@ -277,15 +262,8 @@ class Topology:
             adj[link.b].add(link.a)
         self._adj = {i: tuple(sorted(n)) for i, n in adj.items()}
 
-    @property
-    def links(self) -> Sequence[NetworkLink]:
-        return [self._links[k] for k in sorted(self._links)]
-
     def link(self, a: int, b: int) -> NetworkLink:
         return self._links[(a, b) if a < b else (b, a)]
-
-    def neighbors(self, device_id: int) -> Sequence[int]:
-        return self._adj[device_id]
 
     def shortest_hop_path(
         self, src: int, dst: int, dead: frozenset[int] | set[int] = frozenset()
@@ -380,8 +358,6 @@ def placement_valid(service: Service, device: Device, deadline_ms: float) -> boo
 
 def execution_time(service: Service, device: Device) -> float:
     """Execution time in ms: workload over per-core speed (speed is per second)."""
-    if device.cpu_speed <= 0:
-        raise ValueError(f"device {device.id}: non-positive cpu speed")
     return service.workload / device.cpu_speed * MS_PER_S
 
 

@@ -45,23 +45,6 @@ STRATEGIES = ("multilayer", "first_fit", "connectivity_greedy")
 DIMENSIONS = ("cpu", "mem", "storage")
 
 
-class OverCommitError(RuntimeError):
-    """A capacity commit was attempted beyond a device's residual resources."""
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """Audit entry for one accepted placement, with pre-commit residuals."""
-
-    app_id: int
-    service: Service
-    device_id: int
-    deadline_ms: float
-    pre_cores: int
-    pre_mem: float
-    pre_storage: float
-
-
 @dataclass(frozen=True)
 class FitnessConfig:
     """Weights and normalization ranges for the fitness score."""
@@ -137,11 +120,13 @@ def demand_similarity(
 class PlacementContext:
     """Shared state for one partition-aware placement run.
 
-    Owns the mutable residual device copies, the network partition lookup,
-    one route table per gateway, and the placement audit trail. A gateway's
-    table comes from a single ``Topology.routes_from`` BFS the first time
-    the gateway is asked for, and then serves every transmission-time query
-    from it for the rest of the run.
+    Owns the mutable residual device copies, whose residuals
+    ``place_service`` decrements as it admits services, and one route table
+    per gateway. A gateway's table comes from a single
+    ``Topology.routes_from`` BFS the first time the gateway is asked for,
+    and then serves every transmission-time query from it for the rest of
+    the run. The anchor rule reads network partitions from
+    ``network.assignment``.
     """
 
     def __init__(
@@ -161,13 +146,8 @@ class PlacementContext:
         self.network = network
         self.users = users
         self.config = config
-        self.audit: list[CommitRecord] = []
-        self.unreachable_fps: set[int] = set()
         # gateway -> device -> (hops, latency sum, 1/bandwidth sum)
         self._routes: dict[int, dict[int, tuple[int, float, float]]] = {}
-
-    def network_partition_of(self, device_id: int) -> int:
-        return self.network.assignment[device_id]
 
     def transmission_ms(self, gateway: int, device_id: int, size: float) -> float:
         """T from a gateway to a device for a message of ``size`` bytes; inf if unreachable."""
@@ -204,14 +184,14 @@ class PlacementContext:
         application and ranks every service against them. The device
         matrix lists device ids ascending by (T, id). The proximity term is
         beta / (1 + T_min), or None for a partition with no reachable
-        device, which is also flagged in ``unreachable_fps``.
+        device.
         """
         d_matrix: dict[int, list[int]] = {}
         terms: dict[int, float | None] = {}
         for fp_id in self.fps.ids():
             rows = self.device_rows(fp_id, gateway, size)
             d_matrix[fp_id] = [did for _, did in rows]
-            terms[fp_id] = _proximity(fp_id, rows, self.config, self)
+            terms[fp_id] = _proximity(rows, self.config)
         return d_matrix, terms
 
     def rank_feature_partitions(
@@ -230,39 +210,14 @@ class PlacementContext:
         return [fp_id for _, fp_id in scored]
 
 
-def _proximity(
-    fp_id: int, rows: Sequence[tuple[float, int]], config: FitnessConfig, ctx: PlacementContext
-) -> float | None:
+def _proximity(rows: Sequence[tuple[float, int]], config: FitnessConfig) -> float | None:
     """beta / (1 + T_min) from a partition's sorted ``device_rows``.
 
-    When no device of the partition is reachable the term is None and the
-    partition is flagged in ``ctx.unreachable_fps``.
+    None when no device of the partition is reachable.
     """
     if not rows or math.isinf(rows[0][0]):
-        ctx.unreachable_fps.add(fp_id)
         return None
     return config.beta / (1.0 + rows[0][0])
-
-
-def fitness(
-    fp_id: int,
-    service: Service,
-    user: User,
-    config: FitnessConfig,
-    ctx: PlacementContext,
-    message_size: float,
-) -> float:
-    """alpha * best member similarity + beta / (1 + nearest device T).
-
-    When no device of the partition is reachable from the user's gateway
-    the proximity term is dropped and the partition is flagged in
-    ``ctx.unreachable_fps``. This scores one partition on its own;
-    placement splits the score in two, taking the proximity term from
-    ``PlacementContext.app_tables`` once per application and only the
-    similarity term per service, with the same result.
-    """
-    rows = ctx.device_rows(fp_id, user.gateway, message_size)
-    return _score(fp_id, service, config, ctx, _proximity(fp_id, rows, config, ctx))
 
 
 def _score(
@@ -272,7 +227,11 @@ def _score(
     ctx: PlacementContext,
     proximity_term: float | None,
 ) -> float:
-    """``fitness`` with its proximity term given; None drops the term."""
+    """alpha * best member similarity + the proximity term; None drops the term.
+
+    Placement takes the proximity term from ``PlacementContext.app_tables``
+    once per application and computes only the similarity term per service.
+    """
     members = ctx.fps.feature_partitions[fp_id]
     max_sim = max(
         demand_similarity(ctx.compressed.features[node], service, config.normalization_ranges)
@@ -288,69 +247,25 @@ def sort_applications(apps: Iterable[Application]) -> list[Application]:
     return sorted(apps, key=lambda a: (a.deadline, a.id))
 
 
-def commit_placement(
-    device: Device,
-    service: Service,
-    app_id: int = -1,
-    deadline_ms: float = math.inf,
-) -> CommitRecord:
-    """Decrement residuals for a hosted service; returns the audit record.
-
-    The record snapshots the pre-commit residuals so a rollback can restore
-    them exactly.
-    """
-    if (
-        not device.alive
-        or device.residual_cores < 1
-        or service.mem_demand > device.residual_mem
-        or service.storage_demand > device.residual_storage
-    ):
-        raise OverCommitError(
-            f"device {device.id} cannot host service {service.id} "
-            f"(alive={device.alive}, cores={device.residual_cores})"
-        )
-    record = CommitRecord(
-        app_id=app_id,
-        service=service,
-        device_id=device.id,
-        deadline_ms=deadline_ms,
-        pre_cores=device.residual_cores,
-        pre_mem=device.residual_mem,
-        pre_storage=device.residual_storage,
-    )
-    device.residual_cores -= 1
-    device.residual_mem -= service.mem_demand
-    device.residual_storage -= service.storage_demand
-    return record
-
-
-def rollback_placement(device: Device, record: CommitRecord) -> None:
-    """Restore the residuals saved in a commit record (bitwise exact)."""
-    if record.device_id != device.id:
-        raise OverCommitError(f"record targets device {record.device_id}, not {device.id}")
-    device.residual_cores = record.pre_cores
-    device.residual_mem = record.pre_mem
-    device.residual_storage = record.pre_storage
-
-
 def place_service(
     service: Service,
     candidates: Iterable[int],
-    app: Application,
+    deadline_ms: float,
     devices: Mapping[int, Device],
-    audit: list[CommitRecord],
 ) -> int | None:
     """The admission scan shared by every strategy.
 
     Walks ``candidates`` in order and commits ``service`` to the first
-    device that passes ``placement_valid`` against the app deadline,
-    appending the commit record to ``audit``. Returns that device id, or
-    None when no candidate admits the service.
+    device that passes ``placement_valid`` against the app deadline, taking
+    one core and the service's memory and storage from its residuals.
+    Returns that device id, or None when no candidate admits the service.
     """
     for did in candidates:
         device = devices[did]
-        if placement_valid(service, device, app.deadline):
-            audit.append(commit_placement(device, service, app_id=app.id, deadline_ms=app.deadline))
+        if placement_valid(service, device, deadline_ms):
+            device.residual_cores -= 1
+            device.residual_mem -= service.mem_demand
+            device.residual_storage -= service.storage_demand
             return did
     return None
 
@@ -389,23 +304,20 @@ def select_feature_partitions(app: Application, ctx: PlacementContext) -> Placem
         service = app.service(sid)
         fp_rank = ctx.rank_feature_partitions(service, proximities)
         order = anchored_order(fp_rank, d_matrix, ctx.network, anchor)
-        device_id = place_service(service, order, app, ctx.devices, ctx.audit)
+        device_id = place_service(service, order, app.deadline, ctx.devices)
         assignment[sid] = device_id
         if device_id is not None and anchor is None:
-            anchor = ctx.network_partition_of(device_id)
+            anchor = ctx.network.assignment[device_id]
     return PlacementPlan(assignment=assignment)
 
 
 def _place_in_order(
-    app: Application,
-    order: Sequence[int],
-    devices: Mapping[int, Device],
-    audit: list[CommitRecord],
+    app: Application, order: Sequence[int], devices: Mapping[int, Device]
 ) -> PlacementPlan:
     """Offer every service of ``app`` the same candidate order."""
     assignment: dict[int, int | None] = {}
     for sid in app.topological_order():
-        assignment[sid] = place_service(app.service(sid), order, app, devices, audit)
+        assignment[sid] = place_service(app.service(sid), order, app.deadline, devices)
     return PlacementPlan(assignment=assignment)
 
 
@@ -416,20 +328,13 @@ def _residual_units(device: Device) -> float:
     return max(float(device.residual_cores), device.residual_mem, device.residual_storage)
 
 
-def baseline_first_fit(
-    app: Application,
-    devices: Mapping[int, Device],
-    audit: list[CommitRecord],
-) -> PlacementPlan:
+def baseline_first_fit(app: Application, devices: Mapping[int, Device]) -> PlacementPlan:
     """Each service lands on the first admissible device by id."""
-    return _place_in_order(app, sorted(devices), devices, audit)
+    return _place_in_order(app, sorted(devices), devices)
 
 
 def baseline_connectivity_greedy(
-    app: Application,
-    network: PartitionSet,
-    devices: Mapping[int, Device],
-    audit: list[CommitRecord],
+    app: Application, network: PartitionSet, devices: Mapping[int, Device]
 ) -> PlacementPlan:
     """Whole app into the network partition with most residual units, first-fit inside.
 
@@ -443,20 +348,19 @@ def baseline_connectivity_greedy(
         if units > best_units:
             best_pid, best_units = pid, units
     members = sorted(network.partitions.get(best_pid, frozenset()))
-    return _place_in_order(app, members, devices, audit)
+    return _place_in_order(app, members, devices)
 
 
 @dataclass
 class PlacementRun:
-    """Outcome of placing one request batch with a single strategy."""
+    """Outcome of placing one request batch with a single strategy.
 
-    strategy: str
+    ``devices`` are the run's own device copies, holding the residuals left
+    after every admission.
+    """
+
     plans: dict[int, PlacementPlan]
-    audit: list[CommitRecord]
     devices: dict[int, Device]
-    alpha: float
-    beta: float
-    unreachable_fps: frozenset[int] = frozenset()
 
 
 def run_placement(
@@ -483,8 +387,6 @@ def run_placement(
     fresh = {d.id: d.fresh_copy() for d in devices}
     topology = Topology(fresh.values(), topology_links)
     ordered = sort_applications(instances)
-    audit: list[CommitRecord] = []
-    unreachable: set[int] = set()
 
     if strategy == "multilayer":
         if feature_partitions is None or compressed is None or network is None:
@@ -497,14 +399,13 @@ def run_placement(
         ctx = PlacementContext(
             fresh, topology, feature_partitions, compressed, network, users, config
         )
-        audit, unreachable = ctx.audit, ctx.unreachable_fps
         place = partial(select_feature_partitions, ctx=ctx)
     elif strategy == "first_fit":
-        place = partial(baseline_first_fit, devices=fresh, audit=audit)
+        place = partial(baseline_first_fit, devices=fresh)
     else:
         if network is None:
             raise ValueError("connectivity_greedy requires network partitions")
-        place = partial(baseline_connectivity_greedy, network=network, devices=fresh, audit=audit)
+        place = partial(baseline_connectivity_greedy, network=network, devices=fresh)
 
     plans: dict[int, PlacementPlan] = {}
     for app in ordered:
@@ -520,12 +421,4 @@ def run_placement(
         except (UnplacedDependencyError, UnreachableError):
             pass
 
-    return PlacementRun(
-        strategy=strategy,
-        plans=plans,
-        audit=audit,
-        devices=fresh,
-        alpha=alpha,
-        beta=beta,
-        unreachable_fps=frozenset(unreachable),
-    )
+    return PlacementRun(plans=plans, devices=fresh)

@@ -1,13 +1,17 @@
-"""Start-up cost of the CLI module."""
+"""Start-up cost of the CLI module and the exit of each command on bad input."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fogpart
+from fogpart import cli
 
 
 def test_import_leaves_numpy_out():
@@ -18,3 +22,64 @@ def test_import_leaves_numpy_out():
     code = "import sys, fogpart.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    """A small generated scenario for the commands that read one."""
+    root = tmp_path_factory.mktemp("cli")
+    config = root / "config.json"
+    config.write_text(json.dumps({"device_count": 10, "gateway_count": 3, "horizon_s": 10.0}))
+    assert cli.main(["generate", "--config", str(config), "--out", str(root / "gen")]) == 0
+    return root / "gen" / "scenario.json"
+
+
+def unknown_config_key(scenario, tmp):
+    (tmp / "config.json").write_text(json.dumps({"device_count": 10, "bogus": 1}))
+    return ["generate", "--config", str(tmp / "config.json")]
+
+
+def malformed_config_json(scenario, tmp):
+    (tmp / "config.json").write_text("{not json")
+    return ["generate", "--config", str(tmp / "config.json")]
+
+
+def multilayer_without_partitions(scenario, tmp):
+    return ["place", "--scenario", str(scenario), "--strategy", "multilayer"]
+
+
+def negative_alpha(scenario, tmp):
+    return ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--alpha", "-1"]
+
+
+def report_without_metrics(scenario, tmp):
+    return ["report", "--runs", str(tmp)]
+
+
+def wrong_schema_version(scenario, tmp):
+    data = json.loads(scenario.read_text())
+    data["schema_version"] = 99
+    (tmp / "scenario.json").write_text(json.dumps(data))
+    return ["partition", "--scenario", str(tmp / "scenario.json")]
+
+
+#: builder of a bad command line -> the reason its error message must give
+BAD_INPUTS = [
+    (unknown_config_key, "unknown config keys"),
+    (malformed_config_json, "config parse error"),
+    (multilayer_without_partitions, "requires --partitions"),
+    (negative_alpha, "alpha and beta must be non-negative"),
+    (report_without_metrics, "has no metrics.json"),
+    (wrong_schema_version, "schema_version 99"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad_input, reason", BAD_INPUTS, ids=[build.__name__ for build, _ in BAD_INPUTS]
+)
+def test_error_exits_one_with_command_prefix(bad_input, reason, scenario_path, tmp_path, capsys):
+    argv = bad_input(scenario_path, tmp_path)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fogpart {argv[0]}: ")
+    assert reason in err

@@ -18,6 +18,7 @@ from conftest import (
     two_pairs_view,
 )
 from fogpart.model import Device, NetworkLink
+from fogpart.scenario import ScenarioConfig, generate_scenario
 from fogpart.multilayer import (
     Layer,
     RESOURCE_LAYERS,
@@ -379,6 +380,25 @@ class TestPipeline:
         b = multilayer_resource_partition(g)
         assert a[0].feature_partitions == b[0].feature_partitions
         assert a[1].partitions == b[1].partitions
+
+
+class TestNetworkPartitionsConnected:
+    """The anchor rule keeps an app inside one network partition, and assumes
+    every member of that partition can reach the others without leaving it."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scale", ["SMALL", "LARGE"])
+    def test_generated_scenario(self, scale, seed):
+        scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale(scale))
+        graph = build_multilayer([d.fresh_copy() for d in scenario.devices], scenario.links)
+        network = louvain_partition(layer_view(graph, Layer.NETWORK))
+        topology = scenario.topology()
+        for pid, members in network.partitions.items():
+            # routing that treats every device outside the partition as dead
+            outside = frozenset(topology.devices) - members
+            start = min(members)
+            unreached = [d for d in members if topology.hop_count(start, d, outside) is None]
+            assert unreached == [], f"network partition {pid} is disconnected"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from fogpart.model import (
     USER,
     User,
     execution_time,
-    placement_valid,
     response_times,
 )
 from fogpart.multilayer import Layer
@@ -30,24 +29,50 @@ from fogpart.partitioner import (
     PartitionSet,
 )
 from fogpart.placement import (
-    CommitRecord,
+    STRATEGIES,
     FitnessConfig,
-    OverCommitError,
     PlacementContext,
     anchored_order,
     baseline_connectivity_greedy,
     baseline_first_fit,
-    commit_placement,
     demand_similarity,
-    fitness,
     place_service,
-    rollback_placement,
     run_placement,
     select_feature_partitions,
     sort_applications,
 )
 
 RANGES = {"cpu": (20.0, 60.0), "mem": (1.0, 25.0), "storage": (1.0, 25.0)}
+
+
+def fitness(fp_id, service, user, config, ctx, message_size):
+    """Oracle: alpha * best member similarity + beta / (1 + nearest device T).
+
+    Scores one feature partition on its own, from the definition. T is the
+    transmission time from the user's gateway to the partition's nearest
+    alive device; when none is reachable the proximity term is dropped.
+    Placement splits this score, taking the proximity term from
+    ``PlacementContext.app_tables`` once per application.
+    """
+    max_sim = max(
+        demand_similarity(ctx.compressed.features[node], service, config.normalization_ranges)
+        for node in ctx.fps.feature_partitions[fp_id]
+    )
+    t_min = min(
+        (
+            ctx.transmission_ms(user.gateway, did, message_size)
+            for did in ctx.fps.device_index[fp_id]
+            if ctx.devices[did].alive
+        ),
+        default=math.inf,
+    )
+    if math.isinf(t_min):
+        return config.alpha * max_sim
+    return config.alpha * max_sim + config.beta / (1.0 + t_min)
+
+
+def residuals(devices):
+    return [(d.residual_cores, d.residual_mem, d.residual_storage) for d in devices.values()]
 
 
 class TestDemandSimilarity:
@@ -192,8 +217,9 @@ class TestFitness:
         for did in (2, 3):
             ctx.devices[did].alive = False
         value = fitness(1, Service(0, 25.0, 5.0, 5.0), ctx.users[0], ctx.config, ctx, 1.0)
-        assert 1 in ctx.unreachable_fps
         assert value <= ctx.config.alpha
+        _, proximities = ctx.app_tables(ctx.users[0].gateway, 1.0)
+        assert proximities[1] is None
 
 
 class TestSortApplications:
@@ -216,35 +242,6 @@ class TestSortApplications:
         assert [a.id for a in sort_applications(apps)] == [0, 1, 2, 3]
 
 
-class TestCommitRollback:
-    def test_commit_then_rollback_is_exact(self):
-        d = Device(0, 10, 20.0, 10.0, 10.0)
-        s = Service(0, 20.0, 3.3, 2.7)
-        before = (d.residual_cores, d.residual_mem, d.residual_storage)
-        record = commit_placement(d, s)
-        rollback_placement(d, record)
-        assert (d.residual_cores, d.residual_mem, d.residual_storage) == before
-
-    def test_two_commits_accumulate(self):
-        d = Device(0, 10, 20.0, 10.0, 10.0)
-        s = Service(0, 20.0, 1.0, 1.0)
-        commit_placement(d, s)
-        commit_placement(d, s)
-        assert d.residual_mem == 8.0
-        assert d.residual_cores == 8
-
-    def test_dead_device_over_commit(self):
-        d = Device(0, 10, 20.0, 10.0, 10.0)
-        d.alive = False
-        with pytest.raises(OverCommitError):
-            commit_placement(d, Service(0, 1.0, 1.0, 1.0))
-
-    def test_exhausted_memory_over_commit(self):
-        d = Device(0, 10, 20.0, 10.0, 10.0)
-        with pytest.raises(OverCommitError):
-            commit_placement(d, Service(0, 1.0, 11.0, 1.0))
-
-
 class TestPlaceService:
     def test_first_service_defines_anchor(self):
         ctx = line_context()
@@ -252,7 +249,7 @@ class TestPlaceService:
         plan = select_feature_partitions(app, ctx)
         host = plan.assignment[0]
         assert host == 0  # the gateway is nearest and feasible
-        assert ctx.network_partition_of(host) == 0
+        assert ctx.network.assignment[host] == 0
 
     def test_foreign_partition_skipped_even_if_feasible(self):
         ctx = line_context()
@@ -260,7 +257,7 @@ class TestPlaceService:
         rank = [1, 0]  # FP1 (devices 2,3) ranked first on purpose
         d_matrix = {1: [2, 3], 0: [0, 1]}
         order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
-        chosen = place_service(s, order, app_of([s]), ctx.devices, ctx.audit)
+        chosen = place_service(s, order, 50000.0, ctx.devices)
         assert chosen in (0, 1)
 
     def test_anchor_exhaustion_yields_invalid(self):
@@ -271,19 +268,36 @@ class TestPlaceService:
         rank = [0, 1]
         d_matrix = {0: [0, 1], 1: [2, 3]}
         order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
-        assert place_service(s, order, app_of([s]), ctx.devices, ctx.audit) is None
-        assert ctx.audit == []
+        assert place_service(s, order, 50000.0, ctx.devices) is None
+        assert residuals(ctx.devices) == [
+            (0, 100.0, 100.0), (0, 100.0, 100.0), (10, 100.0, 100.0), (10, 100.0, 100.0)
+        ]
 
     def test_first_admissible_candidate_committed_and_audited(self):
+        # the residuals are the record of a commit: only the chosen device's change
         devices = {i: Device(i, 2, 20.0, 10.0, 10.0) for i in range(3)}
         devices[2].residual_mem = 0.5
-        s = Service(4, 20.0, 1.0, 1.0)
-        app = app_of([s], deadline=700.0, app_id=9)
-        audit: list[CommitRecord] = []
-        assert place_service(s, [2, 1, 0], app, devices, audit) == 1
-        assert audit == [CommitRecord(9, s, 1, 700.0, 2, 10.0, 10.0)]
-        assert (devices[1].residual_cores, devices[1].residual_mem) == (1, 9.0)
-        assert devices[0].residual_cores == 2
+        s = Service(4, 20.0, 1.0, 1.5)
+        assert place_service(s, [2, 1, 0], 700.0, devices) == 1
+        assert residuals(devices) == [(2, 10.0, 10.0), (1, 9.0, 8.5), (2, 0.5, 10.0)]
+
+    def test_two_commits_accumulate(self):
+        devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
+        s = Service(0, 20.0, 1.0, 1.0)
+        assert place_service(s, [0], 50000.0, devices) == 0
+        assert place_service(s, [0], 50000.0, devices) == 0
+        assert residuals(devices) == [(8, 8.0, 8.0)]
+
+    def test_dead_device_over_commit(self):
+        devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
+        devices[0].alive = False
+        assert place_service(Service(0, 1.0, 1.0, 1.0), [0], 50000.0, devices) is None
+        assert residuals(devices) == [(10, 10.0, 10.0)]
+
+    def test_exhausted_memory_over_commit(self):
+        devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
+        assert place_service(Service(0, 1.0, 11.0, 1.0), [0], 50000.0, devices) is None
+        assert residuals(devices) == [(10, 10.0, 10.0)]
 
     def test_deadline_blind_admission(self):
         # Pinned, not fixed: placement_valid compares workload / cpu_speed
@@ -292,10 +306,8 @@ class TestPlaceService:
         device = Device(0, 1, 20.0, 10.0, 10.0)
         s = Service(0, 60.0, 1.0, 1.0)
         assert execution_time(s, device) == 3000.0
-        app = app_of([s], deadline=300.0)
-        audit: list[CommitRecord] = []
-        assert place_service(s, [0], app, {0: device}, audit) == 0
-        assert audit[0].deadline_ms == 300.0
+        assert place_service(s, [0], 300.0, {0: device}) == 0
+        assert device.residual_cores == 0
 
 
 class TestSelectFeaturePartitions:
@@ -304,7 +316,7 @@ class TestSelectFeaturePartitions:
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
         plan = select_feature_partitions(app, ctx)
         assert plan.fully_placed
-        partitions = {ctx.network_partition_of(d) for d in plan.assignment.values()}
+        partitions = {ctx.network.assignment[d] for d in plan.assignment.values()}
         assert partitions == {0}
 
     def test_oversized_service_invalid(self):
@@ -322,7 +334,7 @@ class TestSelectFeaturePartitions:
         plan = select_feature_partitions(app, ctx)
         assert plan.assignment[0] == 0
         assert plan.assignment[1] == 1  # same network partition, different device
-        assert ctx.network_partition_of(plan.assignment[1]) == 0
+        assert ctx.network.assignment[plan.assignment[1]] == 0
 
     def test_rank_is_permutation_of_all_fps(self):
         ctx = line_context()
@@ -349,13 +361,13 @@ class TestBaselines:
     def test_first_fit_stacks_until_cores_run_out(self):
         devices = {0: Device(0, 2, 20.0, 100.0, 100.0), 1: Device(1, 10, 20.0, 100.0, 100.0)}
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        plan = baseline_first_fit(app, devices, [])
+        plan = baseline_first_fit(app, devices)
         assert [plan.assignment[i] for i in range(3)] == [0, 0, 1]
 
     def test_first_fit_infeasible_service_invalid(self):
         devices = {0: Device(0, 2, 20.0, 5.0, 5.0)}
         app = app_of([Service(0, 20.0, 50.0, 1.0)])
-        plan = baseline_first_fit(app, devices, [])
+        plan = baseline_first_fit(app, devices)
         assert plan.assignment[0] is None
 
     def test_connectivity_greedy_stays_in_one_partition(self):
@@ -367,7 +379,7 @@ class TestBaselines:
             0.0,
         )
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(4)])
-        plan = baseline_connectivity_greedy(app, network, devices, [])
+        plan = baseline_connectivity_greedy(app, network, devices)
         partitions = {network.assignment[d] for d in plan.assignment.values()}
         assert len(partitions) == 1
 
@@ -391,8 +403,8 @@ class TestBaselines:
             network=network,
         )
         run_ff = run_placement(apps, devices, links, users, "first_fit")
-        placed_ml = sum(len(p.placed_services()) for p in run_ml.plans.values())
-        placed_ff = sum(len(p.placed_services()) for p in run_ff.plans.values())
+        placed_ml = sum(d is not None for p in run_ml.plans.values() for d in p.assignment.values())
+        placed_ff = sum(d is not None for p in run_ff.plans.values() for d in p.assignment.values())
         assert placed_ml >= placed_ff
 
 
@@ -433,46 +445,39 @@ class TestRunPlacementInvariants:
         return run, network, devices, apps, links, users
 
     def test_audit_replays_placement_valid(self):
-        run, *_ = self.run_strategy()
-        assert run.audit
-        for record in run.audit:
-            snapshot = Device(
-                record.device_id,
-                cores=max(record.pre_cores, 1),
-                cpu_speed=run.devices[record.device_id].cpu_speed,
-                mem=run.devices[record.device_id].mem,
-                storage=run.devices[record.device_id].storage,
-                residual_cores=record.pre_cores,
-                residual_mem=record.pre_mem,
-                residual_storage=record.pre_storage,
-            )
-            assert placement_valid(record.service, snapshot, record.deadline_ms)
-
-    def test_audit_matches_plans(self):
-        run, *_ = self.run_strategy()
-        placed = sorted(
-            (app_id, sid, did)
-            for app_id, plan in run.plans.items()
-            for sid, did in plan.assignment.items()
-            if did is not None
-        )
-        audited = sorted((r.app_id, r.service.id, r.device_id) for r in run.audit)
-        assert audited == placed
+        # the plans are the record of every admission: replay the CPU term of
+        # placement_valid over them (the residual terms are checked below)
+        run, _, _, apps, *_ = self.run_strategy()
+        by_id = {app.id: app for app in apps}
+        replayed = 0
+        for app_id, plan in run.plans.items():
+            app = by_id[app_id]
+            for sid, did in plan.assignment.items():
+                if did is not None:
+                    assert app.service(sid).workload / run.devices[did].cpu_speed <= app.deadline
+                    replayed += 1
+        assert replayed
 
     def test_residuals_non_negative_and_conserved(self):
-        run, _, originals, *_ = self.run_strategy()
-        committed: dict[int, list] = {}
-        for record in run.audit:
-            committed.setdefault(record.device_id, []).append(record.service)
+        run, _, originals, apps, *_ = self.run_strategy()
+        by_id = {app.id: app for app in apps}
+        hosted: dict[int, list[Service]] = {}
+        for app_id, plan in run.plans.items():
+            for sid, did in plan.assignment.items():
+                if did is not None:
+                    hosted.setdefault(did, []).append(by_id[app_id].service(sid))
         for d in originals:
             dev = run.devices[d.id]
             assert dev.residual_cores >= 0
-            assert dev.residual_mem >= -1e-12
-            assert dev.residual_storage >= -1e-12
-            services = committed.get(d.id, [])
+            assert dev.residual_mem >= 0.0
+            assert dev.residual_storage >= 0.0
+            services = hosted.get(d.id, [])
             assert dev.residual_cores == d.cores - len(services)
             assert dev.residual_mem == pytest.approx(
                 d.mem - sum(s.mem_demand for s in services)
+            )
+            assert dev.residual_storage == pytest.approx(
+                d.storage - sum(s.storage_demand for s in services)
             )
 
     def test_app_confined_to_one_network_partition(self):
@@ -510,6 +515,64 @@ class TestFirstFitInvariants(TestRunPlacementInvariants):
     strategy = "first_fit"
     # first fit ignores network partitions, so confinement is not its invariant
     test_app_confined_to_one_network_partition = None
+
+
+@st.composite
+def tight_infrastructures(draw):
+    """2-8 devices of 1-2 cores and 1-4 GB/TB, asked to host 1-4 apps of demand 0.5-3."""
+    n = draw(st.integers(2, 8))
+    devices = [
+        Device(
+            i,
+            draw(st.integers(1, 2)),
+            draw(st.sampled_from([20.0, 35.0, 60.0])),
+            draw(st.floats(1.0, 4.0)),
+            draw(st.floats(1.0, 4.0)),
+        )
+        for i in range(n)
+    ]
+    links = [NetworkLink(draw(st.integers(0, i - 1)), i, 75000.0, 5.0) for i in range(1, n)]
+    users = {u: User(u, gateway=draw(st.integers(0, n - 1))) for u in range(2)}
+    demand = st.floats(0.5, 3.0)
+    apps = []
+    for a in range(draw(st.integers(1, 4))):
+        services = [
+            Service(i, draw(st.floats(20.0, 60.0)), draw(demand), draw(demand))
+            for i in range(draw(st.integers(1, 4)))
+        ]
+        app = app_of(services, deadline=draw(st.floats(300.0, 50000.0)), app_id=a)
+        app.user = draw(st.integers(0, 1))
+        apps.append(app)
+    return devices, links, users, apps
+
+
+class TestResidualsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(tight_infrastructures())
+    def test_residuals_never_negative(self, inputs):
+        from fogpart.multilayer import build_multilayer
+        from fogpart.partitioner import multilayer_resource_partition
+
+        devices, links, users, apps = inputs
+        fps, network, _, cg = multilayer_resource_partition(
+            build_multilayer([d.fresh_copy() for d in devices], links)
+        )
+        for strategy in STRATEGIES:
+            run = run_placement(
+                apps, devices, links, users, strategy,
+                feature_partitions=fps, compressed=cg, network=network,
+            )
+            hosted = {d.id: 0 for d in devices}
+            for plan in run.plans.values():
+                for did in plan.assignment.values():
+                    if did is not None:
+                        hosted[did] += 1
+            for d in devices:
+                dev = run.devices[d.id]
+                assert dev.residual_cores >= 0
+                assert dev.residual_mem >= 0.0
+                assert dev.residual_storage >= 0.0
+                assert dev.residual_cores == d.cores - hosted[d.id]
 
 
 @st.composite

@@ -56,7 +56,10 @@ class TestTopology:
         cfg = ScenarioConfig(device_count=9, gateway_count=5, ba_attachment=1, seed=3)
         devices, links, gateways, cloud_id = generate_topology(cfg)
         topo = Topology(devices, links)
-        degree = {d.id: len(topo.neighbors(d.id)) for d in devices}
+        degree = {d.id: 0 for d in devices}
+        for link in links:
+            degree[link.a] += 1
+            degree[link.b] += 1
         hub = max((d for d in degree if d != cloud_id), key=lambda d: degree[d])
         if degree[hub] == len(devices) - 2:  # a true star (hub linked to every leaf)
             assert hub not in gateways
@@ -90,7 +93,9 @@ class TestTopology:
         cfg = ScenarioConfig(seed=5)
         a = generate_topology(cfg)
         b = generate_topology(cfg)
-        assert [d.triplet for d in a[0]] == [d.triplet for d in b[0]]
+        assert [(d.cpu_speed, d.mem, d.storage) for d in a[0]] == [
+            (d.cpu_speed, d.mem, d.storage) for d in b[0]
+        ]
         assert [(l.a, l.b) for l in a[1]] == [(l.a, l.b) for l in b[1]]
         assert a[2] == b[2]
 
