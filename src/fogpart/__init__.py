@@ -16,7 +16,7 @@ from .model import (
     response_times,
     transmission_time,
 )
-from .multilayer import Layer, LayerView, MultilayerGraph, build_multilayer, layer_view
+from .multilayer import Layer, LayerView, MultilayerGraph, build_multilayer
 from .partitioner import (
     CompressedGraph,
     FeaturePartitionSet,
@@ -25,7 +25,6 @@ from .partitioner import (
     compress_graph,
     feature_partition,
     louvain_partition,
-    modularity,
     multilayer_resource_partition,
     partition_feature,
 )

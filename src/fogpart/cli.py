@@ -118,12 +118,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
     scenario = scenario_from_dict(load_json(args.scenario))
     if not scenario.devices:
         raise ConfigError("scenario has no devices to partition")
-    graph = build_multilayer(
-        [d.fresh_copy() for d in scenario.devices], scenario.links, min_weight=args.min_weight
-    )
-    fps, network, layer_sets, compressed = multilayer_resource_partition(graph)
+    graph = build_multilayer(scenario.devices, scenario.links, min_weight=args.min_weight)
+    fps, network, layer_sets = multilayer_resource_partition(graph)
     out = Path(args.out)
-    payload = partitions_to_dict(fps, network, layer_sets, compressed)
+    payload = partitions_to_dict(fps, network, layer_sets)
     artifacts = [dump_json(out / "partitions.json", payload)]
     summary_rows = [["NETWORK", repr(network.modularity), len(network.partitions)]]
     for layer, ps in sorted(layer_sets.items()):
@@ -146,11 +144,16 @@ def cmd_place(args: argparse.Namespace) -> int:
     if args.alpha < 0 or args.beta < 0 or args.alpha + args.beta <= 0:
         raise ConfigError("alpha and beta must be non-negative with a positive sum")
     scenario = scenario_from_dict(load_json(args.scenario))
-    fps = compressed = network = None
+    fps = network = None
     if args.strategy == "multilayer" or args.strategy == "connectivity_greedy":
         if args.partitions is None:
             raise ConfigError(f"strategy {args.strategy} requires --partitions")
-        fps, network, _, compressed = partitions_from_dict(load_json(args.partitions))
+        fps, network = partitions_from_dict(load_json(args.partitions))
+        if network.assignment.keys() != {d.id for d in scenario.devices}:
+            raise ConfigError(
+                f"partitions were built for another scenario: they cover "
+                f"{len(network.assignment)} devices, not the scenario's {len(scenario.devices)}"
+            )
     instances = scenario.instances()
     run = run_placement(
         instances=instances,
@@ -159,7 +162,6 @@ def cmd_place(args: argparse.Namespace) -> int:
         users=scenario.users_by_id(),
         strategy=args.strategy,
         feature_partitions=fps,
-        compressed=compressed,
         network=network,
         alpha=args.alpha,
         beta=args.beta,

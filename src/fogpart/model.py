@@ -31,7 +31,8 @@ class Device:
     """A fog node with fixed capacities and mutable residual state.
 
     ``cores`` counts CPU cores; each hosted service occupies exactly one
-    core, so ``residual_cores`` doubles as the remaining service slots.
+    core, so ``residual_cores`` doubles as the remaining service slots. The
+    residuals start at the capacities; placement lowers them.
     """
 
     id: int
@@ -39,9 +40,9 @@ class Device:
     cpu_speed: float  # MI per second, per core
     mem: float        # GB
     storage: float    # TB
-    residual_cores: int | None = None
-    residual_mem: float | None = None
-    residual_storage: float | None = None
+    residual_cores: int = field(init=False)
+    residual_mem: float = field(init=False)
+    residual_storage: float = field(init=False)
     alive: bool = True
 
     def __post_init__(self) -> None:
@@ -49,18 +50,9 @@ class Device:
             raise ValueError(f"device {self.id}: capacities must be strictly positive")
         if self.cores < 1:
             raise ValueError(f"device {self.id}: needs at least one core")
-        if self.residual_cores is None:
-            self.residual_cores = self.cores
-        if self.residual_mem is None:
-            self.residual_mem = self.mem
-        if self.residual_storage is None:
-            self.residual_storage = self.storage
-        if not 0 <= self.residual_cores <= self.cores:
-            raise ValueError(f"device {self.id}: residual cores outside [0, cores]")
-        if not 0 <= self.residual_mem <= self.mem:
-            raise ValueError(f"device {self.id}: residual memory outside [0, mem]")
-        if not 0 <= self.residual_storage <= self.storage:
-            raise ValueError(f"device {self.id}: residual storage outside [0, storage]")
+        self.residual_cores = self.cores
+        self.residual_mem = self.mem
+        self.residual_storage = self.storage
 
     def fresh_copy(self) -> "Device":
         """A pristine copy: full residuals, alive."""
@@ -399,11 +391,8 @@ def response_times(
             if msg.source == USER:
                 arrivals.append(topology.transmission(gateway, device_id, msg.size, dead))
             else:
-                src_device = assignment.get(msg.source)
-                if src_device is None:
-                    raise UnplacedDependencyError(
-                        f"app {app.id}: predecessor {msg.source} of {sid} is unplaced"
-                    )
+                # topological order placed the predecessor or raised above
+                src_device = assignment[msg.source]
                 arrivals.append(
                     rts[msg.source] + topology.transmission(src_device, device_id, msg.size, dead)
                 )

@@ -73,10 +73,6 @@ class MultilayerGraph:
     devices: tuple[Device, ...]
     intra_edges: Mapping[Layer, LayerView]
 
-    @property
-    def layers(self) -> tuple[Layer, ...]:
-        return (Layer.NETWORK, Layer.CPU, Layer.MEM, Layer.STORAGE)
-
 
 def index_rows(
     node_ids: Iterable[N],
@@ -90,15 +86,6 @@ def index_rows(
         rows[index[i]][index[j]] = w
         rows[index[j]][index[i]] = w
     return nodes, tuple(dict(sorted(row.items())) for row in rows)
-
-
-def make_layer_view(
-    layer: Layer,
-    node_ids: Sequence[int],
-    edges: Mapping[tuple[int, int], float],
-) -> LayerView:
-    """Assemble a LayerView from an undirected (i < j) edge-weight mapping."""
-    return LayerView(layer, *index_rows(node_ids, edges))
 
 
 def build_multilayer(
@@ -128,7 +115,9 @@ def build_multilayer(
 
     ordered = tuple(sorted(devices, key=lambda d: d.id))
     ids = tuple(d.id for d in ordered)
-    intra: dict[Layer, LayerView] = {Layer.NETWORK: make_layer_view(Layer.NETWORK, ids, network)}
+    intra: dict[Layer, LayerView] = {
+        Layer.NETWORK: LayerView(Layer.NETWORK, *index_rows(ids, network))
+    }
     for layer in RESOURCE_LAYERS:
         vals = [resource_value(d, layer) for d in ordered]
         rows: list[dict[int, float]] = [{} for _ in ordered]
@@ -142,10 +131,3 @@ def build_multilayer(
                     rows[j][k] = w
         intra[layer] = LayerView(layer, ids, tuple(rows))
     return MultilayerGraph(devices=ordered, intra_edges=intra)
-
-
-def layer_view(graph: MultilayerGraph, layer: Layer) -> LayerView:
-    """The stored view of one layer."""
-    if layer not in graph.layers:
-        raise ValueError(f"unknown layer {layer!r}")
-    return graph.intra_edges[layer]

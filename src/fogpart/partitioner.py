@@ -17,14 +17,10 @@ from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import Device
-from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, index_rows, layer_view
+from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, index_rows
 
 #: Minimum improvement treated as a strictly positive modularity gain.
 GAIN_EPS = 1e-12
-
-
-class EmptyPartitionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,7 @@ class FeaturePartitionSet:
 
     feature_partitions: Mapping[int, frozenset[CompressedNode]]
     device_index: Mapping[int, frozenset[int]]
+    features: Mapping[CompressedNode, FeatureTriplet]
     modularity: float
 
     def ids(self) -> tuple[int, ...]:
@@ -340,19 +337,6 @@ def _label_partitions(parts: Iterable[frozenset]) -> list[frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def modularity(view: LayerView, assignment: Mapping[int, int]) -> float:
-    """Single-layer modularity of a device-to-partition assignment.
-
-    An edgeless view scores 0 by convention. The all-in-one partition scores
-    exactly 0 on any view; values always lie in [-1, 1].
-    """
-    missing = [n for n in view.nodes if n not in assignment]
-    if missing:
-        raise ValueError(f"assignment misses nodes {missing[:5]}")
-    comm = [assignment[nid] for nid in view.nodes]
-    return _modularity_raw(view.rows, [0.0] * len(view.nodes), comm)
-
-
 def louvain_partition(view: LayerView) -> PartitionSet:
     """Two-phase Louvain partitioning of one layer.
 
@@ -383,8 +367,6 @@ def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
     ``set.update`` in a fixed order.
     """
     devs = list(devices)
-    if not devs:
-        raise EmptyPartitionError("cannot compute the feature of an empty partition")
     n = len(devs)
     return FeatureTriplet(
         avg_cpu=sum(d.cpu_speed for d in devs) / n,
@@ -395,7 +377,7 @@ def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
 
 def compress_graph(
     partition_sets: Sequence[PartitionSet],
-    devices: Mapping[int, Device] | Sequence[Device],
+    devices: Mapping[int, Device],
 ) -> CompressedGraph:
     """Merge resource-layer partitions into nodes linked by shared devices.
 
@@ -406,11 +388,6 @@ def compress_graph(
     """
     if not partition_sets:
         raise ValueError("need at least one partition set to compress")
-    by_id: Mapping[int, Device]
-    if isinstance(devices, Mapping):
-        by_id = devices
-    else:
-        by_id = {d.id: d for d in devices}
 
     nodes: list[CompressedNode] = []
     members: dict[CompressedNode, frozenset[int]] = {}
@@ -429,7 +406,7 @@ def compress_graph(
             node_b = (ps_b.layer, ps_b.assignment[dev])
             edges.add((node_a, node_b) if node_a < node_b else (node_b, node_a))
 
-    features = {node: partition_feature(by_id[d] for d in devs) for node, devs in members.items()}
+    features = {node: partition_feature(devices[d] for d in devs) for node, devs in members.items()}
     return CompressedGraph(
         nodes=tuple(sorted(nodes)),
         edges=tuple(sorted(edges)),
@@ -442,7 +419,8 @@ def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
     """Louvain over the compressed graph, weighted by feature similarity.
 
     Edge weights are 1 / (1 + euclidean feature distance) so that clusters
-    group layer partitions with similar average resources.
+    group layer partitions with similar average resources. The result keeps
+    the compressed graph's features, which placement scores services against.
     """
     if not cg.nodes:
         raise ValueError("cannot feature-partition an empty compressed graph")
@@ -456,27 +434,27 @@ def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
         for node in nodes:
             devs.update(cg.members[node])
         device_index[fp_id] = frozenset(devs)
-    return FeaturePartitionSet(feature_partitions, device_index, q)
+    return FeaturePartitionSet(feature_partitions, device_index, cg.features, q)
 
 
 def multilayer_resource_partition(
     graph: MultilayerGraph,
-) -> tuple[FeaturePartitionSet, PartitionSet, dict[Layer, PartitionSet], CompressedGraph]:
+) -> tuple[FeaturePartitionSet, PartitionSet, dict[Layer, PartitionSet]]:
     """End-to-end partitioning pipeline.
 
     Partitions all four layers independently, compresses the resource
     layers, computes per-partition feature triplets, and clusters the
     compressed graph. Returns (feature partitions, network partitions,
-    per-resource-layer partitions, compressed graph); the trailing two are
-    exposed for reporting and diagnostics.
+    per-resource-layer partitions); placement reads the first two, and the
+    layer partitions are kept for reporting.
     """
-    network = louvain_partition(layer_view(graph, Layer.NETWORK))
+    network = louvain_partition(graph.intra_edges[Layer.NETWORK])
     layer_sets: dict[Layer, PartitionSet] = {}
     for layer in RESOURCE_LAYERS:
-        layer_sets[layer] = louvain_partition(layer_view(graph, layer))
+        layer_sets[layer] = louvain_partition(graph.intra_edges[layer])
     cg = compress_graph(
         [layer_sets[layer] for layer in RESOURCE_LAYERS],
         {d.id: d for d in graph.devices},
     )
     fps = feature_partition(cg)
-    return fps, network, layer_sets, cg
+    return fps, network, layer_sets

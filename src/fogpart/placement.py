@@ -27,18 +27,12 @@ from .model import (
     PlacementPlan,
     Service,
     Topology,
-    UnplacedDependencyError,
     UnreachableError,
     User,
     placement_valid,
     response_times,
 )
-from .partitioner import (
-    CompressedGraph,
-    FeaturePartitionSet,
-    FeatureTriplet,
-    PartitionSet,
-)
+from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 
 STRATEGIES = ("multilayer", "first_fit", "connectivity_greedy")
 
@@ -134,7 +128,6 @@ class PlacementContext:
         devices: Mapping[int, Device],
         topology: Topology,
         feature_partitions: FeaturePartitionSet,
-        compressed: CompressedGraph,
         network: PartitionSet,
         users: Mapping[int, User],
         config: FitnessConfig,
@@ -142,7 +135,6 @@ class PlacementContext:
         self.devices = devices
         self.topology = topology
         self.fps = feature_partitions
-        self.compressed = compressed
         self.network = network
         self.users = users
         self.config = config
@@ -234,7 +226,7 @@ def _score(
     """
     members = ctx.fps.feature_partitions[fp_id]
     max_sim = max(
-        demand_similarity(ctx.compressed.features[node], service, config.normalization_ranges)
+        demand_similarity(ctx.fps.features[node], service, config.normalization_ranges)
         for node in members
     )
     if proximity_term is None:
@@ -370,7 +362,6 @@ def run_placement(
     users: Mapping[int, User],
     strategy: str,
     feature_partitions: FeaturePartitionSet | None = None,
-    compressed: CompressedGraph | None = None,
     network: PartitionSet | None = None,
     alpha: float = 0.5,
     beta: float = 0.5,
@@ -389,16 +380,14 @@ def run_placement(
     ordered = sort_applications(instances)
 
     if strategy == "multilayer":
-        if feature_partitions is None or compressed is None or network is None:
+        if feature_partitions is None or network is None:
             raise ValueError("multilayer strategy requires partitioning results")
         config = FitnessConfig(
             alpha=alpha,
             beta=beta,
             normalization_ranges=normalization_ranges(fresh.values(), ordered),
         )
-        ctx = PlacementContext(
-            fresh, topology, feature_partitions, compressed, network, users, config
-        )
+        ctx = PlacementContext(fresh, topology, feature_partitions, network, users, config)
         place = partial(select_feature_partitions, ctx=ctx)
     elif strategy == "first_fit":
         place = partial(baseline_first_fit, devices=fresh)
@@ -418,7 +407,7 @@ def run_placement(
             plan.per_service_rt, plan.app_rt = response_times(
                 app, plan.assignment, topology, user.gateway
             )
-        except (UnplacedDependencyError, UnreachableError):
+        except UnreachableError:
             pass
 
     return PlacementRun(plans=plans, devices=fresh)

@@ -200,21 +200,17 @@ def generate_topology(
     return devices, links, gateways, cloud_id
 
 
-def generate_applications(
-    cfg: ScenarioConfig, count: int, rng: random.Random | None = None
-) -> list[Application]:
-    """Application templates: growing-network DAGs with sampled demands.
+def generate_applications(cfg: ScenarioConfig) -> list[Application]:
+    """``cfg.app_count`` application templates: growing-network DAGs, sampled demands.
 
     Each new service attaches by one directed message edge from an earlier
     service, so every service is reachable from the entry service (id 0),
     which receives the single initial request message.
     """
-    if count < 1:
-        raise ConfigError("application count must be positive")
-    rng = rng if rng is not None else _rng(cfg.seed, "apps")
+    rng = _rng(cfg.seed, "apps")
     size_lo, size_hi = cfg.message_size_range_kb
     apps = []
-    for app_id in range(count):
+    for app_id in range(cfg.app_count):
         n_services = rng.randint(*cfg.service_count_range)
         services = [
             Service(
@@ -251,10 +247,7 @@ def generate_applications(
 
 
 def generate_users(
-    cfg: ScenarioConfig,
-    gateways: Sequence[int],
-    app_count: int | None = None,
-    rng: random.Random | None = None,
+    cfg: ScenarioConfig, gateways: Sequence[int]
 ) -> tuple[list[User], list[AppRequest], list[tuple[float, int]]]:
     """Users pinned to random gateways, each requesting one random application.
 
@@ -263,14 +256,14 @@ def generate_users(
     """
     if not gateways:
         raise ConfigError("cannot attach users without gateways")
-    rng = rng if rng is not None else _rng(cfg.seed, "users")
-    app_count = app_count if app_count is not None else cfg.app_count
+    rng = _rng(cfg.seed, "users")
     ordered_gateways = sorted(gateways)
     users = []
     requests = []
     for uid in range(cfg.user_count):
         users.append(User(id=uid, gateway=rng.choice(ordered_gateways)))
-        requests.append(AppRequest(request_id=uid, user_id=uid, app_id=rng.randrange(app_count)))
+        app_id = rng.randrange(cfg.app_count)
+        requests.append(AppRequest(request_id=uid, user_id=uid, app_id=app_id))
 
     schedule: list[tuple[float, int]] = []
     if cfg.deadline_mode:
@@ -288,7 +281,7 @@ def generate_users(
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Full scenario bundle from one config and seed."""
     devices, links, gateways, cloud_id = generate_topology(cfg)
-    apps = generate_applications(cfg, cfg.app_count)
+    apps = generate_applications(cfg)
     users, requests, schedule = generate_users(cfg, gateways)
     return Scenario(
         config=cfg,

@@ -1,7 +1,14 @@
 """Versioned JSON/CSV file formats for scenario bundles, partitions, and plans.
 
 All JSON documents carry a ``schema_version`` field, are key-sorted, and
-end with a newline, so identical inputs serialize to identical bytes.
+end with a newline, so identical inputs serialize to identical bytes. Each
+kind of document has its own version, and a reader accepts only that one:
+
+- ``scenario.json``: 1;
+- ``partitions.json``: 2, which holds the network and resource-layer
+  partitions and the feature partitions with their members, devices and
+  stored feature triplets (version 1 also held the compressed graph);
+- ``plans.json``: 1.
 """
 
 from __future__ import annotations
@@ -14,16 +21,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service, User
 from .multilayer import Layer
-from .partitioner import (
-    CompressedGraph,
-    CompressedNode,
-    FeaturePartitionSet,
-    FeatureTriplet,
-    PartitionSet,
-)
+from .partitioner import CompressedNode, FeaturePartitionSet, FeatureTriplet, PartitionSet
 from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
-SCHEMA_VERSION = 1
+#: document kind -> the one schema_version its reader accepts
+SCHEMA_VERSIONS = {"scenario": 1, "partitions": 2, "plans": 1}
 
 INVALID_MARK = "invalid"
 
@@ -106,7 +108,7 @@ def _app_from_dict(data: Mapping[str, Any]) -> Application:
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSIONS["scenario"],
         "config": config_to_dict(scenario.config),
         "devices": [
             {
@@ -193,23 +195,12 @@ def partitions_to_dict(
     fps: FeaturePartitionSet,
     network: PartitionSet,
     layer_sets: Mapping[Layer, PartitionSet],
-    compressed: CompressedGraph,
 ) -> dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "replica_coupling": "feature-partition",
+        "schema_version": SCHEMA_VERSIONS["partitions"],
         "network": _partition_set_to_dict(network),
         "resource_layers": {
             layer.name: _partition_set_to_dict(ps) for layer, ps in layer_sets.items()
-        },
-        "compressed": {
-            "nodes": [_node_key(n) for n in compressed.nodes],
-            "edges": [[_node_key(a), _node_key(b)] for a, b in compressed.edges],
-            "members": {_node_key(n): sorted(devs) for n, devs in compressed.members.items()},
-            "features": {
-                _node_key(n): [f.avg_cpu, f.avg_mem, f.avg_storage]
-                for n, f in compressed.features.items()
-            },
         },
         "feature_partitions": {
             "modularity": fps.modularity,
@@ -220,28 +211,17 @@ def partitions_to_dict(
             "device_index": {
                 str(fp): sorted(devs) for fp, devs in fps.device_index.items()
             },
+            "features": {
+                _node_key(n): [f.avg_cpu, f.avg_mem, f.avg_storage]
+                for n, f in fps.features.items()
+            },
         },
     }
 
 
-def partitions_from_dict(
-    data: Mapping[str, Any],
-) -> tuple[FeaturePartitionSet, PartitionSet, dict[Layer, PartitionSet], CompressedGraph]:
+def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, PartitionSet]:
+    """The feature partitions and network partitions, the parts placement reads."""
     _check_version(data, "partitions")
-    network = _partition_set_from_dict(data["network"])
-    layer_sets = {
-        Layer[name]: _partition_set_from_dict(ps)
-        for name, ps in data["resource_layers"].items()
-    }
-    comp = data["compressed"]
-    compressed = CompressedGraph(
-        nodes=tuple(_node_from_key(k) for k in comp["nodes"]),
-        edges=tuple((_node_from_key(a), _node_from_key(b)) for a, b in comp["edges"]),
-        members={_node_from_key(k): frozenset(v) for k, v in comp["members"].items()},
-        features={
-            _node_from_key(k): FeatureTriplet(*vals) for k, vals in comp["features"].items()
-        },
-    )
     fp_data = data["feature_partitions"]
     fps = FeaturePartitionSet(
         feature_partitions={
@@ -249,9 +229,12 @@ def partitions_from_dict(
             for fp, nodes in fp_data["members"].items()
         },
         device_index={int(fp): frozenset(devs) for fp, devs in fp_data["device_index"].items()},
+        features={
+            _node_from_key(k): FeatureTriplet(*vals) for k, vals in fp_data["features"].items()
+        },
         modularity=fp_data["modularity"],
     )
-    return fps, network, layer_sets, compressed
+    return fps, _partition_set_from_dict(data["network"])
 
 
 # -- placement plans ---------------------------------------------------------
@@ -274,7 +257,7 @@ def plans_to_dict(
             "app_rt_ms": plan.app_rt,
         }
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSIONS["plans"],
         "strategy": strategy,
         "alpha": alpha,
         "beta": beta,
@@ -300,5 +283,6 @@ def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], 
 
 def _check_version(data: Mapping[str, Any], kind: str) -> None:
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{kind} document has schema_version {version!r}, expected {SCHEMA_VERSION}")
+    expected = SCHEMA_VERSIONS[kind]
+    if version != expected:
+        raise ValueError(f"{kind} document has schema_version {version!r}, expected {expected}")

@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .model import (
     Application,
@@ -94,6 +94,10 @@ def run(
     otherwise the response time decides between satisfied and missed. The
     verdict is computed once per request and failure epoch: the memo is
     emptied at each death, since epochs never recur.
+
+    Raises ValueError for a plan of a request the scenario lacks, one that
+    does not assign exactly its app's services, or one that names a device
+    outside the scenario.
     """
     if mode not in (RELIABLE, FAULTY):
         raise ValueError(f"unknown mode {mode!r}")
@@ -105,6 +109,7 @@ def run(
     topology = scenario.topology()
     users = scenario.users_by_id()
     instances = {inst.id: inst for inst in scenario.instances()}
+    _check_plans(plans, instances, topology.devices.keys())
 
     requests = sorted((e for e in scenario.schedule if e[0] <= horizon), key=itemgetter(0))
     outcomes: list[RequestOutcome] = []
@@ -124,6 +129,30 @@ def run(
         outcomes.append(RequestOutcome(time_s, request_id, *verdict))
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
     return SimulationResult(mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=deaths)
+
+
+def _check_plans(
+    plans: Mapping[int, PlacementPlan],
+    instances: Mapping[int, Application],
+    device_ids: Container[int],
+) -> None:
+    """Reject plans read from outside that the scenario cannot replay."""
+    for request_id, plan in plans.items():
+        app = instances.get(request_id)
+        if app is None:
+            raise ValueError(f"plan of request {request_id}: the scenario has no such request")
+        services = {s.id for s in app.services}
+        if plan.assignment.keys() != services:
+            raise ValueError(
+                f"plan of request {request_id} assigns services {sorted(plan.assignment)}, "
+                f"but its app has services {sorted(services)}"
+            )
+        for sid, host in plan.assignment.items():
+            if host is not None and host not in device_ids:
+                raise ValueError(
+                    f"plan of request {request_id} places service {sid} on device {host}, "
+                    "which is not in the scenario"
+                )
 
 
 def _classify(

@@ -7,7 +7,12 @@ import itertools
 import pytest
 
 from fogpart.model import Device
-from fogpart.multilayer import Layer, LayerView, make_layer_view
+from fogpart.multilayer import Layer, LayerView, index_rows
+
+
+def make_view(layer: Layer, node_ids, edges) -> LayerView:
+    """A LayerView from an undirected (i < j) edge-weight mapping."""
+    return LayerView(layer, *index_rows(node_ids, edges))
 
 
 def fig_devices() -> dict[int, Device]:
@@ -22,12 +27,12 @@ def fig_devices() -> dict[int, Device]:
 
 def triangle_view() -> LayerView:
     """Layer with a unit-weight triangle d1-d2-d3 and an isolated d4."""
-    return make_layer_view(Layer.CPU, [1, 2, 3, 4], {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    return make_view(Layer.CPU, [1, 2, 3, 4], {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
 
 
 def two_pairs_view() -> LayerView:
     """Layer with unit edges (d1,d2) and (d3,d4)."""
-    return make_layer_view(Layer.MEM, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
+    return make_view(Layer.MEM, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
 
 
 @pytest.fixture

@@ -63,6 +63,57 @@ def wrong_schema_version(scenario, tmp):
     return ["partition", "--scenario", str(tmp / "scenario.json")]
 
 
+def generated(tmp, name, device_count):
+    """A scenario.json of ``device_count`` fog devices plus the cloud."""
+    config = tmp / f"{name}.json"
+    config.write_text(json.dumps({"device_count": device_count, "gateway_count": 3, "horizon_s": 10.0}))
+    assert cli.main(["generate", "--config", str(config), "--out", str(tmp / name)]) == 0
+    return tmp / name / "scenario.json"
+
+
+def partitioned(scenario, tmp):
+    assert cli.main(["partition", "--scenario", str(scenario), "--out", str(tmp / "partition")]) == 0
+    return tmp / "partition" / "partitions.json"
+
+
+def partitions_of_smaller_scenario(scenario, tmp):
+    partitions = partitioned(generated(tmp, "small", 8), tmp)
+    return ["place", "--scenario", str(scenario), "--partitions", str(partitions)]
+
+
+def partitions_of_larger_scenario(scenario, tmp):
+    partitions = partitioned(scenario, tmp)
+    return [
+        "place", "--scenario", str(generated(tmp, "small", 8)), "--partitions", str(partitions),
+        "--strategy", "connectivity_greedy",
+    ]
+
+
+def partitions_schema_1(scenario, tmp):
+    path = partitioned(scenario, tmp)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), schema_version=1)))
+    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+
+
+def edited_plans(scenario, tmp, edit):
+    """First-fit plans of ``scenario`` with ``edit`` applied to request 0's assignment."""
+    place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
+    assert cli.main(place) == 0
+    path = tmp / "place" / "plans.json"
+    data = json.loads(path.read_text())
+    edit(data["plans"]["0"]["assignment"])
+    path.write_text(json.dumps(data))
+    return ["simulate", "--scenario", str(scenario), "--plans", str(path)]
+
+
+def plan_omits_a_service(scenario, tmp):
+    return edited_plans(scenario, tmp, lambda assignment: assignment.pop("0"))
+
+
+def plan_names_unknown_device(scenario, tmp):
+    return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": 99999}))
+
+
 #: builder of a bad command line -> the reason its error message must give
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
@@ -71,6 +122,11 @@ BAD_INPUTS = [
     (negative_alpha, "alpha and beta must be non-negative"),
     (report_without_metrics, "has no metrics.json"),
     (wrong_schema_version, "schema_version 99"),
+    (partitions_of_smaller_scenario, "built for another scenario"),
+    (partitions_of_larger_scenario, "built for another scenario"),
+    (partitions_schema_1, "schema_version 1"),
+    (plan_omits_a_service, "plan of request 0 assigns services"),
+    (plan_names_unknown_device, "on device 99999, which is not in the scenario"),
 ]
 
 

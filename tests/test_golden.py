@@ -13,8 +13,10 @@ similarity layer (twice on CPU and STORAGE) and compression yields 3
 feature partitions. The expected hashes were captured from the code before
 placement routed once per gateway (the ``-d5000`` case: before the
 simulator classified once per failure epoch; ``LARGE-n200-seed0``: before
-the similarity layers were stored as index-ordered rows). A change that
-moves any of them changes program output.
+the similarity layers were stored as index-ordered rows). The five
+``partition/partitions.json`` hashes moved with partitions schema 2, which
+drops the compressed graph and keeps the feature triplets under
+``feature_partitions``. A change that moves any of them changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -52,7 +54,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "bc76162166561cf9ad43ee12f0935199c7e4816c33659eabd5e55618d2bd0f31",
+            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -100,7 +102,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "bc76162166561cf9ad43ee12f0935199c7e4816c33659eabd5e55618d2bd0f31",
+            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -148,7 +150,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "bb381d5f1bbd939361cd95aca91cc4bd0d9dbe6569a61e1ecc22950ecc2530fb",
         "partition/partitions.json":
-            "44ed6668ed8c671cd48126a72c29987ffb3cea34d32fea4fb4fbf516dc419743",
+            "5ac6db9e8b6d23412602f086e891a34173a8833858254c719678256fe95cc2f8",
         "place/connectivity_greedy/metrics.json":
             "c656dcecb6e52bbd23ec8c581b0c6ee1050d97d45b89a59ed178ad0eb6a513ed",
         "place/connectivity_greedy/plans.json":
@@ -168,7 +170,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "bc76162166561cf9ad43ee12f0935199c7e4816c33659eabd5e55618d2bd0f31",
+            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
         "place/connectivity_greedy/metrics.json":
             "deff9ac8639d10562dadc330b899152208ac0fff401f7e0d5824b99834ed8668",
         "place/connectivity_greedy/plans.json":
@@ -188,7 +190,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "b9f970f97d398f9423737f3cf815cb8c84ac2733f20ebfa63193727370376c87",
         "partition/partitions.json":
-            "afc17911e4aac669c4898eca2be3cf573944dfbadc9503cd1e64c7f952d83960",
+            "bcbecb0431e040a535eb8427c728a0775c7ba56a19ab300748bbed85c631df45",
         "place/connectivity_greedy/metrics.json":
             "8cbce99c48bdd191da885d9839feff283fd78a4a2aad896807d94690e0821b07",
         "place/connectivity_greedy/plans.json":

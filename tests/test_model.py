@@ -42,10 +42,6 @@ class TestDevice:
         with pytest.raises(ValueError):
             Device(0, 10, 20.0, -1.0, 10.0)
 
-    def test_rejects_residual_above_capacity(self):
-        with pytest.raises(ValueError):
-            Device(0, 10, 20.0, 10.0, 10.0, residual_mem=11.0)
-
 
 class TestPlacementValid:
     def test_fresh_device_accepts_small_service(self):

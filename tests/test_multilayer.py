@@ -14,9 +14,9 @@ from fogpart.multilayer import (
     Layer,
     RESOURCE_LAYERS,
     build_multilayer,
-    layer_view,
-    make_layer_view,
 )
+
+from conftest import make_view
 
 
 def devices_with_speeds(speeds):
@@ -25,7 +25,7 @@ def devices_with_speeds(speeds):
 
 def similarity(d_i, d_j, layer):
     """The weight ``build_multilayer`` stores for the pair, checked in both rows."""
-    view = layer_view(build_multilayer([d_i, d_j], []), layer)
+    view = build_multilayer([d_i, d_j], []).intra_edges[layer]
     assert view.rows[0][1] == view.rows[1][0]
     return view.rows[0][1]
 
@@ -107,7 +107,7 @@ class TestLayerView:
     def test_network_view_mirrors_links(self):
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
-        view = layer_view(g, Layer.NETWORK)
+        view = g.intra_edges[Layer.NETWORK]
         assert view.nodes == (0, 1, 2, 3)
         assert view.rows == (
             {1: 1.0},
@@ -117,7 +117,7 @@ class TestLayerView:
         )
 
     def test_rows_index_ascending_ids_in_ascending_order(self):
-        view = make_layer_view(Layer.CPU, [5, 1, 3], {(3, 5): 0.5, (1, 5): 0.25, (1, 3): 1.0})
+        view = make_view(Layer.CPU, [5, 1, 3], {(3, 5): 0.5, (1, 5): 0.25, (1, 3): 1.0})
         assert view.nodes == (1, 3, 5)
         assert [list(row.items()) for row in view.rows] == [
             [(1, 1.0), (2, 0.25)],
@@ -129,5 +129,6 @@ class TestLayerView:
     def test_every_device_in_every_layer(self):
         devices, links = small_infrastructure()
         g = build_multilayer(devices, links)
-        for layer in g.layers:
-            assert layer_view(g, layer).nodes == (0, 1, 2, 3)
+        assert list(g.intra_edges) == list(Layer)
+        for view in g.intra_edges.values():
+            assert view.nodes == (0, 1, 2, 3)

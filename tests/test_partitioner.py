@@ -13,6 +13,7 @@ from conftest import (
     assignment_of,
     best_partition_bruteforce,
     fig_devices,
+    make_view,
     set_partitions,
     triangle_view,
     two_pairs_view,
@@ -24,19 +25,15 @@ from fogpart.multilayer import (
     RESOURCE_LAYERS,
     build_multilayer,
     index_rows,
-    layer_view,
-    make_layer_view,
     resource_value,
 )
 from fogpart import partitioner
 from fogpart.partitioner import (
     GAIN_EPS,
-    EmptyPartitionError,
     FeatureTriplet,
     compress_graph,
     feature_partition,
     louvain_partition,
-    modularity,
     multilayer_resource_partition,
     partition_feature,
     _label_partitions,
@@ -53,7 +50,13 @@ def random_view(rng, n=None, p=0.5):
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges[(i, j)] = rng.uniform(0.1, 2.0)
-    return make_layer_view(Layer.CPU, range(n), edges)
+    return make_view(Layer.CPU, range(n), edges)
+
+
+def modularity(view, assignment):
+    """Single-layer modularity of a device-to-partition assignment, from the frozen pass."""
+    comm = [assignment[nid] for nid in view.nodes]
+    return frozen_modularity_raw(view.rows, [0.0] * len(view.nodes), comm)
 
 
 class TestModularity:
@@ -74,12 +77,8 @@ class TestModularity:
         assert target >= modularity(view, {1: 1, 2: 2, 3: 3, 4: 4})
 
     def test_edgeless_view_scores_zero(self):
-        view = make_layer_view(Layer.CPU, [0, 1, 2], {})
+        view = make_view(Layer.CPU, [0, 1, 2], {})
         assert modularity(view, {0: 0, 1: 1, 2: 2}) == 0.0
-
-    def test_incomplete_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            modularity(triangle_view(), {1: 0})
 
     def test_bounded(self):
         rng = random.Random(5)
@@ -196,10 +195,6 @@ class TestPartitionFeature:
         devs = [Device(i, 10, 20.0, 10.0, 10.0) for i in range(3)]
         assert partition_feature(devs) == FeatureTriplet(20.0, 10.0, 10.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyPartitionError):
-            partition_feature([])
-
     def test_sum_follows_frozenset_iteration_order(self):
         # equal sets built in a different order iterate differently, and the
         # float sum follows that order; pinned, not fixed (see the docstring)
@@ -230,8 +225,8 @@ class TestCompressGraph:
 
     def test_identical_partitions_yield_matching(self):
         devices = fig_devices()
-        view_a = make_layer_view(Layer.CPU, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
-        view_b = make_layer_view(Layer.MEM, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
+        view_a = make_view(Layer.CPU, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
+        view_b = make_view(Layer.MEM, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
         cg = compress_graph(
             [louvain_partition(view_a), louvain_partition(view_b)], devices
         )
@@ -292,7 +287,7 @@ class TestFeaturePartition:
             w = 1.0 / (1.0 + cg.features[a].distance(cg.features[b]))
             adjacency[a][b] = w
             adjacency[b][a] = w
-        view_like = make_layer_view(
+        view_like = make_view(
             Layer.CPU,
             range(len(cg.nodes)),
             {
@@ -314,6 +309,10 @@ class TestFeaturePartition:
         fps = feature_partition(cg)
         assert len(fps.feature_partitions) == 1
 
+    def test_keeps_compressed_features(self):
+        cg = self.build_cg()
+        assert feature_partition(cg).features == cg.features
+
     def test_device_index_unions_members(self):
         fps = feature_partition(self.build_cg())
         assert fps.device_index[0] == frozenset({1, 2, 3})
@@ -333,7 +332,7 @@ class TestPipeline:
     def test_single_device_infrastructure(self):
         devices = [Device(0, 10, 20.0, 10.0, 10.0)]
         g = build_multilayer(devices, [])
-        fps, network, layer_sets, cg = multilayer_resource_partition(g)
+        fps, network, layer_sets = multilayer_resource_partition(g)
         assert len(network.partitions) == 1
         assert len(fps.feature_partitions) == 1
 
@@ -347,7 +346,7 @@ class TestPipeline:
         for i in range(1, 60):
             links.append(NetworkLink(rng.randrange(i), i, 75000.0, 5.0))
         g = build_multilayer(devices, links)
-        fps, network, layer_sets, cg = multilayer_resource_partition(g)
+        fps, network, layer_sets = multilayer_resource_partition(g)
         ids = {d.id for d in devices}
         # every device sits in exactly one network partition
         counts = {}
@@ -391,7 +390,7 @@ class TestNetworkPartitionsConnected:
     def test_generated_scenario(self, scale, seed):
         scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale(scale))
         graph = build_multilayer([d.fresh_copy() for d in scenario.devices], scenario.links)
-        network = louvain_partition(layer_view(graph, Layer.NETWORK))
+        network = louvain_partition(graph.intra_edges[Layer.NETWORK])
         topology = scenario.topology()
         for pid, members in network.partitions.items():
             # routing that treats every device outside the partition as dead
@@ -628,18 +627,18 @@ class TestRowsMatchReferencePath:
         devices, links, min_weight = infra
         graph = build_multilayer(devices, links, min_weight=min_weight)
         node_ids, intra = reference_edges(devices, links, min_weight)
-        for layer in graph.layers:
-            assert len(graph.intra_edges[layer]) == len(intra[layer])
+        for layer, view in graph.intra_edges.items():
+            assert len(view) == len(intra[layer])
         layer_sets = {}
-        for layer in graph.layers:
-            ps = louvain_partition(layer_view(graph, layer))
+        for layer, view in graph.intra_edges.items():
+            ps = louvain_partition(view)
             parts, q = reference_louvain(node_ids, reference_adjacency(node_ids, intra[layer]))
             assert [list(p) for p in ps.partitions.values()] == [list(p) for p in parts]
             assert ps.assignment == {d: pid for pid, p in enumerate(parts) for d in p}
             assert ps.modularity == q
             layer_sets[layer] = ps
 
-        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], devices)
+        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], {d.id: d for d in devices})
         weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
         parts, q = reference_louvain(cg.nodes, reference_adjacency(cg.nodes, weights))
         fps = feature_partition(cg)
@@ -654,8 +653,7 @@ class TestNeverBelowSingletonsProperty:
         devices, links, min_weight = infra
         graph = build_multilayer(devices, links, min_weight=min_weight)
         layer_sets = {}
-        for layer in graph.layers:
-            view = layer_view(graph, layer)
+        for layer, view in graph.intra_edges.items():
             ps = louvain_partition(view)
             assert ps.modularity >= modularity(view, {n: n for n in view.nodes})
             singles = list(range(len(view.nodes)))
@@ -663,7 +661,7 @@ class TestNeverBelowSingletonsProperty:
             assert _singletons_modularity(view.rows, loops) == _modularity_raw(view.rows, loops, singles)
             layer_sets[layer] = ps
 
-        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], devices)
+        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], {d.id: d for d in devices})
         weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
         _, rows = index_rows(cg.nodes, weights)
         loops = [0.0] * len(rows)

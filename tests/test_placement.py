@@ -23,7 +23,6 @@ from fogpart.model import (
 )
 from fogpart.multilayer import Layer
 from fogpart.partitioner import (
-    CompressedGraph,
     FeaturePartitionSet,
     FeatureTriplet,
     PartitionSet,
@@ -55,7 +54,7 @@ def fitness(fp_id, service, user, config, ctx, message_size):
     ``PlacementContext.app_tables`` once per application.
     """
     max_sim = max(
-        demand_similarity(ctx.compressed.features[node], service, config.normalization_ranges)
+        demand_similarity(ctx.fps.features[node], service, config.normalization_ranges)
         for node in ctx.fps.feature_partitions[fp_id]
     )
     t_min = min(
@@ -125,26 +124,18 @@ def line_context(core_counts=(10, 10, 10, 10), alpha=0.5, beta=0.5):
         )
         for node, devs in members.items()
     }
-    compressed = CompressedGraph(
-        nodes=tuple(sorted(members)),
-        edges=(
-            ((Layer.CPU, 0), (Layer.MEM, 0)),
-            ((Layer.CPU, 1), (Layer.MEM, 1)),
-        ),
-        members=members,
-        features=features,
-    )
     fps = FeaturePartitionSet(
         feature_partitions={
             0: frozenset({(Layer.CPU, 0), (Layer.MEM, 0)}),
             1: frozenset({(Layer.CPU, 1), (Layer.MEM, 1)}),
         },
         device_index={0: frozenset({0, 1}), 1: frozenset({2, 3})},
+        features=features,
         modularity=0.0,
     )
     users = {0: User(0, gateway=0)}
     config = FitnessConfig(alpha=alpha, beta=beta, normalization_ranges=RANGES)
-    return PlacementContext(devices, topology, fps, compressed, network, users, config)
+    return PlacementContext(devices, topology, fps, network, users, config)
 
 
 def app_of(services, deadline=50000.0, size=1_500_000.0, app_id=0):
@@ -158,7 +149,7 @@ class TestFitness:
     def test_perfect_similarity_and_colocation(self):
         ctx = line_context()
         # service demand equal to FP0's feature; the gateway itself hosts it
-        feature = ctx.compressed.features[(Layer.CPU, 0)]
+        feature = ctx.fps.features[(Layer.CPU, 0)]
         s = Service(0, feature.avg_cpu, feature.avg_mem, feature.avg_storage)
         ranges = {
             "cpu": (feature.avg_cpu, 60.0),
@@ -172,7 +163,7 @@ class TestFitness:
 
     def test_twenty_five_ms_proximity_term(self):
         ctx = line_context()
-        feature = ctx.compressed.features[(Layer.CPU, 1)]
+        feature = ctx.fps.features[(Layer.CPU, 1)]
         s = Service(0, feature.avg_cpu, feature.avg_mem, feature.avg_storage)
         ranges = {
             "cpu": (20.0, max(60.0, feature.avg_cpu)),
@@ -189,11 +180,12 @@ class TestFitness:
         # perfect similarity with the nearest partition device one hop away:
         # 0.5 * 1 + 0.5 / (1 + 25 ms) = 0.5 + 0.5/26
         ctx = line_context()
-        feature = ctx.compressed.features[(Layer.CPU, 0)]
+        feature = ctx.fps.features[(Layer.CPU, 0)]
         s = Service(0, feature.avg_cpu, feature.avg_mem, feature.avg_storage)
         ctx.fps = FeaturePartitionSet(
             feature_partitions=ctx.fps.feature_partitions,
             device_index={0: frozenset({1}), 1: frozenset({2, 3})},
+            features=ctx.fps.features,
             modularity=0.0,
         )
         cfg = FitnessConfig(0.5, 0.5, {"cpu": (20.0, 60.0), "mem": (1.0, 200.0), "storage": (1.0, 200.0)})
@@ -207,7 +199,7 @@ class TestFitness:
         ctx.config = cfg
         s = Service(0, 25.0, 5.0, 5.0)
         sims = [
-            demand_similarity(ctx.compressed.features[node], s, RANGES)
+            demand_similarity(ctx.fps.features[node], s, RANGES)
             for node in ctx.fps.feature_partitions[0]
         ]
         assert fitness(0, s, ctx.users[0], cfg, ctx, 1.0) == pytest.approx(max(sims))
@@ -399,7 +391,6 @@ class TestBaselines:
             users,
             "multilayer",
             feature_partitions=ctx.fps,
-            compressed=ctx.compressed,
             network=network,
         )
         run_ff = run_placement(apps, devices, links, users, "first_fit")
@@ -437,10 +428,9 @@ class TestRunPlacementInvariants:
         from fogpart.partitioner import multilayer_resource_partition
 
         graph = build_multilayer([d.fresh_copy() for d in devices], links)
-        fps, network, _, cg = multilayer_resource_partition(graph)
+        fps, network, _ = multilayer_resource_partition(graph)
         run = run_placement(
-            apps, devices, links, users, self.strategy,
-            feature_partitions=fps, compressed=cg, network=network,
+            apps, devices, links, users, self.strategy, feature_partitions=fps, network=network
         )
         return run, network, devices, apps, links, users
 
@@ -554,13 +544,13 @@ class TestResidualsProperty:
         from fogpart.partitioner import multilayer_resource_partition
 
         devices, links, users, apps = inputs
-        fps, network, _, cg = multilayer_resource_partition(
+        fps, network, _ = multilayer_resource_partition(
             build_multilayer([d.fresh_copy() for d in devices], links)
         )
         for strategy in STRATEGIES:
             run = run_placement(
                 apps, devices, links, users, strategy,
-                feature_partitions=fps, compressed=cg, network=network,
+                feature_partitions=fps, network=network,
             )
             hosted = {d.id: 0 for d in devices}
             for plan in run.plans.values():
@@ -603,10 +593,10 @@ def ranking_inputs(draw):
         )
         for node, devs in members.items()
     }
-    compressed = CompressedGraph(tuple(sorted(members)), (), members, features)
     fps = FeaturePartitionSet(
         {fp: frozenset({(Layer.CPU, fp)}) for fp in range(len(labels))},
         {fp: members[(Layer.CPU, fp)] for fp in range(len(labels))},
+        features,
         0.0,
     )
     network = PartitionSet(Layer.NETWORK, {i: 0 for i in range(n)}, {0: frozenset(range(n))}, 0.0)
@@ -614,7 +604,7 @@ def ranking_inputs(draw):
     config = FitnessConfig(alpha, beta, RANGES)
     gateway = draw(st.integers(0, n - 1))
     users = {0: User(0, gateway=gateway)}
-    ctx = PlacementContext(devices, Topology(devices.values(), links), fps, compressed, network, users, config)
+    ctx = PlacementContext(devices, Topology(devices.values(), links), fps, network, users, config)
     service = Service(
         0,
         draw(st.floats(20.0, 60.0)),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -103,20 +104,20 @@ class TestTopology:
 class TestApplications:
     def test_service_counts_in_range(self):
         cfg = ScenarioConfig(seed=6)
-        apps = generate_applications(cfg, 200)
+        apps = generate_applications(replace(cfg, app_count=200))
         for app in apps:
             assert 2 <= len(app.services) <= 10
 
     def test_single_entry_and_acyclic_by_construction(self):
         cfg = ScenarioConfig(seed=7)
-        for app in generate_applications(cfg, 100):
+        for app in generate_applications(replace(cfg, app_count=100)):
             entries = [m for m in app.messages if m.source == USER]
             assert len(entries) == 1
             assert len(app.topological_order()) == len(app.services)
 
     def test_demands_within_ranges(self):
         cfg = ScenarioConfig(seed=8)
-        for app in generate_applications(cfg, 100):
+        for app in generate_applications(replace(cfg, app_count=100)):
             assert cfg.deadline_range_ms[0] <= app.deadline <= cfg.deadline_range_ms[1]
             for s in app.services:
                 assert cfg.workload_range[0] <= s.workload <= cfg.workload_range[1]
@@ -130,8 +131,8 @@ class TestApplications:
 
     def test_same_seed_same_apps(self):
         cfg = ScenarioConfig(seed=9)
-        a = generate_applications(cfg, 20)
-        b = generate_applications(cfg, 20)
+        a = generate_applications(replace(cfg, app_count=20))
+        b = generate_applications(replace(cfg, app_count=20))
         assert [x.deadline for x in a] == [x.deadline for x in b]
         assert [tuple(m.size for m in x.messages) for x in a] == [
             tuple(m.size for m in x.messages) for x in b

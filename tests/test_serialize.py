@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER, User
 from fogpart.multilayer import RESOURCE_LAYERS, Layer
-from fogpart.partitioner import CompressedGraph, FeaturePartitionSet, FeatureTriplet, PartitionSet
+from fogpart.partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig
 from fogpart.serialize import (
     config_from_dict,
@@ -132,15 +132,6 @@ def partition_results(draw):
     }
     nodes = tuple(sorted(members))
     features = {node: FeatureTriplet(draw(finite), draw(finite), draw(finite)) for node in nodes}
-    edges = tuple(
-        sorted(
-            (a, b)
-            for i, a in enumerate(nodes)
-            for b in nodes[i + 1:]
-            if a[0] != b[0] and members[a] & members[b]
-        )
-    )
-    cg = CompressedGraph(nodes=nodes, edges=edges, members=members, features=features)
     groups = {node: draw(st.integers(0, len(nodes) - 1)) for node in nodes}
     fp_ids = sorted(set(groups.values()))
     feature_partitions = {
@@ -149,8 +140,19 @@ def partition_results(draw):
     device_index = {
         fp: frozenset(d for n in ns for d in members[n]) for fp, ns in feature_partitions.items()
     }
-    fps = FeaturePartitionSet(feature_partitions, device_index, draw(finite))
-    return fps, network, layer_sets, cg
+    fps = FeaturePartitionSet(feature_partitions, device_index, features, draw(finite))
+    return fps, network, layer_sets
+
+
+def one_device_partitions():
+    """(feature partitions, network partitions, layer partitions) of one device."""
+    network = PartitionSet(Layer.NETWORK, {0: 0}, {0: frozenset({0})}, 0.0)
+    node = (Layer.CPU, 0)
+    fps = FeaturePartitionSet(
+        {0: frozenset({node})}, {0: frozenset({0})}, {node: FeatureTriplet(1.0, 2.0, 3.0)}, 0.0
+    )
+    layer_sets = {Layer.CPU: PartitionSet(Layer.CPU, {0: 0}, {0: frozenset({0})}, 0.0)}
+    return fps, network, layer_sets
 
 
 @st.composite
@@ -203,9 +205,15 @@ class TestPartitionsRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(partition_results())
     def test_round_trip(self, result):
-        fps, network, layer_sets, cg = result
-        data = through_json(partitions_to_dict(fps, network, layer_sets, cg))
-        assert partitions_from_dict(data) == (fps, network, layer_sets, cg)
+        fps, network, layer_sets = result
+        data = through_json(partitions_to_dict(fps, network, layer_sets))
+        assert partitions_from_dict(data) == (fps, network)
+
+    def test_no_compressed_graph_stored(self):
+        fps, network, layer_sets = one_device_partitions()
+        data = partitions_to_dict(fps, network, layer_sets)
+        assert sorted(data) == ["feature_partitions", "network", "resource_layers", "schema_version"]
+        assert data["feature_partitions"]["features"] == {"CPU:0": [1.0, 2.0, 3.0]}
 
 
 class TestPlansRoundTrip:
@@ -226,6 +234,7 @@ class TestPlansRoundTrip:
 
 class TestSchemaVersion:
     def documents(self):
+        """(reader, written document, the version each kind expects)."""
         scenario = Scenario(
             config=ScenarioConfig(),
             devices=[Device(0, 1, 1.0, 1.0, 1.0)],
@@ -236,26 +245,29 @@ class TestSchemaVersion:
             users=[],
             requests=[],
         )
-        ps = PartitionSet(Layer.NETWORK, {0: 0}, {0: frozenset({0})}, 0.0)
-        node = (Layer.CPU, 0)
-        cg = CompressedGraph((node,), (), {node: frozenset({0})}, {node: FeatureTriplet(1.0, 1.0, 1.0)})
-        fps = FeaturePartitionSet({0: frozenset({node})}, {0: frozenset({0})}, 0.0)
-        layer_sets = {Layer.CPU: PartitionSet(Layer.CPU, {0: 0}, {0: frozenset({0})}, 0.0)}
         return [
-            (scenario_from_dict, scenario_to_dict(scenario)),
-            (partitions_from_dict, partitions_to_dict(fps, ps, layer_sets, cg)),
-            (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5)),
+            (scenario_from_dict, scenario_to_dict(scenario), 1),
+            (partitions_from_dict, partitions_to_dict(*one_device_partitions()), 2),
+            (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 1),
         ]
 
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_each_kind_written_and_read_at_its_version(self):
+        for reader, data, expected in self.documents():
+            assert data["schema_version"] == expected
+            reader(data)
+            with pytest.raises(ValueError, match=f"schema_version '{expected}', expected {expected}"):
+                reader(dict(data, schema_version=str(expected)))
+
+    @pytest.mark.parametrize("version", [0, 1, 2, None])
     def test_wrong_version_rejected(self, version):
-        for reader, data in self.documents():
-            data = dict(data, schema_version=version)
-            with pytest.raises(ValueError, match="schema_version"):
-                reader(data)
+        # 1 covers partitions (no reader for version 1), 2 the other kinds
+        for reader, data, expected in self.documents():
+            if version != expected:
+                with pytest.raises(ValueError, match=f"schema_version {version!r}, expected {expected}"):
+                    reader(dict(data, schema_version=version))
 
     def test_missing_version_rejected(self):
-        for reader, data in self.documents():
+        for reader, data, _ in self.documents():
             data = dict(data)
             del data["schema_version"]
             with pytest.raises(ValueError, match="schema_version"):

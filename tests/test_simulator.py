@@ -103,6 +103,24 @@ class TestReliableRun:
         assert result.outcomes == []
 
 
+class TestPlansChecked:
+    """Plans come from a file, so ``run`` rejects those its scenario cannot replay."""
+
+    @pytest.mark.parametrize(
+        "plans, reason",
+        [
+            ({0: PlacementPlan(assignment={0: 1})}, "assigns services"),
+            ({0: PlacementPlan(assignment={0: 1, 1: 99999})}, "on device 99999"),
+            ({7: PlacementPlan(assignment={0: 1, 1: 1})}, "no such request"),
+        ],
+        ids=["omits_a_service", "unknown_device", "unknown_request"],
+    )
+    def test_rejected_naming_the_request(self, plans, reason):
+        (request_id,) = plans
+        with pytest.raises(ValueError, match=f"plan of request {request_id}.*{reason}"):
+            simulator.run(tiny_scenario(), plans, mode=RELIABLE)
+
+
 class TestFaultyRun:
     def test_all_fog_devices_dead_by_horizon(self):
         sc = tiny_scenario(horizon=60.0, period=1.0)
