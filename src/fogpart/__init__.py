@@ -28,17 +28,7 @@ from .partitioner import (
     multilayer_resource_partition,
     partition_feature,
 )
-from .placement import (
-    FitnessConfig,
-    PlacementContext,
-    baseline_connectivity_greedy,
-    baseline_first_fit,
-    demand_similarity,
-    place_service,
-    run_placement,
-    select_feature_partitions,
-    sort_applications,
-)
+from .placement import demand_similarity, place_service, run_placement, sort_applications
 from .scenario import (
     AppRequest,
     Scenario,

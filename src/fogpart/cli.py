@@ -141,8 +141,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_place(args: argparse.Namespace) -> int:
-    if args.alpha < 0 or args.beta < 0 or args.alpha + args.beta <= 0:
-        raise ConfigError("alpha and beta must be non-negative with a positive sum")
     scenario = scenario_from_dict(load_json(args.scenario))
     fps = network = None
     if args.strategy == "multilayer" or args.strategy == "connectivity_greedy":

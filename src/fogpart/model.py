@@ -43,7 +43,6 @@ class Device:
     residual_cores: int = field(init=False)
     residual_mem: float = field(init=False)
     residual_storage: float = field(init=False)
-    alive: bool = True
 
     def __post_init__(self) -> None:
         if self.cpu_speed <= 0 or self.mem <= 0 or self.storage <= 0:
@@ -55,7 +54,7 @@ class Device:
         self.residual_storage = self.storage
 
     def fresh_copy(self) -> "Device":
-        """A pristine copy: full residuals, alive."""
+        """A pristine copy with full residuals."""
         return Device(self.id, self.cores, self.cpu_speed, self.mem, self.storage)
 
 
@@ -340,8 +339,7 @@ def placement_valid(service: Service, device: Device, deadline_ms: float) -> boo
     available in the device residuals.
     """
     return (
-        device.alive
-        and device.residual_cores >= 1
+        device.residual_cores >= 1
         and service.workload / device.cpu_speed <= deadline_ms
         and service.mem_demand <= device.residual_mem
         and service.storage_demand <= device.residual_storage

@@ -1,25 +1,28 @@
-"""Deadline-ordered service placement: one admission scan, three candidate orders.
+"""Deadline-ordered service placement: one loop, three candidate orders.
 
-Every strategy places an application's services in topological order, and
-each service goes to the first device of a candidate order that passes
-``placement_valid`` (``place_service``). The strategies differ only in the
-order they offer:
+``run_placement`` walks the applications by ascending deadline
+(``sort_applications``) and each application's services in topological
+order. Every service goes to the first device of a candidate order that
+passes ``placement_valid`` (``place_service``). The strategies differ only in
+the order they offer:
 
 - ``first_fit``: every device, by ascending id;
 - ``connectivity_greedy``: the members, ascending, of the network partition
-  with the most residual units when the application arrives;
-- ``multilayer``: feature partitions by descending fitness (a weighted mix of
-  demand similarity and user proximity), each partition's devices by
-  ascending transmission time, skipping devices outside the network
-  partition anchored by the application's first placed service.
+  with the most residual units when the application arrives
+  (``fullest_partition``);
+- ``multilayer``: feature partitions by descending fitness
+  (``rank_feature_partitions``, a weighted mix of ``demand_similarity`` and
+  the user-proximity term from ``app_tables``), each partition's devices by
+  ascending transmission time from the user's gateway, skipping devices
+  outside the network partition anchored by the application's first placed
+  service.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     Application,
@@ -37,21 +40,6 @@ from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 STRATEGIES = ("multilayer", "first_fit", "connectivity_greedy")
 
 DIMENSIONS = ("cpu", "mem", "storage")
-
-
-@dataclass(frozen=True)
-class FitnessConfig:
-    """Weights and normalization ranges for the fitness score."""
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    normalization_ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("fitness weights must be non-negative")
-        if self.alpha + self.beta <= 0:
-            raise ValueError("at least one fitness weight must be positive")
 
 
 def normalization_ranges(
@@ -111,127 +99,83 @@ def demand_similarity(
     return 1.0 - math.sqrt(squared) / math.sqrt(active)
 
 
-class PlacementContext:
-    """Shared state for one partition-aware placement run.
+def app_tables(
+    fps: FeaturePartitionSet,
+    routes: Mapping[int, tuple[int, float, float]],
+    size: float,
+    beta: float,
+) -> tuple[dict[int, list[int]], dict[int, float | None]]:
+    """Device order and proximity term of every feature partition for one application.
 
-    Owns the mutable residual device copies, whose residuals
-    ``place_service`` decrements as it admits services, and one route table
-    per gateway. A gateway's table comes from a single
-    ``Topology.routes_from`` BFS the first time the gateway is asked for,
-    and then serves every transmission-time query from it for the rest of
-    the run. The anchor rule reads network partitions from
-    ``network.assignment``.
+    ``routes`` is the ``Topology.routes_from`` table of the requesting
+    user's gateway and ``size`` the entry-message size; neither depends on
+    the service, so ``run_placement`` builds these tables once per
+    application. Each partition's devices are listed ascending by (T, id),
+    where T is the transmission time from the gateway (inf when
+    unreachable). The proximity term is beta / (1 + T_min), or None for a
+    partition with no reachable device.
     """
-
-    def __init__(
-        self,
-        devices: Mapping[int, Device],
-        topology: Topology,
-        feature_partitions: FeaturePartitionSet,
-        network: PartitionSet,
-        users: Mapping[int, User],
-        config: FitnessConfig,
-    ) -> None:
-        self.devices = devices
-        self.topology = topology
-        self.fps = feature_partitions
-        self.network = network
-        self.users = users
-        self.config = config
-        # gateway -> device -> (hops, latency sum, 1/bandwidth sum)
-        self._routes: dict[int, dict[int, tuple[int, float, float]]] = {}
-
-    def transmission_ms(self, gateway: int, device_id: int, size: float) -> float:
-        """T from a gateway to a device for a message of ``size`` bytes; inf if unreachable."""
-        routes = self._routes.get(gateway)
-        if routes is None:
-            routes = self._routes[gateway] = self.topology.routes_from(gateway)
-        route = routes.get(device_id)
-        if route is None:
-            return math.inf
-        _, lat_sum, inv_bw_sum = route
-        return lat_sum + size * inv_bw_sum
-
-    def device_rows(self, fp_id: int, gateway: int, size: float) -> list[tuple[float, int]]:
-        """Alive devices of a feature partition as (T, device id), ascending.
-
-        The first row's T is the partition's nearest-device time T_min;
-        unreachable devices sort last with T = inf.
-        """
-        rows = [
-            (self.transmission_ms(gateway, did, size), did)
-            for did in self.fps.device_index[fp_id]
-            if self.devices[did].alive
-        ]
+    d_matrix: dict[int, list[int]] = {}
+    terms: dict[int, float | None] = {}
+    for fp_id in fps.ids():
+        rows = []
+        for did in fps.device_index[fp_id]:
+            route = routes.get(did)
+            if route is None:
+                rows.append((math.inf, did))
+            else:
+                _, lat_sum, inv_bw_sum = route
+                rows.append((lat_sum + size * inv_bw_sum, did))
         rows.sort()
-        return rows
-
-    def app_tables(
-        self, gateway: int, size: float
-    ) -> tuple[dict[int, list[int]], dict[int, float | None]]:
-        """Device matrix and proximity term of every feature partition.
-
-        Both depend only on (fp, gateway, entry-message size), never on the
-        service, so ``select_feature_partitions`` builds them once per
-        application and ranks every service against them. The device
-        matrix lists device ids ascending by (T, id). The proximity term is
-        beta / (1 + T_min), or None for a partition with no reachable
-        device.
-        """
-        d_matrix: dict[int, list[int]] = {}
-        terms: dict[int, float | None] = {}
-        for fp_id in self.fps.ids():
-            rows = self.device_rows(fp_id, gateway, size)
-            d_matrix[fp_id] = [did for _, did in rows]
-            terms[fp_id] = _proximity(rows, self.config)
-        return d_matrix, terms
-
-    def rank_feature_partitions(
-        self, service: Service, proximities: Mapping[int, float | None]
-    ) -> list[int]:
-        """All feature partition ids, descending fitness, ties by id ascending.
-
-        ``proximities`` are the terms ``app_tables`` returns for the
-        requesting user's gateway and entry-message size.
-        """
-        scored = [
-            (-_score(fp_id, service, self.config, self, proximities[fp_id]), fp_id)
-            for fp_id in self.fps.ids()
-        ]
-        scored.sort()
-        return [fp_id for _, fp_id in scored]
+        d_matrix[fp_id] = [did for _, did in rows]
+        t_min = rows[0][0] if rows else math.inf
+        terms[fp_id] = None if math.isinf(t_min) else beta / (1.0 + t_min)
+    return d_matrix, terms
 
 
-def _proximity(rows: Sequence[tuple[float, int]], config: FitnessConfig) -> float | None:
-    """beta / (1 + T_min) from a partition's sorted ``device_rows``.
-
-    None when no device of the partition is reachable.
-    """
-    if not rows or math.isinf(rows[0][0]):
-        return None
-    return config.beta / (1.0 + rows[0][0])
-
-
-def _score(
-    fp_id: int,
+def rank_feature_partitions(
+    fps: FeaturePartitionSet,
     service: Service,
-    config: FitnessConfig,
-    ctx: PlacementContext,
-    proximity_term: float | None,
-) -> float:
-    """alpha * best member similarity + the proximity term; None drops the term.
+    proximities: Mapping[int, float | None],
+    alpha: float,
+    ranges: Mapping[str, tuple[float, float]],
+) -> list[int]:
+    """All feature partition ids, descending fitness, ties by id ascending.
 
-    Placement takes the proximity term from ``PlacementContext.app_tables``
-    once per application and computes only the similarity term per service.
+    A partition's fitness is alpha times the best ``demand_similarity`` of
+    its members' feature triplets to ``service``, plus its proximity term
+    from ``app_tables`` unless that term is None.
     """
-    members = ctx.fps.feature_partitions[fp_id]
-    max_sim = max(
-        demand_similarity(ctx.fps.features[node], service, config.normalization_ranges)
-        for node in members
-    )
-    if proximity_term is None:
-        return config.alpha * max_sim
-    return config.alpha * max_sim + proximity_term
+    scored = []
+    for fp_id in fps.ids():
+        max_sim = max(
+            demand_similarity(fps.features[node], service, ranges)
+            for node in fps.feature_partitions[fp_id]
+        )
+        term = proximities[fp_id]
+        score = alpha * max_sim if term is None else alpha * max_sim + term
+        scored.append((-score, fp_id))
+    scored.sort()
+    return [fp_id for _, fp_id in scored]
+
+
+def fullest_partition(network: PartitionSet, devices: Mapping[int, Device]) -> list[int]:
+    """Members, ascending, of the network partition with the most residual units.
+
+    A device's residual units are the largest of its residual cores, GB and
+    TB (the 1 core, 1 GB, 1 TB unit scale); ties go to the lowest partition id.
+    """
+    best: frozenset[int] = frozenset()
+    best_units = -1.0
+    for pid in sorted(network.partitions):
+        members = network.partitions[pid]
+        units = sum(
+            max(float(devices[d].residual_cores), devices[d].residual_mem, devices[d].residual_storage)
+            for d in members
+        )
+        if units > best_units:
+            best, best_units = members, units
+    return sorted(best)
 
 
 def sort_applications(apps: Iterable[Application]) -> list[Application]:
@@ -262,87 +206,6 @@ def place_service(
     return None
 
 
-def anchored_order(
-    fp_rank: Sequence[int],
-    d_matrix: Mapping[int, Sequence[int]],
-    network: PartitionSet,
-    anchor: int | None,
-) -> Iterator[int]:
-    """Multilayer candidate order: partitions by rank, then devices by T.
-
-    Devices outside the anchor network partition are skipped; no anchor yet
-    means the service being placed will define it.
-    """
-    for fp_id in fp_rank:
-        for did in d_matrix[fp_id]:
-            if anchor is None or network.assignment[did] == anchor:
-                yield did
-
-
-def select_feature_partitions(app: Application, ctx: PlacementContext) -> PlacementPlan:
-    """Place every service of one application; failures become None entries.
-
-    Services are walked in topological order so the entry service defines
-    the anchor network partition. The device matrix and the proximity terms
-    are built once for the application and shared by all its services.
-    """
-    if app.user is None or app.user not in ctx.users:
-        raise ValueError(f"app {app.id}: requesting user unknown")
-    gateway = ctx.users[app.user].gateway
-    d_matrix, proximities = ctx.app_tables(gateway, app.entry_message.size)
-    assignment: dict[int, int | None] = {}
-    anchor: int | None = None
-    for sid in app.topological_order():
-        service = app.service(sid)
-        fp_rank = ctx.rank_feature_partitions(service, proximities)
-        order = anchored_order(fp_rank, d_matrix, ctx.network, anchor)
-        device_id = place_service(service, order, app.deadline, ctx.devices)
-        assignment[sid] = device_id
-        if device_id is not None and anchor is None:
-            anchor = ctx.network.assignment[device_id]
-    return PlacementPlan(assignment=assignment)
-
-
-def _place_in_order(
-    app: Application, order: Sequence[int], devices: Mapping[int, Device]
-) -> PlacementPlan:
-    """Offer every service of ``app`` the same candidate order."""
-    assignment: dict[int, int | None] = {}
-    for sid in app.topological_order():
-        assignment[sid] = place_service(app.service(sid), order, app.deadline, devices)
-    return PlacementPlan(assignment=assignment)
-
-
-def _residual_units(device: Device) -> float:
-    """Residual capacity of a device on the (1 core, 1 GB, 1 TB) unit scale."""
-    if not device.alive:
-        return 0.0
-    return max(float(device.residual_cores), device.residual_mem, device.residual_storage)
-
-
-def baseline_first_fit(app: Application, devices: Mapping[int, Device]) -> PlacementPlan:
-    """Each service lands on the first admissible device by id."""
-    return _place_in_order(app, sorted(devices), devices)
-
-
-def baseline_connectivity_greedy(
-    app: Application, network: PartitionSet, devices: Mapping[int, Device]
-) -> PlacementPlan:
-    """Whole app into the network partition with most residual units, first-fit inside.
-
-    The target partition is recomputed per application against current
-    residuals; services the partition cannot absorb become None.
-    """
-    best_pid: int | None = None
-    best_units = -1.0
-    for pid in sorted(network.partitions):
-        units = sum(_residual_units(devices[d]) for d in network.partitions[pid] if d in devices)
-        if units > best_units:
-            best_pid, best_units = pid, units
-    members = sorted(network.partitions.get(best_pid, frozenset()))
-    return _place_in_order(app, members, devices)
-
-
 @dataclass
 class PlacementRun:
     """Outcome of placing one request batch with a single strategy.
@@ -371,36 +234,55 @@ def run_placement(
     Each run starts from pristine residual copies of the devices, so
     strategies can be compared on identical inputs. Response times are
     attached to every plan that is fully placed, routable and requested by
-    a known user.
+    a known user. Raises ValueError for an unknown strategy, a negative
+    weight or two zero weights, or missing partitions.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if alpha < 0 or beta < 0 or alpha + beta <= 0:
+        raise ValueError("alpha and beta must be non-negative with a positive sum")
+    if (strategy != "first_fit" and network is None) or (
+        strategy == "multilayer" and feature_partitions is None
+    ):
+        raise ValueError(f"{strategy} strategy requires partitioning results")
     fresh = {d.id: d.fresh_copy() for d in devices}
     topology = Topology(fresh.values(), topology_links)
     ordered = sort_applications(instances)
-
-    if strategy == "multilayer":
-        if feature_partitions is None or network is None:
-            raise ValueError("multilayer strategy requires partitioning results")
-        config = FitnessConfig(
-            alpha=alpha,
-            beta=beta,
-            normalization_ranges=normalization_ranges(fresh.values(), ordered),
-        )
-        ctx = PlacementContext(fresh, topology, feature_partitions, network, users, config)
-        place = partial(select_feature_partitions, ctx=ctx)
-    elif strategy == "first_fit":
-        place = partial(baseline_first_fit, devices=fresh)
-    else:
-        if network is None:
-            raise ValueError("connectivity_greedy requires network partitions")
-        place = partial(baseline_connectivity_greedy, network=network, devices=fresh)
+    ranges = normalization_ranges(fresh.values(), ordered) if strategy == "multilayer" else {}
+    routes: dict[int, dict[int, tuple[int, float, float]]] = {}  # gateway -> routes_from
+    order: Iterable[int] = sorted(fresh)  # first_fit's candidates for the whole run
 
     plans: dict[int, PlacementPlan] = {}
     for app in ordered:
-        plan = place(app)
-        plans[app.id] = plan
         user = users.get(app.user)
+        if strategy == "connectivity_greedy":
+            order = fullest_partition(network, fresh)
+        elif strategy == "multilayer":
+            if user is None:
+                raise ValueError(f"app {app.id}: requesting user unknown")
+            if user.gateway not in routes:
+                routes[user.gateway] = topology.routes_from(user.gateway)
+            d_matrix, proximities = app_tables(
+                feature_partitions, routes[user.gateway], app.entry_message.size, beta
+            )
+        assignment: dict[int, int | None] = {}
+        anchor: int | None = None  # network partition of the app's first placed service
+        for sid in app.topological_order():
+            service = app.service(sid)
+            if strategy == "multilayer":
+                ranked = rank_feature_partitions(
+                    feature_partitions, service, proximities, alpha, ranges
+                )
+                order = (
+                    did
+                    for fp_id in ranked
+                    for did in d_matrix[fp_id]
+                    if anchor is None or network.assignment[did] == anchor
+                )
+            device_id = assignment[sid] = place_service(service, order, app.deadline, fresh)
+            if strategy == "multilayer" and anchor is None and device_id is not None:
+                anchor = network.assignment[device_id]
+        plan = plans[app.id] = PlacementPlan(assignment=assignment)
         if user is None or not plan.fully_placed:
             continue
         try:

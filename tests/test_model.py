@@ -60,11 +60,6 @@ class TestPlacementValid:
         s = Service(0, workload=2.0 * 300.0, mem_demand=3.0, storage_demand=4.0)
         assert placement_valid(s, d, 300.0) is True
 
-    def test_dead_device_rejected(self):
-        d = make_device()
-        d.alive = False
-        assert placement_valid(Service(0, 1.0, 1.0, 1.0), d, 300.0) is False
-
     def test_no_residual_core_rejected(self):
         d = make_device()
         d.residual_cores = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,45 +30,43 @@ from fogpart.partitioner import (
 )
 from fogpart.placement import (
     STRATEGIES,
-    FitnessConfig,
-    PlacementContext,
-    anchored_order,
-    baseline_connectivity_greedy,
-    baseline_first_fit,
+    app_tables,
     demand_similarity,
+    normalization_ranges,
     place_service,
+    rank_feature_partitions,
     run_placement,
-    select_feature_partitions,
     sort_applications,
 )
 
 RANGES = {"cpu": (20.0, 60.0), "mem": (1.0, 25.0), "storage": (1.0, 25.0)}
 
 
-def fitness(fp_id, service, user, config, ctx, message_size):
+def fitness(fp_id, service, fps, routes, size, alpha, beta, ranges):
     """Oracle: alpha * best member similarity + beta / (1 + nearest device T).
 
     Scores one feature partition on its own, from the definition. T is the
-    transmission time from the user's gateway to the partition's nearest
-    alive device; when none is reachable the proximity term is dropped.
+    transmission time of a ``size``-byte message along a device's route in
+    ``routes``, a gateway's ``Topology.routes_from`` table; when no device
+    of the partition is reachable the proximity term is dropped.
     Placement splits this score, taking the proximity term from
-    ``PlacementContext.app_tables`` once per application.
+    ``app_tables`` once per application.
     """
     max_sim = max(
-        demand_similarity(ctx.fps.features[node], service, config.normalization_ranges)
-        for node in ctx.fps.feature_partitions[fp_id]
+        demand_similarity(fps.features[node], service, ranges)
+        for node in fps.feature_partitions[fp_id]
     )
     t_min = min(
         (
-            ctx.transmission_ms(user.gateway, did, message_size)
-            for did in ctx.fps.device_index[fp_id]
-            if ctx.devices[did].alive
+            routes[did][1] + size * routes[did][2]
+            for did in fps.device_index[fp_id]
+            if did in routes
         ),
         default=math.inf,
     )
     if math.isinf(t_min):
-        return config.alpha * max_sim
-    return config.alpha * max_sim + config.beta / (1.0 + t_min)
+        return alpha * max_sim
+    return alpha * max_sim + beta / (1.0 + t_min)
 
 
 def residuals(devices):
@@ -97,13 +96,12 @@ class TestDemandSimilarity:
         assert demand_similarity(f, s, ranges) == pytest.approx(1.0)
 
 
-def line_context(core_counts=(10, 10, 10, 10), alpha=0.5, beta=0.5):
+def line_context(core_counts=(10, 10, 10, 10)):
     """Chain 0-1-2-3 with gateway 0; partitions {0,1} and {2,3} in every layer."""
     devices = {
         i: Device(i, core_counts[i], 20.0 + 10.0 * i, 100.0, 100.0) for i in range(4)
     }
     links = [NetworkLink(i, i + 1, 75000.0, 5.0) for i in range(3)]
-    topology = Topology(devices.values(), links)
     network = PartitionSet(
         Layer.NETWORK,
         {0: 0, 1: 0, 2: 1, 3: 1},
@@ -133,9 +131,22 @@ def line_context(core_counts=(10, 10, 10, 10), alpha=0.5, beta=0.5):
         features=features,
         modularity=0.0,
     )
-    users = {0: User(0, gateway=0)}
-    config = FitnessConfig(alpha=alpha, beta=beta, normalization_ranges=RANGES)
-    return PlacementContext(devices, topology, fps, network, users, config)
+    return SimpleNamespace(
+        devices=devices,
+        links=links,
+        routes=Topology(devices.values(), links).routes_from(0),
+        network=network,
+        fps=fps,
+        users={0: User(0, gateway=0)},
+    )
+
+
+def place_on_line(ctx, apps, alpha=0.5, beta=0.5):
+    """One multilayer run over the line context's devices and partitions."""
+    return run_placement(
+        apps, list(ctx.devices.values()), ctx.links, ctx.users, "multilayer",
+        feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
+    )
 
 
 def app_of(services, deadline=50000.0, size=1_500_000.0, app_id=0):
@@ -156,9 +167,7 @@ class TestFitness:
             "mem": (feature.avg_mem, 200.0),
             "storage": (feature.avg_storage, 200.0),
         }
-        cfg = FitnessConfig(0.5, 0.5, ranges)
-        ctx.config = cfg
-        value = fitness(0, s, ctx.users[0], cfg, ctx, message_size=1.0)
+        value = fitness(0, s, ctx.fps, ctx.routes, 1.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(1.0)
 
     def test_twenty_five_ms_proximity_term(self):
@@ -170,10 +179,8 @@ class TestFitness:
             "mem": (1.0, 200.0),
             "storage": (1.0, 200.0),
         }
-        cfg = FitnessConfig(0.5, 0.5, ranges)
-        ctx.config = cfg
         # nearest FP1 device is two hops away; use a size that makes T = 25 ms per hop
-        value = fitness(1, s, ctx.users[0], cfg, ctx, message_size=1_500_000.0)
+        value = fitness(1, s, ctx.fps, ctx.routes, 1_500_000.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(0.5 + 0.5 / 51.0)
 
     def test_one_hop_proximity_value(self):
@@ -182,36 +189,36 @@ class TestFitness:
         ctx = line_context()
         feature = ctx.fps.features[(Layer.CPU, 0)]
         s = Service(0, feature.avg_cpu, feature.avg_mem, feature.avg_storage)
-        ctx.fps = FeaturePartitionSet(
+        fps = FeaturePartitionSet(
             feature_partitions=ctx.fps.feature_partitions,
             device_index={0: frozenset({1}), 1: frozenset({2, 3})},
             features=ctx.fps.features,
             modularity=0.0,
         )
-        cfg = FitnessConfig(0.5, 0.5, {"cpu": (20.0, 60.0), "mem": (1.0, 200.0), "storage": (1.0, 200.0)})
-        ctx.config = cfg
-        value = fitness(0, s, ctx.users[0], cfg, ctx, message_size=1_500_000.0)
+        ranges = {"cpu": (20.0, 60.0), "mem": (1.0, 200.0), "storage": (1.0, 200.0)}
+        value = fitness(0, s, fps, ctx.routes, 1_500_000.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(0.5 + 0.5 / 26.0)
 
     def test_alpha_only_reduces_to_similarity(self):
         ctx = line_context()
-        cfg = FitnessConfig(1.0, 0.0, RANGES)
-        ctx.config = cfg
         s = Service(0, 25.0, 5.0, 5.0)
         sims = [
             demand_similarity(ctx.fps.features[node], s, RANGES)
             for node in ctx.fps.feature_partitions[0]
         ]
-        assert fitness(0, s, ctx.users[0], cfg, ctx, 1.0) == pytest.approx(max(sims))
+        assert fitness(0, s, ctx.fps, ctx.routes, 1.0, 1.0, 0.0, RANGES) == pytest.approx(max(sims))
 
     def test_unreachable_partition_flagged(self):
         ctx = line_context()
-        for did in (2, 3):
-            ctx.devices[did].alive = False
-        value = fitness(1, Service(0, 25.0, 5.0, 5.0), ctx.users[0], ctx.config, ctx, 1.0)
-        assert value <= ctx.config.alpha
-        _, proximities = ctx.app_tables(ctx.users[0].gateway, 1.0)
+        # without the 1-2 link, FP1's devices 2 and 3 cannot be reached from gateway 0
+        links = [NetworkLink(0, 1, 75000.0, 5.0), NetworkLink(2, 3, 75000.0, 5.0)]
+        routes = Topology(ctx.devices.values(), links).routes_from(0)
+        value = fitness(1, Service(0, 25.0, 5.0, 5.0), ctx.fps, routes, 1.0, 0.5, 0.5, RANGES)
+        assert value <= 0.5
+        d_matrix, proximities = app_tables(ctx.fps, routes, 1.0, 0.5)
         assert proximities[1] is None
+        assert proximities[0] == 0.5
+        assert d_matrix == {0: [0, 1], 1: [2, 3]}
 
 
 class TestSortApplications:
@@ -238,31 +245,31 @@ class TestPlaceService:
     def test_first_service_defines_anchor(self):
         ctx = line_context()
         app = app_of([Service(0, 20.0, 1.0, 1.0)])
-        plan = select_feature_partitions(app, ctx)
-        host = plan.assignment[0]
+        host = place_on_line(ctx, [app]).plans[0].assignment[0]
         assert host == 0  # the gateway is nearest and feasible
         assert ctx.network.assignment[host] == 0
 
     def test_foreign_partition_skipped_even_if_feasible(self):
+        # with beta = 0 the rank follows similarity alone: service 0 prefers
+        # FP0 and anchors network partition 0, service 1 prefers FP1, whose
+        # devices 2 and 3 could host it but lie outside the anchor
         ctx = line_context()
-        s = Service(0, 20.0, 1.0, 1.0)
-        rank = [1, 0]  # FP1 (devices 2,3) ranked first on purpose
-        d_matrix = {1: [2, 3], 0: [0, 1]}
-        order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
-        chosen = place_service(s, order, 50000.0, ctx.devices)
-        assert chosen in (0, 1)
+        services = [Service(0, 20.0, 1.0, 1.0), Service(1, 50.0, 1.0, 1.0)]
+        app = app_of(services)
+        ranges = normalization_ranges(ctx.devices.values(), [app])
+        _, proximities = app_tables(ctx.fps, ctx.routes, 1_500_000.0, 0.0)
+        assert rank_feature_partitions(ctx.fps, services[1], proximities, 1.0, ranges) == [1, 0]
+        plan = place_on_line(ctx, [app], alpha=1.0, beta=0.0).plans[0]
+        assert plan.assignment[0] == 0
+        assert plan.assignment[1] in (0, 1)
 
     def test_anchor_exhaustion_yields_invalid(self):
         ctx = line_context(core_counts=(1, 1, 10, 10))
-        s = Service(0, 20.0, 1.0, 1.0)
-        ctx.devices[0].residual_cores = 0
-        ctx.devices[1].residual_cores = 0
-        rank = [0, 1]
-        d_matrix = {0: [0, 1], 1: [2, 3]}
-        order = anchored_order(rank, d_matrix, ctx.network, anchor=0)
-        assert place_service(s, order, 50000.0, ctx.devices) is None
-        assert residuals(ctx.devices) == [
-            (0, 100.0, 100.0), (0, 100.0, 100.0), (10, 100.0, 100.0), (10, 100.0, 100.0)
+        app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
+        run = place_on_line(ctx, [app])
+        assert run.plans[0].assignment == {0: 0, 1: 1, 2: None}
+        assert residuals(run.devices) == [
+            (0, 99.0, 99.0), (0, 99.0, 99.0), (10, 100.0, 100.0), (10, 100.0, 100.0)
         ]
 
     def test_first_admissible_candidate_committed_and_audited(self):
@@ -279,12 +286,6 @@ class TestPlaceService:
         assert place_service(s, [0], 50000.0, devices) == 0
         assert place_service(s, [0], 50000.0, devices) == 0
         assert residuals(devices) == [(8, 8.0, 8.0)]
-
-    def test_dead_device_over_commit(self):
-        devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
-        devices[0].alive = False
-        assert place_service(Service(0, 1.0, 1.0, 1.0), [0], 50000.0, devices) is None
-        assert residuals(devices) == [(10, 10.0, 10.0)]
 
     def test_exhausted_memory_over_commit(self):
         devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
@@ -303,10 +304,12 @@ class TestPlaceService:
 
 
 class TestSelectFeaturePartitions:
+    """Feature-partition selection, through ``run_placement``'s multilayer order."""
+
     def test_ample_capacity_keeps_app_near_gateway(self):
         ctx = line_context()
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        plan = select_feature_partitions(app, ctx)
+        plan = place_on_line(ctx, [app]).plans[0]
         assert plan.fully_placed
         partitions = {ctx.network.assignment[d] for d in plan.assignment.values()}
         assert partitions == {0}
@@ -316,14 +319,14 @@ class TestSelectFeaturePartitions:
         app = app_of(
             [Service(0, 20.0, 1.0, 1.0), Service(1, 20.0, 1000.0, 1.0)]
         )
-        plan = select_feature_partitions(app, ctx)
+        plan = place_on_line(ctx, [app]).plans[0]
         assert plan.assignment[0] is not None
         assert plan.assignment[1] is None
 
     def test_core_exhaustion_spills_within_partition(self):
         ctx = line_context(core_counts=(1, 10, 10, 10))
         app = app_of([Service(0, 20.0, 1.0, 1.0), Service(1, 20.0, 1.0, 1.0)])
-        plan = select_feature_partitions(app, ctx)
+        plan = place_on_line(ctx, [app]).plans[0]
         assert plan.assignment[0] == 0
         assert plan.assignment[1] == 1  # same network partition, different device
         assert ctx.network.assignment[plan.assignment[1]] == 0
@@ -331,8 +334,8 @@ class TestSelectFeaturePartitions:
     def test_rank_is_permutation_of_all_fps(self):
         ctx = line_context()
         s = Service(0, 25.0, 5.0, 5.0)
-        _, proximities = ctx.app_tables(ctx.users[0].gateway, 1.0)
-        rank = ctx.rank_feature_partitions(s, proximities)
+        _, proximities = app_tables(ctx.fps, ctx.routes, 1.0, 0.5)
+        rank = rank_feature_partitions(ctx.fps, s, proximities, 0.5, RANGES)
         assert sorted(rank) == [0, 1]
 
 
@@ -349,21 +352,27 @@ def toy_scenario_inputs():
     return devices, links, users, apps
 
 
+def baseline_plan(strategy, app, devices, network=None):
+    """The plan one baseline run gives a single app requested at gateway 0."""
+    run = run_placement([app], devices, [], {0: User(0, gateway=0)}, strategy, network=network)
+    return run.plans[app.id]
+
+
 class TestBaselines:
     def test_first_fit_stacks_until_cores_run_out(self):
-        devices = {0: Device(0, 2, 20.0, 100.0, 100.0), 1: Device(1, 10, 20.0, 100.0, 100.0)}
+        devices = [Device(0, 2, 20.0, 100.0, 100.0), Device(1, 10, 20.0, 100.0, 100.0)]
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        plan = baseline_first_fit(app, devices)
+        plan = baseline_plan("first_fit", app, devices)
         assert [plan.assignment[i] for i in range(3)] == [0, 0, 1]
 
     def test_first_fit_infeasible_service_invalid(self):
-        devices = {0: Device(0, 2, 20.0, 5.0, 5.0)}
+        devices = [Device(0, 2, 20.0, 5.0, 5.0)]
         app = app_of([Service(0, 20.0, 50.0, 1.0)])
-        plan = baseline_first_fit(app, devices)
+        plan = baseline_plan("first_fit", app, devices)
         assert plan.assignment[0] is None
 
     def test_connectivity_greedy_stays_in_one_partition(self):
-        devices = {i: Device(i, 10, 20.0, 100.0, 100.0) for i in range(4)}
+        devices = [Device(i, 10, 20.0, 100.0, 100.0) for i in range(4)]
         network = PartitionSet(
             Layer.NETWORK,
             {0: 0, 1: 0, 2: 1, 3: 1},
@@ -371,7 +380,7 @@ class TestBaselines:
             0.0,
         )
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(4)])
-        plan = baseline_connectivity_greedy(app, network, devices)
+        plan = baseline_plan("connectivity_greedy", app, devices, network)
         partitions = {network.assignment[d] for d in plan.assignment.values()}
         assert len(partitions) == 1
 
@@ -397,6 +406,18 @@ class TestBaselines:
         placed_ml = sum(d is not None for p in run_ml.plans.values() for d in p.assignment.values())
         placed_ff = sum(d is not None for p in run_ff.plans.values() for d in p.assignment.values())
         assert placed_ml >= placed_ff
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("alpha, beta", [(-0.1, 0.5), (0.5, -0.1)])
+def test_negative_weight_rejected(strategy, alpha, beta):
+    devices, links, users, apps = toy_scenario_inputs()
+    ctx = line_context()
+    with pytest.raises(ValueError, match="alpha and beta must be non-negative"):
+        run_placement(
+            apps, devices, links, users, strategy,
+            feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
+        )
 
 
 class TestRunPlacementInvariants:
@@ -567,13 +588,11 @@ class TestResidualsProperty:
 
 @st.composite
 def ranking_inputs(draw):
-    """A random context over 2-6 devices, some dead, grouped into feature partitions."""
+    """Feature partitions over 2-6 devices, some cut off from the gateway by missing links."""
     n = draw(st.integers(2, 6))
     devices = {
         i: Device(i, 4, draw(st.sampled_from([20.0, 35.0, 60.0])), 10.0, 10.0) for i in range(n)
     }
-    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
-        devices[i].alive = False
     links = [
         NetworkLink(draw(st.integers(0, i - 1)), i, draw(st.sampled_from([1000.0, 75000.0])), 5.0)
         for i in range(1, n)
@@ -599,12 +618,8 @@ def ranking_inputs(draw):
         features,
         0.0,
     )
-    network = PartitionSet(Layer.NETWORK, {i: 0 for i in range(n)}, {0: frozenset(range(n))}, 0.0)
     alpha, beta = draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.9)]))
-    config = FitnessConfig(alpha, beta, RANGES)
-    gateway = draw(st.integers(0, n - 1))
-    users = {0: User(0, gateway=gateway)}
-    ctx = PlacementContext(devices, Topology(devices.values(), links), fps, network, users, config)
+    routes = Topology(devices.values(), links).routes_from(draw(st.integers(0, n - 1)))
     service = Service(
         0,
         draw(st.floats(20.0, 60.0)),
@@ -612,18 +627,23 @@ def ranking_inputs(draw):
         draw(st.floats(1.0, 25.0)),
     )
     size = draw(st.floats(1.0, 5e6))
-    return ctx, service, size
+    return fps, routes, service, size, alpha, beta
 
 
 class TestRankMatchesFitness:
     @settings(max_examples=150, deadline=None)
     @given(ranking_inputs())
     def test_rank_sorts_by_fitness_then_id(self, inputs):
-        ctx, service, size = inputs
-        user = ctx.users[0]
-        _, proximities = ctx.app_tables(user.gateway, size)
+        fps, routes, service, size, alpha, beta = inputs
+        d_matrix, proximities = app_tables(fps, routes, size, beta)
         expected = sorted(
-            ctx.fps.ids(),
-            key=lambda fp: (-fitness(fp, service, user, ctx.config, ctx, size), fp),
+            fps.ids(),
+            key=lambda fp: (-fitness(fp, service, fps, routes, size, alpha, beta, RANGES), fp),
         )
-        assert ctx.rank_feature_partitions(service, proximities) == expected
+        assert rank_feature_partitions(fps, service, proximities, alpha, RANGES) == expected
+
+        def t(did):
+            route = routes.get(did)
+            return math.inf if route is None else route[1] + size * route[2]
+
+        assert d_matrix == {fp: sorted(fps.device_index[fp], key=lambda d: (t(d), d)) for fp in fps.ids()}
