@@ -121,7 +121,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     graph = build_multilayer(scenario.devices, scenario.links, min_weight=args.min_weight)
     fps, network, layer_sets = multilayer_resource_partition(graph)
     out = Path(args.out)
-    payload = partitions_to_dict(fps, network, layer_sets)
+    config_hash = _config_hash(config_to_dict(scenario.config))
+    payload = partitions_to_dict(fps, network, layer_sets, config_hash)
     artifacts = [dump_json(out / "partitions.json", payload)]
     summary_rows = [["NETWORK", repr(network.modularity), len(network.partitions)]]
     for layer, ps in sorted(layer_sets.items()):
@@ -146,7 +147,12 @@ def cmd_place(args: argparse.Namespace) -> int:
     if args.strategy == "multilayer" or args.strategy == "connectivity_greedy":
         if args.partitions is None:
             raise ConfigError(f"strategy {args.strategy} requires --partitions")
-        fps, network = partitions_from_dict(load_json(args.partitions))
+        fps, network, built_for = partitions_from_dict(load_json(args.partitions))
+        if built_for != _config_hash(config_to_dict(scenario.config)):
+            raise ConfigError(
+                "partitions were built for another scenario: their scenario config hash differs"
+            )
+        # a hand-edited scenario.json keeps its config hash but may change the devices
         if network.assignment.keys() != {d.id for d in scenario.devices}:
             raise ConfigError(
                 f"partitions were built for another scenario: they cover "

@@ -5,9 +5,11 @@ end with a newline, so identical inputs serialize to identical bytes. Each
 kind of document has its own version, and a reader accepts only that one:
 
 - ``scenario.json``: 1;
-- ``partitions.json``: 2, which holds the network and resource-layer
-  partitions and the feature partitions with their members, devices and
-  stored feature triplets (version 1 also held the compressed graph);
+- ``partitions.json``: 3, which holds the network and resource-layer
+  partitions, the feature partitions with their members, devices and
+  stored feature triplets, and the config hash of the scenario they were
+  built from (version 2 lacked the hash; version 1 also held the
+  compressed graph);
 - ``plans.json``: 1.
 """
 
@@ -25,7 +27,7 @@ from .partitioner import CompressedNode, FeaturePartitionSet, FeatureTriplet, Pa
 from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
 #: document kind -> the one schema_version its reader accepts
-SCHEMA_VERSIONS = {"scenario": 1, "partitions": 2, "plans": 1}
+SCHEMA_VERSIONS = {"scenario": 1, "partitions": 3, "plans": 1}
 
 INVALID_MARK = "invalid"
 
@@ -195,9 +197,11 @@ def partitions_to_dict(
     fps: FeaturePartitionSet,
     network: PartitionSet,
     layer_sets: Mapping[Layer, PartitionSet],
+    scenario_config_hash: str,
 ) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSIONS["partitions"],
+        "scenario_config_hash": scenario_config_hash,
         "network": _partition_set_to_dict(network),
         "resource_layers": {
             layer.name: _partition_set_to_dict(ps) for layer, ps in layer_sets.items()
@@ -219,8 +223,11 @@ def partitions_to_dict(
     }
 
 
-def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, PartitionSet]:
-    """The feature partitions and network partitions, the parts placement reads."""
+def partitions_from_dict(
+    data: Mapping[str, Any],
+) -> tuple[FeaturePartitionSet, PartitionSet, str]:
+    """The parts placement reads: feature partitions, network partitions and
+    the config hash of the scenario they were built from."""
     _check_version(data, "partitions")
     fp_data = data["feature_partitions"]
     fps = FeaturePartitionSet(
@@ -234,7 +241,7 @@ def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, 
         },
         modularity=fp_data["modularity"],
     )
-    return fps, _partition_set_from_dict(data["network"])
+    return fps, _partition_set_from_dict(data["network"]), data["scenario_config_hash"]
 
 
 # -- placement plans ---------------------------------------------------------

@@ -89,6 +89,25 @@ def partitions_of_larger_scenario(scenario, tmp):
     ]
 
 
+def partitions_of_another_seed(scenario, tmp):
+    # SMALL seeds 0 and 1 have the same device ids, so only the config hash tells them apart
+    scenarios = {}
+    for seed in (0, 1):
+        argv = ["generate", "--preset", "SMALL", "--seed", str(seed), "--out", str(tmp / f"seed{seed}")]
+        assert cli.main(argv) == 0
+        scenarios[seed] = tmp / f"seed{seed}" / "scenario.json"
+    return ["place", "--scenario", str(scenarios[0]), "--partitions", str(partitioned(scenarios[1], tmp))]
+
+
+def scenario_edited_by_hand(scenario, tmp):
+    # the config, and so its hash, still matches the partitions; the devices do not
+    partitions = partitioned(scenario, tmp)
+    data = json.loads(scenario.read_text())
+    data["devices"].pop()
+    (tmp / "scenario.json").write_text(json.dumps(data))
+    return ["place", "--scenario", str(tmp / "scenario.json"), "--partitions", str(partitions)]
+
+
 def partitions_schema_1(scenario, tmp):
     path = partitioned(scenario, tmp)
     path.write_text(json.dumps(dict(json.loads(path.read_text()), schema_version=1)))
@@ -124,6 +143,8 @@ BAD_INPUTS = [
     (wrong_schema_version, "schema_version 99"),
     (partitions_of_smaller_scenario, "built for another scenario"),
     (partitions_of_larger_scenario, "built for another scenario"),
+    (partitions_of_another_seed, "scenario config hash differs"),
+    (scenario_edited_by_hand, "they cover"),
     (partitions_schema_1, "schema_version 1"),
     (plan_omits_a_service, "plan of request 0 assigns services"),
     (plan_names_unknown_device, "on device 99999, which is not in the scenario"),

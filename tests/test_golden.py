@@ -16,7 +16,10 @@ simulator classified once per failure epoch; ``LARGE-n200-seed0``: before
 the similarity layers were stored as index-ordered rows). The five
 ``partition/partitions.json`` hashes moved with partitions schema 2, which
 drops the compressed graph and keeps the feature triplets under
-``feature_partitions``. A change that moves any of them changes program output.
+``feature_partitions``, and again with schema 3, which records the
+scenario's config hash; the SMALL-seed0 and both D-SMALL cases share their
+partitions but not their config, so their hashes now differ. A change that
+moves any of them changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -54,7 +57,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
+            "4c18d9d4f1742cb7febce4da39d544e2ed0ecf447fc1dfdccd270c2fe8f008d6",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -102,7 +105,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
+            "ba5070319a143a5e34e91c58bf12251c000a56b5ab7f984d7d547f3eb3980417",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -150,7 +153,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "bb381d5f1bbd939361cd95aca91cc4bd0d9dbe6569a61e1ecc22950ecc2530fb",
         "partition/partitions.json":
-            "5ac6db9e8b6d23412602f086e891a34173a8833858254c719678256fe95cc2f8",
+            "30a20c53aa25aa2c40ac8d8a8512bc43812c1e452d5c228535d5de2fd695a839",
         "place/connectivity_greedy/metrics.json":
             "c656dcecb6e52bbd23ec8c581b0c6ee1050d97d45b89a59ed178ad0eb6a513ed",
         "place/connectivity_greedy/plans.json":
@@ -170,7 +173,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
         "partition/partitions.json":
-            "7d899e9542e79bee69ef2cb2edb2845b6a338d04e099239707de2525e1628e16",
+            "672a89908f45d7f8be76cbf5ab85b51b5aa6d5b84e5d837c9adf3188cacc6500",
         "place/connectivity_greedy/metrics.json":
             "deff9ac8639d10562dadc330b899152208ac0fff401f7e0d5824b99834ed8668",
         "place/connectivity_greedy/plans.json":
@@ -190,7 +193,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "b9f970f97d398f9423737f3cf815cb8c84ac2733f20ebfa63193727370376c87",
         "partition/partitions.json":
-            "bcbecb0431e040a535eb8427c728a0775c7ba56a19ab300748bbed85c631df45",
+            "22679c3ecad09ab13ece1613534a2a69e40615d054c1a89d75eed90e7ce5b3e3",
         "place/connectivity_greedy/metrics.json":
             "8cbce99c48bdd191da885d9839feff283fd78a4a2aad896807d94690e0821b07",
         "place/connectivity_greedy/plans.json":

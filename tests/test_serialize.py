@@ -144,6 +144,10 @@ def partition_results(draw):
     return fps, network, layer_sets
 
 
+#: stands in for the sha256 of a scenario config that cli.cmd_partition records
+CONFIG_HASH = "0" * 64
+
+
 def one_device_partitions():
     """(feature partitions, network partitions, layer partitions) of one device."""
     network = PartitionSet(Layer.NETWORK, {0: 0}, {0: frozenset({0})}, 0.0)
@@ -206,13 +210,16 @@ class TestPartitionsRoundTrip:
     @given(partition_results())
     def test_round_trip(self, result):
         fps, network, layer_sets = result
-        data = through_json(partitions_to_dict(fps, network, layer_sets))
-        assert partitions_from_dict(data) == (fps, network)
+        data = through_json(partitions_to_dict(fps, network, layer_sets, CONFIG_HASH))
+        assert partitions_from_dict(data) == (fps, network, CONFIG_HASH)
 
     def test_no_compressed_graph_stored(self):
         fps, network, layer_sets = one_device_partitions()
-        data = partitions_to_dict(fps, network, layer_sets)
-        assert sorted(data) == ["feature_partitions", "network", "resource_layers", "schema_version"]
+        data = partitions_to_dict(fps, network, layer_sets, CONFIG_HASH)
+        assert sorted(data) == [
+            "feature_partitions", "network", "resource_layers", "scenario_config_hash",
+            "schema_version",
+        ]
         assert data["feature_partitions"]["features"] == {"CPU:0": [1.0, 2.0, 3.0]}
 
 
@@ -247,7 +254,7 @@ class TestSchemaVersion:
         )
         return [
             (scenario_from_dict, scenario_to_dict(scenario), 1),
-            (partitions_from_dict, partitions_to_dict(*one_device_partitions()), 2),
+            (partitions_from_dict, partitions_to_dict(*one_device_partitions(), CONFIG_HASH), 3),
             (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 1),
         ]
 
