@@ -291,5 +291,6 @@ def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], 
 def _check_version(data: Mapping[str, Any], kind: str) -> None:
     version = data.get("schema_version")
     expected = SCHEMA_VERSIONS[kind]
-    if version != expected:
+    # True, 1.0 and 3.0 compare equal to ints; only an int (bool is not one) is a version
+    if type(version) is not int or version != expected:
         raise ValueError(f"{kind} document has schema_version {version!r}, expected {expected}")

@@ -265,11 +265,12 @@ class TestSchemaVersion:
             with pytest.raises(ValueError, match=f"schema_version '{expected}', expected {expected}"):
                 reader(dict(data, schema_version=str(expected)))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, None])
+    @pytest.mark.parametrize("version", [0, 1, 2, None, True, 1.0, 3.0])
     def test_wrong_version_rejected(self, version):
-        # 1 covers partitions (no reader for version 1), 2 the other kinds
+        # 1 and 2 cover partitions (no reader for either), 2 the other kinds; True
+        # and the floats equal some kind's version in Python but are not ints
         for reader, data, expected in self.documents():
-            if version != expected:
+            if type(version) is not int or version != expected:
                 with pytest.raises(ValueError, match=f"schema_version {version!r}, expected {expected}"):
                     reader(dict(data, schema_version=version))
 
