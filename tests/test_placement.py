@@ -382,7 +382,7 @@ class TestBaselines:
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(4)])
         plan = baseline_plan("connectivity_greedy", app, devices, network)
         partitions = {network.assignment[d] for d in plan.assignment.values()}
-        assert len(partitions) == 1
+        assert partitions == {0}  # equal residual units: the lower partition id wins
 
     def test_multilayer_at_least_as_good_as_first_fit_on_fixture(self):
         devices, links, users, apps = toy_scenario_inputs()
