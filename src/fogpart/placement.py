@@ -170,8 +170,8 @@ def fullest_partition(network: PartitionSet, devices: Mapping[int, Device]) -> l
     for pid in sorted(network.partitions):
         members = network.partitions[pid]
         units = sum(
-            max(float(devices[d].residual_cores), devices[d].residual_mem, devices[d].residual_storage)
-            for d in members
+            max(float(dev.residual_cores), dev.residual_mem, dev.residual_storage)
+            for dev in (devices[d] for d in members)
         )
         if units > best_units:
             best, best_units = members, units

@@ -223,11 +223,8 @@ def partitions_to_dict(
     }
 
 
-def partitions_from_dict(
-    data: Mapping[str, Any],
-) -> tuple[FeaturePartitionSet, PartitionSet, str]:
-    """The parts placement reads: feature partitions, network partitions and
-    the config hash of the scenario they were built from."""
+def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, PartitionSet, str]:
+    """The feature and network partitions placement reads, and the scenario config hash."""
     _check_version(data, "partitions")
     fp_data = data["feature_partitions"]
     fps = FeaturePartitionSet(
