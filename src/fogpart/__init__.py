@@ -12,7 +12,6 @@ from .model import (
     User,
     deadline_satisfied,
     execution_time,
-    placement_valid,
     response_times,
     transmission_time,
 )
@@ -28,7 +27,13 @@ from .partitioner import (
     multilayer_resource_partition,
     partition_feature,
 )
-from .placement import demand_similarity, place_service, run_placement, sort_applications
+from .placement import (
+    demand_similarity,
+    place_service,
+    placement_valid,
+    run_placement,
+    sort_applications,
+)
 from .scenario import (
     AppRequest,
     Scenario,

@@ -118,7 +118,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     scenario = scenario_from_dict(load_json(args.scenario))
     if not scenario.devices:
         raise ConfigError("scenario has no devices to partition")
-    graph = build_multilayer(scenario.devices, scenario.links, min_weight=args.min_weight)
+    graph = build_multilayer(scenario.topology(), min_weight=args.min_weight)
     fps, network, layer_sets = multilayer_resource_partition(graph)
     out = Path(args.out)
     config_hash = _config_hash(config_to_dict(scenario.config))
@@ -158,11 +158,11 @@ def cmd_place(args: argparse.Namespace) -> int:
                 f"partitions were built for another scenario: they cover "
                 f"{len(network.assignment)} devices, not the scenario's {len(scenario.devices)}"
             )
+    topology = scenario.topology()
     instances = scenario.instances()
     run = run_placement(
         instances=instances,
-        devices=scenario.devices,
-        topology_links=scenario.links,
+        topology=topology,
         users=scenario.users_by_id(),
         strategy=args.strategy,
         feature_partitions=fps,
@@ -175,7 +175,6 @@ def cmd_place(args: argparse.Namespace) -> int:
 
     by_id = {a.id: a for a in instances}
     placements = [(by_id[rid], plan) for rid, plan in sorted(run.plans.items())]
-    topology = scenario.topology()
     gateways = {u.id: u.gateway for u in scenario.users}
     histogram = hop_histogram(placements, topology, gateways)
     mean_hops, max_hops, unreachable = hop_summary(histogram)

@@ -4,13 +4,15 @@ Units used consistently across the package: CPU speed is MI per second per
 core, memory is GB, storage is TB, message sizes are bytes, bandwidth is
 bytes per millisecond, and every latency, deadline, or computed time is in
 milliseconds.
+Every type here is fixed input; the capacity placement has left on each
+device lives in ``placement.run_placement``'s per-run ``Residual`` records.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MS_PER_S = 1000.0
 
@@ -26,36 +28,21 @@ class UnreachableError(RuntimeError):
     """No live route exists between two devices."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Device:
-    """A fog node with fixed capacities and mutable residual state.
-
-    ``cores`` counts CPU cores; each hosted service occupies exactly one
-    core, so ``residual_cores`` doubles as the remaining service slots. The
-    residuals start at the capacities; placement lowers them.
-    """
+    """A fog node's capacities; each hosted service occupies exactly one core."""
 
     id: int
     cores: int
     cpu_speed: float  # MI per second, per core
     mem: float        # GB
     storage: float    # TB
-    residual_cores: int = field(init=False)
-    residual_mem: float = field(init=False)
-    residual_storage: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.cpu_speed <= 0 or self.mem <= 0 or self.storage <= 0:
             raise ValueError(f"device {self.id}: capacities must be strictly positive")
         if self.cores < 1:
             raise ValueError(f"device {self.id}: needs at least one core")
-        self.residual_cores = self.cores
-        self.residual_mem = self.mem
-        self.residual_storage = self.storage
-
-    def fresh_copy(self) -> "Device":
-        """A pristine copy with full residuals."""
-        return Device(self.id, self.cores, self.cpu_speed, self.mem, self.storage)
 
 
 @dataclass(frozen=True)
@@ -231,8 +218,8 @@ class PlacementPlan:
 class Topology:
     """Devices plus bidirectional links, with deterministic shortest-hop routing.
 
-    Neighbor lists are kept sorted so BFS tie-breaking (and therefore every
-    derived artifact) is reproducible.
+    ``adj`` lists each device's neighbours ascending, so BFS tie-breaking
+    (and therefore every derived artifact) is reproducible.
     """
 
     def __init__(self, devices: Iterable[Device], links: Iterable[NetworkLink]) -> None:
@@ -251,7 +238,7 @@ class Topology:
             self._links[link.key] = link
             adj[link.a].add(link.b)
             adj[link.b].add(link.a)
-        self._adj = {i: tuple(sorted(n)) for i, n in adj.items()}
+        self.adj = {i: tuple(sorted(n)) for i, n in adj.items()}
 
     def link(self, a: int, b: int) -> NetworkLink:
         return self._links[(a, b) if a < b else (b, a)]
@@ -274,7 +261,7 @@ class Topology:
         frontier = deque([src])
         while frontier:
             node = frontier.popleft()
-            for nxt in self._adj[node]:
+            for nxt in self.adj[node]:
                 if nxt in dead or nxt in parent:
                     continue
                 parent[nxt] = node
@@ -306,7 +293,7 @@ class Topology:
         while frontier:
             node = frontier.popleft()
             hops, lat_sum, inv_bw_sum = routes[node]
-            for nxt in self._adj[node]:
+            for nxt in self.adj[node]:
                 if nxt in routes:
                     continue
                 link = self.link(node, nxt)
@@ -328,22 +315,6 @@ class Topology:
         if path is None:
             raise UnreachableError(f"no live route from {src} to {dst}")
         return transmission_time(path, size)
-
-
-def placement_valid(service: Service, device: Device, deadline_ms: float) -> bool:
-    """Admission predicate for hosting ``service`` on ``device``.
-
-    The CPU term compares the raw workload/speed ratio against the deadline,
-    exactly as the placement rule states it; the ms conversion belongs to
-    ``execution_time`` only. Memory, storage, and one free core must be
-    available in the device residuals.
-    """
-    return (
-        device.residual_cores >= 1
-        and service.workload / device.cpu_speed <= deadline_ms
-        and service.mem_demand <= device.residual_mem
-        and service.storage_demand <= device.residual_storage
-    )
 
 
 def execution_time(service: Service, device: Device) -> float:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
-from .model import Device, NetworkLink
+from .model import Device, Topology
 
 
 N = TypeVar("N")
@@ -27,14 +27,6 @@ class Layer(IntEnum):
 
 
 RESOURCE_LAYERS: tuple[Layer, ...] = (Layer.CPU, Layer.MEM, Layer.STORAGE)
-
-
-class DuplicateDeviceError(ValueError):
-    pass
-
-
-class DanglingLinkError(ValueError):
-    pass
 
 
 def resource_value(device: Device, layer: Layer) -> float:
@@ -88,11 +80,7 @@ def index_rows(
     return nodes, tuple(dict(sorted(row.items())) for row in rows)
 
 
-def build_multilayer(
-    devices: Sequence[Device],
-    links: Iterable[NetworkLink],
-    min_weight: float = 0.0,
-) -> MultilayerGraph:
+def build_multilayer(topology: Topology, min_weight: float = 0.0) -> MultilayerGraph:
     """Construct the four-layer graph.
 
     Network edges mirror the physical links with unit weight. Each resource
@@ -101,23 +89,12 @@ def build_multilayer(
     edges with a weight strictly below ``min_weight`` are dropped (the
     default keeps all).
     """
-    seen: set[int] = set()
-    for d in devices:
-        if d.id in seen:
-            raise DuplicateDeviceError(f"device id {d.id} appears twice")
-        seen.add(d.id)
-
-    network: dict[tuple[int, int], float] = {}
-    for link in links:
-        if link.a not in seen or link.b not in seen:
-            raise DanglingLinkError(f"link {link.key} references an unknown device")
-        network[link.key] = 1.0
-
-    ordered = tuple(sorted(devices, key=lambda d: d.id))
+    ordered = tuple(sorted(topology.devices.values(), key=lambda d: d.id))
     ids = tuple(d.id for d in ordered)
-    intra: dict[Layer, LayerView] = {
-        Layer.NETWORK: LayerView(Layer.NETWORK, *index_rows(ids, network))
-    }
+    index = {did: k for k, did in enumerate(ids)}
+    # ascending neighbour ids give ascending positions, as every row needs
+    network = tuple({index[n]: 1.0 for n in topology.adj[did]} for did in ids)
+    intra: dict[Layer, LayerView] = {Layer.NETWORK: LayerView(Layer.NETWORK, ids, network)}
     for layer in RESOURCE_LAYERS:
         vals = [resource_value(d, layer) for d in ordered]
         rows: list[dict[int, float]] = [{} for _ in ordered]

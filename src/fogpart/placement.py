@@ -3,8 +3,9 @@
 ``run_placement`` walks the applications by ascending deadline
 (``sort_applications``) and each application's services in topological
 order. Every service goes to the first device of a candidate order that
-passes ``placement_valid`` (``place_service``). The strategies differ only in
-the order they offer:
+passes ``placement_valid`` (``place_service``). The topology is only read:
+the run keeps what is left of each device in its own ``Residual`` records,
+keyed by device id. The strategies differ only in the order they offer:
 
 - ``first_fit``: every device, by ascending id;
 - ``connectivity_greedy``: the members, ascending, of the network partition
@@ -32,7 +33,6 @@ from .model import (
     Topology,
     UnreachableError,
     User,
-    placement_valid,
     response_times,
 )
 from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
@@ -40,6 +40,31 @@ from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 STRATEGIES = ("multilayer", "first_fit", "connectivity_greedy")
 
 DIMENSIONS = ("cpu", "mem", "storage")
+
+
+@dataclass
+class Residual:
+    """What a run has left of one device; ``cores`` doubles as free service slots."""
+
+    cores: int
+    mem: float
+    storage: float
+
+
+def placement_valid(service: Service, device: Device, left: Residual, deadline_ms: float) -> bool:
+    """Admission predicate for hosting ``service`` on ``device``.
+
+    The CPU term compares the raw workload/speed ratio against the deadline,
+    exactly as the placement rule states it; the ms conversion belongs to
+    ``execution_time`` only. Memory, storage, and one free core must be
+    ``left`` on the device.
+    """
+    return (
+        left.cores >= 1
+        and service.workload / device.cpu_speed <= deadline_ms
+        and service.mem_demand <= left.mem
+        and service.storage_demand <= left.storage
+    )
 
 
 def normalization_ranges(
@@ -159,7 +184,7 @@ def rank_feature_partitions(
     return [fp_id for _, fp_id in scored]
 
 
-def fullest_partition(network: PartitionSet, devices: Mapping[int, Device]) -> list[int]:
+def fullest_partition(network: PartitionSet, residuals: Mapping[int, Residual]) -> list[int]:
     """Members, ascending, of the network partition with the most residual units.
 
     A device's residual units are the largest of its residual cores, GB and
@@ -170,8 +195,8 @@ def fullest_partition(network: PartitionSet, devices: Mapping[int, Device]) -> l
     for pid in sorted(network.partitions):
         members = network.partitions[pid]
         units = sum(
-            max(float(dev.residual_cores), dev.residual_mem, dev.residual_storage)
-            for dev in (devices[d] for d in members)
+            max(float(left.cores), left.mem, left.storage)
+            for left in (residuals[d] for d in members)
         )
         if units > best_units:
             best, best_units = members, units
@@ -188,40 +213,36 @@ def place_service(
     candidates: Iterable[int],
     deadline_ms: float,
     devices: Mapping[int, Device],
+    residuals: Mapping[int, Residual],
 ) -> int | None:
     """The admission scan shared by every strategy.
 
     Walks ``candidates`` in order and commits ``service`` to the first
     device that passes ``placement_valid`` against the app deadline, taking
-    one core and the service's memory and storage from its residuals.
+    one core and the service's memory and storage from its residual record.
     Returns that device id, or None when no candidate admits the service.
     """
     for did in candidates:
-        device = devices[did]
-        if placement_valid(service, device, deadline_ms):
-            device.residual_cores -= 1
-            device.residual_mem -= service.mem_demand
-            device.residual_storage -= service.storage_demand
+        left = residuals[did]
+        if placement_valid(service, devices[did], left, deadline_ms):
+            left.cores -= 1
+            left.mem -= service.mem_demand
+            left.storage -= service.storage_demand
             return did
     return None
 
 
 @dataclass
 class PlacementRun:
-    """Outcome of placing one request batch with a single strategy.
-
-    ``devices`` are the run's own device copies, holding the residuals left
-    after every admission.
-    """
+    """The plans of one strategy's run, and what it left of each device."""
 
     plans: dict[int, PlacementPlan]
-    devices: dict[int, Device]
+    residuals: dict[int, Residual]
 
 
 def run_placement(
     instances: Sequence[Application],
-    devices: Sequence[Device],
-    topology_links,
+    topology: Topology,
     users: Mapping[int, User],
     strategy: str,
     feature_partitions: FeaturePartitionSet | None = None,
@@ -231,11 +252,11 @@ def run_placement(
 ) -> PlacementRun:
     """Place every application instance (deadline order) with one strategy.
 
-    Each run starts from pristine residual copies of the devices, so
-    strategies can be compared on identical inputs. Response times are
-    attached to every plan that is fully placed, routable and requested by
-    a known user. Raises ValueError for an unknown strategy, a negative
-    weight or two zero weights, or missing partitions.
+    Only the run's own residual records change, so strategies can be
+    compared on one ``topology``. Response times are attached to every plan
+    that is fully placed and routable. Raises ValueError for an unknown
+    strategy, a negative weight or two zero weights, missing partitions, or
+    an application whose requesting user is not in ``users``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -245,21 +266,21 @@ def run_placement(
         strategy == "multilayer" and feature_partitions is None
     ):
         raise ValueError(f"{strategy} strategy requires partitioning results")
-    fresh = {d.id: d.fresh_copy() for d in devices}
-    topology = Topology(fresh.values(), topology_links)
+    devices = topology.devices
+    residuals = {did: Residual(d.cores, d.mem, d.storage) for did, d in devices.items()}
     ordered = sort_applications(instances)
-    ranges = normalization_ranges(fresh.values(), ordered) if strategy == "multilayer" else {}
+    ranges = normalization_ranges(devices.values(), ordered) if strategy == "multilayer" else {}
     routes: dict[int, dict[int, tuple[int, float, float]]] = {}  # gateway -> routes_from
-    order: Iterable[int] = sorted(fresh)  # first_fit's candidates for the whole run
+    order: Iterable[int] = sorted(devices)  # first_fit's candidates for the whole run
 
     plans: dict[int, PlacementPlan] = {}
     for app in ordered:
         user = users.get(app.user)
+        if user is None:
+            raise ValueError(f"app {app.id}: requesting user unknown")
         if strategy == "connectivity_greedy":
-            order = fullest_partition(network, fresh)
+            order = fullest_partition(network, residuals)
         elif strategy == "multilayer":
-            if user is None:
-                raise ValueError(f"app {app.id}: requesting user unknown")
             if user.gateway not in routes:
                 routes[user.gateway] = topology.routes_from(user.gateway)
             d_matrix, proximities = app_tables(
@@ -279,11 +300,11 @@ def run_placement(
                     for did in d_matrix[fp_id]
                     if anchor is None or network.assignment[did] == anchor
                 )
-            device_id = assignment[sid] = place_service(service, order, app.deadline, fresh)
-            if strategy == "multilayer" and anchor is None and device_id is not None:
-                anchor = network.assignment[device_id]
+            host = assignment[sid] = place_service(service, order, app.deadline, devices, residuals)
+            if strategy == "multilayer" and anchor is None and host is not None:
+                anchor = network.assignment[host]
         plan = plans[app.id] = PlacementPlan(assignment=assignment)
-        if user is None or not plan.fully_placed:
+        if not plan.fully_placed:
             continue
         try:
             plan.per_service_rt, plan.app_rt = response_times(
@@ -292,4 +313,4 @@ def run_placement(
         except UnreachableError:
             pass
 
-    return PlacementRun(plans=plans, devices=fresh)
+    return PlacementRun(plans=plans, residuals=residuals)

@@ -119,8 +119,8 @@ class Scenario:
     schedule: list[tuple[float, int]] = field(default_factory=list)
 
     def topology(self) -> Topology:
-        """A topology over pristine copies of the scenario devices."""
-        return Topology((d.fresh_copy() for d in self.devices), self.links)
+        """The scenario's devices and links, checked for duplicates and dangling ids."""
+        return Topology(self.devices, self.links)
 
     def users_by_id(self) -> dict[int, User]:
         return {u.id: u for u in self.users}

@@ -12,6 +12,8 @@ import pytest
 
 import fogpart
 from fogpart import cli
+from fogpart.model import Topology
+from fogpart.placement import STRATEGIES
 
 
 def test_import_leaves_numpy_out():
@@ -160,3 +162,29 @@ def test_error_exits_one_with_command_prefix(bad_input, reason, scenario_path, t
     err = capsys.readouterr().err
     assert err.startswith(f"fogpart {argv[0]}: ")
     assert reason in err
+
+
+def test_each_command_builds_one_topology(scenario_path, tmp_path, monkeypatch):
+    # the infrastructure is fixed input: partition, each place and simulate share one check of it
+    built = []
+    init = Topology.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Topology, "__init__", counting_init)
+    partitions = partitioned(scenario_path, tmp_path)
+    assert len(built) == 1
+    for strategy in STRATEGIES:
+        built.clear()
+        out = tmp_path / strategy
+        argv = ["place", "--scenario", str(scenario_path), "--partitions", str(partitions),
+                "--strategy", strategy, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(built) == 1, strategy
+        built.clear()
+        argv = ["simulate", "--scenario", str(scenario_path), "--plans", str(out / "plans.json"),
+                "--out", str(tmp_path / f"sim-{strategy}")]
+        assert cli.main(argv) == 0
+        assert len(built) == 1, strategy

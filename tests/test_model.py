@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -21,20 +22,27 @@ from fogpart.model import (
     USER,
     deadline_satisfied,
     execution_time,
-    placement_valid,
     response_times,
     transmission_time,
 )
+from fogpart.placement import Residual, placement_valid
 
 
 def make_device(device_id=0, cores=10, speed=20.0, mem=10.0, storage=10.0):
     return Device(device_id, cores, speed, mem, storage)
 
 
+def full(device):
+    """The residual record of a device nothing has been placed on."""
+    return Residual(device.cores, device.mem, device.storage)
+
+
 class TestDevice:
-    def test_fresh_residuals_equal_capacity(self):
+    def test_is_frozen(self):
+        # placement takes capacity from its own residual records, never from a device
         d = make_device()
-        assert (d.residual_cores, d.residual_mem, d.residual_storage) == (10, 10.0, 10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.cores = 9
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -48,37 +56,36 @@ class TestPlacementValid:
         # raw workload/speed ratio (not ms) is compared against the deadline
         s = Service(0, workload=20.0, mem_demand=1.0, storage_demand=1.0)
         d = make_device(speed=20.0, mem=10.0, storage=10.0)
-        assert placement_valid(s, d, 300.0) is True
+        assert placement_valid(s, d, full(d), 300.0) is True
 
     def test_memory_overflow_rejected(self):
         d = make_device()
-        s = Service(0, 20.0, d.residual_mem + 1e-9, 1.0)
-        assert placement_valid(s, d, 300.0) is False
+        s = Service(0, 20.0, full(d).mem + 1e-9, 1.0)
+        assert placement_valid(s, d, full(d), 300.0) is False
 
     def test_exact_equality_accepted(self):
         d = make_device(speed=2.0, mem=3.0, storage=4.0)
         s = Service(0, workload=2.0 * 300.0, mem_demand=3.0, storage_demand=4.0)
-        assert placement_valid(s, d, 300.0) is True
+        assert placement_valid(s, d, full(d), 300.0) is True
 
     def test_no_residual_core_rejected(self):
         d = make_device()
-        d.residual_cores = 0
-        assert placement_valid(Service(0, 1.0, 1.0, 1.0), d, 300.0) is False
+        left = Residual(0, d.mem, d.storage)
+        assert placement_valid(Service(0, 1.0, 1.0, 1.0), d, left, 300.0) is False
 
     def test_monotone_in_residuals(self):
         rng = random.Random(7)
         for _ in range(200):
             s = Service(0, rng.uniform(20, 60), rng.uniform(1, 6), rng.uniform(1, 6))
-            lo = make_device(speed=rng.uniform(20, 60), mem=25.0, storage=25.0)
-            lo.residual_mem = rng.uniform(0.0, 25.0)
-            lo.residual_storage = rng.uniform(0.0, 25.0)
-            lo.residual_cores = rng.randint(0, 10)
-            hi = make_device(speed=lo.cpu_speed, mem=25.0, storage=25.0)
-            hi.residual_mem = min(25.0, lo.residual_mem + rng.uniform(0, 5))
-            hi.residual_storage = min(25.0, lo.residual_storage + rng.uniform(0, 5))
-            hi.residual_cores = min(10, lo.residual_cores + rng.randint(0, 3))
-            if placement_valid(s, lo, 300.0):
-                assert placement_valid(s, hi, 300.0)
+            d = make_device(speed=rng.uniform(20, 60), mem=25.0, storage=25.0)
+            lo = Residual(rng.randint(0, 10), rng.uniform(0.0, 25.0), rng.uniform(0.0, 25.0))
+            hi = Residual(
+                min(10, lo.cores + rng.randint(0, 3)),
+                min(25.0, lo.mem + rng.uniform(0, 5)),
+                min(25.0, lo.storage + rng.uniform(0, 5)),
+            )
+            if placement_valid(s, d, lo, 300.0):
+                assert placement_valid(s, d, hi, 300.0)
 
     def test_scaling_memory_dimension_preserves_feasibility(self):
         rng = random.Random(11)
@@ -88,7 +95,9 @@ class TestPlacementValid:
             d = make_device(mem=rng.uniform(6, 25))
             scaled_s = Service(0, 30.0, s.mem_demand * factor, 1.0)
             scaled_d = make_device(mem=d.mem * factor)
-            assert placement_valid(s, d, 300.0) == placement_valid(scaled_s, scaled_d, 300.0)
+            assert placement_valid(s, d, full(d), 300.0) == placement_valid(
+                scaled_s, scaled_d, full(scaled_d), 300.0
+            )
 
 
 class TestExecutionTime:
@@ -336,6 +345,19 @@ class TestTopology:
         devices = [make_device(0), make_device(1)]
         with pytest.raises(ValueError):
             Topology(devices, [one_hop(), NetworkLink(1, 0, 1.0, 1.0)])
+
+    def test_duplicate_device_rejected(self):
+        with pytest.raises(ValueError, match="duplicate device id 0"):
+            Topology([make_device(0), make_device(1), make_device(0)], [one_hop()])
+
+    def test_dangling_link_rejected(self):
+        with pytest.raises(ValueError, match="references an unknown device"):
+            Topology([make_device(0), make_device(1)], [NetworkLink(0, 99, 1.0, 1.0)])
+
+    def test_neighbours_sorted_ascending(self):
+        links = [NetworkLink(2, 0, 1.0, 1.0), NetworkLink(0, 1, 1.0, 1.0), NetworkLink(1, 2, 1.0, 1.0)]
+        topo = Topology([make_device(i) for i in (2, 0, 1)], links)
+        assert topo.adj == {2: (0, 1), 0: (1, 2), 1: (0, 2)}
 
 
 class TestHopCount:

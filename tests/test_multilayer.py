@@ -7,14 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from fogpart.model import Device, NetworkLink
-from fogpart.multilayer import (
-    DanglingLinkError,
-    DuplicateDeviceError,
-    Layer,
-    RESOURCE_LAYERS,
-    build_multilayer,
-)
+from fogpart.model import Device, NetworkLink, Topology
+from fogpart.multilayer import Layer, RESOURCE_LAYERS, build_multilayer
 
 from conftest import make_view
 
@@ -25,7 +19,7 @@ def devices_with_speeds(speeds):
 
 def similarity(d_i, d_j, layer):
     """The weight ``build_multilayer`` stores for the pair, checked in both rows."""
-    view = build_multilayer([d_i, d_j], []).intra_edges[layer]
+    view = build_multilayer(Topology([d_i, d_j], [])).intra_edges[layer]
     assert view.rows[0][1] == view.rows[1][0]
     return view.rows[0][1]
 
@@ -64,49 +58,38 @@ def small_infrastructure():
         NetworkLink(1, 2, 75000.0, 5.0),
         NetworkLink(2, 3, 75000.0, 5.0),
     ]
-    return devices, links
+    return Topology(devices, links)
 
 
 class TestBuildMultilayer:
     def test_edge_counts(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
+        g = build_multilayer(small_infrastructure())
         assert len(g.intra_edges[Layer.NETWORK]) == 3
         for layer in RESOURCE_LAYERS:
             assert len(g.intra_edges[layer]) == 6  # complete graph on 4 nodes
 
     def test_network_weights_are_unit(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
+        g = build_multilayer(small_infrastructure())
         assert all(w == 1.0 for row in g.intra_edges[Layer.NETWORK].rows for w in row.values())
 
     def test_min_weight_one_prunes_distinct_resources(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links, min_weight=1.0)
+        g = build_multilayer(small_infrastructure(), min_weight=1.0)
         for layer in RESOURCE_LAYERS:
             assert len(g.intra_edges[layer]) == 0
 
-    def test_duplicate_device_rejected(self):
-        devices, links = small_infrastructure()
-        with pytest.raises(DuplicateDeviceError):
-            build_multilayer(devices + [devices[0]], links)
-
-    def test_dangling_link_rejected(self):
-        devices, _ = small_infrastructure()
-        with pytest.raises(DanglingLinkError):
-            build_multilayer(devices, [NetworkLink(0, 99, 1.0, 1.0)])
-
     def test_deterministic(self):
-        devices, links = small_infrastructure()
-        a = build_multilayer(devices, links)
-        b = build_multilayer([d.fresh_copy() for d in devices], list(links))
-        assert a.intra_edges == b.intra_edges
+        # the order of devices and links, and each link's direction, change nothing
+        topology = small_infrastructure()
+        shuffled = Topology(
+            reversed(list(topology.devices.values())),
+            [NetworkLink(b, a, 75000.0, 5.0) for a, b in ((2, 3), (1, 2), (0, 1))],
+        )
+        assert build_multilayer(topology).intra_edges == build_multilayer(shuffled).intra_edges
 
 
 class TestLayerView:
     def test_network_view_mirrors_links(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
+        g = build_multilayer(small_infrastructure())
         view = g.intra_edges[Layer.NETWORK]
         assert view.nodes == (0, 1, 2, 3)
         assert view.rows == (
@@ -127,8 +110,7 @@ class TestLayerView:
         assert len(view) == 3
 
     def test_every_device_in_every_layer(self):
-        devices, links = small_infrastructure()
-        g = build_multilayer(devices, links)
+        g = build_multilayer(small_infrastructure())
         assert list(g.intra_edges) == list(Layer)
         for view in g.intra_edges.values():
             assert view.nodes == (0, 1, 2, 3)

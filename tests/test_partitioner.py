@@ -18,7 +18,7 @@ from conftest import (
     triangle_view,
     two_pairs_view,
 )
-from fogpart.model import Device, NetworkLink
+from fogpart.model import Device, NetworkLink, Topology
 from fogpart.scenario import ScenarioConfig, generate_scenario
 from fogpart.multilayer import (
     Layer,
@@ -331,7 +331,7 @@ class TestFeaturePartition:
 class TestPipeline:
     def test_single_device_infrastructure(self):
         devices = [Device(0, 10, 20.0, 10.0, 10.0)]
-        g = build_multilayer(devices, [])
+        g = build_multilayer(Topology(devices, []))
         fps, network, layer_sets = multilayer_resource_partition(g)
         assert len(network.partitions) == 1
         assert len(fps.feature_partitions) == 1
@@ -345,7 +345,7 @@ class TestPipeline:
         links = []
         for i in range(1, 60):
             links.append(NetworkLink(rng.randrange(i), i, 75000.0, 5.0))
-        g = build_multilayer(devices, links)
+        g = build_multilayer(Topology(devices, links))
         fps, network, layer_sets = multilayer_resource_partition(g)
         ids = {d.id for d in devices}
         # every device sits in exactly one network partition
@@ -374,7 +374,7 @@ class TestPipeline:
             for i in range(20)
         ]
         links = [NetworkLink(rng.randrange(i), i, 75000.0, 5.0) for i in range(1, 20)]
-        g = build_multilayer(devices, links)
+        g = build_multilayer(Topology(devices, links))
         a = multilayer_resource_partition(g)
         b = multilayer_resource_partition(g)
         assert a[0].feature_partitions == b[0].feature_partitions
@@ -389,9 +389,8 @@ class TestNetworkPartitionsConnected:
     @pytest.mark.parametrize("scale", ["SMALL", "LARGE"])
     def test_generated_scenario(self, scale, seed):
         scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale(scale))
-        graph = build_multilayer([d.fresh_copy() for d in scenario.devices], scenario.links)
-        network = louvain_partition(graph.intra_edges[Layer.NETWORK])
         topology = scenario.topology()
+        network = louvain_partition(build_multilayer(topology).intra_edges[Layer.NETWORK])
         for pid, members in network.partitions.items():
             # routing that treats every device outside the partition as dead
             outside = frozenset(topology.devices) - members
@@ -625,7 +624,7 @@ class TestRowsMatchReferencePath:
     @given(infrastructures())
     def test_louvain_and_feature_partition_exactly_equal(self, infra):
         devices, links, min_weight = infra
-        graph = build_multilayer(devices, links, min_weight=min_weight)
+        graph = build_multilayer(Topology(devices, links), min_weight=min_weight)
         node_ids, intra = reference_edges(devices, links, min_weight)
         for layer, view in graph.intra_edges.items():
             assert len(view) == len(intra[layer])
@@ -651,7 +650,7 @@ class TestNeverBelowSingletonsProperty:
     @given(infrastructures())
     def test_louvain_and_feature_partition_at_least_singletons(self, infra):
         devices, links, min_weight = infra
-        graph = build_multilayer(devices, links, min_weight=min_weight)
+        graph = build_multilayer(Topology(devices, links), min_weight=min_weight)
         layer_sets = {}
         for layer, view in graph.intra_edges.items():
             ps = louvain_partition(view)

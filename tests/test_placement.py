@@ -30,6 +30,7 @@ from fogpart.partitioner import (
 )
 from fogpart.placement import (
     STRATEGIES,
+    Residual,
     app_tables,
     demand_similarity,
     normalization_ranges,
@@ -69,8 +70,13 @@ def fitness(fp_id, service, fps, routes, size, alpha, beta, ranges):
     return alpha * max_sim + beta / (1.0 + t_min)
 
 
-def residuals(devices):
-    return [(d.residual_cores, d.residual_mem, d.residual_storage) for d in devices.values()]
+def full_capacity(devices):
+    """Residual records of devices nothing has been placed on yet."""
+    return {did: Residual(d.cores, d.mem, d.storage) for did, d in devices.items()}
+
+
+def residuals(records):
+    return [(left.cores, left.mem, left.storage) for left in records.values()]
 
 
 class TestDemandSimilarity:
@@ -131,10 +137,12 @@ def line_context(core_counts=(10, 10, 10, 10)):
         features=features,
         modularity=0.0,
     )
+    topology = Topology(devices.values(), links)
     return SimpleNamespace(
         devices=devices,
         links=links,
-        routes=Topology(devices.values(), links).routes_from(0),
+        topology=topology,
+        routes=topology.routes_from(0),
         network=network,
         fps=fps,
         users={0: User(0, gateway=0)},
@@ -144,7 +152,7 @@ def line_context(core_counts=(10, 10, 10, 10)):
 def place_on_line(ctx, apps, alpha=0.5, beta=0.5):
     """One multilayer run over the line context's devices and partitions."""
     return run_placement(
-        apps, list(ctx.devices.values()), ctx.links, ctx.users, "multilayer",
+        apps, ctx.topology, ctx.users, "multilayer",
         feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
     )
 
@@ -268,39 +276,43 @@ class TestPlaceService:
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
         run = place_on_line(ctx, [app])
         assert run.plans[0].assignment == {0: 0, 1: 1, 2: None}
-        assert residuals(run.devices) == [
+        assert residuals(run.residuals) == [
             (0, 99.0, 99.0), (0, 99.0, 99.0), (10, 100.0, 100.0), (10, 100.0, 100.0)
         ]
 
     def test_first_admissible_candidate_committed_and_audited(self):
         # the residuals are the record of a commit: only the chosen device's change
         devices = {i: Device(i, 2, 20.0, 10.0, 10.0) for i in range(3)}
-        devices[2].residual_mem = 0.5
+        left = full_capacity(devices)
+        left[2].mem = 0.5
         s = Service(4, 20.0, 1.0, 1.5)
-        assert place_service(s, [2, 1, 0], 700.0, devices) == 1
-        assert residuals(devices) == [(2, 10.0, 10.0), (1, 9.0, 8.5), (2, 0.5, 10.0)]
+        assert place_service(s, [2, 1, 0], 700.0, devices, left) == 1
+        assert residuals(left) == [(2, 10.0, 10.0), (1, 9.0, 8.5), (2, 0.5, 10.0)]
 
     def test_two_commits_accumulate(self):
         devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
+        left = full_capacity(devices)
         s = Service(0, 20.0, 1.0, 1.0)
-        assert place_service(s, [0], 50000.0, devices) == 0
-        assert place_service(s, [0], 50000.0, devices) == 0
-        assert residuals(devices) == [(8, 8.0, 8.0)]
+        assert place_service(s, [0], 50000.0, devices, left) == 0
+        assert place_service(s, [0], 50000.0, devices, left) == 0
+        assert residuals(left) == [(8, 8.0, 8.0)]
 
     def test_exhausted_memory_over_commit(self):
         devices = {0: Device(0, 10, 20.0, 10.0, 10.0)}
-        assert place_service(Service(0, 1.0, 11.0, 1.0), [0], 50000.0, devices) is None
-        assert residuals(devices) == [(10, 10.0, 10.0)]
+        left = full_capacity(devices)
+        assert place_service(Service(0, 1.0, 11.0, 1.0), [0], 50000.0, devices, left) is None
+        assert residuals(left) == [(10, 10.0, 10.0)]
 
     def test_deadline_blind_admission(self):
         # Pinned, not fixed: placement_valid compares workload / cpu_speed
         # (seconds) with the deadline (ms), so a service that runs for
         # 3,000 ms is admitted under a 300 ms deadline.
-        device = Device(0, 1, 20.0, 10.0, 10.0)
+        devices = {0: Device(0, 1, 20.0, 10.0, 10.0)}
+        left = full_capacity(devices)
         s = Service(0, 60.0, 1.0, 1.0)
-        assert execution_time(s, device) == 3000.0
-        assert place_service(s, [0], 300.0, {0: device}) == 0
-        assert device.residual_cores == 0
+        assert execution_time(s, devices[0]) == 3000.0
+        assert place_service(s, [0], 300.0, devices, left) == 0
+        assert left[0].cores == 0
 
 
 class TestSelectFeaturePartitions:
@@ -354,7 +366,8 @@ def toy_scenario_inputs():
 
 def baseline_plan(strategy, app, devices, network=None):
     """The plan one baseline run gives a single app requested at gateway 0."""
-    run = run_placement([app], devices, [], {0: User(0, gateway=0)}, strategy, network=network)
+    topology = Topology(devices, [])
+    run = run_placement([app], topology, {0: User(0, gateway=0)}, strategy, network=network)
     return run.plans[app.id]
 
 
@@ -393,16 +406,11 @@ class TestBaselines:
             0.0,
         )
         ctx = line_context()
+        topology = Topology(devices, links)
         run_ml = run_placement(
-            apps,
-            devices,
-            links,
-            users,
-            "multilayer",
-            feature_partitions=ctx.fps,
-            network=network,
+            apps, topology, users, "multilayer", feature_partitions=ctx.fps, network=network
         )
-        run_ff = run_placement(apps, devices, links, users, "first_fit")
+        run_ff = run_placement(apps, topology, users, "first_fit")
         placed_ml = sum(d is not None for p in run_ml.plans.values() for d in p.assignment.values())
         placed_ff = sum(d is not None for p in run_ff.plans.values() for d in p.assignment.values())
         assert placed_ml >= placed_ff
@@ -415,8 +423,20 @@ def test_negative_weight_rejected(strategy, alpha, beta):
     ctx = line_context()
     with pytest.raises(ValueError, match="alpha and beta must be non-negative"):
         run_placement(
-            apps, devices, links, users, strategy,
+            apps, Topology(devices, links), users, strategy,
             feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
+        )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_unknown_user_rejected_by_every_strategy(strategy):
+    devices, links, users, apps = toy_scenario_inputs()
+    apps[1].user = 7
+    ctx = line_context()
+    with pytest.raises(ValueError, match="app 1: requesting user unknown"):
+        run_placement(
+            apps, Topology(devices, links), users, strategy,
+            feature_partitions=ctx.fps, network=ctx.network,
         )
 
 
@@ -448,46 +468,45 @@ class TestRunPlacementInvariants:
         from fogpart.multilayer import build_multilayer
         from fogpart.partitioner import multilayer_resource_partition
 
-        graph = build_multilayer([d.fresh_copy() for d in devices], links)
-        fps, network, _ = multilayer_resource_partition(graph)
+        topology = Topology(devices, links)
+        fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
         run = run_placement(
-            apps, devices, links, users, self.strategy, feature_partitions=fps, network=network
+            apps, topology, users, self.strategy, feature_partitions=fps, network=network
         )
-        return run, network, devices, apps, links, users
+        return run, network, topology, apps, users
 
     def test_audit_replays_placement_valid(self):
         # the plans are the record of every admission: replay the CPU term of
         # placement_valid over them (the residual terms are checked below)
-        run, _, _, apps, *_ = self.run_strategy()
+        run, _, topology, apps, _ = self.run_strategy()
         by_id = {app.id: app for app in apps}
         replayed = 0
         for app_id, plan in run.plans.items():
             app = by_id[app_id]
             for sid, did in plan.assignment.items():
                 if did is not None:
-                    assert app.service(sid).workload / run.devices[did].cpu_speed <= app.deadline
+                    cpu_speed = topology.devices[did].cpu_speed
+                    assert app.service(sid).workload / cpu_speed <= app.deadline
                     replayed += 1
         assert replayed
 
     def test_residuals_non_negative_and_conserved(self):
-        run, _, originals, apps, *_ = self.run_strategy()
+        run, _, topology, apps, _ = self.run_strategy()
         by_id = {app.id: app for app in apps}
         hosted: dict[int, list[Service]] = {}
         for app_id, plan in run.plans.items():
             for sid, did in plan.assignment.items():
                 if did is not None:
                     hosted.setdefault(did, []).append(by_id[app_id].service(sid))
-        for d in originals:
-            dev = run.devices[d.id]
-            assert dev.residual_cores >= 0
-            assert dev.residual_mem >= 0.0
-            assert dev.residual_storage >= 0.0
+        for d in topology.devices.values():
+            left = run.residuals[d.id]
+            assert left.cores >= 0
+            assert left.mem >= 0.0
+            assert left.storage >= 0.0
             services = hosted.get(d.id, [])
-            assert dev.residual_cores == d.cores - len(services)
-            assert dev.residual_mem == pytest.approx(
-                d.mem - sum(s.mem_demand for s in services)
-            )
-            assert dev.residual_storage == pytest.approx(
+            assert left.cores == d.cores - len(services)
+            assert left.mem == pytest.approx(d.mem - sum(s.mem_demand for s in services))
+            assert left.storage == pytest.approx(
                 d.storage - sum(s.storage_demand for s in services)
             )
 
@@ -500,8 +519,7 @@ class TestRunPlacementInvariants:
             assert len(partitions) <= 1
 
     def test_response_times_attached_to_fully_placed_plans(self):
-        run, _, devices, apps, links, users = self.run_strategy()
-        topology = Topology([d.fresh_copy() for d in devices], links)
+        run, _, topology, apps, users = self.run_strategy()
         for app in apps:
             plan = run.plans[app.id]
             if plan.fully_placed:
@@ -565,13 +583,11 @@ class TestResidualsProperty:
         from fogpart.partitioner import multilayer_resource_partition
 
         devices, links, users, apps = inputs
-        fps, network, _ = multilayer_resource_partition(
-            build_multilayer([d.fresh_copy() for d in devices], links)
-        )
+        topology = Topology(devices, links)
+        fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
         for strategy in STRATEGIES:
             run = run_placement(
-                apps, devices, links, users, strategy,
-                feature_partitions=fps, network=network,
+                apps, topology, users, strategy, feature_partitions=fps, network=network
             )
             hosted = {d.id: 0 for d in devices}
             for plan in run.plans.values():
@@ -579,11 +595,11 @@ class TestResidualsProperty:
                     if did is not None:
                         hosted[did] += 1
             for d in devices:
-                dev = run.devices[d.id]
-                assert dev.residual_cores >= 0
-                assert dev.residual_mem >= 0.0
-                assert dev.residual_storage >= 0.0
-                assert dev.residual_cores == d.cores - hosted[d.id]
+                left = run.residuals[d.id]
+                assert left.cores >= 0
+                assert left.mem >= 0.0
+                assert left.storage >= 0.0
+                assert left.cores == d.cores - hosted[d.id]
 
 
 @st.composite
