@@ -118,7 +118,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     scenario = scenario_from_dict(load_json(args.scenario))
     if not scenario.devices:
         raise ConfigError("scenario has no devices to partition")
-    graph = build_multilayer(scenario.topology(), min_weight=args.min_weight)
+    graph = build_multilayer(scenario.topology())
     fps, network, layer_sets = multilayer_resource_partition(graph)
     out = Path(args.out)
     config_hash = _config_hash(config_to_dict(scenario.config))
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="run the multilayer partitioning pipeline")
     p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--min-weight", type=float, default=0.0, help="drop similarity edges below this weight")
     p.add_argument(
         "--seed", type=int, default=0,
         help="recorded in the manifest only; partitioning is deterministic",

@@ -80,14 +80,12 @@ def index_rows(
     return nodes, tuple(dict(sorted(row.items())) for row in rows)
 
 
-def build_multilayer(topology: Topology, min_weight: float = 0.0) -> MultilayerGraph:
+def build_multilayer(topology: Topology) -> MultilayerGraph:
     """Construct the four-layer graph.
 
     Network edges mirror the physical links with unit weight. Each resource
     layer is the complete similarity graph over all devices, weighted
-    1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources;
-    edges with a weight strictly below ``min_weight`` are dropped (the
-    default keeps all).
+    1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources.
     """
     ordered = tuple(sorted(topology.devices.values(), key=lambda d: d.id))
     ids = tuple(d.id for d in ordered)
@@ -102,9 +100,6 @@ def build_multilayer(topology: Topology, min_weight: float = 0.0) -> MultilayerG
         for k, va in enumerate(vals):
             row = rows[k]
             for j in range(k + 1, len(vals)):
-                w = 1.0 / (1.0 + abs(va - vals[j]))
-                if w >= min_weight:
-                    row[j] = w
-                    rows[j][k] = w
+                row[j] = rows[j][k] = 1.0 / (1.0 + abs(va - vals[j]))
         intra[layer] = LayerView(layer, ids, tuple(rows))
     return MultilayerGraph(devices=ordered, intra_edges=intra)

@@ -72,11 +72,6 @@ class TestBuildMultilayer:
         g = build_multilayer(small_infrastructure())
         assert all(w == 1.0 for row in g.intra_edges[Layer.NETWORK].rows for w in row.values())
 
-    def test_min_weight_one_prunes_distinct_resources(self):
-        g = build_multilayer(small_infrastructure(), min_weight=1.0)
-        for layer in RESOURCE_LAYERS:
-            assert len(g.intra_edges[layer]) == 0
-
     def test_deterministic(self):
         # the order of devices and links, and each link's direction, change nothing
         topology = small_infrastructure()

@@ -557,15 +557,14 @@ class TestKeptLinkSums:
 # ---------------------------------------------------------------------------
 
 
-def reference_edges(devices, links, min_weight):
+def reference_edges(devices, links):
     ordered = sorted(devices, key=lambda d: d.id)
     intra = {Layer.NETWORK: {link.key: 1.0 for link in links}}
     for layer in RESOURCE_LAYERS:
         edges = {}
         for d_i, d_j in combinations(ordered, 2):
             w = 1.0 / (1.0 + abs(resource_value(d_i, layer) - resource_value(d_j, layer)))
-            if w >= min_weight:
-                edges[(d_i.id, d_j.id)] = w
+            edges[(d_i.id, d_j.id)] = w
         intra[layer] = edges
     return [d.id for d in ordered], intra
 
@@ -616,16 +615,16 @@ def infrastructures(draw):
     pairs = list(combinations(sorted(ids), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     links = [NetworkLink(a, b, 75000.0, 5.0) for a, b in chosen]
-    return draw(st.permutations(devices)), links, draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return draw(st.permutations(devices)), links
 
 
 class TestRowsMatchReferencePath:
     @settings(max_examples=200, deadline=None)
     @given(infrastructures())
     def test_louvain_and_feature_partition_exactly_equal(self, infra):
-        devices, links, min_weight = infra
-        graph = build_multilayer(Topology(devices, links), min_weight=min_weight)
-        node_ids, intra = reference_edges(devices, links, min_weight)
+        devices, links = infra
+        graph = build_multilayer(Topology(devices, links))
+        node_ids, intra = reference_edges(devices, links)
         for layer, view in graph.intra_edges.items():
             assert len(view) == len(intra[layer])
         layer_sets = {}
@@ -649,8 +648,8 @@ class TestNeverBelowSingletonsProperty:
     @settings(max_examples=200, deadline=None)
     @given(infrastructures())
     def test_louvain_and_feature_partition_at_least_singletons(self, infra):
-        devices, links, min_weight = infra
-        graph = build_multilayer(Topology(devices, links), min_weight=min_weight)
+        devices, links = infra
+        graph = build_multilayer(Topology(devices, links))
         layer_sets = {}
         for layer, view in graph.intra_edges.items():
             ps = louvain_partition(view)
