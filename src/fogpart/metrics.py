@@ -7,12 +7,11 @@ service counting one core-equivalent on the CPU axis.
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .model import Application, Device, PlacementPlan, Topology
+from .serialize import dump_json, write_csv
 from .simulator import RequestOutcome, SATISFIED
 
 
@@ -118,29 +117,11 @@ def emit_report(rows: Sequence[Mapping[str, object]], out_dir: Path) -> list[Pat
     The CSV column order is fixed (REPORT_COLUMNS) and the JSON document is
     key-sorted, so reruns produce identical bytes.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "comparison.csv"
-    json_path = out_dir / "report.json"
-    try:
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow([_cell(row.get(col)) for col in REPORT_COLUMNS])
-        payload = {"schema_version": 1, "runs": [dict(sorted(r.items())) for r in rows]}
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
-    return [csv_path, json_path]
-
-
-def _cell(value: object) -> object:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    table = ([row.get(col) for col in REPORT_COLUMNS] for row in rows)
+    return [
+        write_csv(Path(out_dir) / "comparison.csv", REPORT_COLUMNS, table),
+        dump_json(Path(out_dir) / "report.json", {"schema_version": 1, "runs": list(rows)}),
+    ]
 
 
 def hop_summary(histogram: Mapping[int | str, int]) -> tuple[float | None, int | None, int]:
