@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import networkx as nx
 
@@ -129,11 +129,23 @@ class Scenario:
         return {a.id: a for a in self.apps}
 
     def instances(self) -> list[Application]:
-        """Per-request application instances (instance id = request id)."""
+        """Per-request application instances (instance id = request id).
+
+        Raises ValueError for a request naming an unknown app or user, or a
+        user whose gateway is not a device.
+        """
         templates = self.app_by_id()
+        users = self.users_by_id()
+        device_ids = {d.id for d in self.devices}
         out = []
         for req in self.requests:
-            tpl = templates[req.app_id]
+            tpl = templates.get(req.app_id)
+            user = users.get(req.user_id)
+            if tpl is None or user is None:
+                unknown = f"app {req.app_id}" if tpl is None else f"user {req.user_id}"
+                raise ValueError(f"request {req.request_id} names unknown {unknown}")
+            if user.gateway not in device_ids:
+                raise ValueError(f"user {user.id}'s gateway {user.gateway} is not a device")
             out.append(
                 Application(
                     id=req.request_id,

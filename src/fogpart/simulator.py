@@ -95,9 +95,9 @@ def run(
     verdict is computed once per request and failure epoch: the memo is
     emptied at each death, since epochs never recur.
 
-    Raises ValueError for a plan of a request the scenario lacks, one that
-    does not assign exactly its app's services, or one that names a device
-    outside the scenario.
+    Raises ValueError for a schedule entry (up to the horizon) or a plan of
+    a request the scenario lacks, a plan that does not assign exactly its
+    app's services, or one that names a device outside the scenario.
     """
     if mode not in (RELIABLE, FAULTY):
         raise ValueError(f"unknown mode {mode!r}")
@@ -123,8 +123,10 @@ def run(
             verdicts = {}
         verdict = verdicts.get(request_id)
         if verdict is None:
+            if request_id not in instances:
+                raise ValueError(f"schedule at {time_s} s names unknown request {request_id}")
             verdict = verdicts[request_id] = _classify(
-                instances.get(request_id), plans.get(request_id), topology, users, dead
+                instances[request_id], plans.get(request_id), topology, users, dead
             )
         outcomes.append(RequestOutcome(time_s, request_id, *verdict))
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
@@ -156,14 +158,14 @@ def _check_plans(
 
 
 def _classify(
-    app: Application | None,
+    app: Application,
     plan: PlacementPlan | None,
     topology: Topology,
     users: Mapping[int, User],
     dead: frozenset[int],
 ) -> tuple[str, float | None]:
     """(status, response time in ms) of one request while ``dead`` are down."""
-    if plan is None or app is None or not plan.fully_placed:
+    if plan is None or not plan.fully_placed:
         return FAILED_DEPENDENCY, None
     if any(host in dead for host in plan.assignment.values()):
         return FAILED_DEPENDENCY, None

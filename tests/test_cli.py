@@ -135,6 +135,39 @@ def plan_names_unknown_device(scenario, tmp):
     return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": 99999}))
 
 
+def edited_scenario(scenario, tmp, edit):
+    """A copy of ``scenario`` with ``edit`` applied to its JSON document."""
+    data = json.loads(scenario.read_text())
+    edit(data)
+    path = tmp / "edited" / "scenario.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(data))
+    return path
+
+
+def place_edited(scenario, tmp, edit):
+    return ["place", "--scenario", str(edited_scenario(scenario, tmp, edit)), "--strategy", "first_fit"]
+
+
+def request_names_unknown_user(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["requests"][0].update(user_id=999))
+
+
+def request_names_unknown_app(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["requests"][0].update(app_id=999))
+
+
+def user_on_unknown_gateway(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["users"][0].update(gateway=9999))
+
+
+def schedule_names_unknown_request(scenario, tmp):
+    place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
+    assert cli.main(place) == 0
+    edited = edited_scenario(scenario, tmp, lambda data: data["schedule"].append([0.0, 12345]))
+    return ["simulate", "--scenario", str(edited), "--plans", str(tmp / "place" / "plans.json")]
+
+
 #: builder of a bad command line -> the reason its error message must give
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
@@ -150,6 +183,10 @@ BAD_INPUTS = [
     (partitions_schema_1, "schema_version 1"),
     (plan_omits_a_service, "plan of request 0 assigns services"),
     (plan_names_unknown_device, "on device 99999, which is not in the scenario"),
+    (request_names_unknown_user, "request 0 names unknown user 999"),
+    (request_names_unknown_app, "request 0 names unknown app 999"),
+    (user_on_unknown_gateway, "user 0's gateway 9999 is not a device"),
+    (schedule_names_unknown_request, "names unknown request 12345"),
 ]
 
 
