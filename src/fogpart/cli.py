@@ -31,7 +31,7 @@ from .metrics import (
 from .multilayer import build_multilayer
 from .partitioner import multilayer_resource_partition
 from .placement import STRATEGIES, run_placement
-from .scenario import PRESETS, ConfigError, ScenarioConfig, generate_scenario
+from .scenario import PRESET_FIELDS, PRESETS, ConfigError, ScenarioConfig, generate_scenario
 from .serialize import (
     config_from_dict,
     config_to_dict,
@@ -88,7 +88,8 @@ def _load_config_file(path: Path | None, preset: str | None, seed: int | None) -
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    scale = data.pop("scale", None) or preset
+    file_scale = data.pop("scale", None)
+    scale = preset or file_scale  # the flag wins, as --seed does
     if seed is not None:
         data["seed"] = seed
     try:
@@ -97,6 +98,10 @@ def _load_config_file(path: Path | None, preset: str | None, seed: int | None) -
         raise ConfigError(f"invalid config: {exc}")
     if scale:
         cfg = cfg.with_scale(scale)
+        # a config may repeat the fields a scale sets, but not change them
+        clash = [k for k in PRESET_FIELDS if k in data and data[k] != getattr(cfg, k)]
+        if clash:
+            raise ConfigError(f"scale {scale} fixes {', '.join(clash)}; the config sets other values")
     return cfg
 
 

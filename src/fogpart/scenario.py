@@ -23,6 +23,9 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+#: The ScenarioConfig fields a scale sets, in the order of a PRESETS row.
+PRESET_FIELDS = ("app_count", "user_count", "deadline_mode")
+
 #: Table of evaluation scales: (app templates, users, deadline mode).
 PRESETS: dict[str, tuple[int, int, bool]] = {
     "SMALL": (10, 29, False),
@@ -83,10 +86,7 @@ class ScenarioConfig:
     def with_scale(self, scale: str) -> "ScenarioConfig":
         if scale not in PRESETS:
             raise ConfigError(f"unknown scale {scale!r}; expected one of {sorted(PRESETS)}")
-        apps, users, deadline_mode = PRESETS[scale]
-        return replace(
-            self, scale=scale, app_count=apps, user_count=users, deadline_mode=deadline_mode
-        )
+        return replace(self, scale=scale, **dict(zip(PRESET_FIELDS, PRESETS[scale])))
 
 
 #: The (min, max) fields of ScenarioConfig, in declaration order.

@@ -46,6 +46,12 @@ def malformed_config_json(scenario, tmp):
     return ["generate", "--config", str(tmp / "config.json")]
 
 
+def scale_with_other_app_count(scenario, tmp):
+    # with_scale used to overwrite the explicit field: this config generated 30 apps
+    (tmp / "config.json").write_text(json.dumps({"scale": "LARGE", "app_count": 5}))
+    return ["generate", "--config", str(tmp / "config.json")]
+
+
 def multilayer_without_partitions(scenario, tmp):
     return ["place", "--scenario", str(scenario), "--strategy", "multilayer"]
 
@@ -172,6 +178,7 @@ def schedule_names_unknown_request(scenario, tmp):
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
     (malformed_config_json, "config parse error"),
+    (scale_with_other_app_count, "scale LARGE fixes app_count; the config sets other values"),
     (multilayer_without_partitions, "requires --partitions"),
     (negative_alpha, "alpha and beta must be non-negative"),
     (report_without_metrics, "has no metrics.json"),
@@ -199,6 +206,30 @@ def test_error_exits_one_with_command_prefix(bad_input, reason, scenario_path, t
     err = capsys.readouterr().err
     assert err.startswith(f"fogpart {argv[0]}: ")
     assert reason in err
+
+
+def generated_config(tmp_path, argv, config):
+    """The ``config`` block of the scenario that ``generate`` writes for a config file."""
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "gen"
+    assert cli.main(["generate", "--config", str(path), *argv, "--out", str(out)]) == 0
+    return json.loads((out / "scenario.json").read_text())["config"]
+
+
+def test_preset_flag_wins_over_config_scale(tmp_path):
+    config = {"scale": "LARGE", "device_count": 10, "gateway_count": 3, "horizon_s": 10.0}
+    generated = generated_config(tmp_path, ["--preset", "SMALL"], config)
+    assert (generated["scale"], generated["app_count"], generated["user_count"]) == ("SMALL", 10, 29)
+
+
+def test_scenario_config_block_generates_the_same_scenario(tmp_path):
+    # a written config repeats the fields its scale sets, with the same values
+    config = {"scale": "D-SMALL", "device_count": 10, "gateway_count": 3, "horizon_s": 10.0}
+    first = generated_config(tmp_path / "first", [], config)
+    assert first["app_count"] == 10 and first["deadline_mode"] is True
+    assert generated_config(tmp_path / "again", [], first) == first
 
 
 def test_each_command_builds_one_topology(scenario_path, tmp_path, monkeypatch):
