@@ -4,8 +4,9 @@ Units used consistently across the package: CPU speed is MI per second per
 core, memory is GB, storage is TB, message sizes are bytes, bandwidth is
 bytes per millisecond, and every latency, deadline, or computed time is in
 milliseconds.
-Every type here is fixed input; the capacity placement has left on each
-device lives in ``placement.run_placement``'s per-run ``Residual`` records.
+``Device``, ``NetworkLink`` and ``Topology`` are fixed input; the capacity
+placement has left on each device lives in ``placement.run_placement``'s
+per-run ``Residual`` records.
 """
 
 from __future__ import annotations
