@@ -9,7 +9,6 @@ from .model import (
     Service,
     Topology,
     USER,
-    User,
     deadline_satisfied,
     execution_time,
     response_times,

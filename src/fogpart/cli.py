@@ -113,8 +113,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     artifacts = [dump_json(out / "scenario.json", payload)]
     _write_manifest(out, "generate", cfg.seed, config_to_dict(cfg), artifacts)
     log.info(
-        "generated scenario: %d devices, %d apps, %d users, %d scheduled requests",
-        len(scenario.devices), len(scenario.apps), len(scenario.users), len(scenario.schedule),
+        "generated scenario: %d devices, %d apps, %d requests, %d scheduled",
+        len(scenario.devices), len(scenario.apps), len(scenario.requests), len(scenario.schedule),
     )
     return 0
 
@@ -168,7 +168,6 @@ def cmd_place(args: argparse.Namespace) -> int:
     run = run_placement(
         instances=instances,
         topology=topology,
-        users=scenario.users_by_id(),
         strategy=args.strategy,
         feature_partitions=fps,
         network=network,
@@ -180,8 +179,7 @@ def cmd_place(args: argparse.Namespace) -> int:
 
     by_id = {a.id: a for a in instances}
     placements = [(by_id[rid], plan) for rid, plan in sorted(run.plans.items())]
-    gateways = {u.id: u.gateway for u in scenario.users}
-    histogram = hop_histogram(placements, topology, gateways)
+    histogram = hop_histogram(placements, topology)
     mean_hops, max_hops, unreachable = hop_summary(histogram)
     metrics = {
         "schema_version": 1,

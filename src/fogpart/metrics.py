@@ -79,20 +79,18 @@ def cumulative_series(
 def hop_histogram(
     placements: Iterable[tuple[Application, PlacementPlan]],
     topology: Topology,
-    gateways: Mapping[int, int],
 ) -> dict[int | str, int]:
     """Histogram of gateway-to-host hop counts over placed services.
 
-    ``gateways`` maps user id to gateway device. Unreachable hosts land in
-    the dedicated "unreachable" bucket.
+    Each application instance is measured from its own ``gateway``.
+    Unreachable hosts land in the dedicated "unreachable" bucket.
     """
     histogram: dict[int | str, int] = {}
     for app, plan in placements:
-        gateway = gateways[app.user]
         for device_id in plan.assignment.values():
             if device_id is None:
                 continue
-            hops = topology.hop_count(gateway, device_id)
+            hops = topology.hop_count(app.gateway, device_id)
             key: int | str = "unreachable" if hops is None else hops
             histogram[key] = histogram.get(key, 0) + 1
     return histogram

@@ -6,7 +6,9 @@ bytes per millisecond, and every latency, deadline, or computed time is in
 milliseconds.
 ``Device``, ``NetworkLink`` and ``Topology`` are fixed input; the capacity
 placement has left on each device lives in ``placement.run_placement``'s
-per-run ``Residual`` records.
+per-run ``Residual`` records. An ``Application`` is either a template or a
+requested instance of one; only an instance has a ``gateway``, the device
+where its request enters the network (see ``scenario.Scenario.instances``).
 """
 
 from __future__ import annotations
@@ -97,19 +99,13 @@ class Message:
             raise ValueError("message source and destination must differ")
 
 
-@dataclass(frozen=True)
-class User:
-    """An end-user pinned to a gateway device."""
-
-    id: int
-    gateway: int
-
-
 class Application:
     """Directed acyclic service graph with demands, messages and a deadline.
 
     Exactly one message originates from USER (the initial request); every
     service must be reachable from the entry service along message edges.
+    ``gateway`` is None on a template and names the requesting device on an
+    instance.
     """
 
     def __init__(
@@ -118,13 +114,13 @@ class Application:
         services: Sequence[Service],
         messages: Sequence[Message],
         deadline: float,
-        user: int | None = None,
+        gateway: int | None = None,
     ) -> None:
         self.id = id
         self.services = tuple(services)
         self.messages = tuple(messages)
         self.deadline = float(deadline)
-        self.user = user
+        self.gateway = gateway
         if self.deadline <= 0:
             raise ValueError(f"app {id}: deadline must be positive")
         if not self.services:

@@ -358,15 +358,10 @@ def louvain_partition(view: LayerView) -> PartitionSet:
 def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
     """Componentwise arithmetic mean of the member devices' resource triplets.
 
-    The sums run in the order ``devices`` yields. Callers pass a partition's
-    frozenset, whose iteration order depends on how the set was built, so two
-    equal sets can give means that differ in the last bit: devices 0, 8 and
-    16 at CPU 0.1, 0.2 and 0.3 average 0.20000000000000004 from
-    ``frozenset([0, 8, 16])`` and 0.19999999999999998 from
-    ``frozenset([16, 8, 0])``. Louvain therefore builds its groups by
-    ``set.update`` in a fixed order.
+    The sums run in ascending device id, so the mean does not depend on the
+    order ``devices`` yields.
     """
-    devs = list(devices)
+    devs = sorted(devices, key=lambda d: d.id)
     n = len(devs)
     return FeatureTriplet(
         avg_cpu=sum(d.cpu_speed for d in devs) / n,

@@ -14,7 +14,7 @@ keyed by device id. The strategies differ only in the order they offer:
 - ``multilayer``: feature partitions by descending fitness
   (``rank_feature_partitions``, a weighted mix of ``demand_similarity`` and
   the user-proximity term from ``app_tables``), each partition's devices by
-  ascending transmission time from the user's gateway, skipping devices
+  ascending transmission time from the application's gateway, skipping devices
   outside the network partition anchored by the application's first placed
   service.
 """
@@ -32,7 +32,6 @@ from .model import (
     Service,
     Topology,
     UnreachableError,
-    User,
     response_times,
 )
 from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
@@ -132,8 +131,8 @@ def app_tables(
 ) -> tuple[dict[int, list[int]], dict[int, float | None]]:
     """Device order and proximity term of every feature partition for one application.
 
-    ``routes`` is the ``Topology.routes_from`` table of the requesting
-    user's gateway and ``size`` the entry-message size; neither depends on
+    ``routes`` is the ``Topology.routes_from`` table of the application's
+    gateway and ``size`` the entry-message size; neither depends on
     the service, so ``run_placement`` builds these tables once per
     application. Each partition's devices are listed ascending by (T, id),
     where T is the transmission time from the gateway (inf when
@@ -243,7 +242,6 @@ class PlacementRun:
 def run_placement(
     instances: Sequence[Application],
     topology: Topology,
-    users: Mapping[int, User],
     strategy: str,
     feature_partitions: FeaturePartitionSet | None = None,
     network: PartitionSet | None = None,
@@ -254,9 +252,10 @@ def run_placement(
 
     Only the run's own residual records change, so strategies can be
     compared on one ``topology``. Response times are attached to every plan
-    that is fully placed and routable. Raises ValueError for an unknown
-    strategy, a negative weight or two zero weights, missing partitions, or
-    an application whose requesting user is not in ``users``.
+    that is fully placed and routable. Each application must be an
+    instance whose ``gateway`` is a device of ``topology``
+    (``Scenario.instances`` checks this). Raises ValueError for an unknown
+    strategy, a negative weight or two zero weights, or missing partitions.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -275,16 +274,13 @@ def run_placement(
 
     plans: dict[int, PlacementPlan] = {}
     for app in ordered:
-        user = users.get(app.user)
-        if user is None:
-            raise ValueError(f"app {app.id}: requesting user unknown")
         if strategy == "connectivity_greedy":
             order = fullest_partition(network, residuals)
         elif strategy == "multilayer":
-            if user.gateway not in routes:
-                routes[user.gateway] = topology.routes_from(user.gateway)
+            if app.gateway not in routes:
+                routes[app.gateway] = topology.routes_from(app.gateway)
             d_matrix, proximities = app_tables(
-                feature_partitions, routes[user.gateway], app.entry_message.size, beta
+                feature_partitions, routes[app.gateway], app.entry_message.size, beta
             )
         assignment: dict[int, int | None] = {}
         anchor: int | None = None  # network partition of the app's first placed service
@@ -308,7 +304,7 @@ def run_placement(
             continue
         try:
             plan.per_service_rt, plan.app_rt = response_times(
-                app, plan.assignment, topology, user.gateway
+                app, plan.assignment, topology, app.gateway
             )
         except UnreachableError:
             pass

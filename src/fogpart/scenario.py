@@ -1,10 +1,12 @@
-"""Deterministic synthesis of fog infrastructures, applications, and users.
+"""Deterministic synthesis of fog infrastructures, applications, and requests.
 
 Everything is a pure function of (config, seed): the topology is a
 Barabási–Albert graph whose lowest-betweenness nodes act as gateways, a
 high-capacity cloud node hangs off the most central device, applications
-are growing-network DAGs, and each user periodically re-requests one
-randomly chosen application.
+are growing-network DAGs, and each user sends one request for a randomly
+chosen application through a randomly chosen gateway, re-sent periodically
+in deadline mode. A scenario therefore stores only the requests, each with
+its gateway.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import networkx as nx
 
-from .model import Application, Device, Message, NetworkLink, Service, Topology, USER, User
+from .model import Application, Device, Message, NetworkLink, Service, Topology, USER
 
 
 class ConfigError(ValueError):
@@ -97,11 +99,11 @@ RANGE_FIELDS: tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class AppRequest:
-    """One user's choice of application template."""
+    """One user's request: an application template and the gateway it enters at."""
 
     request_id: int
-    user_id: int
     app_id: int
+    gateway: int
 
 
 @dataclass
@@ -111,10 +113,8 @@ class Scenario:
     config: ScenarioConfig
     devices: list[Device]
     links: list[NetworkLink]
-    gateways: tuple[int, ...]
     cloud_id: int
     apps: list[Application]
-    users: list[User]
     requests: list[AppRequest]
     schedule: list[tuple[float, int]] = field(default_factory=list)
 
@@ -122,37 +122,32 @@ class Scenario:
         """The scenario's devices and links, checked for duplicates and dangling ids."""
         return Topology(self.devices, self.links)
 
-    def users_by_id(self) -> dict[int, User]:
-        return {u.id: u for u in self.users}
-
     def app_by_id(self) -> dict[int, Application]:
         return {a.id: a for a in self.apps}
 
     def instances(self) -> list[Application]:
         """Per-request application instances (instance id = request id).
 
-        Raises ValueError for a request naming an unknown app or user, or a
-        user whose gateway is not a device.
+        The one place a request's template and gateway are resolved: each
+        instance carries its request's ``gateway``. Raises ValueError for a
+        request naming an unknown app or a gateway that is not a device.
         """
         templates = self.app_by_id()
-        users = self.users_by_id()
         device_ids = {d.id for d in self.devices}
         out = []
         for req in self.requests:
             tpl = templates.get(req.app_id)
-            user = users.get(req.user_id)
-            if tpl is None or user is None:
-                unknown = f"app {req.app_id}" if tpl is None else f"user {req.user_id}"
-                raise ValueError(f"request {req.request_id} names unknown {unknown}")
-            if user.gateway not in device_ids:
-                raise ValueError(f"user {user.id}'s gateway {user.gateway} is not a device")
+            if tpl is None:
+                raise ValueError(f"request {req.request_id} names unknown app {req.app_id}")
+            if req.gateway not in device_ids:
+                raise ValueError(f"request {req.request_id}'s gateway {req.gateway} is not a device")
             out.append(
                 Application(
                     id=req.request_id,
                     services=tpl.services,
                     messages=tpl.messages,
                     deadline=tpl.deadline,
-                    user=req.user_id,
+                    gateway=req.gateway,
                 )
             )
         return out
@@ -260,8 +255,8 @@ def generate_applications(cfg: ScenarioConfig) -> list[Application]:
 
 def generate_users(
     cfg: ScenarioConfig, gateways: Sequence[int]
-) -> tuple[list[User], list[AppRequest], list[tuple[float, int]]]:
-    """Users pinned to random gateways, each requesting one random application.
+) -> tuple[list[AppRequest], list[tuple[float, int]]]:
+    """One request per user: a random gateway, then a random application.
 
     In deadline mode every request repeats with the configured period until
     the horizon; otherwise each request fires once at t=0.
@@ -270,12 +265,10 @@ def generate_users(
         raise ConfigError("cannot attach users without gateways")
     rng = _rng(cfg.seed, "users")
     ordered_gateways = sorted(gateways)
-    users = []
     requests = []
     for uid in range(cfg.user_count):
-        users.append(User(id=uid, gateway=rng.choice(ordered_gateways)))
-        app_id = rng.randrange(cfg.app_count)
-        requests.append(AppRequest(request_id=uid, user_id=uid, app_id=app_id))
+        gateway = rng.choice(ordered_gateways)  # drawn before the app: this order fixes the scenario
+        requests.append(AppRequest(uid, app_id=rng.randrange(cfg.app_count), gateway=gateway))
 
     schedule: list[tuple[float, int]] = []
     if cfg.deadline_mode:
@@ -287,22 +280,20 @@ def generate_users(
     else:
         for req in requests:
             schedule.append((0.0, req.request_id))
-    return users, requests, schedule
+    return requests, schedule
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Full scenario bundle from one config and seed."""
     devices, links, gateways, cloud_id = generate_topology(cfg)
     apps = generate_applications(cfg)
-    users, requests, schedule = generate_users(cfg, gateways)
+    requests, schedule = generate_users(cfg, gateways)
     return Scenario(
         config=cfg,
         devices=devices,
         links=links,
-        gateways=gateways,
         cloud_id=cloud_id,
         apps=apps,
-        users=users,
         requests=requests,
         schedule=schedule,
     )

@@ -4,7 +4,10 @@ All JSON documents carry a ``schema_version`` field, are key-sorted, and
 end with a newline, so identical inputs serialize to identical bytes. Each
 kind of document has its own version, and a reader accepts only that one:
 
-- ``scenario.json``: 1;
+- ``scenario.json``: 2, in which each request carries its gateway.
+  Version 1 kept those gateways in a separate user list, one user per
+  request, and also stored the generator's gateway list, which no command
+  read, and a null ``user`` on every app template;
 - ``partitions.json``: 3, which holds the network and resource-layer
   partitions, the feature partitions with their members, devices and
   stored feature triplets, and the config hash of the scenario they were
@@ -21,13 +24,13 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service, User
+from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service
 from .multilayer import Layer
 from .partitioner import CompressedNode, FeaturePartitionSet, FeatureTriplet, PartitionSet
 from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
 #: document kind -> the one schema_version its reader accepts
-SCHEMA_VERSIONS = {"scenario": 1, "partitions": 3, "plans": 1}
+SCHEMA_VERSIONS = {"scenario": 2, "partitions": 3, "plans": 1}
 
 INVALID_MARK = "invalid"
 
@@ -76,7 +79,6 @@ def _app_to_dict(app: Application) -> dict[str, Any]:
     return {
         "id": app.id,
         "deadline_ms": app.deadline,
-        "user": app.user,
         "services": [
             {
                 "id": s.id,
@@ -104,7 +106,6 @@ def _app_from_dict(data: Mapping[str, Any]) -> Application:
             Message(m["source"], m["destination"], m["size_bytes"]) for m in data["messages"]
         ],
         deadline=data["deadline_ms"],
-        user=data.get("user"),
     )
 
 
@@ -126,12 +127,10 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
             {"a": l.a, "b": l.b, "bandwidth_bytes_ms": l.bandwidth, "latency_ms": l.latency}
             for l in scenario.links
         ],
-        "gateways": list(scenario.gateways),
         "cloud_id": scenario.cloud_id,
         "apps": [_app_to_dict(a) for a in scenario.apps],
-        "users": [{"id": u.id, "gateway": u.gateway} for u in scenario.users],
         "requests": [
-            {"request_id": r.request_id, "user_id": r.user_id, "app_id": r.app_id}
+            {"request_id": r.request_id, "app_id": r.app_id, "gateway": r.gateway}
             for r in scenario.requests
         ],
         "schedule": [[t, rid] for t, rid in scenario.schedule],
@@ -150,12 +149,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
             NetworkLink(l["a"], l["b"], l["bandwidth_bytes_ms"], l["latency_ms"])
             for l in data["links"]
         ],
-        gateways=tuple(data["gateways"]),
         cloud_id=data["cloud_id"],
         apps=[_app_from_dict(a) for a in data["apps"]],
-        users=[User(u["id"], u["gateway"]) for u in data["users"]],
         requests=[
-            AppRequest(r["request_id"], r["user_id"], r["app_id"]) for r in data["requests"]
+            AppRequest(r["request_id"], r["app_id"], r["gateway"]) for r in data["requests"]
         ],
         schedule=[(row[0], row[1]) for row in data["schedule"]],
     )

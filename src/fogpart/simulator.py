@@ -22,7 +22,6 @@ from .model import (
     PlacementPlan,
     Topology,
     UnreachableError,
-    User,
     deadline_satisfied,
     response_times,
 )
@@ -107,7 +106,6 @@ def run(
         fog_ids = [d.id for d in scenario.devices if d.id != scenario.cloud_id]
         deaths = failure_deaths(fog_ids, seed, failure_period_s, horizon)
     topology = scenario.topology()
-    users = scenario.users_by_id()
     instances = {inst.id: inst for inst in scenario.instances()}
     _check_plans(plans, instances, topology.devices.keys())
 
@@ -126,7 +124,7 @@ def run(
             if request_id not in instances:
                 raise ValueError(f"schedule at {time_s} s names unknown request {request_id}")
             verdict = verdicts[request_id] = _classify(
-                instances[request_id], plans.get(request_id), topology, users, dead
+                instances[request_id], plans.get(request_id), topology, dead
             )
         outcomes.append(RequestOutcome(time_s, request_id, *verdict))
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
@@ -161,7 +159,6 @@ def _classify(
     app: Application,
     plan: PlacementPlan | None,
     topology: Topology,
-    users: Mapping[int, User],
     dead: frozenset[int],
 ) -> tuple[str, float | None]:
     """(status, response time in ms) of one request while ``dead`` are down."""
@@ -170,7 +167,7 @@ def _classify(
     if any(host in dead for host in plan.assignment.values()):
         return FAILED_DEPENDENCY, None
     try:
-        _, rt_a = response_times(app, plan.assignment, topology, users[app.user].gateway, dead)
+        _, rt_a = response_times(app, plan.assignment, topology, app.gateway, dead)
     except UnreachableError:
         return FAILED_DEPENDENCY, None
     return (SATISFIED if deadline_satisfied(app, rt_a) else MISSED), rt_a

@@ -36,9 +36,14 @@ def scenario_path(tmp_path_factory):
     return root / "gen" / "scenario.json"
 
 
-def unknown_config_key(scenario, tmp):
-    (tmp / "config.json").write_text(json.dumps({"device_count": 10, "bogus": 1}))
+def generate_from(tmp, config):
+    """``generate`` from a config file holding ``config``."""
+    (tmp / "config.json").write_text(json.dumps(config))
     return ["generate", "--config", str(tmp / "config.json")]
+
+
+def unknown_config_key(scenario, tmp):
+    return generate_from(tmp, {"device_count": 10, "bogus": 1})
 
 
 def malformed_config_json(scenario, tmp):
@@ -46,10 +51,37 @@ def malformed_config_json(scenario, tmp):
     return ["generate", "--config", str(tmp / "config.json")]
 
 
+def config_file_missing(scenario, tmp):
+    return ["generate", "--config", str(tmp / "missing.json")]
+
+
+def config_field_of_wrong_type(scenario, tmp):
+    return generate_from(tmp, {"device_count": "ten"})
+
+
+def ba_attachment_not_below_device_count(scenario, tmp):
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "ba_attachment": 10})
+
+
+def ba_attachment_zero(scenario, tmp):
+    return generate_from(tmp, {"ba_attachment": 0})
+
+
+def negative_latency_config(scenario, tmp):
+    return generate_from(tmp, {"latency_ms": -1.0})
+
+
+def zero_request_period(scenario, tmp):
+    return generate_from(tmp, {"request_period_s": 0})
+
+
+def zero_app_count(scenario, tmp):
+    return generate_from(tmp, {"app_count": 0})
+
+
 def scale_with_other_app_count(scenario, tmp):
     # with_scale used to overwrite the explicit field: this config generated 30 apps
-    (tmp / "config.json").write_text(json.dumps({"scale": "LARGE", "app_count": 5}))
-    return ["generate", "--config", str(tmp / "config.json")]
+    return generate_from(tmp, {"scale": "LARGE", "app_count": 5})
 
 
 def multilayer_without_partitions(scenario, tmp):
@@ -155,16 +187,61 @@ def place_edited(scenario, tmp, edit):
     return ["place", "--scenario", str(edited_scenario(scenario, tmp, edit)), "--strategy", "first_fit"]
 
 
-def request_names_unknown_user(scenario, tmp):
-    return place_edited(scenario, tmp, lambda data: data["requests"][0].update(user_id=999))
-
-
 def request_names_unknown_app(scenario, tmp):
     return place_edited(scenario, tmp, lambda data: data["requests"][0].update(app_id=999))
 
 
-def user_on_unknown_gateway(scenario, tmp):
-    return place_edited(scenario, tmp, lambda data: data["users"][0].update(gateway=9999))
+def request_on_unknown_gateway(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["requests"][0].update(gateway=9999))
+
+
+def scenario_schema_1(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data.update(schema_version=1))
+
+
+def partition_without_devices(scenario, tmp):
+    edited = edited_scenario(scenario, tmp, lambda data: data.update(devices=[], links=[]))
+    return ["partition", "--scenario", str(edited)]
+
+
+def self_link(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["links"][0].update(b=data["links"][0]["a"]))
+
+
+def zero_bandwidth(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["links"][0].update(bandwidth_bytes_ms=0))
+
+
+def negative_link_latency(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["links"][0].update(latency_ms=-1.0))
+
+
+def zero_message_size(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["apps"][0]["messages"][0].update(size_bytes=0))
+
+
+def duplicate_service_id(scenario, tmp):
+    def edit(data):
+        services = data["apps"][0]["services"]
+        services.append(dict(services[0]))
+
+    return place_edited(scenario, tmp, edit)
+
+
+def zero_cores(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].update(cores=0))
+
+
+def zero_deadline(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["apps"][0].update(deadline_ms=0))
+
+
+def message_to_unknown_service(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["apps"][0]["messages"][0].update(destination=99))
+
+
+def app_without_services(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["apps"][0].update(services=[]))
 
 
 def schedule_names_unknown_request(scenario, tmp):
@@ -178,6 +255,13 @@ def schedule_names_unknown_request(scenario, tmp):
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
     (malformed_config_json, "config parse error"),
+    (config_file_missing, "config file not found"),
+    (config_field_of_wrong_type, "invalid config"),
+    (ba_attachment_not_below_device_count, "device_count must exceed ba_attachment"),
+    (ba_attachment_zero, "ba_attachment must be at least 1"),
+    (negative_latency_config, "network parameters out of range"),
+    (zero_request_period, "request period must be positive"),
+    (zero_app_count, "app_count and user_count must be positive"),
     (scale_with_other_app_count, "scale LARGE fixes app_count; the config sets other values"),
     (multilayer_without_partitions, "requires --partitions"),
     (negative_alpha, "alpha and beta must be non-negative"),
@@ -190,9 +274,19 @@ BAD_INPUTS = [
     (partitions_schema_1, "schema_version 1"),
     (plan_omits_a_service, "plan of request 0 assigns services"),
     (plan_names_unknown_device, "on device 99999, which is not in the scenario"),
-    (request_names_unknown_user, "request 0 names unknown user 999"),
     (request_names_unknown_app, "request 0 names unknown app 999"),
-    (user_on_unknown_gateway, "user 0's gateway 9999 is not a device"),
+    (request_on_unknown_gateway, "request 0's gateway 9999 is not a device"),
+    (scenario_schema_1, "scenario document has schema_version 1, expected 2"),
+    (partition_without_devices, "scenario has no devices to partition"),
+    (self_link, "link endpoints must differ"),
+    (zero_bandwidth, "link bandwidth must be positive"),
+    (negative_link_latency, "link latency must be non-negative"),
+    (zero_message_size, "message size must be positive"),
+    (duplicate_service_id, "app 0: duplicate service ids"),
+    (zero_cores, "device 0: needs at least one core"),
+    (zero_deadline, "app 0: deadline must be positive"),
+    (message_to_unknown_service, "app 0: message destination 99 unknown"),
+    (app_without_services, "app 0: needs at least one service"),
     (schedule_names_unknown_request, "names unknown request 12345"),
 ]
 

@@ -18,8 +18,16 @@ the similarity layers were stored as index-ordered rows). The five
 drops the compressed graph and keeps the feature triplets under
 ``feature_partitions``, and again with schema 3, which records the
 scenario's config hash; the SMALL-seed0 and both D-SMALL cases share their
-partitions but not their config, so their hashes now differ. A change that
-moves any of them changes program output.
+partitions but not their config, so their hashes now differ. Every
+``generate/scenario.json`` hash moved with scenario schema 2, which stores
+each request's gateway on the request and drops the user list, the
+generator's gateway list and the templates' null ``user``; the same draws
+give the same requests, so no other artifact moved with it. Every
+``partition/partitions.json`` and ``partition/modularity.csv`` hash moved
+when ``partition_feature`` began to sum members in ascending device id: the
+last bits of feature triplets and of the feature modularity changed, while
+memberships, plans and outcomes did not. A change that moves any of them
+changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -53,11 +61,11 @@ CASES = {
 GOLDEN = {
     "D-SMALL-seed0-h100": {
         "generate/scenario.json":
-            "9ee534822a0ce1dc51478834cff1fdf933631b15585fb05c29f78b814767af8e",
+            "74215a5318531bfd53b9eec8635b194020cde22419fcdc0a17b2f840a7cb1202",
         "partition/modularity.csv":
-            "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
+            "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "4c18d9d4f1742cb7febce4da39d544e2ed0ecf447fc1dfdccd270c2fe8f008d6",
+            "4f01630d8fe8f960a5d9b4b6517619157449064f105a83fda270e2dcd0b88dc2",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -101,11 +109,11 @@ GOLDEN = {
     },
     "D-SMALL-seed0-h100-d5000": {
         "generate/scenario.json":
-            "c73a26a3f620fbaa984289a3ec7ea332582a4d78913b6d8fcc7ed4bb295b5672",
+            "90034d07d53fac7c3a5c85b44157ffe9e9b8e53d5d326010a177b81013c7da75",
         "partition/modularity.csv":
-            "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
+            "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "ba5070319a143a5e34e91c58bf12251c000a56b5ab7f984d7d547f3eb3980417",
+            "f876c314e662a4071af86185d5e289772bd4af0b7de51082a3b996ef9ef5e688",
         "place/connectivity_greedy/metrics.json":
             "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
         "place/connectivity_greedy/plans.json":
@@ -149,11 +157,11 @@ GOLDEN = {
     },
     "LARGE-n200-seed0": {
         "generate/scenario.json":
-            "a4f2f7a06ca3491b55c96c37175cc6bed037fd1bc0281ccb792f8ae9cc432f7d",
+            "e62faa057af6db783faf64ee18af73b07abbcce2efb5ccff8622c7cfb7ab4d81",
         "partition/modularity.csv":
-            "bb381d5f1bbd939361cd95aca91cc4bd0d9dbe6569a61e1ecc22950ecc2530fb",
+            "cc20e987d7b26518dd4c5378f9df2919a7466c86a80d5c675d2ff67fd58c9d2d",
         "partition/partitions.json":
-            "30a20c53aa25aa2c40ac8d8a8512bc43812c1e452d5c228535d5de2fd695a839",
+            "0e983983c49c966dabff2f1e28e226a25d303faa73c5cfe15c87c8ab74fc82a5",
         "place/connectivity_greedy/metrics.json":
             "c656dcecb6e52bbd23ec8c581b0c6ee1050d97d45b89a59ed178ad0eb6a513ed",
         "place/connectivity_greedy/plans.json":
@@ -169,11 +177,11 @@ GOLDEN = {
     },
     "SMALL-seed0": {
         "generate/scenario.json":
-            "a43fedd532aaec4a130d6dc79d5bda9f95281e29412a36604cce9bccf96fe90b",
+            "d7319dae47f5e0df15afce0453a374803ea0ed2b5366c3f3dd35aea9d21aeb8e",
         "partition/modularity.csv":
-            "a94a90570d4d5fb2e3318c7ffe5167c1b4ed62cbd32272627eb7f7a12fef6a1d",
+            "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "672a89908f45d7f8be76cbf5ab85b51b5aa6d5b84e5d837c9adf3188cacc6500",
+            "09d1e0e28d7d9cbbb31ad303dbc7c09ef813c05d6f3b767db29bd9d9b6643197",
         "place/connectivity_greedy/metrics.json":
             "deff9ac8639d10562dadc330b899152208ac0fff401f7e0d5824b99834ed8668",
         "place/connectivity_greedy/plans.json":
@@ -189,11 +197,11 @@ GOLDEN = {
     },
     "SMALL-seed1": {
         "generate/scenario.json":
-            "902b76e0a5861d97ef68ba625fba06e64e9283a1501b9c7023ff99f2b6bda6d2",
+            "d2fef2f90dc9cfbd54cf908440aaf20fb7818d78fbd4d4a2690e75362f8a6a0c",
         "partition/modularity.csv":
-            "b9f970f97d398f9423737f3cf815cb8c84ac2733f20ebfa63193727370376c87",
+            "3c50917e4a9c5de376b92d8f765fb13d146af5c63baade260dae57f62c44bd2c",
         "partition/partitions.json":
-            "22679c3ecad09ab13ece1613534a2a69e40615d054c1a89d75eed90e7ce5b3e3",
+            "969c7c1538efefcc41541fcd5d40c1761f874a2560e360a08da15b84b050feb0",
         "place/connectivity_greedy/metrics.json":
             "8cbce99c48bdd191da885d9839feff283fd78a4a2aad896807d94690e0821b07",
         "place/connectivity_greedy/plans.json":

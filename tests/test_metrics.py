@@ -11,11 +11,12 @@ from fogpart.metrics import (
     ZeroServicesError,
     cumulative_series,
     emit_report,
+    hop_histogram,
     hop_summary,
     placement_success_rate,
     resource_wastage,
 )
-from fogpart.model import Application, Device, Message, PlacementPlan, Service, USER
+from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, Topology, USER
 from fogpart.simulator import FAILED_DEPENDENCY, MISSED, SATISFIED, RequestOutcome
 
 
@@ -69,6 +70,25 @@ class TestCumulativeSeries:
 
     def test_empty(self):
         assert cumulative_series([]) == []
+
+
+class TestHopHistogram:
+    def test_each_instance_counts_from_its_own_gateway(self):
+        # path 0-1-2 plus an isolated device 3
+        topology = Topology(
+            [Device(i, 4, 20.0, 2.0, 1.0) for i in range(4)],
+            [NetworkLink(0, 1, 1.0, 1.0), NetworkLink(1, 2, 1.0, 1.0)],
+        )
+        services = [Service(0, 20.0, 1.0, 1.0), Service(1, 20.0, 1.0, 1.0)]
+        messages = [Message(USER, 0, 1.0), Message(0, 1, 1.0)]
+        near = Application(0, services, messages, 1000.0, gateway=0)
+        far = Application(1, services, messages, 1000.0, gateway=2)
+        placements = [
+            (near, PlacementPlan({0: 0, 1: 2})),
+            (far, PlacementPlan({0: 0, 1: None})),
+            (Application(2, services, messages, 1000.0, gateway=0), PlacementPlan({0: 3, 1: 1})),
+        ]
+        assert hop_histogram(placements, topology) == {0: 1, 2: 2, 1: 1, "unreachable": 1}
 
 
 class TestHopSummary:

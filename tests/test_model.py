@@ -140,7 +140,7 @@ def chain_app(n_services, deadline=50000.0, size=1_500_000.0):
     services = [Service(i, 20.0, 1.0, 1.0) for i in range(n_services)]
     messages = [Message(USER, 0, size)]
     messages += [Message(i, i + 1, size) for i in range(n_services - 1)]
-    return Application(0, services, messages, deadline, user=0)
+    return Application(0, services, messages, deadline)
 
 
 class TestApplication:
@@ -192,7 +192,7 @@ class TestResponseTimes:
             Message(1, 3, 1_500_000.0),
             Message(2, 3, 1_500_000.0),
         ]
-        app = Application(0, services, messages, 50000.0, user=0)
+        app = Application(0, services, messages, 50000.0)
         topo = chain_topology(1)
         per, rt = response_times(app, {i: 0 for i in range(4)}, topo, gateway=0)
         # everything co-located: transmissions vanish, depth is 3 services
@@ -243,7 +243,7 @@ def random_dag_app(rng, app_id, max_services=6):
         preds = rng.sample(range(i), k=rng.randint(1, i))
         for p in preds:
             messages.append(Message(p, i, rng.uniform(1500, 4500) * 1000))
-    return Application(app_id, services, messages, rng.uniform(300, 50000), user=0)
+    return Application(app_id, services, messages, rng.uniform(300, 50000))
 
 
 def random_topology(rng, n):

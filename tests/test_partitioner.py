@@ -195,14 +195,18 @@ class TestPartitionFeature:
         devs = [Device(i, 10, 20.0, 10.0, 10.0) for i in range(3)]
         assert partition_feature(devs) == FeatureTriplet(20.0, 10.0, 10.0)
 
-    def test_sum_follows_frozenset_iteration_order(self):
-        # equal sets built in a different order iterate differently, and the
-        # float sum follows that order; pinned, not fixed (see the docstring)
-        devs = {i: Device(i, 10, cpu, 10.0, 10.0) for i, cpu in ((0, 0.1), (8, 0.2), (16, 0.3))}
+    def test_sum_ignores_set_order(self):
+        # equal sets built in a different order iterate differently; summed in
+        # that order, these means differed in the last bit
+        devs = {
+            i: Device(i, 10, cpu, mem, 10.0)
+            for i, cpu, mem in ((0, 0.1, 0.3), (8, 0.2, 0.2), (16, 0.3, 0.1))
+        }
         ascending, descending = frozenset([0, 8, 16]), frozenset([16, 8, 0])
-        assert ascending == descending
-        assert partition_feature(devs[d] for d in ascending).avg_cpu == 0.20000000000000004
-        assert partition_feature(devs[d] for d in descending).avg_cpu == 0.19999999999999998
+        assert ascending == descending and list(ascending) != list(descending)
+        feature = partition_feature(devs[d] for d in ascending)
+        assert partition_feature(devs[d] for d in descending) == feature
+        assert feature.avg_cpu == (0.1 + 0.2 + 0.3) / 3
 
 
 class TestCompressGraph:

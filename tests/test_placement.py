@@ -18,7 +18,6 @@ from fogpart.model import (
     Service,
     Topology,
     USER,
-    User,
     execution_time,
     response_times,
 )
@@ -145,14 +144,13 @@ def line_context(core_counts=(10, 10, 10, 10)):
         routes=topology.routes_from(0),
         network=network,
         fps=fps,
-        users={0: User(0, gateway=0)},
     )
 
 
 def place_on_line(ctx, apps, alpha=0.5, beta=0.5):
     """One multilayer run over the line context's devices and partitions."""
     return run_placement(
-        apps, ctx.topology, ctx.users, "multilayer",
+        apps, ctx.topology, "multilayer",
         feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
     )
 
@@ -161,7 +159,7 @@ def app_of(services, deadline=50000.0, size=1_500_000.0, app_id=0):
     messages = [Message(USER, services[0].id, size)]
     for a, b in zip(services, services[1:]):
         messages.append(Message(a.id, b.id, size))
-    return Application(app_id, services, messages, deadline, user=0)
+    return Application(app_id, services, messages, deadline, gateway=0)
 
 
 class TestFitness:
@@ -352,22 +350,20 @@ class TestSelectFeaturePartitions:
 
 
 def toy_scenario_inputs():
-    """Four devices, one user at gateway 0, two small apps."""
+    """Four devices and two small apps, both requested at gateway 0."""
     devices = [Device(i, 3, 20.0 + 10 * i, 6.0, 6.0) for i in range(4)]
     links = [NetworkLink(i, i + 1, 75000.0, 5.0) for i in range(3)]
-    users = {0: User(0, gateway=0), 1: User(1, gateway=0)}
     apps = [
         app_of([Service(0, 20.0, 2.0, 2.0), Service(1, 20.0, 2.0, 2.0)], app_id=0),
         app_of([Service(0, 20.0, 2.0, 2.0)], app_id=1),
     ]
-    apps[1].user = 1
-    return devices, links, users, apps
+    return devices, links, apps
 
 
 def baseline_plan(strategy, app, devices, network=None):
     """The plan one baseline run gives a single app requested at gateway 0."""
     topology = Topology(devices, [])
-    run = run_placement([app], topology, {0: User(0, gateway=0)}, strategy, network=network)
+    run = run_placement([app], topology, strategy, network=network)
     return run.plans[app.id]
 
 
@@ -398,7 +394,7 @@ class TestBaselines:
         assert partitions == {0}  # equal residual units: the lower partition id wins
 
     def test_multilayer_at_least_as_good_as_first_fit_on_fixture(self):
-        devices, links, users, apps = toy_scenario_inputs()
+        devices, links, apps = toy_scenario_inputs()
         network = PartitionSet(
             Layer.NETWORK,
             {0: 0, 1: 0, 2: 1, 3: 1},
@@ -408,9 +404,9 @@ class TestBaselines:
         ctx = line_context()
         topology = Topology(devices, links)
         run_ml = run_placement(
-            apps, topology, users, "multilayer", feature_partitions=ctx.fps, network=network
+            apps, topology, "multilayer", feature_partitions=ctx.fps, network=network
         )
-        run_ff = run_placement(apps, topology, users, "first_fit")
+        run_ff = run_placement(apps, topology, "first_fit")
         placed_ml = sum(d is not None for p in run_ml.plans.values() for d in p.assignment.values())
         placed_ff = sum(d is not None for p in run_ff.plans.values() for d in p.assignment.values())
         assert placed_ml >= placed_ff
@@ -419,24 +415,12 @@ class TestBaselines:
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("alpha, beta", [(-0.1, 0.5), (0.5, -0.1)])
 def test_negative_weight_rejected(strategy, alpha, beta):
-    devices, links, users, apps = toy_scenario_inputs()
+    devices, links, apps = toy_scenario_inputs()
     ctx = line_context()
     with pytest.raises(ValueError, match="alpha and beta must be non-negative"):
         run_placement(
-            apps, Topology(devices, links), users, strategy,
+            apps, Topology(devices, links), strategy,
             feature_partitions=ctx.fps, network=ctx.network, alpha=alpha, beta=beta,
-        )
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_unknown_user_rejected_by_every_strategy(strategy):
-    devices, links, users, apps = toy_scenario_inputs()
-    apps[1].user = 7
-    ctx = line_context()
-    with pytest.raises(ValueError, match="app 1: requesting user unknown"):
-        run_placement(
-            apps, Topology(devices, links), users, strategy,
-            feature_partitions=ctx.fps, network=ctx.network,
         )
 
 
@@ -455,7 +439,7 @@ class TestRunPlacementInvariants:
             for i in range(8)
         ]
         links = [NetworkLink(rng.randrange(i), i, 75000.0, 5.0) for i in range(1, 8)]
-        users = {u: User(u, gateway=rng.randrange(8)) for u in range(4)}
+        gateways = [rng.randrange(8) for _ in range(4)]
         apps = []
         for a in range(6):
             services = [
@@ -463,7 +447,7 @@ class TestRunPlacementInvariants:
                 for i in range(rng.randint(1, 4))
             ]
             app = app_of(services, deadline=rng.uniform(300, 50000), app_id=a)
-            app.user = rng.randrange(4)
+            app.gateway = gateways[rng.randrange(4)]
             apps.append(app)
         from fogpart.multilayer import build_multilayer
         from fogpart.partitioner import multilayer_resource_partition
@@ -471,14 +455,14 @@ class TestRunPlacementInvariants:
         topology = Topology(devices, links)
         fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
         run = run_placement(
-            apps, topology, users, self.strategy, feature_partitions=fps, network=network
+            apps, topology, self.strategy, feature_partitions=fps, network=network
         )
-        return run, network, topology, apps, users
+        return run, network, topology, apps
 
     def test_audit_replays_placement_valid(self):
         # the plans are the record of every admission: replay the CPU term of
         # placement_valid over them (the residual terms are checked below)
-        run, _, topology, apps, _ = self.run_strategy()
+        run, _, topology, apps = self.run_strategy()
         by_id = {app.id: app for app in apps}
         replayed = 0
         for app_id, plan in run.plans.items():
@@ -491,7 +475,7 @@ class TestRunPlacementInvariants:
         assert replayed
 
     def test_residuals_non_negative_and_conserved(self):
-        run, _, topology, apps, _ = self.run_strategy()
+        run, _, topology, apps = self.run_strategy()
         by_id = {app.id: app for app in apps}
         hosted: dict[int, list[Service]] = {}
         for app_id, plan in run.plans.items():
@@ -519,11 +503,11 @@ class TestRunPlacementInvariants:
             assert len(partitions) <= 1
 
     def test_response_times_attached_to_fully_placed_plans(self):
-        run, _, topology, apps, users = self.run_strategy()
+        run, _, topology, apps = self.run_strategy()
         for app in apps:
             plan = run.plans[app.id]
             if plan.fully_placed:
-                expected = response_times(app, plan.assignment, topology, users[app.user].gateway)
+                expected = response_times(app, plan.assignment, topology, app.gateway)
                 assert (plan.per_service_rt, plan.app_rt) == expected
             else:
                 assert (plan.per_service_rt, plan.app_rt) == ({}, None)
@@ -561,7 +545,7 @@ def tight_infrastructures(draw):
         for i in range(n)
     ]
     links = [NetworkLink(draw(st.integers(0, i - 1)), i, 75000.0, 5.0) for i in range(1, n)]
-    users = {u: User(u, gateway=draw(st.integers(0, n - 1))) for u in range(2)}
+    gateways = [draw(st.integers(0, n - 1)) for _ in range(2)]
     demand = st.floats(0.5, 3.0)
     apps = []
     for a in range(draw(st.integers(1, 4))):
@@ -570,9 +554,9 @@ def tight_infrastructures(draw):
             for i in range(draw(st.integers(1, 4)))
         ]
         app = app_of(services, deadline=draw(st.floats(300.0, 50000.0)), app_id=a)
-        app.user = draw(st.integers(0, 1))
+        app.gateway = gateways[draw(st.integers(0, 1))]
         apps.append(app)
-    return devices, links, users, apps
+    return devices, links, apps
 
 
 class TestResidualsProperty:
@@ -582,12 +566,12 @@ class TestResidualsProperty:
         from fogpart.multilayer import build_multilayer
         from fogpart.partitioner import multilayer_resource_partition
 
-        devices, links, users, apps = inputs
+        devices, links, apps = inputs
         topology = Topology(devices, links)
         fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
         for strategy in STRATEGIES:
             run = run_placement(
-                apps, topology, users, strategy, feature_partitions=fps, network=network
+                apps, topology, strategy, feature_partitions=fps, network=network
             )
             hosted = {d.id: 0 for d in devices}
             for plan in run.plans.values():

@@ -1,4 +1,4 @@
-"""Scenario synthesis: topology, applications, users, schedules."""
+"""Scenario synthesis: topology, applications, requests, schedules."""
 
 from __future__ import annotations
 
@@ -142,15 +142,14 @@ class TestApplications:
 class TestUsers:
     def test_one_shot_mode(self):
         cfg = ScenarioConfig(seed=10).with_scale("SMALL")
-        users, requests, schedule = generate_users(cfg, gateways=[0, 1, 2])
-        assert len(users) == 29
-        assert len(requests) == 29
+        requests, schedule = generate_users(cfg, gateways=[0, 1, 2])
+        assert [r.request_id for r in requests] == list(range(29))
         assert len(schedule) == 29
         assert all(t == 0.0 for t, _ in schedule)
 
     def test_deadline_mode_tick_count(self):
         cfg = ScenarioConfig(seed=11).with_scale("D-SMALL")
-        users, requests, schedule = generate_users(cfg, gateways=[0, 1])
+        requests, schedule = generate_users(cfg, gateways=[0, 1])
         per_user = math.floor(cfg.horizon_s / cfg.request_period_s)
         assert per_user == 1284
         assert len(schedule) == per_user * 29
@@ -158,26 +157,27 @@ class TestUsers:
     def test_users_pinned_to_gateways(self):
         cfg = ScenarioConfig(seed=12)
         gateways = [3, 7, 9]
-        users, _, _ = generate_users(cfg, gateways)
-        assert all(u.gateway in gateways for u in users)
+        requests, _ = generate_users(cfg, gateways)
+        assert all(r.gateway in gateways for r in requests)
 
     def test_same_seed_same_schedule(self):
         cfg = ScenarioConfig(seed=13).with_scale("D-SMALL")
         a = generate_users(cfg, [0, 1, 2])
         b = generate_users(cfg, [0, 1, 2])
-        assert a[2] == b[2]
-        assert [(r.user_id, r.app_id) for r in a[1]] == [(r.user_id, r.app_id) for r in b[1]]
+        assert a == b
 
 
 class TestScenario:
     def test_instances_carry_users(self):
+        # a user is one request, so an instance carries the user's gateway
         sc = generate_scenario(ScenarioConfig(seed=14).with_scale("SMALL"))
         instances = sc.instances()
         assert len(instances) == len(sc.requests) == 29
         templates = sc.app_by_id()
         for inst, req in zip(instances, sc.requests):
             assert inst.id == req.request_id
-            assert inst.user == req.user_id
+            assert inst.gateway == req.gateway
+            assert templates[req.app_id].gateway is None
             assert inst.deadline == templates[req.app_id].deadline
 
     def test_sampled_values_within_ranges_bulk(self):

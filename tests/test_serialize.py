@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER, User
+from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER
 from fogpart.multilayer import RESOURCE_LAYERS, Layer
 from fogpart.partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig
@@ -73,8 +73,7 @@ def applications(draw, app_id):
     messages = [Message(USER, 0, draw(positive))]
     for i in range(1, n):
         messages.append(Message(draw(st.integers(0, i - 1)), i, draw(positive)))
-    user = draw(st.one_of(st.none(), st.integers(0, 5)))
-    return Application(app_id, services, messages, draw(positive), user=user)
+    return Application(app_id, services, messages, draw(positive))
 
 
 @st.composite
@@ -90,7 +89,6 @@ def scenarios(draw):
         for i in range(1, n)
     ]
     apps = [draw(applications(a)) for a in range(draw(st.integers(0, 3)))]
-    users = [User(u, draw(st.integers(0, n - 1))) for u in range(draw(st.integers(0, 4)))]
     requests = [
         AppRequest(r, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
         for r in range(draw(st.integers(0, 4)))
@@ -100,17 +98,15 @@ def scenarios(draw):
         config=cfg,
         devices=devices,
         links=links,
-        gateways=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3))),
         cloud_id=n - 1,
         apps=apps,
-        users=users,
         requests=requests,
         schedule=schedule,
     )
 
 
 def app_fields(app: Application):
-    return (app.id, app.services, app.messages, app.deadline, app.user)
+    return (app.id, app.services, app.messages, app.deadline, app.gateway)
 
 
 @st.composite
@@ -196,13 +192,30 @@ class TestScenarioRoundTrip:
         assert back.config == scenario.config
         assert back.devices == scenario.devices
         assert back.links == scenario.links
-        assert back.gateways == scenario.gateways
         assert back.cloud_id == scenario.cloud_id
         assert [app_fields(a) for a in back.apps] == [app_fields(a) for a in scenario.apps]
-        assert back.users == scenario.users
         assert back.requests == scenario.requests
         assert back.schedule == scenario.schedule
         assert through_json(scenario_to_dict(back)) == data
+
+    def test_gateways_stored_only_on_requests(self):
+        # schema 2 keeps no user list, no gateway list and no template user
+        app = Application(0, [Service(0, 1.0, 1.0, 1.0)], [Message(USER, 0, 1.0)], 10.0)
+        scenario = Scenario(
+            config=ScenarioConfig(),
+            devices=[Device(0, 1, 1.0, 1.0, 1.0)],
+            links=[],
+            cloud_id=0,
+            apps=[app],
+            requests=[AppRequest(0, app_id=0, gateway=0)],
+        )
+        data = scenario_to_dict(scenario)
+        assert sorted(data) == [
+            "apps", "cloud_id", "config", "devices", "links", "requests", "schedule",
+            "schema_version",
+        ]
+        assert sorted(data["apps"][0]) == ["deadline_ms", "id", "messages", "services"]
+        assert data["requests"] == [{"app_id": 0, "gateway": 0, "request_id": 0}]
 
 
 class TestPartitionsRoundTrip:
@@ -246,14 +259,12 @@ class TestSchemaVersion:
             config=ScenarioConfig(),
             devices=[Device(0, 1, 1.0, 1.0, 1.0)],
             links=[],
-            gateways=(),
             cloud_id=0,
             apps=[],
-            users=[],
             requests=[],
         )
         return [
-            (scenario_from_dict, scenario_to_dict(scenario), 1),
+            (scenario_from_dict, scenario_to_dict(scenario), 2),
             (partitions_from_dict, partitions_to_dict(*one_device_partitions(), CONFIG_HASH), 3),
             (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 1),
         ]
@@ -265,10 +276,11 @@ class TestSchemaVersion:
             with pytest.raises(ValueError, match=f"schema_version '{expected}', expected {expected}"):
                 reader(dict(data, schema_version=str(expected)))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, None, True, 1.0, 3.0])
+    @pytest.mark.parametrize("version", [0, 1, 2, None, True, 1.0, 2.0, 3.0])
     def test_wrong_version_rejected(self, version):
-        # 1 and 2 cover partitions (no reader for either), 2 the other kinds; True
-        # and the floats equal some kind's version in Python but are not ints
+        # 1 covers partitions and scenarios, whose old versions have no reader,
+        # and 2 partitions and plans; True and the floats equal some kind's
+        # version in Python but are not ints
         for reader, data, expected in self.documents():
             if type(version) is not int or version != expected:
                 with pytest.raises(ValueError, match=f"schema_version {version!r}, expected {expected}"):

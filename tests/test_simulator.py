@@ -18,7 +18,6 @@ from fogpart.model import (
     Service,
     UnreachableError,
     USER,
-    User,
     response_times,
 )
 from fogpart.scenario import AppRequest, Scenario, ScenarioConfig
@@ -45,8 +44,7 @@ def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
         [Message(USER, 0, 1_500_000.0), Message(0, 1, 1_500_000.0)],
         deadline,
     )
-    users = [User(0, gateway=0), User(1, gateway=0)]
-    requests = [AppRequest(0, 0, 0), AppRequest(1, 1, 0)]
+    requests = [AppRequest(0, app_id=0, gateway=0), AppRequest(1, app_id=0, gateway=0)]
     schedule = []
     t = period
     while t <= horizon:
@@ -57,10 +55,8 @@ def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
         config=cfg,
         devices=devices,
         links=links,
-        gateways=(0,),
         cloud_id=n_devices - 1,
         apps=[app],
-        users=users,
         requests=requests,
         schedule=schedule,
     )
@@ -213,7 +209,7 @@ def oracle_run(scenario, plans, mode, horizon, period, seed):
             deaths.append((t, victim))
             t += period
     topology = scenario.topology()
-    users = scenario.users_by_id()
+    gateways = {req.request_id: req.gateway for req in scenario.requests}
     apps = {app.id: app for app in scenario.instances()}
     order = sorted(range(len(scenario.schedule)), key=lambda i: (scenario.schedule[i][0], i))
     rows = []
@@ -227,7 +223,7 @@ def oracle_run(scenario, plans, mode, horizon, period, seed):
         hosts = [] if plan is None else list(plan.assignment.values())
         if app is not None and hosts and all(h is not None and h not in dead for h in hosts):
             try:
-                _, rt = response_times(app, plan.assignment, topology, users[app.user].gateway, dead)
+                _, rt = response_times(app, plan.assignment, topology, gateways[rid], dead)
                 status = SATISFIED if rt < app.deadline else MISSED
             except UnreachableError:
                 pass
@@ -252,9 +248,9 @@ def simulations(draw):
             draw(st.floats(500.0, 4000.0)),
         ))
     n_users = draw(st.integers(1, 3))
-    users = [User(u, gateway=draw(st.integers(0, n - 1))) for u in range(n_users)]
     requests = [
-        AppRequest(u, u, draw(st.integers(0, len(templates) - 1))) for u in range(n_users)
+        AppRequest(u, draw(st.integers(0, len(templates) - 1)), draw(st.integers(0, n - 1)))
+        for u in range(n_users)
     ]
     plans = {}
     for req in requests:
@@ -273,10 +269,8 @@ def simulations(draw):
         config=cfg,
         devices=devices,
         links=links,
-        gateways=(0,),
         cloud_id=n - 1,
         apps=templates,
-        users=users,
         requests=requests,
         schedule=schedule,
     )
