@@ -295,3 +295,112 @@ class TestEpochClassificationOracle:
         rows, deaths = oracle_run(scenario, plans, mode, horizon, period, seed)
         assert [(o.time_s, o.request_id, o.status, o.rt_ms) for o in result.outcomes] == rows
         assert result.deaths == deaths
+
+
+@st.composite
+def relay_simulations(draw):
+    """Faulty runs on 8-16 device meshes: a death every tick, every request every tick.
+
+    Each gateway and its hosts are distinct devices, so most routes cross
+    relays, and a verdict carried across deaths is wrong unless a relay's
+    death is checked as well as its endpoints'.
+    """
+    n = draw(st.integers(8, 16))
+    devices = [Device(i, 10, 20.0, 25.0, 25.0) for i in range(n)]
+    # each device links to 1-3 earlier ones: connected, with detours of equal and longer hops
+    edges = {
+        (j, i)
+        for i in range(1, n)
+        for j in draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=min(i, 3)))
+    }
+    links = [NetworkLink(a, b, 75000.0, draw(st.floats(1.0, 10.0))) for a, b in sorted(edges)]
+    templates = []
+    for app_id in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        templates.append(Application(
+            app_id,
+            [Service(s, 20.0, 1.0, 1.0) for s in range(k)],
+            [Message(USER, 0, 1_500_000.0)] + [Message(s - 1, s, 1_500_000.0) for s in range(1, k)],
+            draw(st.floats(1000.0, 3500.0)),
+        ))
+    requests, plans = [], {}
+    for u in range(draw(st.integers(1, 3))):
+        gateway = draw(st.integers(0, n - 1))
+        req = AppRequest(u, draw(st.integers(0, len(templates) - 1)), gateway)
+        requests.append(req)
+        plans[u] = PlacementPlan(assignment={
+            s.id: (gateway + draw(st.integers(1, n - 1))) % n
+            for s in templates[req.app_id].services
+        })
+    horizon = draw(st.integers(4, n))
+    schedule = [(float(t), req.request_id) for t in range(horizon + 1) for req in requests]
+    cfg = ScenarioConfig(device_count=4, gateway_count=1, app_count=1, user_count=1, seed=0)
+    scenario = Scenario(
+        config=cfg,
+        devices=devices,
+        links=links,
+        cloud_id=n - 1,
+        apps=templates,
+        requests=requests,
+        schedule=schedule,
+    )
+    return scenario, plans, FAULTY, float(horizon), 1.0, draw(st.integers(0, 50))
+
+
+class TestRelayDeathOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(relay_simulations())
+    def test_run_matches_from_scratch_oracle(self, case):
+        scenario, plans, mode, horizon, period, seed = case
+        result = simulator.run(
+            scenario, plans, mode=mode, horizon_s=horizon, failure_period_s=period, seed=seed
+        )
+        rows, deaths = oracle_run(scenario, plans, mode, horizon, period, seed)
+        assert [(o.time_s, o.request_id, o.status, o.rt_ms) for o in result.outcomes] == rows
+        assert result.deaths == deaths
+
+
+def diamond_scenario():
+    """Gateway 0 reaches host 3 over relay 1 (fast) or relay 2 (slow), both two hops.
+
+    BFS scans 0's neighbours in order, so the route runs over relay 1.
+    Device 4, the cloud, hangs off the host and never dies.
+    """
+    devices = [Device(i, 10, 20.0, 100.0, 100.0) for i in range(5)]
+    links = [
+        NetworkLink(0, 1, 75000.0, 1.0),
+        NetworkLink(0, 2, 75000.0, 5.0),
+        NetworkLink(1, 3, 75000.0, 1.0),
+        NetworkLink(2, 3, 75000.0, 5.0),
+        NetworkLink(3, 4, 75000.0, 1.0),
+    ]
+    app = Application(0, [Service(0, 20.0, 1.0, 1.0)], [Message(USER, 0, 1_500_000.0)], 50000.0)
+    cfg = ScenarioConfig(device_count=4, gateway_count=1, app_count=1, user_count=1, seed=0)
+    return Scenario(
+        config=cfg,
+        devices=devices,
+        links=links,
+        cloud_id=4,
+        apps=[app],
+        requests=[AppRequest(0, app_id=0, gateway=0)],
+        schedule=[(1.0, 0), (3.0, 0)],
+    )
+
+
+class TestRelayDeath:
+    @pytest.mark.parametrize("victim, rerouted", [(2, False), (1, True)], ids=["idle_relay", "route_relay"])
+    def test_verdict_follows_the_route_it_used(self, victim, rerouted):
+        sc = diamond_scenario()
+        # the one death, at t = 2 between the two requests, kills ``victim``
+        seed = next(
+            s for s in range(100) if simulator.failure_deaths([0, 1, 2, 3], s, 2.0, 3.0)[0][1] == victim
+        )
+        plans = {0: PlacementPlan(assignment={0: 3})}
+        result = simulator.run(sc, plans, mode=FAULTY, horizon_s=3.0, failure_period_s=2.0, seed=seed)
+        assert result.deaths == [(2.0, victim)]
+        before, after = result.outcomes
+        assert (before.status, after.status) == (SATISFIED, SATISFIED)
+        (app,) = sc.instances()
+        _, expected = response_times(app, {0: 3}, sc.topology(), 0, frozenset({victim}))
+        assert after.rt_ms == expected
+        assert (after.rt_ms != before.rt_ms) == rerouted
