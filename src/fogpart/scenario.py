@@ -130,12 +130,17 @@ class Scenario:
 
         The one place a request's template and gateway are resolved: each
         instance carries its request's ``gateway``. Raises ValueError for a
-        request naming an unknown app or a gateway that is not a device.
+        repeated request id, a request naming an unknown app, or a gateway
+        that is not a device.
         """
         templates = self.app_by_id()
         device_ids = {d.id for d in self.devices}
+        seen: set[int] = set()
         out = []
         for req in self.requests:
+            if req.request_id in seen:
+                raise ValueError(f"request id {req.request_id} is repeated")
+            seen.add(req.request_id)
             tpl = templates.get(req.app_id)
             if tpl is None:
                 raise ValueError(f"request {req.request_id} names unknown app {req.app_id}")

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service
 from .multilayer import Layer
@@ -139,23 +140,24 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
     _check_version(data, "scenario")
-    return Scenario(
-        config=config_from_dict(data["config"]),
-        devices=[
-            Device(d["id"], d["cores"], d["cpu_speed_mi_s"], d["mem_gb"], d["storage_tb"])
-            for d in data["devices"]
-        ],
-        links=[
-            NetworkLink(l["a"], l["b"], l["bandwidth_bytes_ms"], l["latency_ms"])
-            for l in data["links"]
-        ],
-        cloud_id=data["cloud_id"],
-        apps=[_app_from_dict(a) for a in data["apps"]],
-        requests=[
-            AppRequest(r["request_id"], r["app_id"], r["gateway"]) for r in data["requests"]
-        ],
-        schedule=[(row[0], row[1]) for row in data["schedule"]],
-    )
+    with _required_keys("scenario"):
+        return Scenario(
+            config=config_from_dict(data["config"]),
+            devices=[
+                Device(d["id"], d["cores"], d["cpu_speed_mi_s"], d["mem_gb"], d["storage_tb"])
+                for d in data["devices"]
+            ],
+            links=[
+                NetworkLink(l["a"], l["b"], l["bandwidth_bytes_ms"], l["latency_ms"])
+                for l in data["links"]
+            ],
+            cloud_id=data["cloud_id"],
+            apps=[_app_from_dict(a) for a in data["apps"]],
+            requests=[
+                AppRequest(r["request_id"], r["app_id"], r["gateway"]) for r in data["requests"]
+            ],
+            schedule=[(row[0], row[1]) for row in data["schedule"]],
+        )
 
 
 # -- partition results -------------------------------------------------------
@@ -168,7 +170,15 @@ def _node_key(node: CompressedNode) -> str:
 
 def _node_from_key(key: str) -> CompressedNode:
     layer_name, pid = key.split(":")
-    return (Layer[layer_name], int(pid))
+    return (_layer(layer_name), int(pid))
+
+
+def _layer(name: str) -> Layer:
+    # a KeyError would read as a missing key (see _required_keys)
+    try:
+        return Layer[name]
+    except KeyError:
+        raise ValueError(f"unknown layer {name!r}") from None
 
 
 def _partition_set_to_dict(ps: PartitionSet) -> dict[str, Any]:
@@ -183,7 +193,7 @@ def _partition_set_from_dict(data: Mapping[str, Any]) -> PartitionSet:
     partitions = {int(pid): frozenset(devs) for pid, devs in data["partitions"].items()}
     assignment = {dev: pid for pid, devs in partitions.items() for dev in devs}
     return PartitionSet(
-        layer=Layer[data["layer"]],
+        layer=_layer(data["layer"]),
         assignment=assignment,
         partitions=partitions,
         modularity=data["modularity"],
@@ -223,19 +233,20 @@ def partitions_to_dict(
 def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, PartitionSet, str]:
     """The feature and network partitions placement reads, and the scenario config hash."""
     _check_version(data, "partitions")
-    fp_data = data["feature_partitions"]
-    fps = FeaturePartitionSet(
-        feature_partitions={
-            int(fp): frozenset(_node_from_key(k) for k in nodes)
-            for fp, nodes in fp_data["members"].items()
-        },
-        device_index={int(fp): frozenset(devs) for fp, devs in fp_data["device_index"].items()},
-        features={
-            _node_from_key(k): FeatureTriplet(*vals) for k, vals in fp_data["features"].items()
-        },
-        modularity=fp_data["modularity"],
-    )
-    return fps, _partition_set_from_dict(data["network"]), data["scenario_config_hash"]
+    with _required_keys("partitions"):
+        fp_data = data["feature_partitions"]
+        fps = FeaturePartitionSet(
+            feature_partitions={
+                int(fp): frozenset(_node_from_key(k) for k in nodes)
+                for fp, nodes in fp_data["members"].items()
+            },
+            device_index={int(fp): frozenset(devs) for fp, devs in fp_data["device_index"].items()},
+            features={
+                _node_from_key(k): FeatureTriplet(*vals) for k, vals in fp_data["features"].items()
+            },
+            modularity=fp_data["modularity"],
+        )
+        return fps, _partition_set_from_dict(data["network"]), data["scenario_config_hash"]
 
 
 # -- placement plans ---------------------------------------------------------
@@ -269,17 +280,27 @@ def plans_to_dict(
 def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], str]:
     _check_version(data, "plans")
     plans: dict[int, PlacementPlan] = {}
-    for request_id, body in data["plans"].items():
-        assignment = {
-            int(sid): (None if dev == INVALID_MARK else int(dev))
-            for sid, dev in body["assignment"].items()
-        }
-        plans[int(request_id)] = PlacementPlan(
-            assignment=assignment,
-            per_service_rt={int(s): rt for s, rt in body["per_service_rt_ms"].items()},
-            app_rt=body["app_rt_ms"],
-        )
-    return plans, data["strategy"]
+    with _required_keys("plans"):
+        for request_id, body in data["plans"].items():
+            assignment = {
+                int(sid): (None if dev == INVALID_MARK else int(dev))
+                for sid, dev in body["assignment"].items()
+            }
+            plans[int(request_id)] = PlacementPlan(
+                assignment=assignment,
+                per_service_rt={int(s): rt for s, rt in body["per_service_rt_ms"].items()},
+                app_rt=body["app_rt_ms"],
+            )
+        return plans, data["strategy"]
+
+
+@contextmanager
+def _required_keys(kind: str) -> Iterator[None]:
+    """Turn a key missing from a ``kind`` document into a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} document is missing key {exc.args[0]!r}") from None
 
 
 def _check_version(data: Mapping[str, Any], kind: str) -> None:

@@ -1,12 +1,13 @@
-"""Replay of placed applications over the request schedule, one verdict per failure epoch.
+"""Replay of placed applications over the request schedule, with failure injection.
 
 Requests fire at their scheduled times; in faulty mode one device dies per
 failure period until none remain. There is no queuing model: concurrent
 requests never slow each other, and no re-placement happens after a
 failure. A request's outcome is therefore a function of the request and of
-its failure epoch (the set of devices dead at its time) alone, so ``run``
-classifies each request once per epoch and repeats that verdict for every
-later tick of the same epoch.
+the set of devices dead at its time alone. ``run`` classifies a request
+once and keeps that verdict across later deaths until one of them touches
+its gateway, one of its hosts, or a relay of a route it used; a failed
+dependency is kept for good, since deaths are never undone.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import logging
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Container, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 from .model import (
     Application,
     PlacementPlan,
     Topology,
+    USER,
     UnreachableError,
     deadline_satisfied,
     response_times,
@@ -37,8 +39,7 @@ MISSED = "missed"
 FAILED_DEPENDENCY = "failed_dependency"
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     time_s: float
     request_id: int
     status: str
@@ -90,9 +91,25 @@ def run(
     each request every death at or before its time is applied, so failures
     precede requests at the same instant. A request whose app has an
     unplaced service, a dead host, or no live route fails its dependency;
-    otherwise the response time decides between satisfied and missed. The
-    verdict is computed once per request and failure epoch: the memo is
-    emptied at each death, since epochs never recur.
+    otherwise the response time decides between satisfied and missed.
+
+    A verdict is computed once and carried across later deaths. A failed
+    dependency never changes, since deaths are never undone. A satisfied or
+    missed verdict is recomputed only after a death of one of the devices
+    it relies on: its gateway, its hosts and the relays of the routes
+    ``response_times`` took. That device set is found only when a later
+    death has to be tested against it, by repeating those route queries
+    under the dead set the verdict was computed with.
+
+    Carrying is exact. ``Topology.shortest_hop_path`` is a BFS over
+    ascending neighbour lists, so each node's parent is its first-dequeued
+    neighbour one level up, and the dequeue order sorts nodes by their
+    parent chains. Killing a device that is neither an endpoint nor on the
+    returned path only removes candidates: every node's depth and place in
+    that order can only move later. The path nodes keep their depths, since
+    the path survives, and keep their parents, since every other neighbour
+    one level up still dequeues after the parent. So the query returns the
+    same links, and the response time summed over them is bit-equal.
 
     Raises ValueError for a schedule entry (up to the horizon) or a plan of
     a request the scenario lacks, a plan that does not assign exactly its
@@ -110,23 +127,25 @@ def run(
     _check_plans(plans, instances, topology.devices.keys())
 
     requests = sorted((e for e in scenario.schedule if e[0] <= horizon), key=itemgetter(0))
+    victims = [victim for _, victim in deaths]
     outcomes: list[RequestOutcome] = []
     dead: frozenset[int] = frozenset()
     epoch = 0
-    verdicts: dict[int, tuple[str, float | None]] = {}
+    carried: dict[int, _Carried] = {}
     for time_s, request_id in requests:
         while epoch < len(deaths) and deaths[epoch][0] <= time_s:
-            dead = dead | {deaths[epoch][1]}
+            dead = dead | {victims[epoch]}
             epoch += 1
-            verdicts = {}
-        verdict = verdicts.get(request_id)
-        if verdict is None:
-            if request_id not in instances:
-                raise ValueError(f"schedule at {time_s} s names unknown request {request_id}")
-            verdict = verdicts[request_id] = _classify(
-                instances[request_id], plans.get(request_id), topology, dead
-            )
-        outcomes.append(RequestOutcome(time_s, request_id, *verdict))
+        kept = carried.get(request_id)
+        if kept is None or kept.epoch != epoch:
+            if kept is None or not kept.holds(victims[kept.epoch:epoch], topology):
+                if request_id not in instances:
+                    raise ValueError(f"schedule at {time_s} s names unknown request {request_id}")
+                kept = carried[request_id] = _Carried(
+                    instances[request_id], plans.get(request_id), topology, dead
+                )
+            kept.epoch = epoch
+        outcomes.append(RequestOutcome(time_s, request_id, *kept.verdict))
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
     return SimulationResult(mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=deaths)
 
@@ -153,6 +172,38 @@ def _check_plans(
                     f"plan of request {request_id} places service {sid} on device {host}, "
                     "which is not in the scenario"
                 )
+
+
+class _Carried:
+    """A request's verdict, what it was computed from, and the epoch it was last checked in."""
+
+    __slots__ = ("app", "plan", "dead", "verdict", "epoch", "devices")
+
+    def __init__(
+        self, app: Application, plan: PlacementPlan | None, topology: Topology, dead: frozenset[int]
+    ) -> None:
+        self.app = app
+        self.plan = plan
+        self.dead = dead
+        self.verdict = _classify(app, plan, topology, dead)
+        self.epoch = 0
+        self.devices: frozenset[int] | None = None
+
+    def holds(self, victims: Sequence[int], topology: Topology) -> bool:
+        """Whether the verdict still stands after ``victims`` died."""
+        if self.verdict[0] == FAILED_DEPENDENCY:
+            return True
+        if self.devices is None:
+            # any other verdict means a full plan whose every route was live
+            app, assignment = self.app, self.plan.assignment
+            devices = {app.gateway, *assignment.values()}
+            for msg in app.messages:
+                src = app.gateway if msg.source == USER else assignment[msg.source]
+                for link in topology.shortest_hop_path(src, assignment[msg.destination], self.dead):
+                    devices.add(link.a)
+                    devices.add(link.b)
+            self.devices = frozenset(devices)
+        return self.devices.isdisjoint(victims)
 
 
 def _classify(

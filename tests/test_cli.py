@@ -251,6 +251,51 @@ def schedule_names_unknown_request(scenario, tmp):
     return ["simulate", "--scenario", str(edited), "--plans", str(tmp / "place" / "plans.json")]
 
 
+def repeated_request_id(data):
+    data["requests"][1]["request_id"] = data["requests"][0]["request_id"]
+
+
+def place_repeated_request_id(scenario, tmp):
+    # place used to keep the last plan of the id: 28 plans for 29 requests, exit 0
+    return place_edited(scenario, tmp, repeated_request_id)
+
+
+def simulate_repeated_request_id(scenario, tmp):
+    place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
+    assert cli.main(place) == 0
+    edited = edited_scenario(scenario, tmp, repeated_request_id)
+    return ["simulate", "--scenario", str(edited), "--plans", str(tmp / "place" / "plans.json")]
+
+
+def scenario_missing_key(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].pop("cores"))
+
+
+def partitions_missing_key(scenario, tmp):
+    path = partitioned(scenario, tmp)
+    data = json.loads(path.read_text())
+    del data["feature_partitions"]["device_index"]
+    path.write_text(json.dumps(data))
+    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+
+
+def partitions_unknown_layer(scenario, tmp):
+    path = partitioned(scenario, tmp)
+    data = json.loads(path.read_text())
+    data["network"]["layer"] = "BOGUS"
+    path.write_text(json.dumps(data))
+    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+
+
+def plans_missing_key(scenario, tmp):
+    argv = edited_plans(scenario, tmp, lambda assignment: None)
+    path = tmp / "place" / "plans.json"
+    data = json.loads(path.read_text())
+    del data["plans"]["0"]["app_rt_ms"]
+    path.write_text(json.dumps(data))
+    return argv
+
+
 #: builder of a bad command line -> the reason its error message must give
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
@@ -288,6 +333,12 @@ BAD_INPUTS = [
     (message_to_unknown_service, "app 0: message destination 99 unknown"),
     (app_without_services, "app 0: needs at least one service"),
     (schedule_names_unknown_request, "names unknown request 12345"),
+    (place_repeated_request_id, "request id 0 is repeated"),
+    (simulate_repeated_request_id, "request id 0 is repeated"),
+    (scenario_missing_key, "scenario document is missing key 'cores'"),
+    (partitions_missing_key, "partitions document is missing key 'device_index'"),
+    (partitions_unknown_layer, "unknown layer 'BOGUS'"),
+    (plans_missing_key, "plans document is missing key 'app_rt_ms'"),
 ]
 
 
