@@ -219,9 +219,9 @@ def _phase1(
     strength = _strengths(adj, loops)
     comm = list(range(n))
     two_w = sum(strength)
-    if two_w <= 0.0:
-        return comm, False
     w = two_w / 2.0
+    if two_w <= 0.0 or 2.0 * w * w == 0.0:
+        return comm, False  # no weight, or so little that every gain divides by zero
     comm_strength = list(strength)
     moved = False
     for i in range(n):

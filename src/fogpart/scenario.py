@@ -7,16 +7,22 @@ are growing-network DAGs, and each user sends one request for a randomly
 chosen application through a randomly chosen gateway, re-sent periodically
 in deadline mode. A scenario therefore stores only the requests, each with
 its gateway.
+
+The three graph routines (Barabási–Albert growth, Brandes betweenness and
+growing-network trees) reproduce networkx 3.6.1's ``barabasi_albert_graph``,
+``betweenness_centrality`` and ``gn_graph`` draw for draw and float for
+float, so scenarios keep the bytes they had when networkx made them.
+``tests/data/generator_nx361.json`` and ``tests/test_generator.py`` guard
+that.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
-
-import networkx as nx
 
 from .model import Application, Device, Message, NetworkLink, Service, Topology, USER
 
@@ -68,6 +74,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite")
+        if self.gateway_count < 0:
+            raise ConfigError("gateway_count must be non-negative")
         if self.gateway_count >= self.device_count:
             raise ConfigError("gateway_count must be smaller than device_count")
         if self.device_count <= self.ba_attachment:
@@ -163,6 +176,94 @@ def _rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{seed}:{stream}")
 
 
+def _ba_rows(n: int, m: int, rng: random.Random) -> list[list[int]]:
+    """Neighbour rows of a Barabási–Albert graph, as networkx 3.6.1 grows it.
+
+    Growth starts from the star on nodes 0..m. Each new node draws targets
+    with ``rng.choice`` from the list of nodes repeated once per edge end,
+    into a set until it holds m, and links to them in the set's iteration
+    order, which is also the order of each row.
+    """
+    rows: list[list[int]] = [list(range(1, m + 1))] + [[0] for _ in range(m)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        rows.append(list(targets))
+        for target in targets:
+            rows[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return rows
+
+
+def _betweenness(rows: Sequence[Sequence[int]]) -> list[float]:
+    """Normalized shortest-path betweenness of each node (Brandes 2001).
+
+    Sources run in node order and the BFS scans each row in order, with
+    float path counts, so every sum happens in the order networkx 3.6.1's
+    ``betweenness_centrality`` does it. A node's predecessors are the
+    neighbours one level up: each receives one share per popped node, so
+    which of them goes first within that node does not change any sum.
+    """
+    n = len(rows)
+    centrality = [0.0] * n
+    for s in range(n):
+        sigma = [0.0] * n
+        dist = [-1] * n
+        sigma[s] = 1.0
+        dist[s] = 0
+        order = [s]  # the BFS queue, kept as the stack of visited nodes
+        for v in order:
+            below = dist[v] + 1
+            paths = sigma[v]
+            for w in rows[v]:
+                if dist[w] < 0:
+                    order.append(w)
+                    dist[w] = below
+                    sigma[w] += paths
+                elif dist[w] == below:
+                    sigma[w] += paths
+        delta = [0] * n
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            above = dist[w] - 1
+            for v in rows[w]:
+                if dist[v] == above:
+                    delta[v] += sigma[v] * coeff
+            if w != s:
+                centrality[w] += delta[w]
+    if n - 1 >= 2:
+        scale = 1 / ((n - 1) * (n - 2))
+        centrality = [c * scale for c in centrality]
+    return centrality
+
+
+def _gn_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """``(new, old)`` edges of a growing-network tree, as networkx 3.6.1 grows it.
+
+    Node 1 links to node 0; each later node draws one ``rng.random()`` and
+    links to the node where it falls in the cumulative degree distribution.
+    """
+    if n < 2:
+        return []
+    edges = [(1, 0)]
+    degrees = [1, 1]
+    for source in range(2, n):
+        cumulative = 0.0
+        cdf = [0.0]
+        for degree in degrees:
+            cumulative += degree
+            cdf.append(cumulative)
+        cdf = [c / cumulative for c in cdf]
+        target = bisect_left(cdf, rng.random()) - 1
+        edges.append((source, target))
+        degrees.append(1)
+        degrees[target] += 1
+    return edges
+
+
 def generate_topology(
     cfg: ScenarioConfig,
 ) -> tuple[list[Device], list[NetworkLink], tuple[int, ...], int]:
@@ -171,19 +272,20 @@ def generate_topology(
     Betweenness centrality is computed exactly; the ``gateway_count``
     lowest-centrality devices become gateways (ties by id) and the cloud
     device attaches at the single most central node with capacities at the
-    top of every range times ``cloud_factor``.
+    top of every range times ``cloud_factor``. Graph, centralities and
+    ranking equal those networkx 3.6.1 gave from the same seed, which
+    ``tests/data/generator_nx361.json`` pins.
     """
-    graph = nx.barabasi_albert_graph(
-        cfg.device_count, cfg.ba_attachment, seed=_rng(cfg.seed, "topology")
-    )
-    centrality = nx.betweenness_centrality(graph)
-    by_centrality = sorted(graph.nodes, key=lambda n: (centrality[n], n))
+    n = cfg.device_count
+    rows = _ba_rows(n, cfg.ba_attachment, _rng(cfg.seed, "topology"))
+    centrality = _betweenness(rows)
+    by_centrality = sorted(range(n), key=lambda v: (centrality[v], v))
     gateways = tuple(sorted(by_centrality[: cfg.gateway_count]))
-    hub = min(graph.nodes, key=lambda n: (-centrality[n], n))
+    hub = min(range(n), key=lambda v: (-centrality[v], v))
 
     rng = _rng(cfg.seed, "resources")
     devices = []
-    for node in sorted(graph.nodes):
+    for node in range(n):
         devices.append(
             Device(
                 id=node,
@@ -193,7 +295,7 @@ def generate_topology(
                 storage=rng.uniform(*cfg.storage_range),
             )
         )
-    cloud_id = cfg.device_count
+    cloud_id = n
     devices.append(
         Device(
             id=cloud_id,
@@ -206,7 +308,9 @@ def generate_topology(
 
     links = [
         NetworkLink(a, b, cfg.bandwidth_bytes_per_ms, cfg.latency_ms)
-        for a, b in sorted(tuple(sorted(e)) for e in graph.edges)
+        for a in range(n)
+        for b in sorted(rows[a])
+        if a < b
     ]
     links.append(NetworkLink(hub, cloud_id, cfg.bandwidth_bytes_per_ms, cfg.latency_ms))
     return devices, links, gateways, cloud_id
@@ -236,17 +340,15 @@ def generate_applications(cfg: ScenarioConfig) -> list[Application]:
         messages = [
             Message(source=USER, destination=0, size=rng.uniform(size_lo, size_hi) * 1000.0)
         ]
-        if n_services > 1:
-            tree = nx.gn_graph(n_services, seed=rng)
-            # gn edges run new -> old; reverse them so requests flow outward
-            for new, old in sorted(tree.edges):
-                messages.append(
-                    Message(
-                        source=old,
-                        destination=new,
-                        size=rng.uniform(size_lo, size_hi) * 1000.0,
-                    )
+        # gn edges run new -> old; reverse them so requests flow outward
+        for new, old in _gn_edges(n_services, rng):
+            messages.append(
+                Message(
+                    source=old,
+                    destination=new,
+                    size=rng.uniform(size_lo, size_hi) * 1000.0,
                 )
+            )
         apps.append(
             Application(
                 id=app_id,

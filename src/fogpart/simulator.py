@@ -13,6 +13,7 @@ dependency is kept for good, since deaths are never undone.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -63,8 +64,8 @@ def failure_deaths(
     how they round and so how they tie with request times. The list stops
     at the horizon or when every device is dead.
     """
-    if period_s <= 0:
-        raise ValueError("failure period must be positive")
+    if not 0 < period_s < math.inf:
+        raise ValueError("failure period must be positive and finite")
     victims = sorted(device_ids)
     random.Random(f"{seed}:failures").shuffle(victims)
     deaths: list[tuple[float, int]] = []
@@ -111,13 +112,16 @@ def run(
     one level up still dequeues after the parent. So the query returns the
     same links, and the response time summed over them is bit-equal.
 
-    Raises ValueError for a schedule entry (up to the horizon) or a plan of
-    a request the scenario lacks, a plan that does not assign exactly its
-    app's services, or one that names a device outside the scenario.
+    Raises ValueError for a non-finite horizon, a schedule entry (up to the
+    horizon) or a plan of a request the scenario lacks, a plan that does not
+    assign exactly its app's services, or one that names a device outside
+    the scenario.
     """
     if mode not in (RELIABLE, FAULTY):
         raise ValueError(f"unknown mode {mode!r}")
     horizon = scenario.config.horizon_s if horizon_s is None else horizon_s
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     deaths: list[tuple[float, int]] = []
     if mode == FAULTY:
         fog_ids = [d.id for d in scenario.devices if d.id != scenario.cloud_id]

@@ -26,6 +26,23 @@ def test_import_leaves_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_networkx_never_loaded(tmp_path):
+    # the generator reproduces the networkx routines it used; importing networkx
+    # would cost every command its start-up time and memory again
+    src = Path(fogpart.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, fogpart.cli; print('networkx' in sys.modules); "
+        "fogpart.cli.main(['generate', '--preset', 'SMALL', '--out', sys.argv[1]]); "
+        "print('networkx' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "gen")], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "False"]
+    assert (tmp_path / "gen" / "scenario.json").exists()
+
+
 @pytest.fixture(scope="module")
 def scenario_path(tmp_path_factory):
     """A small generated scenario for the commands that read one."""
@@ -82,6 +99,30 @@ def zero_app_count(scenario, tmp):
 def scale_with_other_app_count(scenario, tmp):
     # with_scale used to overwrite the explicit field: this config generated 30 apps
     return generate_from(tmp, {"scale": "LARGE", "app_count": 5})
+
+
+def negative_gateway_count(scenario, tmp):
+    # by_centrality[:-3] made gateways of all but 3 devices
+    return generate_from(tmp, {"device_count": 10, "gateway_count": -3})
+
+
+def nan_horizon_config(scenario, tmp):
+    # generated, placed and simulated 0 requests, and wrote bare NaN into the JSON
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": float("nan")})
+
+
+def infinite_range_config(scenario, tmp):
+    return generate_from(tmp, {"cpu_speed_range": [20.0, float("inf")]})
+
+
+def nan_failure_period(scenario, tmp):
+    # reported 10 failures while applying none
+    return [*edited_plans(scenario, tmp, lambda assignment: None), "--mode", "faulty", "--failure-period-s", "nan"]
+
+
+def nan_horizon_flag(scenario, tmp):
+    # reported 0 requests
+    return [*edited_plans(scenario, tmp, lambda assignment: None), "--horizon-s", "nan"]
 
 
 def multilayer_without_partitions(scenario, tmp):
@@ -308,6 +349,11 @@ BAD_INPUTS = [
     (zero_request_period, "request period must be positive"),
     (zero_app_count, "app_count and user_count must be positive"),
     (scale_with_other_app_count, "scale LARGE fixes app_count; the config sets other values"),
+    (negative_gateway_count, "gateway_count must be non-negative"),
+    (nan_horizon_config, "horizon_s must be finite"),
+    (infinite_range_config, "cpu_speed_range must be finite"),
+    (nan_failure_period, "failure period must be positive and finite"),
+    (nan_horizon_flag, "horizon must be finite"),
     (multilayer_without_partitions, "requires --partitions"),
     (negative_alpha, "alpha and beta must be non-negative"),
     (report_without_metrics, "has no metrics.json"),

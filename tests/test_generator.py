@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogpart.model import USER
-from fogpart.scenario import ScenarioConfig, _rng, generate_applications, generate_topology
+from fogpart.scenario import (
+    ScenarioConfig,
+    _ba_rows,
+    _betweenness,
+    _gn_edges,
+    _rng,
+    generate_applications,
+    generate_topology,
+)
 
 try:
     import networkx as nx
@@ -125,3 +134,43 @@ def test_topology_matches_networkx(data):
     )
     assert gateways == tuple(sorted(ranked[: cfg.gateway_count]))
     assert links[-1].a == min(graph.nodes, key=lambda v: (-centrality[v], v))
+
+
+@needs_networkx_361
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ba_rows_match_networkx(data):
+    # row order is the order betweenness scans neighbours, so it must match too
+    n = data.draw(st.integers(2, 200), label="n")
+    m = data.draw(st.integers(1, min(4, n - 1)), label="m")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    ours, theirs = random.Random(seed), random.Random(seed)
+    rows = _ba_rows(n, m, ours)
+    graph = nx.barabasi_albert_graph(n, m, seed=theirs)
+    assert rows == [list(graph[v]) for v in graph]
+    assert ours.getstate() == theirs.getstate()
+
+
+@needs_networkx_361
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_betweenness_matches_networkx_bit_for_bit(data):
+    # any simple graph, disconnected and with rows in any order, not only BA graphs
+    n = data.draw(st.integers(1, 40), label="n")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+    edges = [data.draw(st.permutations(e), label="ends") for e in edges]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    centrality = nx.betweenness_centrality(graph)
+    assert _betweenness([list(graph[v]) for v in range(n)]) == [centrality[v] for v in range(n)]
+
+
+@needs_networkx_361
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32))
+def test_gn_edges_match_networkx(n, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _gn_edges(n, ours) == sorted(nx.gn_graph(n, seed=theirs).edges)
+    assert ours.getstate() == theirs.getstate()

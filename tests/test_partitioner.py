@@ -525,6 +525,26 @@ class TestPhase1MatchesFrozenReference:
         assert _phase1(adj, loops) == frozen_phase1(adj, loops)
 
 
+class TestSubnormalTotalWeight:
+    """A positive total weight so small that ``2 w^2`` underflows to 0 keeps singletons."""
+
+    def test_isolated_loop_masses_found_by_hypothesis(self):
+        # raised ZeroDivisionError in _best_move before
+        assert _phase1([{}, {}], [2.2e-311, 2.2e-311]) == ([0, 1], False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs(), st.floats(1e-320, 1e-170))
+    def test_any_graph_scaled_below_underflow(self, graph, scale):
+        adj, loops = graph
+        adj = [{j: wij * scale for j, wij in row.items()} for row in adj]
+        loops = [x * scale for x in loops]
+        w = sum(partitioner._strengths(adj, loops)) / 2.0
+        if w > 0.0 and 2.0 * w * w == 0.0:
+            assert _phase1(adj, loops) == (list(range(len(adj))), False)
+            parts, _ = partitioner._louvain(list(range(len(adj))), adj)
+            assert parts == [frozenset([i]) for i in range(len(adj))]
+
+
 def near_tie_graph():
     """Seven nodes linked by 0.1 or 0.3, and an isolated node 7 whose loop
     mass sets the total weight.

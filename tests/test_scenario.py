@@ -30,6 +30,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(device_count=10, gateway_count=10)
 
+    def test_negative_gateway_count_rejected(self):
+        with pytest.raises(ConfigError, match="gateway_count must be non-negative"):
+            ScenarioConfig(device_count=10, gateway_count=-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda v: {"horizon_s": v},
+            lambda v: {"latency_ms": v},
+            lambda v: {"cloud_factor": v},
+            lambda v: {"mem_range": (10.0, v)},
+            lambda v: {"deadline_range_ms": (v, 50000.0)},
+            lambda v: {"device_count": v},
+        ],
+    )
+    def test_non_finite_float_rejected(self, change, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ScenarioConfig(**change(value))
+
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(mem_range=(25.0, 10.0))
