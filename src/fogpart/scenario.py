@@ -75,10 +75,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, default = getattr(self, f.name), f.default
             for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
+                if not isinstance(v, float):
+                    continue
+                if not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite")
+                if type(default[0] if isinstance(default, tuple) else default) is int:
+                    raise ConfigError(f"{f.name} must be an integer")
         if self.gateway_count < 0:
             raise ConfigError("gateway_count must be non-negative")
         if self.gateway_count >= self.device_count:

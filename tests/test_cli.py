@@ -115,6 +115,11 @@ def infinite_range_config(scenario, tmp):
     return generate_from(tmp, {"cpu_speed_range": [20.0, float("inf")]})
 
 
+def fractional_device_count(scenario, tmp):
+    # exited 0 with 11 fog devices and a cloud device of id 10.5
+    return generate_from(tmp, {"device_count": 10.5, "gateway_count": 3})
+
+
 def nan_failure_period(scenario, tmp):
     # reported 10 failures while applying none
     return [*edited_plans(scenario, tmp, lambda assignment: None), "--mode", "faulty", "--failure-period-s", "nan"]
@@ -352,6 +357,7 @@ BAD_INPUTS = [
     (negative_gateway_count, "gateway_count must be non-negative"),
     (nan_horizon_config, "horizon_s must be finite"),
     (infinite_range_config, "cpu_speed_range must be finite"),
+    (fractional_device_count, "device_count must be an integer"),
     (nan_failure_period, "failure period must be positive and finite"),
     (nan_horizon_flag, "horizon must be finite"),
     (multilayer_without_partitions, "requires --partitions"),

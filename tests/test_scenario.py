@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be finite"):
             ScenarioConfig(**change(value))
 
+    @pytest.mark.parametrize(
+        "change", [{"device_count": 10.5}, {"gateway_count": 2.0}, {"cores_range": (10, 25.0)}]
+    )
+    def test_float_in_integer_field_rejected(self, change):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ScenarioConfig(**change)
+
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(mem_range=(25.0, 10.0))
