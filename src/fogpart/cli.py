@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +24,7 @@ from .metrics import (
     emit_report,
     hop_histogram,
     hop_summary,
+    outcome_counts,
     placement_success_rate,
     resource_wastage,
 )
@@ -120,7 +120,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    scenario = scenario_from_dict(load_json(args.scenario))
+    scenario = scenario_from_dict(load_json(args.scenario), schedule=False)
     if not scenario.devices:
         raise ConfigError("scenario has no devices to partition")
     graph = build_multilayer(scenario.topology())
@@ -147,7 +147,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_place(args: argparse.Namespace) -> int:
-    scenario = scenario_from_dict(load_json(args.scenario))
+    scenario = scenario_from_dict(load_json(args.scenario), schedule=False)
     fps = network = None
     if args.strategy == "multilayer" or args.strategy == "connectivity_greedy":
         if args.partitions is None:
@@ -210,12 +210,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    rows = cumulative_series(result.outcomes)
+    rows = cumulative_series(result.outcomes.ticks)
     artifacts = [
         write_csv(out / "outcomes.csv", ["time_s", "requests", "satisfied", "cumulative_ratio"], rows)
     ]
-    tally = Counter(o.status for o in result.outcomes)
-    requests = sum(tally.values())
+    tally = outcome_counts(result.outcomes.ticks)
+    requests = tally.total()
     metrics = {
         "schema_version": 1,
         "scenario": scenario.config.scale,

@@ -7,12 +7,14 @@ service counting one core-equivalent on the CPU axis.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import Application, Device, PlacementPlan, Topology
 from .serialize import dump_json, write_csv
-from .simulator import RequestOutcome, SATISFIED
+from .simulator import SATISFIED, Tick
 
 
 class ZeroServicesError(ValueError):
@@ -59,21 +61,38 @@ def resource_wastage(
     return 1.0 - consumed / offered
 
 
-def cumulative_series(
-    outcomes: Sequence[RequestOutcome],
-) -> list[tuple[float, int, int, float]]:
-    """Rows (time_s, requests, satisfied, cumulative_ratio), one per event time."""
+def _tick_counts(ticks: Iterable[Tick]) -> Iterator[tuple[float, Counter[str]]]:
+    """Each tick's time and status counts.
+
+    A tick with the previous tick's id tuple and verdict map (the same
+    objects, see ``Tick``) reuses its counts.
+    """
+    ids = verdicts = counts = None
+    for tick in ticks:
+        if tick.request_ids is not ids or tick.verdicts is not verdicts:
+            ids, verdicts = tick.request_ids, tick.verdicts
+            counts = Counter(map(itemgetter(0), map(verdicts.__getitem__, ids)))
+        yield tick.time_s, counts
+
+
+def cumulative_series(ticks: Iterable[Tick]) -> list[tuple[float, int, int, float]]:
+    """Rows (time_s, requests, satisfied, cumulative_ratio), one per tick."""
     rows: list[tuple[float, int, int, float]] = []
     requests = 0
     satisfied = 0
-    for i, outcome in enumerate(outcomes):
-        requests += 1
-        if outcome.status == SATISFIED:
-            satisfied += 1
-        last_of_tick = i + 1 == len(outcomes) or outcomes[i + 1].time_s != outcome.time_s
-        if last_of_tick:
-            rows.append((outcome.time_s, requests, satisfied, satisfied / requests))
+    for time_s, counts in _tick_counts(ticks):
+        requests += counts.total()
+        satisfied += counts[SATISFIED]
+        rows.append((time_s, requests, satisfied, satisfied / requests))
     return rows
+
+
+def outcome_counts(ticks: Iterable[Tick]) -> Counter[str]:
+    """Requests per status over all ticks."""
+    tally: Counter[str] = Counter()
+    for _, counts in _tick_counts(ticks):
+        tally.update(counts)
+    return tally
 
 
 def hop_histogram(

@@ -76,6 +76,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
+            if type(default) is bool and type(value) is not bool:
+                raise ConfigError(f"{f.name} must be true or false")
             for v in value if isinstance(value, tuple) else (value,):
                 if not isinstance(v, float):
                     continue
@@ -133,7 +135,8 @@ class Scenario:
     cloud_id: int
     apps: list[Application]
     requests: list[AppRequest]
-    schedule: list[tuple[float, int]] = field(default_factory=list)
+    #: ``[time_s, request_id]`` rows, as ``scenario.json`` stores them
+    schedule: list[list] = field(default_factory=list)
 
     def topology(self) -> Topology:
         """The scenario's devices and links, checked for duplicates and dangling ids."""
@@ -366,7 +369,7 @@ def generate_applications(cfg: ScenarioConfig) -> list[Application]:
 
 def generate_users(
     cfg: ScenarioConfig, gateways: Sequence[int]
-) -> tuple[list[AppRequest], list[tuple[float, int]]]:
+) -> tuple[list[AppRequest], list[list]]:
     """One request per user: a random gateway, then a random application.
 
     In deadline mode every request repeats with the configured period until
@@ -381,16 +384,16 @@ def generate_users(
         gateway = rng.choice(ordered_gateways)  # drawn before the app: this order fixes the scenario
         requests.append(AppRequest(uid, app_id=rng.randrange(cfg.app_count), gateway=gateway))
 
-    schedule: list[tuple[float, int]] = []
+    schedule: list[list] = []
     if cfg.deadline_mode:
         ticks = int(math.floor(cfg.horizon_s / cfg.request_period_s))
         for k in range(1, ticks + 1):
             t = k * cfg.request_period_s
             for req in requests:
-                schedule.append((t, req.request_id))
+                schedule.append([t, req.request_id])
     else:
         for req in requests:
-            schedule.append((0.0, req.request_id))
+            schedule.append([0.0, req.request_id])
     return requests, schedule
 
 

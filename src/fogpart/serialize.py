@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -134,13 +136,23 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
             {"request_id": r.request_id, "app_id": r.app_id, "gateway": r.gateway}
             for r in scenario.requests
         ],
-        "schedule": [[t, rid] for t, rid in scenario.schedule],
+        "schedule": scenario.schedule,
     }
 
 
-def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
+def scenario_from_dict(data: Mapping[str, Any], schedule: bool = True) -> Scenario:
+    """The scenario of a ``scenario.json`` document.
+
+    The schedule rows are checked and kept as they are. ``schedule=False``
+    skips them and leaves the scenario's schedule empty, for readers that
+    never replay it: a D-LARGE schedule holds 125,832 rows, most of a
+    document's decoding.
+    """
     _check_version(data, "scenario")
     with _required_keys("scenario"):
+        rows = data["schedule"]
+        if schedule:
+            _check_schedule(rows)
         return Scenario(
             config=config_from_dict(data["config"]),
             devices=[
@@ -156,8 +168,38 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
             requests=[
                 AppRequest(r["request_id"], r["app_id"], r["gateway"]) for r in data["requests"]
             ],
-            schedule=[(row[0], row[1]) for row in data["schedule"]],
+            schedule=rows if schedule else [],
         )
+
+
+def _check_schedule(rows: Any) -> None:
+    """Raise ValueError naming the first row that is not ``[time_s >= 0, request_id]``."""
+    if type(rows) is not list:
+        raise ValueError("scenario schedule must be a list of [time_s, request_id] rows")
+    if not _rows_ok(rows):
+        # the columns are checked whole; only a failure looks for the row at fault
+        index = next(i for i, row in enumerate(rows) if not _rows_ok([row]))
+        raise ValueError(
+            f"schedule row {index} is {json.dumps(rows[index])}; expected [time_s, request_id] "
+            "with time_s a finite number >= 0 and request_id an integer"
+        )
+
+
+def _rows_ok(rows: list) -> bool:
+    """Whether every row is a finite time >= 0 and an integer request id, column by column."""
+    try:
+        times = list(map(itemgetter(0), rows))
+        ids = list(map(itemgetter(1), rows))
+        lengths = set(map(len, rows))
+    except (TypeError, KeyError, IndexError):
+        return False
+    # bool is neither int nor float here, and a NaN fails 0 <= t
+    return (
+        lengths <= {2}
+        and set(map(type, times)) <= {int, float}
+        and set(map(type, ids)) <= {int}
+        and all(0 <= t < math.inf for t in set(times))
+    )
 
 
 # -- partition results -------------------------------------------------------

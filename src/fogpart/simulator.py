@@ -4,10 +4,19 @@ Requests fire at their scheduled times; in faulty mode one device dies per
 failure period until none remain. There is no queuing model: concurrent
 requests never slow each other, and no re-placement happens after a
 failure. A request's outcome is therefore a function of the request and of
-the set of devices dead at its time alone. ``run`` classifies a request
-once and keeps that verdict across later deaths until one of them touches
-its gateway, one of its hosts, or a relay of a route it used; a failed
-dependency is kept for good, since deaths are never undone.
+the set of devices dead at its time alone.
+
+``run`` works tick by tick, a tick being the requests scheduled at one
+instant. It records each tick as one block: its time, its request ids and
+a verdict map from request id to (status, response time). Consecutive
+ticks share the map until a death or a request not seen before changes
+it, and share the id tuple while they fire the same requests in the same
+order, so a periodic schedule under one dead set is a run of identical
+blocks. A verdict stays in the map across later deaths until one of them
+touches its gateway, one of its hosts, or a relay of a route it used; a
+failed dependency is kept for good, since deaths are never undone.
+``SimulationResult.outcomes`` reads the blocks as one record per scheduled
+request, built only when read.
 """
 
 from __future__ import annotations
@@ -15,9 +24,11 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Container, Mapping, NamedTuple, Sequence
+from itertools import accumulate
+from operator import index, itemgetter
+from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     Application,
@@ -39,6 +50,8 @@ SATISFIED = "satisfied"
 MISSED = "missed"
 FAILED_DEPENDENCY = "failed_dependency"
 
+Verdict = tuple[str, float | None]
+
 
 class RequestOutcome(NamedTuple):
     time_s: float
@@ -47,11 +60,58 @@ class RequestOutcome(NamedTuple):
     rt_ms: float | None = None
 
 
+class Tick(NamedTuple):
+    """The requests fired at one instant, in schedule order, and the verdicts they read.
+
+    ``verdicts`` holds each of this tick's requests' verdicts at this tick,
+    and may hold other requests'. Consecutive ticks hold the same
+    ``request_ids`` object while their ids are equal, and the same
+    ``verdicts`` object until a death or a new request changes it; neither
+    is mutated once recorded.
+    """
+
+    time_s: float
+    request_ids: tuple[int, ...]
+    verdicts: Mapping[int, Verdict]
+
+
+class Outcomes(Sequence[RequestOutcome]):
+    """One outcome per scheduled request, in time order, read off the ticks."""
+
+    __slots__ = ("ticks", "_starts")
+
+    def __init__(self, ticks: Sequence[Tick]) -> None:
+        self.ticks = ticks
+        # _starts[k] is the index of tick k's first request; the last entry is the total
+        self._starts = list(accumulate((len(t.request_ids) for t in ticks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self) -> Iterator[RequestOutcome]:
+        for time_s, ids, verdicts in self.ticks:
+            for request_id in ids:
+                yield RequestOutcome(time_s, request_id, *verdicts[request_id])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("outcome index out of range")
+        k = bisect_right(self._starts, i) - 1
+        time_s, ids, verdicts = self.ticks[k]
+        request_id = ids[i - self._starts[k]]
+        return RequestOutcome(time_s, request_id, *verdicts[request_id])
+
+
 @dataclass
 class SimulationResult:
     mode: str
     horizon_s: float
-    outcomes: list[RequestOutcome]
+    outcomes: Outcomes
     deaths: list[tuple[float, int]]
 
 
@@ -86,21 +146,24 @@ def run(
     failure_period_s: float = 20.0,
     seed: int = 0,
 ) -> SimulationResult:
-    """Classify every scheduled request up to the horizon, in time order.
+    """Classify every scheduled request up to the horizon, tick by tick.
 
-    Requests are taken in time order, schedule order breaking ties. Before
-    each request every death at or before its time is applied, so failures
-    precede requests at the same instant. A request whose app has an
-    unplaced service, a dead host, or no live route fails its dependency;
-    otherwise the response time decides between satisfied and missed.
+    Requests are taken in time order, schedule order breaking ties, and
+    grouped into ticks of equal time. Before each tick every death at or
+    before its time is applied, so failures precede requests at the same
+    instant. A request whose app has an unplaced service, a dead host, or
+    no live route fails its dependency; otherwise the response time decides
+    between satisfied and missed.
 
     A verdict is computed once and carried across later deaths. A failed
-    dependency never changes, since deaths are never undone. A satisfied or
-    missed verdict is recomputed only after a death of one of the devices
-    it relies on: its gateway, its hosts and the relays of the routes
-    ``response_times`` took. That device set is found only when a later
-    death has to be tested against it, by repeating those route queries
-    under the dead set the verdict was computed with.
+    dependency never changes, since deaths are never undone. A tick that
+    applies deaths tests every other carried verdict once against the new
+    victims, and drops it if one of them is a device it relies on: its
+    gateway, its hosts and the relays of the routes ``response_times``
+    took. That device set is found only when a death has to be tested
+    against it, by repeating those route queries under the dead set the
+    verdict was computed with. A tick then classifies only those of its
+    requests that have no verdict.
 
     Carrying is exact. ``Topology.shortest_hop_path`` is a BFS over
     ascending neighbour lists, so each node's parent is its first-dequeued
@@ -130,26 +193,48 @@ def run(
     instances = {inst.id: inst for inst in scenario.instances()}
     _check_plans(plans, instances, topology.devices.keys())
 
-    requests = sorted((e for e in scenario.schedule if e[0] <= horizon), key=itemgetter(0))
+    entries = sorted(scenario.schedule, key=itemgetter(0))
+    times = list(map(itemgetter(0), entries))
+    ids = tuple(map(itemgetter(1), entries))
+    end = bisect_right(times, horizon)
+    death_times = [t for t, _ in deaths]
     victims = [victim for _, victim in deaths]
-    outcomes: list[RequestOutcome] = []
+    ticks: list[Tick] = []
+    carried: dict[int, _Carried] = {}
+    verdicts: dict[int, Verdict] = {}
+    tick_ids: tuple[int, ...] = ()
     dead: frozenset[int] = frozenset()
     epoch = 0
-    carried: dict[int, _Carried] = {}
-    for time_s, request_id in requests:
-        while epoch < len(deaths) and deaths[epoch][0] <= time_s:
-            dead = dead | {victims[epoch]}
-            epoch += 1
-        kept = carried.get(request_id)
-        if kept is None or kept.epoch != epoch:
-            if kept is None or not kept.holds(victims[kept.epoch:epoch], topology):
-                if request_id not in instances:
-                    raise ValueError(f"schedule at {time_s} s names unknown request {request_id}")
-                kept = carried[request_id] = _Carried(
-                    instances[request_id], plans.get(request_id), topology, dead
-                )
-            kept.epoch = epoch
-        outcomes.append(RequestOutcome(time_s, request_id, *kept.verdict))
+    start = 0
+    while start < end:
+        time_s = times[start]
+        stop = bisect_right(times, time_s, start, end)
+        fresh_ids = ids[start:stop] != tick_ids
+        if fresh_ids:
+            tick_ids = ids[start:stop]
+        start = stop
+        changed = False
+        first, epoch = epoch, bisect_right(death_times, time_s, epoch)
+        if epoch > first:
+            new_victims = victims[first:epoch]
+            dead = dead.union(new_victims)
+            stale = [rid for rid, kept in carried.items() if not kept.holds(new_victims, topology)]
+            for rid in stale:
+                del carried[rid]
+            changed = bool(stale)
+        # only new ids or dropped verdicts can leave a request of this tick without a verdict
+        if fresh_ids or changed:
+            for rid in tick_ids:
+                if rid in carried:
+                    continue
+                if rid not in instances:
+                    raise ValueError(f"schedule at {time_s} s names unknown request {rid}")
+                carried[rid] = _Carried(instances[rid], plans.get(rid), topology, dead)
+                changed = True
+        if changed:
+            verdicts = {rid: kept.verdict for rid, kept in carried.items()}
+        ticks.append(Tick(time_s, tick_ids, verdicts))
+    outcomes = Outcomes(ticks)
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
     return SimulationResult(mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=deaths)
 
@@ -179,9 +264,9 @@ def _check_plans(
 
 
 class _Carried:
-    """A request's verdict, what it was computed from, and the epoch it was last checked in."""
+    """A request's verdict and what it was computed from."""
 
-    __slots__ = ("app", "plan", "dead", "verdict", "epoch", "devices")
+    __slots__ = ("app", "plan", "dead", "verdict", "devices")
 
     def __init__(
         self, app: Application, plan: PlacementPlan | None, topology: Topology, dead: frozenset[int]
@@ -190,7 +275,6 @@ class _Carried:
         self.plan = plan
         self.dead = dead
         self.verdict = _classify(app, plan, topology, dead)
-        self.epoch = 0
         self.devices: frozenset[int] | None = None
 
     def holds(self, victims: Sequence[int], topology: Topology) -> bool:
@@ -215,7 +299,7 @@ def _classify(
     plan: PlacementPlan | None,
     topology: Topology,
     dead: frozenset[int],
-) -> tuple[str, float | None]:
+) -> Verdict:
     """(status, response time in ms) of one request while ``dead`` are down."""
     if plan is None or not plan.fully_placed:
         return FAILED_DEPENDENCY, None

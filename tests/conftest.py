@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from fogpart.model import Device
 from fogpart.multilayer import Layer, LayerView, index_rows
+from fogpart.simulator import SATISFIED
 
 
 def make_view(layer: Layer, node_ids, edges) -> LayerView:
@@ -77,3 +79,28 @@ def best_partition_bruteforce(view, modularity_fn):
             best_q = q
             best_parts = [frozenset(p) for p in parts]
     return best_parts, best_q
+
+
+def per_request_series(outcomes):
+    """The cumulative series as it was computed from one record per request.
+
+    A frozen copy of the per-request ``metrics.cumulative_series`` that the
+    per-tick one replaced: rows (time_s, requests, satisfied, ratio), one at
+    the last outcome of each run of equal times.
+    """
+    rows = []
+    requests = 0
+    satisfied = 0
+    for i, outcome in enumerate(outcomes):
+        requests += 1
+        if outcome.status == SATISFIED:
+            satisfied += 1
+        last_of_tick = i + 1 == len(outcomes) or outcomes[i + 1].time_s != outcome.time_s
+        if last_of_tick:
+            rows.append((outcome.time_s, requests, satisfied, satisfied / requests))
+    return rows
+
+
+def per_request_tally(outcomes):
+    """Requests per status, counted one record at a time as ``simulate`` once did."""
+    return Counter(o.status for o in outcomes)

@@ -120,6 +120,15 @@ def fractional_device_count(scenario, tmp):
     return generate_from(tmp, {"device_count": 10.5, "gateway_count": 3})
 
 
+def deadline_mode_of_text(scenario, tmp):
+    # generated a deadline-mode schedule and wrote "no" into scenario.json
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": 10.0, "deadline_mode": "no"})
+
+
+def deadline_mode_of_number(scenario, tmp):
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": 10.0, "deadline_mode": 1})
+
+
 def nan_failure_period(scenario, tmp):
     # reported 10 failures while applying none
     return [*edited_plans(scenario, tmp, lambda assignment: None), "--mode", "faulty", "--failure-period-s", "nan"]
@@ -290,11 +299,50 @@ def app_without_services(scenario, tmp):
     return place_edited(scenario, tmp, lambda data: data["apps"][0].update(services=[]))
 
 
-def schedule_names_unknown_request(scenario, tmp):
+def simulate_edited(scenario, tmp, edit):
+    """``simulate`` of ``scenario`` edited by ``edit``, against the unedited scenario's plans."""
     place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
     assert cli.main(place) == 0
-    edited = edited_scenario(scenario, tmp, lambda data: data["schedule"].append([0.0, 12345]))
+    edited = edited_scenario(scenario, tmp, edit)
     return ["simulate", "--scenario", str(edited), "--plans", str(tmp / "place" / "plans.json")]
+
+
+def schedule_names_unknown_request(scenario, tmp):
+    return simulate_edited(scenario, tmp, lambda data: data["schedule"].append([0.0, 12345]))
+
+
+def schedule_row(row):
+    """An edit that makes ``row`` the scenario's first schedule row."""
+
+    def edit(data):
+        data["schedule"][0] = row
+
+    return edit
+
+
+def schedule_row_without_request(scenario, tmp):
+    # died with an IndexError traceback
+    return simulate_edited(scenario, tmp, schedule_row([1.0]))
+
+
+def schedule_row_of_text_time(scenario, tmp):
+    # died with "TypeError: '<=' not supported"
+    return simulate_edited(scenario, tmp, schedule_row(["a", 0]))
+
+
+def schedule_row_null(scenario, tmp):
+    # died with a TypeError traceback
+    return simulate_edited(scenario, tmp, schedule_row(None))
+
+
+def schedule_row_of_nan_time(scenario, tmp):
+    # the request was silently dropped
+    return simulate_edited(scenario, tmp, schedule_row([float("nan"), 0]))
+
+
+def schedule_row_of_bool_request(scenario, tmp):
+    # was replayed as request 1
+    return simulate_edited(scenario, tmp, schedule_row([0.0, True]))
 
 
 def repeated_request_id(data):
@@ -307,10 +355,7 @@ def place_repeated_request_id(scenario, tmp):
 
 
 def simulate_repeated_request_id(scenario, tmp):
-    place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
-    assert cli.main(place) == 0
-    edited = edited_scenario(scenario, tmp, repeated_request_id)
-    return ["simulate", "--scenario", str(edited), "--plans", str(tmp / "place" / "plans.json")]
+    return simulate_edited(scenario, tmp, repeated_request_id)
 
 
 def scenario_missing_key(scenario, tmp):
@@ -358,6 +403,8 @@ BAD_INPUTS = [
     (nan_horizon_config, "horizon_s must be finite"),
     (infinite_range_config, "cpu_speed_range must be finite"),
     (fractional_device_count, "device_count must be an integer"),
+    (deadline_mode_of_text, "deadline_mode must be true or false"),
+    (deadline_mode_of_number, "deadline_mode must be true or false"),
     (nan_failure_period, "failure period must be positive and finite"),
     (nan_horizon_flag, "horizon must be finite"),
     (multilayer_without_partitions, "requires --partitions"),
@@ -385,6 +432,11 @@ BAD_INPUTS = [
     (message_to_unknown_service, "app 0: message destination 99 unknown"),
     (app_without_services, "app 0: needs at least one service"),
     (schedule_names_unknown_request, "names unknown request 12345"),
+    (schedule_row_without_request, "schedule row 0 is [1.0]; expected [time_s, request_id]"),
+    (schedule_row_of_text_time, 'schedule row 0 is ["a", 0]; expected'),
+    (schedule_row_null, "schedule row 0 is null; expected"),
+    (schedule_row_of_nan_time, "schedule row 0 is [NaN, 0]; expected"),
+    (schedule_row_of_bool_request, "schedule row 0 is [0.0, true]; expected"),
     (place_repeated_request_id, "request id 0 is repeated"),
     (simulate_repeated_request_id, "request id 0 is repeated"),
     (scenario_missing_key, "scenario document is missing key 'cores'"),

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import per_request_series, per_request_tally
 
 from fogpart.metrics import (
     REPORT_COLUMNS,
@@ -13,11 +18,12 @@ from fogpart.metrics import (
     emit_report,
     hop_histogram,
     hop_summary,
+    outcome_counts,
     placement_success_rate,
     resource_wastage,
 )
 from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, Topology, USER
-from fogpart.simulator import FAILED_DEPENDENCY, MISSED, SATISFIED, RequestOutcome
+from fogpart.simulator import FAILED_DEPENDENCY, MISSED, SATISFIED, RequestOutcome, Tick
 
 
 class TestPlacementSuccessRate:
@@ -53,23 +59,62 @@ class TestResourceWastage:
         assert resource_wastage([], devices) == 1.0
 
 
+def expand(ticks):
+    """One record per request of ``ticks``, as the per-request pipeline kept them."""
+    return [
+        RequestOutcome(time_s, rid, *verdicts[rid]) for time_s, ids, verdicts in ticks for rid in ids
+    ]
+
+
+@st.composite
+def tick_blocks(draw):
+    """Ticks at increasing times whose ids and verdict maps are often the previous tick's objects."""
+    statuses = st.sampled_from([(SATISFIED, 1.0), (MISSED, 9.0), (FAILED_DEPENDENCY, None)])
+    ticks = []
+    ids, verdicts = (0,), {0: (SATISFIED, 1.0)}
+    for k in range(draw(st.integers(0, 12))):
+        if not ticks or draw(st.booleans()):
+            ids = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=6)))
+        if not ticks or draw(st.booleans()):
+            verdicts = {rid: draw(statuses) for rid in range(5)}
+        ticks.append(Tick(float(k), ids, verdicts))
+    return ticks
+
+
 class TestCumulativeSeries:
     def test_one_row_per_tick_with_ties_merged(self):
-        outcomes = [
-            RequestOutcome(0.0, 0, SATISFIED),
-            RequestOutcome(0.0, 1, MISSED),
-            RequestOutcome(5.0, 0, SATISFIED),
-            RequestOutcome(10.0, 0, FAILED_DEPENDENCY),
-            RequestOutcome(10.0, 1, SATISFIED),
+        both = (0, 1)
+        verdicts = {0: (SATISFIED, 1.0), 1: (MISSED, 9.0)}
+        ticks = [
+            Tick(0.0, both, verdicts),
+            Tick(5.0, (0,), verdicts),
+            Tick(10.0, both, {0: (FAILED_DEPENDENCY, None), 1: (SATISFIED, 2.0)}),
         ]
-        assert cumulative_series(outcomes) == [
+        assert cumulative_series(ticks) == [
             (0.0, 2, 1, 0.5),
             (5.0, 3, 2, 2 / 3),
             (10.0, 5, 3, 0.6),
         ]
+        assert outcome_counts(ticks) == Counter({SATISFIED: 3, MISSED: 1, FAILED_DEPENDENCY: 1})
+
+    def test_new_verdict_map_is_recounted_under_the_same_ids(self):
+        ids = (0, 1)
+        ticks = [
+            Tick(1.0, ids, {0: (SATISFIED, 1.0), 1: (SATISFIED, 1.0)}),
+            Tick(2.0, ids, {0: (SATISFIED, 1.0), 1: (FAILED_DEPENDENCY, None)}),
+        ]
+        assert cumulative_series(ticks) == [(1.0, 2, 2, 1.0), (2.0, 4, 3, 0.75)]
 
     def test_empty(self):
         assert cumulative_series([]) == []
+        assert outcome_counts([]) == Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tick_blocks())
+    def test_matches_the_per_request_reference(self, ticks):
+        outcomes = expand(ticks)
+        assert cumulative_series(ticks) == per_request_series(outcomes)
+        assert outcome_counts(ticks) == per_request_tally(outcomes)
 
 
 class TestHopHistogram:

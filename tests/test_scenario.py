@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             ScenarioConfig(**change)
 
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, 1.0, None])
+    def test_non_bool_in_bool_field_rejected(self, value):
+        with pytest.raises(ConfigError, match="deadline_mode must be true or false"):
+            ScenarioConfig(deadline_mode=value)
+
     def test_bad_range_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(mem_range=(25.0, 10.0))

@@ -93,7 +93,7 @@ def scenarios(draw):
         AppRequest(r, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
         for r in range(draw(st.integers(0, 4)))
     ]
-    schedule = draw(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 10)), max_size=8))
+    schedule = draw(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 10)).map(list), max_size=8))
     return Scenario(
         config=cfg,
         devices=devices,
@@ -216,6 +216,50 @@ class TestScenarioRoundTrip:
         ]
         assert sorted(data["apps"][0]) == ["deadline_ms", "id", "messages", "services"]
         assert data["requests"] == [{"app_id": 0, "gateway": 0, "request_id": 0}]
+
+
+class TestScheduleRows:
+    """``scenario_from_dict`` checks the schedule column by column, and names the first bad row."""
+
+    def document(self, rows):
+        scenario = Scenario(
+            config=ScenarioConfig(),
+            devices=[Device(0, 1, 1.0, 1.0, 1.0)],
+            links=[],
+            cloud_id=0,
+            apps=[],
+            requests=[],
+        )
+        return dict(scenario_to_dict(scenario), schedule=rows)
+
+    def test_numbers_read_as_rows(self):
+        rows = [[0, 0], [2.5, 7], [0.0, 10**30], [10**30, 1]]
+        assert scenario_from_dict(self.document(rows)).schedule == rows
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0], [], [0.0, 1, 2], None, 5, "ab", {"0": 1.0, "1": 0},
+            ["a", 0], [1.0, "0"], [0.0, 1.5], [0.0, True], [False, 0],
+            [float("nan"), 0], [float("inf"), 0], [-1.0, 0], [-1, 0],
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    def test_bad_row_named_by_index(self, row, index):
+        rows = [[float(k), k] for k in range(6)]
+        rows[index] = row
+        rows.append(row)  # only the first is named
+        with pytest.raises(ValueError, match=rf"^schedule row {index} is "):
+            scenario_from_dict(self.document(rows))
+
+    def test_skipped_rows_are_not_read(self):
+        scenario = scenario_from_dict(self.document([[0.0, 0], None]), schedule=False)
+        assert scenario.schedule == []
+
+    def test_schedule_must_be_a_list(self):
+        with pytest.raises(ValueError, match="schedule must be a list"):
+            scenario_from_dict(self.document(None))
 
 
 class TestPartitionsRoundTrip:

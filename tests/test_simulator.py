@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_request_series, per_request_tally
 from fogpart.model import (
     Application,
     Device,
@@ -20,9 +21,10 @@ from fogpart.model import (
     USER,
     response_times,
 )
+from fogpart.metrics import cumulative_series, outcome_counts
 from fogpart.scenario import AppRequest, Scenario, ScenarioConfig
 from fogpart import simulator
-from fogpart.simulator import FAULTY, FAILED_DEPENDENCY, MISSED, RELIABLE, SATISFIED
+from fogpart.simulator import FAULTY, FAILED_DEPENDENCY, MISSED, RELIABLE, SATISFIED, RequestOutcome
 
 
 def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
@@ -91,12 +93,13 @@ class TestReliableRun:
         sc = tiny_scenario()
         sc.schedule = []
         result = simulator.run(sc, full_plans(sc), mode=RELIABLE)
-        assert result.outcomes == []
+        assert list(result.outcomes) == []
+        assert not result.outcomes
 
     def test_zero_horizon_empty_series(self):
         sc = tiny_scenario()
         result = simulator.run(sc, full_plans(sc), mode=RELIABLE, horizon_s=0.0)
-        assert result.outcomes == []
+        assert list(result.outcomes) == []
 
 
 class TestPlansChecked:
@@ -358,6 +361,40 @@ class TestRelayDeathOracle:
         rows, deaths = oracle_run(scenario, plans, mode, horizon, period, seed)
         assert [(o.time_s, o.request_id, o.status, o.rt_ms) for o in result.outcomes] == rows
         assert result.deaths == deaths
+
+
+class TestTickSeries:
+    """The per-tick series and tally against the per-request ones over the oracle's records.
+
+    ``simulations`` draws unsorted schedules with repeated times, requests
+    repeated within a tick, ticks that omit requests, and deaths at tick
+    times; ``relay_simulations`` repeats every request every tick, so
+    consecutive ticks share their ids and a stale verdict map would show.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(simulations(), relay_simulations()))
+    def test_series_and_tally_match_per_request_reference(self, case):
+        scenario, plans, mode, horizon, period, seed = case
+        result = simulator.run(
+            scenario, plans, mode=mode, horizon_s=horizon, failure_period_s=period, seed=seed
+        )
+        rows, _ = oracle_run(scenario, plans, mode, horizon, period, seed)
+        outcomes = [RequestOutcome(*row) for row in rows]
+        ticks = result.outcomes.ticks
+        assert cumulative_series(ticks) == per_request_series(outcomes)
+        assert outcome_counts(ticks) == per_request_tally(outcomes)
+        assert len(result.outcomes) == sum(1 for t, _ in scenario.schedule if t <= horizon)
+        assert bool(result.outcomes) == bool(rows)
+
+    def test_outcomes_indexed_as_listed(self):
+        sc = tiny_scenario(horizon=30.0, period=1.0)
+        result = simulator.run(sc, full_plans(sc, host=0), mode=FAULTY, failure_period_s=7.0, seed=1)
+        listed = list(result.outcomes)
+        assert [result.outcomes[i] for i in range(-len(listed), len(listed))] == listed + listed
+        assert result.outcomes[3:9:2] == listed[3:9:2]
+        with pytest.raises(IndexError):
+            result.outcomes[len(listed)]
 
 
 def diamond_scenario():
