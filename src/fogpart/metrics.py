@@ -12,7 +12,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .model import Application, Device, PlacementPlan, Topology
+from .model import Application, Device, PlacementPlan, Topology, sum_in_order
 from .serialize import dump_json, write_csv
 from .simulator import SATISFIED, Tick
 
@@ -55,7 +55,7 @@ def resource_wastage(
                 continue
             s = app.service(sid)
             consumed += service_units(s.mem_demand, s.storage_demand)
-    offered = sum(device_units(d) for d in devices)
+    offered = sum_in_order(device_units(d) for d in devices)
     if offered <= 0:
         raise ValueError("infrastructure offers no resource units")
     return 1.0 - consumed / offered

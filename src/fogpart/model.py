@@ -13,14 +13,26 @@ where its request enters the network (see ``scenario.Scenario.instances``).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 MS_PER_S = 1000.0
 
 #: Sentinel source id for an application's initial request message.
 USER = -1
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from 0.0.
+
+    Built-in ``sum()`` compensates float rounding since Python 3.12, so its
+    last bits depend on the interpreter; this is the plain left-to-right sum
+    that ``sum()`` gave before 3.12, on every version.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 class UnplacedDependencyError(RuntimeError):

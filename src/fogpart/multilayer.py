@@ -9,6 +9,7 @@ links two layer partitions exactly when they share a device.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, TypeVar
@@ -17,6 +18,10 @@ from .model import Device, Topology
 
 
 N = TypeVar("N")
+
+#: A node's neighbour positions and, in an ``array('d')`` of the same order,
+#: the weights of the links to them.
+Row = tuple[list[int], array]
 
 
 class Layer(IntEnum):
@@ -44,18 +49,19 @@ def resource_value(device: Device, layer: Layer) -> float:
 class LayerView:
     """One layer as index-ordered rows, the form the Louvain core reads.
 
-    ``nodes`` holds the device ids ascending. ``rows[k]`` maps the position
-    in ``nodes`` of each neighbour of ``nodes[k]`` to the edge weight, in
-    ascending position order; every undirected edge sits in both rows, and
-    no row holds its own position. ``len(view)`` is the undirected edge count.
+    ``nodes`` holds the device ids ascending. ``rows[k]`` is the ``Row`` of
+    ``nodes[k]``: the positions in ``nodes`` of its neighbours, ascending, and
+    an ``array('d')`` of the edge weights in the same order. Every undirected
+    edge sits in both rows, and no row holds its own position. Rows may share
+    one position list. ``len(view)`` is the undirected edge count.
     """
 
     layer: Layer
     nodes: tuple[int, ...]
-    rows: tuple[dict[int, float], ...]
+    rows: tuple[Row, ...]
 
     def __len__(self) -> int:
-        return sum(map(len, self.rows)) // 2
+        return sum(len(positions) for positions, _ in self.rows) // 2
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,15 @@ class MultilayerGraph:
     intra_edges: Mapping[Layer, LayerView]
 
 
+def pack_row(row: Mapping[int, float]) -> Row:
+    """A ``Row`` holding the entries of ``row`` in its iteration order."""
+    return list(row), array("d", row.values())
+
+
 def index_rows(
     node_ids: Iterable[N],
     edges: Mapping[tuple[N, N], float],
-) -> tuple[tuple[N, ...], tuple[dict[int, float], ...]]:
+) -> tuple[tuple[N, ...], tuple[Row, ...]]:
     """Ascending node ids and their index-ordered rows, from undirected edges."""
     nodes = tuple(sorted(node_ids))
     index = {nid: k for k, nid in enumerate(nodes)}
@@ -77,7 +88,7 @@ def index_rows(
     for (i, j), w in edges.items():
         rows[index[i]][index[j]] = w
         rows[index[j]][index[i]] = w
-    return nodes, tuple(dict(sorted(row.items())) for row in rows)
+    return nodes, tuple(pack_row(dict(sorted(row.items()))) for row in rows)
 
 
 def build_multilayer(topology: Topology) -> MultilayerGraph:
@@ -91,15 +102,19 @@ def build_multilayer(topology: Topology) -> MultilayerGraph:
     ids = tuple(d.id for d in ordered)
     index = {did: k for k, did in enumerate(ids)}
     # ascending neighbour ids give ascending positions, as every row needs
-    network = tuple({index[n]: 1.0 for n in topology.adj[did]} for did in ids)
+    network = tuple(pack_row({index[n]: 1.0 for n in topology.adj[did]}) for did in ids)
     intra: dict[Layer, LayerView] = {Layer.NETWORK: LayerView(Layer.NETWORK, ids, network)}
+    # every complete layer shares one position list per node: all others, ascending
+    every = list(range(len(ids)))
+    others = [every[:k] + every[k + 1 :] for k in every]
     for layer in RESOURCE_LAYERS:
         vals = [resource_value(d, layer) for d in ordered]
-        rows: list[dict[int, float]] = [{} for _ in ordered]
-        # filling pairs k < j in order leaves every row ascending
+        rows = []
         for k, va in enumerate(vals):
-            row = rows[k]
-            for j in range(k + 1, len(vals)):
-                row[j] = rows[j][k] = 1.0 / (1.0 + abs(va - vals[j]))
+            # each row computes its own weights; abs(a - b) == abs(b - a), so
+            # the two rows of a pair hold the same float
+            weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
+            del weights[k]
+            rows.append((others[k], weights))
         intra[layer] = LayerView(layer, ids, tuple(rows))
     return MultilayerGraph(devices=ordered, intra_edges=intra)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .model import Device
-from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, index_rows
+from .model import Device, sum_in_order
+from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, Row, index_rows, pack_row
 
 #: Minimum improvement treated as a strictly positive modularity gain.
 GAIN_EPS = 1e-12
@@ -78,50 +78,28 @@ class FeaturePartitionSet:
 # ---------------------------------------------------------------------------
 # Louvain core on contiguous integer nodes.
 #
-# adj[i] maps neighbor -> weight (symmetric, no self entries); loops[i] is
-# the node's ordered-pair internal mass (zero on raw graphs, 2x the merged
-# undirected intra weight after aggregation).
+# adj[i] is node i's Row (see ``multilayer.LayerView``: symmetric, no self
+# entries); loops[i] is the node's ordered-pair internal mass (zero on raw
+# graphs, 2x the merged undirected intra weight after aggregation).
 # ---------------------------------------------------------------------------
 
 
-def _strengths(adj: Sequence[Mapping[int, float]], loops: Sequence[float]) -> list[float]:
-    return [sum(adj[i].values()) + loops[i] for i in range(len(adj))]
+def _strengths(adj: Sequence[Row], loops: Sequence[float]) -> list[float]:
+    return [sum_in_order(weights) + loop for (_, weights), loop in zip(adj, loops)]
 
 
-def _modularity_raw(
-    adj: Sequence[Mapping[int, float]],
-    loops: Sequence[float],
-    comm: Sequence[int],
-) -> float:
-    strength = _strengths(adj, loops)
-    two_w = sum(strength)
-    if two_w <= 0.0:
-        return 0.0
-    sig_in: dict[int, float] = {}
-    sig_tot: dict[int, float] = {}
-    for i, c in enumerate(comm):
-        sig_tot[c] = sig_tot.get(c, 0.0) + strength[i]
-        sig_in[c] = sig_in.get(c, 0.0) + loops[i]
-    for i in range(len(adj)):
-        ci = comm[i]
-        for j, w in adj[i].items():
-            if comm[j] == ci:
-                sig_in[ci] += w
-    return sum(sig_in[c] - sig_tot[c] ** 2 / two_w for c in sig_tot) / two_w
-
-
-def _singletons_modularity(adj: Sequence[Mapping[int, float]], loops: Sequence[float]) -> float:
-    """``_modularity_raw`` of the all-singletons partition, without the link pass.
+def _singletons_modularity(loops: Sequence[float], strength: Sequence[float]) -> float:
+    """Q of the all-singletons partition, without a link pass.
 
     Rows hold no self entries, so no link is intra-community and each node's
-    term is ``loops[i] - strength[i] ** 2 / two_w``; they are summed in node
-    order, the order ``_modularity_raw`` uses, so the two agree bit for bit.
+    term is ``loops[i] - strength[i] ** 2 / two_w``. The terms are summed in
+    node order, the order ``_aggregate`` sums singleton communities in, so
+    the two agree bit for bit.
     """
-    strength = _strengths(adj, loops)
-    two_w = sum(strength)
+    two_w = sum_in_order(strength)
     if two_w <= 0.0:
         return 0.0
-    return sum(loops[i] - strength[i] ** 2 / two_w for i in range(len(adj))) / two_w
+    return sum_in_order([loop - s**2 / two_w for loop, s in zip(loops, strength)]) / two_w
 
 
 #: Scale of the rounding bound on gains from kept link sums: 8 units of
@@ -129,10 +107,10 @@ def _singletons_modularity(adj: Sequence[Mapping[int, float]], loops: Sequence[f
 _ROUND = 2.0**-50
 
 
-def _row_links(row: Mapping[int, float], comm: Sequence[int]) -> dict[int, float]:
+def _row_links(row: Row, comm: Sequence[int]) -> dict[int, float]:
     """A node's link weight into each neighbouring community, summed in row order."""
     links: dict[int, float] = {}
-    for j, wij in row.items():
+    for j, wij in zip(*row):
         cj = comm[j]
         links[cj] = links.get(cj, 0.0) + wij
     return links
@@ -173,11 +151,10 @@ def _best_move(
     return best_c
 
 
-def _phase1(
-    adj: Sequence[Mapping[int, float]],
-    loops: Sequence[float],
-) -> tuple[list[int], bool]:
+def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], bool]:
     """Sequential local moves from singletons; returns (community labels, moved?).
+
+    ``strength[i]`` is node i's row sum plus its loop mass (``_strengths``).
 
     Nodes are swept in ascending index order until a full sweep makes no
     move. A node changes community only for a gain over staying put larger
@@ -216,9 +193,8 @@ def _phase1(
     sweep.
     """
     n = len(adj)
-    strength = _strengths(adj, loops)
     comm = list(range(n))
-    two_w = sum(strength)
+    two_w = sum_in_order(strength)
     w = two_w / 2.0
     if two_w <= 0.0 or 2.0 * w * w == 0.0:
         return comm, False  # no weight, or so little that every gain divides by zero
@@ -235,7 +211,7 @@ def _phase1(
         return comm, False
 
     kept = [_row_links(row, comm) for row in adj]
-    count = [Counter(map(comm.__getitem__, row)) for row in adj]
+    count = [Counter(map(comm.__getitem__, positions)) for positions, _ in adj]
     moves = 0
     fresh = [0] * n
     while moved:
@@ -245,7 +221,7 @@ def _phase1(
             row = adj[i]
             s_i = strength[i]
             comm_strength[ci] -= s_i
-            tol = _ROUND * (s_i / w * (len(row) + moves - fresh[i] + 3) + GAIN_EPS)
+            tol = _ROUND * (s_i / w * (len(row[0]) + moves - fresh[i] + 3) + GAIN_EPS)
             best_c = _best_move(kept[i], ci, s_i, comm_strength, w, tol)
             if best_c is None:
                 kept[i] = _row_links(row, comm)
@@ -257,7 +233,7 @@ def _phase1(
                 continue
             moved = True
             moves += 1
-            for j, wij in row.items():
+            for j, wij in zip(*row):
                 links, nbrs = kept[j], count[j]
                 if nbrs[ci] == 1:
                     del links[ci], nbrs[ci]
@@ -270,32 +246,58 @@ def _phase1(
 
 
 def _aggregate(
-    adj: Sequence[Mapping[int, float]],
+    adj: Sequence[Row],
     loops: Sequence[float],
+    strength: Sequence[float],
     comm: Sequence[int],
-) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
-    """Collapse communities into super-nodes, preserving ordered-pair mass."""
-    labels = sorted(set(comm))
-    remap = {lab: idx for idx, lab in enumerate(labels)}
-    k = len(labels)
-    new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
+) -> tuple[list[Row], list[float], list[int], float]:
+    """Collapse communities into super-nodes, and score the partition, in one walk.
+
+    Returns the super-nodes' rows and loop masses, each node's super-node
+    (communities numbered in ascending label order) and the modularity Q of
+    ``comm``. A super-node's row lists its neighbours in the order the walk
+    first reaches them; the loop mass keeps the ordered-pair mass inside it.
+    ``strength`` is what ``_phase1`` read, and its sum is positive.
+
+    Q's float additions keep the order of a separate modularity pass:
+    ``sig_in`` starts from every node's loop mass, in node order, and only
+    then takes the intra-community links in (node, row) order, while each
+    super-node's loop mass adds a node's loop mass just before that node's
+    links. The final sum runs over the communities in order of first
+    appearance in ``comm``.
+    """
+    remap = {lab: idx for idx, lab in enumerate(sorted(set(comm)))}
+    k = len(remap)
+    sub = [remap[c] for c in comm]
+    sig_tot = [0.0] * k
+    sig_in = [0.0] * k
+    for c, s, loop in zip(sub, strength, loops):
+        sig_tot[c] += s
+        sig_in[c] += loop
+    new_rows: list[dict[int, float]] = [{} for _ in range(k)]
     new_loops = [0.0] * k
-    for i in range(len(adj)):
-        ci = remap[comm[i]]
-        new_loops[ci] += loops[i]
-        for j, wij in adj[i].items():
-            cj = remap[comm[j]]
+    for (positions, weights), ci, loop in zip(adj, sub, loops):
+        row = new_rows[ci]
+        inside = new_loops[ci] + loop
+        intra = sig_in[ci]
+        for j, wij in zip(positions, weights):
+            cj = sub[j]
             if ci == cj:
                 # ordered pair (i, j); the mirrored (j, i) pair adds the rest
-                new_loops[ci] += wij
+                inside += wij
+                intra += wij
             else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + wij
-    return new_adj, new_loops, remap
+                row[cj] = row.get(cj, 0.0) + wij
+        new_loops[ci] = inside
+        sig_in[ci] = intra
+    two_w = sum_in_order(strength)
+    q = sum_in_order([sig_in[c] - sig_tot[c] ** 2 / two_w for c in dict.fromkeys(sub)]) / two_w
+    return [pack_row(row) for row in new_rows], new_loops, sub, q
 
 
 def _louvain(
     node_ids: Sequence[Hashable],
-    adj: Sequence[Mapping[int, float]],
+    adj: Sequence[Row],
 ) -> tuple[list[frozenset[Hashable]], float]:
     """Two-phase Louvain; returns the best partition seen and its modularity.
 
@@ -305,25 +307,26 @@ def _louvain(
     the first step that fails to improve modularity.
     """
     loops = [0.0] * len(node_ids)
+    strength = _strengths(adj, loops)
     groups: list[frozenset[Hashable]] = [frozenset([nid]) for nid in node_ids]
 
     best_parts = list(groups)
-    best_q = _singletons_modularity(adj, loops)
+    best_q = _singletons_modularity(loops, strength)
     while True:
-        comm, moved = _phase1(adj, loops)
+        comm, moved = _phase1(adj, strength)
         if not moved:
             break
-        q = _modularity_raw(adj, loops, comm)
-        adj, loops, remap = _aggregate(adj, loops, comm)
-        merged: list[set[Hashable]] = [set() for _ in range(len(remap))]
-        for i, c in enumerate(comm):
-            merged[remap[c]].update(groups[i])
+        adj, loops, sub, q = _aggregate(adj, loops, strength, comm)
+        merged: list[set[Hashable]] = [set() for _ in adj]
+        for group, c in zip(groups, sub):
+            merged[c].update(group)
         groups = [frozenset(g) for g in merged]
         if q > best_q + GAIN_EPS:
             best_parts = list(groups)
             best_q = q
         else:
             break
+        strength = _strengths(adj, loops)
     return best_parts, best_q
 
 
@@ -364,9 +367,9 @@ def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
     devs = sorted(devices, key=lambda d: d.id)
     n = len(devs)
     return FeatureTriplet(
-        avg_cpu=sum(d.cpu_speed for d in devs) / n,
-        avg_mem=sum(d.mem for d in devs) / n,
-        avg_storage=sum(d.storage for d in devs) / n,
+        avg_cpu=sum_in_order(d.cpu_speed for d in devs) / n,
+        avg_mem=sum_in_order(d.mem for d in devs) / n,
+        avg_storage=sum_in_order(d.storage for d in devs) / n,
     )
 
 

@@ -33,6 +33,7 @@ from .model import (
     Topology,
     UnreachableError,
     response_times,
+    sum_in_order,
 )
 from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
 
@@ -193,7 +194,7 @@ def fullest_partition(network: PartitionSet, residuals: Mapping[int, Residual]) 
     best_units = -1.0
     for pid in sorted(network.partitions):
         members = network.partitions[pid]
-        units = sum(
+        units = sum_in_order(
             max(float(left.cores), left.mem, left.storage)
             for left in (residuals[d] for d in members)
         )

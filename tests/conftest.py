@@ -6,8 +6,9 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import strategies as st
 
-from fogpart.model import Device
+from fogpart.model import Device, NetworkLink
 from fogpart.multilayer import Layer, LayerView, index_rows
 from fogpart.simulator import SATISFIED
 
@@ -15,6 +16,18 @@ from fogpart.simulator import SATISFIED
 def make_view(layer: Layer, node_ids, edges) -> LayerView:
     """A LayerView from an undirected (i < j) edge-weight mapping."""
     return LayerView(layer, *index_rows(node_ids, edges))
+
+
+@st.composite
+def infrastructures(draw):
+    """1-9 devices with sparse ids, repeated resources and any subset of links."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True))
+    value = st.sampled_from([10.0, 12.5, 20.0, 21.0, 60.0]) | st.floats(10.0, 60.0)
+    devices = [Device(i, 4, draw(value), draw(value), draw(value)) for i in ids]
+    pairs = list(itertools.combinations(sorted(ids), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    links = [NetworkLink(a, b, 75000.0, 5.0) for a, b in chosen]
+    return draw(st.permutations(devices)), links
 
 
 def fig_devices() -> dict[int, Device]:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from fogpart.model import (
     deadline_satisfied,
     execution_time,
     response_times,
+    sum_in_order,
     transmission_time,
 )
 from fogpart.placement import Residual, placement_valid
@@ -49,6 +52,17 @@ class TestDevice:
             Device(0, 10, 0.0, 10.0, 10.0)
         with pytest.raises(ValueError):
             Device(0, 10, 20.0, -1.0, 10.0)
+
+
+class TestSumInOrder:
+    def test_adds_left_to_right_on_every_version(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python >= 3.12's
+        # built-in sum()) would keep the 1.0
+        assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+        assert sum_in_order([0.1] * 10) == 0.9999999999999999
+
+    def test_empty_is_float_zero(self):
+        assert repr(sum_in_order([])) == "0.0"
 
 
 class TestPlacementValid:
@@ -407,10 +421,11 @@ class TestRoutesFrom:
                 if path is None:
                     assert dst not in routes
                 else:
+                    # a left fold, as built-in sum() added floats before Python 3.12
                     assert routes[dst] == (
                         len(path),
-                        sum(link.latency for link in path),
-                        sum(1.0 / link.bandwidth for link in path),
+                        reduce(operator.add, (link.latency for link in path), 0),
+                        reduce(operator.add, (1.0 / link.bandwidth for link in path), 0),
                     )
 
     def test_unknown_source_rejected(self):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from fogpart.model import Device, NetworkLink, Topology
-from fogpart.multilayer import Layer, RESOURCE_LAYERS, build_multilayer
+from fogpart.multilayer import Layer, RESOURCE_LAYERS, build_multilayer, resource_value
 
-from conftest import make_view
+from conftest import infrastructures, make_view
 
 
 def devices_with_speeds(speeds):
@@ -20,8 +22,9 @@ def devices_with_speeds(speeds):
 def similarity(d_i, d_j, layer):
     """The weight ``build_multilayer`` stores for the pair, checked in both rows."""
     view = build_multilayer(Topology([d_i, d_j], [])).intra_edges[layer]
-    assert view.rows[0][1] == view.rows[1][0]
-    return view.rows[0][1]
+    (positions_a, weights_a), (positions_b, weights_b) = view.rows
+    assert positions_a == [1] and positions_b == [0] and weights_a == weights_b
+    return weights_a[0]
 
 
 class TestSimilarityWeight:
@@ -70,7 +73,7 @@ class TestBuildMultilayer:
 
     def test_network_weights_are_unit(self):
         g = build_multilayer(small_infrastructure())
-        assert all(w == 1.0 for row in g.intra_edges[Layer.NETWORK].rows for w in row.values())
+        assert all(w == 1.0 for _, weights in g.intra_edges[Layer.NETWORK].rows for w in weights)
 
     def test_deterministic(self):
         # the order of devices and links, and each link's direction, change nothing
@@ -88,16 +91,16 @@ class TestLayerView:
         view = g.intra_edges[Layer.NETWORK]
         assert view.nodes == (0, 1, 2, 3)
         assert view.rows == (
-            {1: 1.0},
-            {0: 1.0, 2: 1.0},
-            {1: 1.0, 3: 1.0},
-            {2: 1.0},
+            ([1], array("d", [1.0])),
+            ([0, 2], array("d", [1.0, 1.0])),
+            ([1, 3], array("d", [1.0, 1.0])),
+            ([2], array("d", [1.0])),
         )
 
     def test_rows_index_ascending_ids_in_ascending_order(self):
         view = make_view(Layer.CPU, [5, 1, 3], {(3, 5): 0.5, (1, 5): 0.25, (1, 3): 1.0})
         assert view.nodes == (1, 3, 5)
-        assert [list(row.items()) for row in view.rows] == [
+        assert [list(zip(*row)) for row in view.rows] == [
             [(1, 1.0), (2, 0.25)],
             [(0, 1.0), (2, 0.5)],
             [(0, 0.25), (1, 0.5)],
@@ -109,3 +112,37 @@ class TestLayerView:
         assert list(g.intra_edges) == list(Layer)
         for view in g.intra_edges.values():
             assert view.nodes == (0, 1, 2, 3)
+
+
+def dict_builder(topology):
+    """Each layer's nodes and rows as ``build_multilayer`` built them as dicts.
+
+    A frozen copy of the builder that stored each row as a position ->
+    weight dict, filling the pairs k < j of a similarity layer once.
+    """
+    ordered = tuple(sorted(topology.devices.values(), key=lambda d: d.id))
+    ids = tuple(d.id for d in ordered)
+    index = {did: k for k, did in enumerate(ids)}
+    layers = {Layer.NETWORK: [{index[n]: 1.0 for n in topology.adj[did]} for did in ids]}
+    for layer in RESOURCE_LAYERS:
+        vals = [resource_value(d, layer) for d in ordered]
+        rows = [{} for _ in ordered]
+        for k, va in enumerate(vals):
+            for j in range(k + 1, len(vals)):
+                rows[k][j] = rows[j][k] = 1.0 / (1.0 + abs(va - vals[j]))
+        layers[layer] = rows
+    return ids, layers
+
+
+class TestRowsMatchDictBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(infrastructures())
+    def test_positions_and_weights_exactly_equal(self, infra):
+        topology = Topology(*infra)
+        ids, layers = dict_builder(topology)
+        graph = build_multilayer(topology)
+        assert list(graph.intra_edges) == list(layers)
+        for layer, view in graph.intra_edges.items():
+            assert view.nodes == ids
+            assert [positions for positions, _ in view.rows] == [list(row) for row in layers[layer]]
+            assert [list(weights) for _, weights in view.rows] == [list(row.values()) for row in layers[layer]]
