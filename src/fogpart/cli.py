@@ -205,7 +205,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario,
         plans,
         mode=args.mode,
-        horizon_s=args.horizon_s,
         failure_period_s=args.failure_period_s,
         seed=args.seed,
     )
@@ -221,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "scenario": scenario.config.scale,
         "strategy": strategy,
         "mode": result.mode,
-        "horizon_s": result.horizon_s,
+        "horizon_s": scenario.config.horizon_s,
         "requests": requests,
         "deadline_satisfaction": tally[simulator.SATISFIED] / requests if requests else 0.0,
         "failures": len(result.deaths),
@@ -288,11 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--out", type=Path, required=True)
     pl.set_defaults(func=cmd_place)
 
-    s = sub.add_parser("simulate", help="replay the request schedule against plans")
+    s = sub.add_parser("simulate", help="replay the schedule up to the scenario horizon against plans")
     s.add_argument("--scenario", type=Path, required=True)
     s.add_argument("--plans", type=Path, required=True)
     s.add_argument("--mode", choices=(simulator.RELIABLE, simulator.FAULTY), default=simulator.RELIABLE)
-    s.add_argument("--horizon-s", type=float, default=None, help="defaults to the scenario horizon")
     s.add_argument("--failure-period-s", type=float, default=20.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", type=Path, required=True)

@@ -109,8 +109,8 @@ def hop_histogram(
         for device_id in plan.assignment.values():
             if device_id is None:
                 continue
-            hops = topology.hop_count(app.gateway, device_id)
-            key: int | str = "unreachable" if hops is None else hops
+            path = topology.shortest_hop_path(app.gateway, device_id)
+            key: int | str = "unreachable" if path is None else len(path)
             histogram[key] = histogram.get(key, 0) + 1
     return histogram
 

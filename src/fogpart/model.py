@@ -152,7 +152,6 @@ class Application:
                 raise ValueError(f"app {id}: message source {m.source} unknown")
             self._incoming[m.destination].append(m)
         self._order = self._topological_order()
-        self._check_reachable()
 
     def service(self, service_id: int) -> Service:
         return self._by_id[service_id]
@@ -165,6 +164,11 @@ class Application:
         return self._order
 
     def _topological_order(self) -> tuple[int, ...]:
+        """Kahn's order, ties to the lowest id; rejects a cycle or an unreachable service.
+
+        In an acyclic graph a service is reachable from the entry exactly
+        when the entry is the only service no message reaches.
+        """
         indeg = {sid: 0 for sid in self._by_id}
         succs: dict[int, list[int]] = {sid: [] for sid in self._by_id}
         for m in self.messages:
@@ -172,7 +176,8 @@ class Application:
                 continue
             indeg[m.destination] += 1
             succs[m.source].append(m.destination)
-        ready = sorted(sid for sid, d in indeg.items() if d == 0)
+        roots = sorted(sid for sid, d in indeg.items() if d == 0)
+        ready = list(roots)
         order: list[int] = []
         while ready:
             sid = ready.pop(0)
@@ -187,25 +192,11 @@ class Application:
                 ready.sort()
         if len(order) != len(self._by_id):
             raise ValueError(f"app {self.id}: service graph contains a cycle")
-        return tuple(order)
-
-    def _check_reachable(self) -> None:
         entry = self.entry_message.destination
-        seen = {entry}
-        frontier = deque([entry])
-        succs: dict[int, list[int]] = {sid: [] for sid in self._by_id}
-        for m in self.messages:
-            if m.source != USER:
-                succs[m.source].append(m.destination)
-        while frontier:
-            sid = frontier.popleft()
-            for nxt in succs[sid]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        missing = set(self._by_id) - seen
-        if missing:
-            raise ValueError(f"app {self.id}: services {sorted(missing)} unreachable from entry")
+        if roots != [entry]:
+            unreached = [sid for sid in roots if sid != entry]
+            raise ValueError(f"app {self.id}: services {unreached} unreachable from entry")
+        return tuple(order)
 
     def __repr__(self) -> str:
         return f"Application(id={self.id}, services={len(self.services)}, deadline={self.deadline})"
@@ -310,21 +301,6 @@ class Topology:
                 frontier.append(nxt)
         return routes
 
-    def hop_count(
-        self, src: int, dst: int, dead: frozenset[int] | set[int] = frozenset()
-    ) -> int | None:
-        path = self.shortest_hop_path(src, dst, dead)
-        return None if path is None else len(path)
-
-    def transmission(
-        self, src: int, dst: int, size: float, dead: frozenset[int] | set[int] = frozenset()
-    ) -> float:
-        """Transmission time (ms) along the shortest-hop route; raises UnreachableError."""
-        path = self.shortest_hop_path(src, dst, dead)
-        if path is None:
-            raise UnreachableError(f"no live route from {src} to {dst}")
-        return transmission_time(path, size)
-
 
 def execution_time(service: Service, device: Device) -> float:
     """Execution time in ms: workload over per-core speed (speed is per second)."""
@@ -355,7 +331,10 @@ def response_times(
 
     The entry service pays the gateway-to-host transmission of the initial
     request; every other service waits for its slowest predecessor message.
-    Raises UnplacedDependencyError if any service lacks a device, and
+    Each message is routed once, by ``Topology.shortest_hop_path`` around
+    ``dead``, and arrives at its send time (0 for the initial request, the
+    sender's response time otherwise) plus ``transmission_time`` over that
+    path. Raises UnplacedDependencyError if any service lacks a device, and
     UnreachableError when no live route supports a required message.
     """
     rts: dict[int, float] = {}
@@ -366,14 +345,12 @@ def response_times(
         device = topology.devices[device_id]
         arrivals = [0.0]
         for msg in app.incoming(sid):
-            if msg.source == USER:
-                arrivals.append(topology.transmission(gateway, device_id, msg.size, dead))
-            else:
-                # topological order placed the predecessor or raised above
-                src_device = assignment[msg.source]
-                arrivals.append(
-                    rts[msg.source] + topology.transmission(src_device, device_id, msg.size, dead)
-                )
+            # topological order placed a predecessor or raised above
+            src, sent = (gateway, 0.0) if msg.source == USER else (assignment[msg.source], rts[msg.source])
+            path = topology.shortest_hop_path(src, device_id, dead)
+            if path is None:
+                raise UnreachableError(f"no live route from {src} to {device_id}")
+            arrivals.append(sent + transmission_time(path, msg.size))
         rts[sid] = max(arrivals) + execution_time(app.service(sid), device)
     return rts, max(rts.values())
 

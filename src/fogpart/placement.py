@@ -252,11 +252,14 @@ def run_placement(
     """Place every application instance (deadline order) with one strategy.
 
     Only the run's own residual records change, so strategies can be
-    compared on one ``topology``. Response times are attached to every plan
-    that is fully placed and routable. Each application must be an
-    instance whose ``gateway`` is a device of ``topology``
-    (``Scenario.instances`` checks this). Raises ValueError for an unknown
-    strategy, a negative weight or two zero weights, or missing partitions.
+    compared on one ``topology``. The multilayer strategy routes from each
+    application's gateway once (``Topology.routes_from``) and keeps that
+    table only while it builds the application's ``app_tables``. Response
+    times are attached to every plan that is fully placed and routable.
+    Each application must be an instance whose ``gateway`` is a device of
+    ``topology`` (``Scenario.instances`` checks this). Raises ValueError for
+    an unknown strategy, a negative weight or two zero weights, or missing
+    partitions.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -270,7 +273,6 @@ def run_placement(
     residuals = {did: Residual(d.cores, d.mem, d.storage) for did, d in devices.items()}
     ordered = sort_applications(instances)
     ranges = normalization_ranges(devices.values(), ordered) if strategy == "multilayer" else {}
-    routes: dict[int, dict[int, tuple[int, float, float]]] = {}  # gateway -> routes_from
     order: Iterable[int] = sorted(devices)  # first_fit's candidates for the whole run
 
     plans: dict[int, PlacementPlan] = {}
@@ -278,10 +280,8 @@ def run_placement(
         if strategy == "connectivity_greedy":
             order = fullest_partition(network, residuals)
         elif strategy == "multilayer":
-            if app.gateway not in routes:
-                routes[app.gateway] = topology.routes_from(app.gateway)
             d_matrix, proximities = app_tables(
-                feature_partitions, routes[app.gateway], app.entry_message.size, beta
+                feature_partitions, topology.routes_from(app.gateway), app.entry_message.size, beta
             )
         assignment: dict[int, int | None] = {}
         anchor: int | None = None  # network partition of the app's first placed service

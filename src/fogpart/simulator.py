@@ -26,8 +26,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
@@ -75,42 +74,26 @@ class Tick(NamedTuple):
     verdicts: Mapping[int, Verdict]
 
 
-class Outcomes(Sequence[RequestOutcome]):
+class Outcomes:
     """One outcome per scheduled request, in time order, read off the ticks."""
 
-    __slots__ = ("ticks", "_starts")
+    __slots__ = ("ticks",)
 
     def __init__(self, ticks: Sequence[Tick]) -> None:
         self.ticks = ticks
-        # _starts[k] is the index of tick k's first request; the last entry is the total
-        self._starts = list(accumulate((len(t.request_ids) for t in ticks), initial=0))
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return sum(len(tick.request_ids) for tick in self.ticks)
 
     def __iter__(self) -> Iterator[RequestOutcome]:
         for time_s, ids, verdicts in self.ticks:
             for request_id in ids:
                 yield RequestOutcome(time_s, request_id, *verdicts[request_id])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("outcome index out of range")
-        k = bisect_right(self._starts, i) - 1
-        time_s, ids, verdicts = self.ticks[k]
-        request_id = ids[i - self._starts[k]]
-        return RequestOutcome(time_s, request_id, *verdicts[request_id])
-
 
 @dataclass
 class SimulationResult:
     mode: str
-    horizon_s: float
     outcomes: Outcomes
     deaths: list[tuple[float, int]]
 
@@ -142,11 +125,10 @@ def run(
     scenario: Scenario,
     plans: Mapping[int, PlacementPlan],
     mode: str = RELIABLE,
-    horizon_s: float | None = None,
     failure_period_s: float = 20.0,
     seed: int = 0,
 ) -> SimulationResult:
-    """Classify every scheduled request up to the horizon, tick by tick.
+    """Classify every scheduled request up to the scenario's horizon, tick by tick.
 
     Requests are taken in time order, schedule order breaking ties, and
     grouped into ticks of equal time. Before each tick every death at or
@@ -175,16 +157,15 @@ def run(
     one level up still dequeues after the parent. So the query returns the
     same links, and the response time summed over them is bit-equal.
 
-    Raises ValueError for a non-finite horizon, a schedule entry (up to the
-    horizon) or a plan of a request the scenario lacks, a plan that does not
-    assign exactly its app's services, or one that names a device outside
-    the scenario.
+    The horizon is ``scenario.config.horizon_s``, which ``ScenarioConfig``
+    keeps finite. Raises ValueError for a schedule entry (up to the horizon)
+    or a plan of a request the scenario lacks, a plan that does not assign
+    exactly its app's services, or one that names a device outside the
+    scenario.
     """
     if mode not in (RELIABLE, FAULTY):
         raise ValueError(f"unknown mode {mode!r}")
-    horizon = scenario.config.horizon_s if horizon_s is None else horizon_s
-    if not math.isfinite(horizon):
-        raise ValueError("horizon must be finite")
+    horizon = scenario.config.horizon_s
     deaths: list[tuple[float, int]] = []
     if mode == FAULTY:
         fog_ids = [d.id for d in scenario.devices if d.id != scenario.cloud_id]
@@ -236,7 +217,7 @@ def run(
         ticks.append(Tick(time_s, tick_ids, verdicts))
     outcomes = Outcomes(ticks)
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
-    return SimulationResult(mode=mode, horizon_s=horizon, outcomes=outcomes, deaths=deaths)
+    return SimulationResult(mode=mode, outcomes=outcomes, deaths=deaths)
 
 
 def _check_plans(

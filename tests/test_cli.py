@@ -134,11 +134,6 @@ def nan_failure_period(scenario, tmp):
     return [*edited_plans(scenario, tmp, lambda assignment: None), "--mode", "faulty", "--failure-period-s", "nan"]
 
 
-def nan_horizon_flag(scenario, tmp):
-    # reported 0 requests
-    return [*edited_plans(scenario, tmp, lambda assignment: None), "--horizon-s", "nan"]
-
-
 def multilayer_without_partitions(scenario, tmp):
     return ["place", "--scenario", str(scenario), "--strategy", "multilayer"]
 
@@ -406,7 +401,6 @@ BAD_INPUTS = [
     (deadline_mode_of_text, "deadline_mode must be true or false"),
     (deadline_mode_of_number, "deadline_mode must be true or false"),
     (nan_failure_period, "failure period must be positive and finite"),
-    (nan_horizon_flag, "horizon must be finite"),
     (multilayer_without_partitions, "requires --partitions"),
     (negative_alpha, "alpha and beta must be non-negative"),
     (report_without_metrics, "has no metrics.json"),
@@ -455,6 +449,19 @@ def test_error_exits_one_with_command_prefix(bad_input, reason, scenario_path, t
     err = capsys.readouterr().err
     assert err.startswith(f"fogpart {argv[0]}: ")
     assert reason in err
+
+
+def test_simulate_stops_at_the_scenario_horizon(scenario_path, tmp_path):
+    # a row past config.horizon_s is kept in scenario.json but never replayed
+    horizon = json.loads(scenario_path.read_text())["config"]["horizon_s"]
+    argv = simulate_edited(scenario_path, tmp_path, lambda data: data["schedule"].append([horizon + 1.0, 0]))
+    edited = json.loads(Path(argv[2]).read_text())
+    in_horizon = sum(1 for t, _ in edited["schedule"] if t <= horizon)
+    assert 0 < in_horizon < len(edited["schedule"])
+    assert cli.main([*argv, "--out", str(tmp_path / "sim")]) == 0
+    metrics = json.loads((tmp_path / "sim" / "metrics.json").read_text())
+    assert (metrics["horizon_s"], metrics["requests"]) == (horizon, in_horizon)
+    assert sum(metrics["outcome_counts"].values()) == in_horizon
 
 
 def generated_config(tmp_path, argv, config):

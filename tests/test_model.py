@@ -177,6 +177,13 @@ class TestApplication:
         with pytest.raises(ValueError):
             Application(0, services, messages, 100.0)
 
+    def test_entry_with_an_incoming_message_rejected(self):
+        # acyclic, but service 0 receives nothing and the entry, 1, cannot reach it
+        services = [Service(i, 1, 1, 1) for i in range(2)]
+        messages = [Message(USER, 1, 1.0), Message(0, 1, 1.0)]
+        with pytest.raises(ValueError, match=r"services \[0\] unreachable from entry"):
+            Application(0, services, messages, 100.0)
+
     def test_topological_order_respects_edges(self):
         app = chain_app(4)
         assert list(app.topological_order()) == [0, 1, 2, 3]
@@ -241,7 +248,7 @@ class TestResponseTimes:
         max_et = max(
             execution_time(app.service(s), topo.devices[assignment[s]]) for s in (0, 1, 2)
         )
-        entry_t = topo.transmission(0, 1, app.entry_message.size)
+        entry_t = transmission_time(topo.shortest_hop_path(0, 1), app.entry_message.size)
         assert rt >= max_et
         assert rt >= entry_t
 
@@ -304,7 +311,7 @@ def rt_oracle(app, assignment, topo, gateway):
             total = 0.0
             for msg, dst in path:
                 src_dev = gateway if msg.source == USER else assignment[msg.source]
-                total += topo.transmission(src_dev, assignment[dst], msg.size)
+                total += transmission_time(topo.shortest_hop_path(src_dev, assignment[dst]), msg.size)
                 total += execution_time(app.service(dst), topo.devices[assignment[dst]])
             best = max(best, total)
         per[s.id] = best
@@ -351,9 +358,9 @@ class TestTopology:
             NetworkLink(0, 3, 75000.0, 5.0),
         ]
         topo = Topology(devices, links)
-        assert topo.hop_count(0, 2) == 2
-        assert topo.hop_count(0, 2, dead={1}) == 2
-        assert topo.hop_count(0, 2, dead={1, 3}) is None
+        assert len(topo.shortest_hop_path(0, 2)) == 2
+        assert len(topo.shortest_hop_path(0, 2, dead={1})) == 2
+        assert topo.shortest_hop_path(0, 2, dead={1, 3}) is None
 
     def test_duplicate_link_rejected(self):
         devices = [make_device(0), make_device(1)]
@@ -381,16 +388,16 @@ class TestHopCount:
         return Topology(devices, links)
 
     def test_gateway_itself_is_zero(self):
-        assert self.topo().hop_count(0, 0) == 0
+        assert self.topo().shortest_hop_path(0, 0) == []
 
     def test_neighbor_is_one(self):
-        assert self.topo().hop_count(0, 1) == 1
+        assert len(self.topo().shortest_hop_path(0, 1)) == 1
 
     def test_far_end_of_chain(self):
-        assert self.topo().hop_count(0, 3) == 3
+        assert len(self.topo().shortest_hop_path(0, 3)) == 3
 
     def test_unreachable_is_none(self):
-        assert self.topo().hop_count(0, 3, dead={1}) is None
+        assert self.topo().shortest_hop_path(0, 3, dead={1}) is None
 
 
 @st.composite

@@ -426,7 +426,7 @@ class TestNetworkPartitionsConnected:
             # routing that treats every device outside the partition as dead
             outside = frozenset(topology.devices) - members
             start = min(members)
-            unreached = [d for d in members if topology.hop_count(start, d, outside) is None]
+            unreached = [d for d in members if topology.shortest_hop_path(start, d, outside) is None]
             assert unreached == [], f"network partition {pid} is disconnected"
 
 

@@ -96,7 +96,7 @@ class TestTopology:
         hub = max((d for d in degree if d != cloud_id), key=lambda d: degree[d])
         if degree[hub] == len(devices) - 2:  # a true star (hub linked to every leaf)
             assert hub not in gateways
-            assert topo.hop_count(hub, cloud_id) == 1
+            assert len(topo.shortest_hop_path(hub, cloud_id)) == 1
 
     def test_resources_within_ranges(self):
         cfg = ScenarioConfig(seed=2)
@@ -120,7 +120,7 @@ class TestTopology:
         cfg = ScenarioConfig(seed=4)
         devices, links, _, _ = generate_topology(cfg)
         topo = Topology(devices, links)
-        assert all(topo.hop_count(0, d.id) is not None for d in devices)
+        assert all(topo.shortest_hop_path(0, d.id) is not None for d in devices)
 
     def test_same_seed_same_topology(self):
         cfg = ScenarioConfig(seed=5)
