@@ -1,8 +1,10 @@
 """Versioned JSON/CSV file formats for scenario bundles, partitions, and plans.
 
-All JSON documents carry a ``schema_version`` field, are key-sorted, and
-end with a newline, so identical inputs serialize to identical bytes. Each
-kind of document has its own version, and a reader accepts only that one:
+Every JSON artifact is written compact and key-sorted, on one line plus a
+newline, so identical inputs serialize to identical bytes;
+``python -m json.tool FILE`` pretty-prints one. The versioned documents
+carry a ``schema_version`` field. Each kind of document has its own
+version, and a reader accepts only that one:
 
 - ``scenario.json``: 2, in which each request carries its gateway.
   Version 1 kept those gateways in a separate user list, one user per
@@ -19,6 +21,7 @@ kind of document has its own version, and a reader accepts only that one:
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from contextlib import contextmanager
@@ -39,14 +42,33 @@ INVALID_MARK = "invalid"
 
 
 def dump_json(path: Path, payload: Mapping[str, Any]) -> Path:
+    """Write ``payload`` as compact, key-sorted JSON: one line plus a newline.
+
+    Compact separators keep ``json`` on its C encoder; ``indent`` would
+    force the pure-Python one. ``python -m json.tool`` pretty-prints the file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
     return path
 
 
 def load_json(path: Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text())
+    """The JSON document at ``path``, compact or pretty-printed alike.
+
+    The cyclic collector is paused while decoding and then restored to the
+    caller's state: a decoded document holds only acyclic lists and dicts,
+    so a collection finds nothing to free, yet it would re-walk the growing
+    heap every few hundred allocations.
+    """
+    text = Path(path).read_text()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:

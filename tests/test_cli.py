@@ -68,6 +68,11 @@ def malformed_config_json(scenario, tmp):
     return ["generate", "--config", str(tmp / "config.json")]
 
 
+def malformed_scenario_json(scenario, tmp):
+    (tmp / "scenario.json").write_text('{"schedule": [')
+    return ["place", "--scenario", str(tmp / "scenario.json"), "--strategy", "first_fit"]
+
+
 def config_file_missing(scenario, tmp):
     return ["generate", "--config", str(tmp / "missing.json")]
 
@@ -386,6 +391,7 @@ def plans_missing_key(scenario, tmp):
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
     (malformed_config_json, "config parse error"),
+    (malformed_scenario_json, "Expecting value: line 1 column 15 (char 14)"),
     (config_file_missing, "config file not found"),
     (config_field_of_wrong_type, "invalid config"),
     (ba_attachment_not_below_device_count, "device_count must exceed ba_attachment"),

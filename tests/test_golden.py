@@ -26,8 +26,13 @@ give the same requests, so no other artifact moved with it. Every
 ``partition/partitions.json`` and ``partition/modularity.csv`` hash moved
 when ``partition_feature`` began to sum members in ascending device id: the
 last bits of feature triplets and of the feature modularity changed, while
-memberships, plans and outcomes did not. A change that moves any of them
-changes program output.
+memberships, plans and outcomes did not. Every JSON hash moved again when
+``dump_json`` began to write compact JSON on one line instead of with
+``indent=2``; no CSV hash moved. ``INDENTED`` keeps the D-SMALL case's JSON
+hashes from before, and ``test_json_reindents_to_indented_hashes`` shows
+that the values did not change: each new JSON artifact, re-encoded with
+``indent=2``, hashes to them. A change that moves any hash changes program
+output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -61,160 +66,197 @@ CASES = {
 GOLDEN = {
     "D-SMALL-seed0-h100": {
         "generate/scenario.json":
-            "74215a5318531bfd53b9eec8635b194020cde22419fcdc0a17b2f840a7cb1202",
+            "7a7890929c5a570f97dc01c693d24c460d74c6be9f4111901ea57f0fedacd268",
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "4f01630d8fe8f960a5d9b4b6517619157449064f105a83fda270e2dcd0b88dc2",
+            "77ec68cd75a43f8cddf712a1d991fd7e08fdf0115bc92f67da23a231a344d6e1",
         "place/connectivity_greedy/metrics.json":
-            "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
+            "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
-            "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
         "place/first_fit/metrics.json":
-            "d8c01453018aa20629af43a1e5a231cbc994828cb74a230a446d07d4ff2855af",
+            "67fe8919fdafa4c546bd20c1641d3fbd902e8597cda80d42b944674e81937218",
         "place/first_fit/plans.json":
-            "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
         "place/multilayer/metrics.json":
-            "e5801a8fddd753658977994fdd9a5e3049ece215f62494465ed8b91ec0e73022",
+            "7e8707486c51ba482ab69db625f2b22013203549530a1c38423e646483aaf752",
         "place/multilayer/plans.json":
-            "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
         "report/comparison.csv":
             "2ac1bfa31068d69b7bdb6d44cbb97eb3bbd4e37a44590a5b8b275ff980ae1871",
         "report/report.json":
-            "e66bb6fca14820aedd75782cb4664d8323528972e77211d69f2464dee3267298",
+            "9bb317cb03308eccc3795a62c5f9c4111bc753950efacd605bd023dd290cd5a1",
         "simulate/connectivity_greedy-faulty/metrics.json":
-            "9c3a5e5ca724878cd6708aa4f0dea19284b622a45fdef956ca94674f15119a6b",
+            "399c7d144938bb8414fb94ed060adde86bb085584ee12af684ddffdb3c59e328",
         "simulate/connectivity_greedy-faulty/outcomes.csv":
             "6736bd9932cd51862cca49d744e39af9ed21d9c26cfe14d69c6cae33f1903be3",
         "simulate/connectivity_greedy-reliable/metrics.json":
-            "9f0d48eb91b10ef746e1cb3f6e761c305cf667db23c51a266bdabc8026714282",
+            "f98a8f0e5ba3d0df747918301d094ce5954ca2f635a74ec3cca5d9fc20a68e11",
         "simulate/connectivity_greedy-reliable/outcomes.csv":
             "a2d3a2f6e7723513a8b2968b56542e08437d8c70eaacca4d23f5dc2afc0e4a2f",
         "simulate/first_fit-faulty/metrics.json":
-            "edbe76107b04b76a08f6b6fbacdf9c3a4de7f1d210bc2823ca2f6c7a0125b91c",
+            "1cdb172920109eed253dd6158f8dc8630c380758e0f225ee3b7874f8b8c49e10",
         "simulate/first_fit-faulty/outcomes.csv":
             "757a241e523b1e8bc7a16487bf7e2a25d815ce17a6abb06b199c39bdd0d8f918",
         "simulate/first_fit-reliable/metrics.json":
-            "a59ccc418252e92248b1f41cb453ce4961dc18ca5fcc0c251f0979cc4ee8ec26",
+            "9e0143e3462fec99cd839da83cce8ae50ee9d34f45aef9377ee433a0dbecf813",
         "simulate/first_fit-reliable/outcomes.csv":
             "a2d3a2f6e7723513a8b2968b56542e08437d8c70eaacca4d23f5dc2afc0e4a2f",
         "simulate/multilayer-faulty/metrics.json":
-            "aa05babeec06679a32e8bb12b0697dc2608a00caab93408ffb8255181b1c959d",
+            "66d174df222789653c0607367fc55ec735cf77e631a93337b799fa9ce138a7c3",
         "simulate/multilayer-faulty/outcomes.csv":
             "36ab09a65d5adbb19a1f633e544fec9d3b5968e203a5f1678e2cb927d436b1e8",
         "simulate/multilayer-reliable/metrics.json":
-            "94af249e6c3b0c8e73681b682108084118c497537dd4ac4a1550871e70efbb03",
+            "f7420493f21cb12cc27942fc773d94b9ab8d169bca20d7a342439d709bd0a280",
         "simulate/multilayer-reliable/outcomes.csv":
             "a2d3a2f6e7723513a8b2968b56542e08437d8c70eaacca4d23f5dc2afc0e4a2f",
     },
     "D-SMALL-seed0-h100-d5000": {
         "generate/scenario.json":
-            "90034d07d53fac7c3a5c85b44157ffe9e9b8e53d5d326010a177b81013c7da75",
+            "b9710c15c01df5939ae510ab0ffc20dd06aca11308eaadcd393eaf8f3454b6d4",
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "f876c314e662a4071af86185d5e289772bd4af0b7de51082a3b996ef9ef5e688",
+            "cd63587175320306bf95ab65c2292ecbb4fd6cb032fd921425c0b0e56796f986",
         "place/connectivity_greedy/metrics.json":
-            "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
+            "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
-            "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
         "place/first_fit/metrics.json":
-            "d8c01453018aa20629af43a1e5a231cbc994828cb74a230a446d07d4ff2855af",
+            "67fe8919fdafa4c546bd20c1641d3fbd902e8597cda80d42b944674e81937218",
         "place/first_fit/plans.json":
-            "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
         "place/multilayer/metrics.json":
-            "e5801a8fddd753658977994fdd9a5e3049ece215f62494465ed8b91ec0e73022",
+            "7e8707486c51ba482ab69db625f2b22013203549530a1c38423e646483aaf752",
         "place/multilayer/plans.json":
-            "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
         "report/comparison.csv":
             "e927d232c407c304b92d5d56d8bdad209a154dab31eacdabaf9cfcdc7aba68c5",
         "report/report.json":
-            "2471eab7792add6eef5ee3aa9ef4de5f87ed97ee422f2a58749f8f006497fd57",
+            "c9d1ea624a724ecc4c98dbfd076424f165260f03c525729edc225aeb68aa2170",
         "simulate/connectivity_greedy-faulty/metrics.json":
-            "bb9730d7010503c5230f087ff91e5dc86b652d4531f3a0aebe891d4912496e5c",
+            "e82395e48b22889f7bdf91e0670a083235751112074c9fc7361a85a339bc8787",
         "simulate/connectivity_greedy-faulty/outcomes.csv":
             "c0ac68eeb8152573226291b03632b6f7c08faaae6a8924c464706c41877c4fff",
         "simulate/connectivity_greedy-reliable/metrics.json":
-            "4b9e53e8c1368832238b2d3d7131037492401caa43ca12dba9151031e6099a7d",
+            "a7c25ba7c8dcdf1f33a9b7c49cf6fb280ce19125c99551d44aa77ecca27a8c1f",
         "simulate/connectivity_greedy-reliable/outcomes.csv":
             "6239dcf510a222458694a9e078a63b4e2efa4a2425303d2529849381b025c271",
         "simulate/first_fit-faulty/metrics.json":
-            "dd4f7bc9a0bf99cfd99349bc03e6388c97865e6cc6f32d9743a67a74ea67989b",
+            "ae783fa51b78a26cc964a401c94788d60dbfb2902e7eb363ae2c9602c911216a",
         "simulate/first_fit-faulty/outcomes.csv":
             "df1c76c8c3ac4bda5b9148eb5b54c10c84b234889600a02f49510fb4e118c5fd",
         "simulate/first_fit-reliable/metrics.json":
-            "c22930fda0bd401742023f239f7e30fc34787c15ddf469cc7542d5f62d62dc25",
+            "17c1724492595da53cdba0fcd1227bfabd4a08dc0c8cae6a65d148502ac73d72",
         "simulate/first_fit-reliable/outcomes.csv":
             "999b9e7634dcebf502e93210d92ad272af3f69af1f84ffa230c2bfd0d7d88b3b",
         "simulate/multilayer-faulty/metrics.json":
-            "460376d2c41de4efe669c60976c7a780027d5e89aaa0d07e92a3f4c0b975d31c",
+            "a4f759f9fb0ea6f4e97aa2d8fb1bc5dc7ddab74266cae2d76e668438943d1b78",
         "simulate/multilayer-faulty/outcomes.csv":
             "c23ee2b71ae8b0c39b5f86a17226cc97b29f11cb6186dc2393317b896d0433d8",
         "simulate/multilayer-reliable/metrics.json":
-            "4d22a733ef012504a3c3c448a2c5eafb98a4a4ada0c07f7c91b88a66d44ba0f9",
+            "0853cc503fb57f58ff658eec3509cb2035c2b82d374dc255496e001193afa5e3",
         "simulate/multilayer-reliable/outcomes.csv":
             "999b9e7634dcebf502e93210d92ad272af3f69af1f84ffa230c2bfd0d7d88b3b",
     },
     "LARGE-n200-seed0": {
         "generate/scenario.json":
-            "e62faa057af6db783faf64ee18af73b07abbcce2efb5ccff8622c7cfb7ab4d81",
+            "40e7bc477c947e3ec61c28372b90e24b62b6e4aacaf99cdd7e00d042d5be9c59",
         "partition/modularity.csv":
             "cc20e987d7b26518dd4c5378f9df2919a7466c86a80d5c675d2ff67fd58c9d2d",
         "partition/partitions.json":
-            "0e983983c49c966dabff2f1e28e226a25d303faa73c5cfe15c87c8ab74fc82a5",
+            "b01c85b27d152a393fbd5402742e51c6e1b762b21da21480e242e3ad4ba8559b",
         "place/connectivity_greedy/metrics.json":
-            "c656dcecb6e52bbd23ec8c581b0c6ee1050d97d45b89a59ed178ad0eb6a513ed",
+            "6f7c6df3f5423f0e87ba85aed10670f0c35f8d1afe6973c7b7142bfbd094cf93",
         "place/connectivity_greedy/plans.json":
-            "663535eedd1f3161e339eb3928fd879c62297c8444a4592e9c7e521d16f0c65e",
+            "1f1cee441bd47eeab2922164868e71fd9dcc6f40839da8cacf69b090cf90ebaf",
         "place/first_fit/metrics.json":
-            "c47c1629e3d9f4915dc0c4222fe1343e5e1d18bdd0bf515ff3aea8cf5d825fa6",
+            "310745392cbbed58fc79ff23470d61a7a847520521a0be36f1e1213f11b896af",
         "place/first_fit/plans.json":
-            "2efc643e64beceae0d219d964bfab0608d07061f191bc79ee2acb76f3187a944",
+            "81b554ee35e4d46a0990f2330edc5734cdb9e553757ef2c4aff777a643875b6d",
         "place/multilayer/metrics.json":
-            "de605c84e3b1899f19a0c2f5a4815be6280170d40b538dbc5a42338ed1212f07",
+            "4dc1fc037eaa3a8a2cfdf8040b66caee0e0eaff15a4b49e151ef9789dd836cf6",
         "place/multilayer/plans.json":
-            "c95f2a14260dc453aac8e48f46d8ac17aa63a4ff3e01d3f8e09131e971807a68",
+            "d63511f9fd227912aa2182b5a52a83b053077918ae640dbb6a7751f342314481",
     },
     "SMALL-seed0": {
         "generate/scenario.json":
-            "d7319dae47f5e0df15afce0453a374803ea0ed2b5366c3f3dd35aea9d21aeb8e",
+            "7776a8ca8be9064fabc6ca81794fa889c05841baffeadbb7b54c193a6d7b07c4",
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "09d1e0e28d7d9cbbb31ad303dbc7c09ef813c05d6f3b767db29bd9d9b6643197",
+            "2e158f4cc0148781ddea19f98855393c46e0e74a46dfd039280ab16550de849d",
         "place/connectivity_greedy/metrics.json":
-            "deff9ac8639d10562dadc330b899152208ac0fff401f7e0d5824b99834ed8668",
+            "3aac2c8b020e22f9ff8c3ca7db0c23ffc821a02b1cfefe997e43b5dd264eb3a5",
         "place/connectivity_greedy/plans.json":
-            "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
         "place/first_fit/metrics.json":
-            "87425c5ab45d18e9a12978501806c86b4acf73658442dc7afc5fd5d1cac6cb8f",
+            "04ccc7de99467c5856ead5edbab52bbae32dda5a76212bdb8fa177be807a831c",
         "place/first_fit/plans.json":
-            "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
         "place/multilayer/metrics.json":
-            "e9ac8137e433cde8d32bdd043494b117ac0e6651bfa9fbbc75f9a48df4b92900",
+            "3496e2bbb22c9ba201a510cb3b752d6adb8fb8c1bddcc62694b5a1449d42a5a0",
         "place/multilayer/plans.json":
-            "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
     },
     "SMALL-seed1": {
         "generate/scenario.json":
-            "d2fef2f90dc9cfbd54cf908440aaf20fb7818d78fbd4d4a2690e75362f8a6a0c",
+            "0b333f062c21a9c70a4ccccd059c711ad4a6b078d0d0ad48cbe52e788e26ce75",
         "partition/modularity.csv":
             "3c50917e4a9c5de376b92d8f765fb13d146af5c63baade260dae57f62c44bd2c",
         "partition/partitions.json":
-            "969c7c1538efefcc41541fcd5d40c1761f874a2560e360a08da15b84b050feb0",
+            "e4572fef7900d795f43a4d7be755fea7e9c8761d3efa60f2461a4eae290a66ac",
         "place/connectivity_greedy/metrics.json":
-            "8cbce99c48bdd191da885d9839feff283fd78a4a2aad896807d94690e0821b07",
+            "5ab7f5661c2b7e3462c0d4ecd10e3a374c3f02ad9e67d0c1988f57c495bacfaa",
         "place/connectivity_greedy/plans.json":
-            "42d36f05fa44e3e4f0602eaf40435aa4374a6c78cdf7ad9ece50a2d15854b70c",
+            "5d1cc1f26dfa83d8f56bc262ed08461e6131dbc2d393b2d053811853965d2ccb",
         "place/first_fit/metrics.json":
-            "bdbff451af7715596b046d49dc03e8f43d16ed0f6da71445482bc3329cfddece",
+            "b2ccb98ac556b2641533263a018bd791b517a499ab3650fce0802046f7b237ea",
         "place/first_fit/plans.json":
-            "881fb70b753dac420fe8f38d2ac49e85669d2ef9399ce804d470bd5705e59239",
+            "9f3e6728baf669657015b7d465e84551cf983ecaea2d989c9c3c3d1c58bfb316",
         "place/multilayer/metrics.json":
-            "0210edb66ec763945a2cf83e1556f0719fda670deda3bd89784e111712abc14f",
+            "6be87c0398fa7d0da7f58113f97e2bc78cdf1372acb1f42a233ee82c71bd92f7",
         "place/multilayer/plans.json":
-            "f811e60a2b78bf39244ff47faee419e0be5b9820ce7873ef5767c3155e05ccc7",
+            "e1bc18eb441ff2f78ef292c93cca581b00424faa83b26a3b05b22cf6bd5c5f36",
     },
+}
+
+
+#: D-SMALL-seed0-h100's JSON hashes when ``dump_json`` wrote ``indent=2``; that
+#: case writes every kind of JSON artifact
+INDENTED_CASE = "D-SMALL-seed0-h100"
+INDENTED = {
+    "generate/scenario.json":
+        "74215a5318531bfd53b9eec8635b194020cde22419fcdc0a17b2f840a7cb1202",
+    "partition/partitions.json":
+        "4f01630d8fe8f960a5d9b4b6517619157449064f105a83fda270e2dcd0b88dc2",
+    "place/connectivity_greedy/metrics.json":
+        "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
+    "place/connectivity_greedy/plans.json":
+        "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+    "place/first_fit/metrics.json":
+        "d8c01453018aa20629af43a1e5a231cbc994828cb74a230a446d07d4ff2855af",
+    "place/first_fit/plans.json":
+        "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+    "place/multilayer/metrics.json":
+        "e5801a8fddd753658977994fdd9a5e3049ece215f62494465ed8b91ec0e73022",
+    "place/multilayer/plans.json":
+        "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+    "report/report.json":
+        "e66bb6fca14820aedd75782cb4664d8323528972e77211d69f2464dee3267298",
+    "simulate/connectivity_greedy-faulty/metrics.json":
+        "9c3a5e5ca724878cd6708aa4f0dea19284b622a45fdef956ca94674f15119a6b",
+    "simulate/connectivity_greedy-reliable/metrics.json":
+        "9f0d48eb91b10ef746e1cb3f6e761c305cf667db23c51a266bdabc8026714282",
+    "simulate/first_fit-faulty/metrics.json":
+        "edbe76107b04b76a08f6b6fbacdf9c3a4de7f1d210bc2823ca2f6c7a0125b91c",
+    "simulate/first_fit-reliable/metrics.json":
+        "a59ccc418252e92248b1f41cb453ce4961dc18ca5fcc0c251f0979cc4ee8ec26",
+    "simulate/multilayer-faulty/metrics.json":
+        "aa05babeec06679a32e8bb12b0697dc2608a00caab93408ffb8255181b1c959d",
+    "simulate/multilayer-reliable/metrics.json":
+        "94af249e6c3b0c8e73681b682108084118c497537dd4ac4a1550871e70efbb03",
 }
 
 
@@ -256,6 +298,40 @@ def run_chain(out: Path, preset: str, seed: int, overrides: dict, simulate: bool
 def test_artifacts_match_golden(case, tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     assert run_chain(tmp_path, *CASES[case]) == GOLDEN[case]
+
+
+def json_artifacts(out: Path) -> dict[str, str]:
+    """Every JSON file the chain under ``out`` wrote, manifests included, by relative path."""
+    return {
+        path.relative_to(out).as_posix(): path.read_text()
+        for path in sorted(out.rglob("*.json"))
+        if path.name != "config.json"
+    }
+
+
+def test_json_reindents_to_indented_hashes(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    run_chain(tmp_path, *CASES[INDENTED_CASE])
+    texts = json_artifacts(tmp_path)
+    reindented = {
+        name: hashlib.sha256(
+            (json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n").encode()
+        ).hexdigest()
+        for name, text in texts.items()
+        if not name.endswith("manifest.json")
+    }
+    assert reindented == INDENTED
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_artifacts_are_compact_and_key_sorted(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    run_chain(tmp_path, *CASES[case])
+    texts = json_artifacts(tmp_path)
+    assert texts
+    for name, text in texts.items():
+        canonical = json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
+        assert text == canonical, name
 
 
 if __name__ == "__main__":

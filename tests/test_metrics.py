@@ -23,6 +23,10 @@ from fogpart.metrics import (
     resource_wastage,
 )
 from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, Topology, USER
+from fogpart.multilayer import build_multilayer
+from fogpart.partitioner import multilayer_resource_partition
+from fogpart.placement import run_placement
+from fogpart.scenario import ScenarioConfig, generate_scenario
 from fogpart.simulator import FAILED_DEPENDENCY, MISSED, SATISFIED, RequestOutcome, Tick
 
 
@@ -57,6 +61,33 @@ class TestResourceWastage:
     def test_nothing_placed_wastes_everything(self):
         devices = [Device(0, 4, 20.0, 2.0, 1.0)]
         assert resource_wastage([], devices) == 1.0
+
+    @pytest.mark.parametrize(
+        "strategy, wastage",
+        [("first_fit", -0.009444588844218282), ("multilayer", -0.003334685202078136)],
+    )
+    def test_negative_on_a_generated_scenario(self, strategy, wastage):
+        """A departure pinned, not a target: the definition is ROADMAP item 1(c)'s to settle.
+
+        A placed service counts max(1, GB, TB) units and its device offers
+        max(cores, GB, TB), so two services heavy in different dimensions
+        consume more units than their host offers, and wastage drops below 0.
+        """
+        scenario = generate_scenario(
+            ScenarioConfig(device_count=10, gateway_count=3, horizon_s=10.0, seed=0)
+        )
+        topology = scenario.topology()
+        fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
+        instances = scenario.instances()
+        plans = run_placement(
+            instances, topology, strategy=strategy, feature_partitions=fps, network=network
+        ).plans
+        by_id = {app.id: app for app in instances}
+        measured = resource_wastage(
+            [(by_id[rid], plan) for rid, plan in sorted(plans.items())], scenario.devices
+        )
+        assert measured < 0
+        assert measured == pytest.approx(wastage, rel=1e-9)
 
 
 def expand(ticks):

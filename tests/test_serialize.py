@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig
 from fogpart.serialize import (
     config_from_dict,
     config_to_dict,
+    dump_json,
+    load_json,
     partitions_from_dict,
     partitions_to_dict,
     plans_from_dict,
@@ -29,7 +34,8 @@ positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 def through_json(payload):
     """The document as a reader sees it after ``dump_json``."""
-    return json.loads(json.dumps(payload, indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_json(dump_json(Path(tmp) / "doc.json", payload))
 
 
 def ordered_pair(elements):
@@ -336,3 +342,30 @@ class TestSchemaVersion:
             del data["schema_version"]
             with pytest.raises(ValueError, match="schema_version"):
                 reader(data)
+
+
+class TestLoadJsonCollector:
+    """``load_json`` pauses the cyclic collector and leaves it as the caller had it."""
+
+    def test_collector_restored_after_a_load(self, tmp_path):
+        path = dump_json(tmp_path / "doc.json", {"rows": [[0.0, 1]] * 100})
+        assert gc.isenabled()
+        assert load_json(path) == {"rows": [[0.0, 1]] * 100}
+        assert gc.isenabled()
+
+    def test_collector_restored_after_a_malformed_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"rows": [')
+        assert gc.isenabled()
+        with pytest.raises(json.JSONDecodeError):
+            load_json(path)
+        assert gc.isenabled()
+
+    def test_collector_left_disabled_for_a_caller_that_disabled_it(self, tmp_path):
+        path = dump_json(tmp_path / "doc.json", {"a": 1})
+        gc.disable()
+        try:
+            assert load_json(path) == {"a": 1}
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
