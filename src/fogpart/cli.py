@@ -84,6 +84,8 @@ def _load_config_file(path: Path | None, preset: str | None, seed: int | None) -
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        if type(data) is not dict:
+            raise ConfigError("config must be a JSON object")
     known = set(config_to_dict(ScenarioConfig()).keys())
     unknown = set(data) - known
     if unknown:
@@ -165,7 +167,7 @@ def cmd_place(args: argparse.Namespace) -> int:
             )
     topology = scenario.topology()
     instances = scenario.instances()
-    run = run_placement(
+    plans = run_placement(
         instances=instances,
         topology=topology,
         strategy=args.strategy,
@@ -175,17 +177,17 @@ def cmd_place(args: argparse.Namespace) -> int:
         beta=args.beta,
     )
     out = Path(args.out)
-    artifacts = [dump_json(out / "plans.json", plans_to_dict(run.plans, args.strategy, args.alpha, args.beta))]
+    artifacts = [dump_json(out / "plans.json", plans_to_dict(plans, args.strategy, args.alpha, args.beta))]
 
     by_id = {a.id: a for a in instances}
-    placements = [(by_id[rid], plan) for rid, plan in sorted(run.plans.items())]
+    placements = [(by_id[rid], plan) for rid, plan in sorted(plans.items())]
     histogram = hop_histogram(placements, topology)
     mean_hops, max_hops, unreachable = hop_summary(histogram)
     metrics = {
         "schema_version": 1,
         "scenario": scenario.config.scale,
         "strategy": args.strategy,
-        "placement_success_rate": placement_success_rate(run.plans.values()),
+        "placement_success_rate": placement_success_rate(plans.values()),
         "resource_wastage": resource_wastage(placements, scenario.devices),
         "hop_histogram": {str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
         "hop_mean": mean_hops,

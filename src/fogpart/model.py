@@ -35,10 +35,6 @@ def sum_in_order(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-class UnplacedDependencyError(RuntimeError):
-    """A response-time query reached a service with no assigned device."""
-
-
 class UnreachableError(RuntimeError):
     """No live route exists between two devices."""
 
@@ -243,6 +239,27 @@ class Topology:
     def link(self, a: int, b: int) -> NetworkLink:
         return self._links[(a, b) if a < b else (b, a)]
 
+    def _parents(
+        self, src: int, dead: frozenset[int] | set[int] = frozenset(), dst: int | None = None
+    ) -> dict[int, int]:
+        """BFS parent of each live device reached from live ``src``, in dequeue order.
+
+        ``src`` is its own parent. The search stops once ``dst`` is reached,
+        so with a ``dst`` the dict may hold only part of the reachable graph.
+        """
+        parent: dict[int, int] = {src: src}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            for nxt in self.adj[node]:
+                if nxt in dead or nxt in parent:
+                    continue
+                parent[nxt] = node
+                if nxt == dst:
+                    return parent
+                frontier.append(nxt)
+        return parent
+
     def shortest_hop_path(
         self, src: int, dst: int, dead: frozenset[int] | set[int] = frozenset()
     ) -> list[NetworkLink] | None:
@@ -257,49 +274,35 @@ class Topology:
             return None
         if src == dst:
             return []
-        parent: dict[int, int] = {src: src}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self.adj[node]:
-                if nxt in dead or nxt in parent:
-                    continue
-                parent[nxt] = node
-                if nxt == dst:
-                    path: list[NetworkLink] = []
-                    cur = dst
-                    while cur != src:
-                        path.append(self.link(parent[cur], cur))
-                        cur = parent[cur]
-                    path.reverse()
-                    return path
-                frontier.append(nxt)
-        return None
+        parent = self._parents(src, dead, dst)
+        if dst not in parent:
+            return None
+        path: list[NetworkLink] = []
+        cur = dst
+        while cur != src:
+            path.append(self.link(parent[cur], cur))
+            cur = parent[cur]
+        path.reverse()
+        return path
 
-    def routes_from(self, src: int) -> dict[int, tuple[int, float, float]]:
-        """Route costs from ``src`` to every device it can reach.
+    def transmission_times(self, src: int, size: float) -> dict[int, float]:
+        """``transmission_time`` of a ``size``-byte message from ``src`` to each device it reaches.
 
-        Maps each reachable device to (hops, latency sum, 1/bandwidth sum)
-        along the route ``shortest_hop_path`` picks: a full BFS over the
-        same sorted neighbor lists builds the same parent tree, and each
-        sum is accumulated down that tree from an int 0, the same left fold
-        as summing the path's links, so the floats are bit-identical.
-        ``src`` itself maps to (0, 0, 0); unreachable devices are absent.
+        One BFS builds the parent tree ``shortest_hop_path`` walks, and each
+        entry adds ``latency + size / bandwidth`` down that tree from 0.0,
+        the fold ``transmission_time`` makes over the path, so the floats
+        are bit-identical. ``src`` maps to 0.0; unreachable devices are absent.
         """
         if src not in self.devices:
             raise KeyError(f"unknown device {src} in route query")
-        routes: dict[int, tuple[int, float, float]] = {src: (0, 0, 0)}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            hops, lat_sum, inv_bw_sum = routes[node]
-            for nxt in self.adj[node]:
-                if nxt in routes:
-                    continue
-                link = self.link(node, nxt)
-                routes[nxt] = (hops + 1, lat_sum + link.latency, inv_bw_sum + 1.0 / link.bandwidth)
-                frontier.append(nxt)
-        return routes
+        times: dict[int, float] = {}
+        for node, up in self._parents(src).items():
+            if node == up:
+                times[node] = 0.0
+            else:
+                link = self.link(up, node)
+                times[node] = times[up] + (link.latency + size / link.bandwidth)
+        return times
 
 
 def execution_time(service: Service, device: Device) -> float:
@@ -322,37 +325,41 @@ def transmission_time(link_path: Sequence[NetworkLink], size: float) -> float:
 
 def response_times(
     app: Application,
-    assignment: Mapping[int, int | None],
+    assignment: Mapping[int, int],
     topology: Topology,
     gateway: int,
     dead: frozenset[int] | set[int] = frozenset(),
-) -> tuple[dict[int, float], float]:
-    """Per-service response times and the application response time (ms).
+) -> tuple[dict[int, float], float, frozenset[int]]:
+    """Per-service response times (ms), the application response time, and the devices used.
 
     The entry service pays the gateway-to-host transmission of the initial
     request; every other service waits for its slowest predecessor message.
     Each message is routed once, by ``Topology.shortest_hop_path`` around
     ``dead``, and arrives at its send time (0 for the initial request, the
     sender's response time otherwise) plus ``transmission_time`` over that
-    path. Raises UnplacedDependencyError if any service lacks a device, and
-    UnreachableError when no live route supports a required message.
+    path. The devices used are the gateway, every host, and both ends of
+    every link of those paths. ``assignment`` must place every service.
+    Raises UnreachableError when no live route supports a required message.
     """
     rts: dict[int, float] = {}
+    used = {gateway}
     for sid in app.topological_order():
-        device_id = assignment.get(sid)
-        if device_id is None:
-            raise UnplacedDependencyError(f"app {app.id}: service {sid} is unplaced")
+        device_id = assignment[sid]
+        used.add(device_id)
         device = topology.devices[device_id]
         arrivals = [0.0]
         for msg in app.incoming(sid):
-            # topological order placed a predecessor or raised above
+            # topological order has timed every predecessor
             src, sent = (gateway, 0.0) if msg.source == USER else (assignment[msg.source], rts[msg.source])
             path = topology.shortest_hop_path(src, device_id, dead)
             if path is None:
                 raise UnreachableError(f"no live route from {src} to {device_id}")
+            for link in path:
+                used.add(link.a)
+                used.add(link.b)
             arrivals.append(sent + transmission_time(path, msg.size))
         rts[sid] = max(arrivals) + execution_time(app.service(sid), device)
-    return rts, max(rts.values())
+    return rts, max(rts.values()), frozenset(used)
 
 
 def deadline_satisfied(app: Application, rt_a: float) -> bool:

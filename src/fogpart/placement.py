@@ -126,32 +126,22 @@ def demand_similarity(
 
 def app_tables(
     fps: FeaturePartitionSet,
-    routes: Mapping[int, tuple[int, float, float]],
-    size: float,
+    times: Mapping[int, float],
     beta: float,
 ) -> tuple[dict[int, list[int]], dict[int, float | None]]:
     """Device order and proximity term of every feature partition for one application.
 
-    ``routes`` is the ``Topology.routes_from`` table of the application's
-    gateway and ``size`` the entry-message size; neither depends on
-    the service, so ``run_placement`` builds these tables once per
-    application. Each partition's devices are listed ascending by (T, id),
-    where T is the transmission time from the gateway (inf when
-    unreachable). The proximity term is beta / (1 + T_min), or None for a
-    partition with no reachable device.
+    ``times`` is ``Topology.transmission_times`` of the application's entry
+    message from its gateway; it does not depend on the service, so
+    ``run_placement`` builds these tables once per application. Each
+    partition's devices are listed ascending by (T, id), where T is the
+    device's transmission time (inf when unreachable). The proximity term
+    is beta / (1 + T_min), or None for a partition with no reachable device.
     """
     d_matrix: dict[int, list[int]] = {}
     terms: dict[int, float | None] = {}
     for fp_id in fps.ids():
-        rows = []
-        for did in fps.device_index[fp_id]:
-            route = routes.get(did)
-            if route is None:
-                rows.append((math.inf, did))
-            else:
-                _, lat_sum, inv_bw_sum = route
-                rows.append((lat_sum + size * inv_bw_sum, did))
-        rows.sort()
+        rows = sorted((times.get(did, math.inf), did) for did in fps.device_index[fp_id])
         d_matrix[fp_id] = [did for _, did in rows]
         t_min = rows[0][0] if rows else math.inf
         terms[fp_id] = None if math.isinf(t_min) else beta / (1.0 + t_min)
@@ -232,14 +222,6 @@ def place_service(
     return None
 
 
-@dataclass
-class PlacementRun:
-    """The plans of one strategy's run, and what it left of each device."""
-
-    plans: dict[int, PlacementPlan]
-    residuals: dict[int, Residual]
-
-
 def run_placement(
     instances: Sequence[Application],
     topology: Topology,
@@ -248,18 +230,18 @@ def run_placement(
     network: PartitionSet | None = None,
     alpha: float = 0.5,
     beta: float = 0.5,
-) -> PlacementRun:
-    """Place every application instance (deadline order) with one strategy.
+) -> dict[int, PlacementPlan]:
+    """Each application instance's plan, placed in deadline order by one strategy.
 
     Only the run's own residual records change, so strategies can be
     compared on one ``topology``. The multilayer strategy routes from each
-    application's gateway once (``Topology.routes_from``) and keeps that
-    table only while it builds the application's ``app_tables``. Response
-    times are attached to every plan that is fully placed and routable.
-    Each application must be an instance whose ``gateway`` is a device of
-    ``topology`` (``Scenario.instances`` checks this). Raises ValueError for
-    an unknown strategy, a negative weight or two zero weights, or missing
-    partitions.
+    application's gateway once (``Topology.transmission_times``) and keeps
+    those times only while it builds the application's ``app_tables``.
+    Response times are attached to every plan that is fully placed and
+    routable. Each application must be an instance whose ``gateway`` is a
+    device of ``topology`` (``Scenario.instances`` checks this). Raises
+    ValueError for an unknown strategy, a negative weight or two zero
+    weights, or missing partitions.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -281,7 +263,9 @@ def run_placement(
             order = fullest_partition(network, residuals)
         elif strategy == "multilayer":
             d_matrix, proximities = app_tables(
-                feature_partitions, topology.routes_from(app.gateway), app.entry_message.size, beta
+                feature_partitions,
+                topology.transmission_times(app.gateway, app.entry_message.size),
+                beta,
             )
         assignment: dict[int, int | None] = {}
         anchor: int | None = None  # network partition of the app's first placed service
@@ -304,10 +288,10 @@ def run_placement(
         if not plan.fully_placed:
             continue
         try:
-            plan.per_service_rt, plan.app_rt = response_times(
+            plan.per_service_rt, plan.app_rt, _ = response_times(
                 app, plan.assignment, topology, app.gateway
             )
         except UnreachableError:
             pass
 
-    return PlacementRun(plans=plans, residuals=residuals)
+    return plans

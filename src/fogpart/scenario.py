@@ -74,17 +74,21 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each value, or each end of a range, has its default's type; an int
+        # may stand for a float, but a bool is neither
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
-            if type(default) is bool and type(value) is not bool:
-                raise ConfigError(f"{f.name} must be true or false")
-            for v in value if isinstance(value, tuple) else (value,):
-                if not isinstance(v, float):
-                    continue
-                if not math.isfinite(v):
+            ranged = isinstance(default, tuple)
+            kind = type(default[0] if ranged else default)
+            for v in value if ranged else (value,):
+                if kind is bool and type(v) is not bool:
+                    raise ConfigError(f"{f.name} must be true or false")
+                if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite")
-                if type(default[0] if isinstance(default, tuple) else default) is int:
+                if kind is int and type(v) is not int:
                     raise ConfigError(f"{f.name} must be an integer")
+                if kind is float and type(v) not in (int, float):
+                    raise ConfigError(f"{f.name} must be a number")
         if self.gateway_count < 0:
             raise ConfigError("gateway_count must be non-negative")
         if self.gateway_count >= self.device_count:

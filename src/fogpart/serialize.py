@@ -93,6 +93,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
+    if not isinstance(data, Mapping):
+        raise TypeError("config must be a JSON object")
     kwargs = dict(data)
     for name in RANGE_FIELDS:
         if name in kwargs:
@@ -360,11 +362,13 @@ def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], 
 
 @contextmanager
 def _required_keys(kind: str) -> Iterator[None]:
-    """Turn a key missing from a ``kind`` document into a ValueError naming it."""
+    """Turn a missing key or a wrong-typed value of a ``kind`` document into a ValueError."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{kind} document is missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{kind} document is malformed: {exc}") from None
 
 
 def _check_version(data: Mapping[str, Any], kind: str) -> None:

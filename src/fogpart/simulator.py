@@ -33,7 +33,6 @@ from .model import (
     Application,
     PlacementPlan,
     Topology,
-    USER,
     UnreachableError,
     deadline_satisfied,
     response_times,
@@ -137,15 +136,13 @@ def run(
     no live route fails its dependency; otherwise the response time decides
     between satisfied and missed.
 
-    A verdict is computed once and carried across later deaths. A failed
-    dependency never changes, since deaths are never undone. A tick that
-    applies deaths tests every other carried verdict once against the new
-    victims, and drops it if one of them is a device it relies on: its
-    gateway, its hosts and the relays of the routes ``response_times``
-    took. That device set is found only when a death has to be tested
-    against it, by repeating those route queries under the dead set the
-    verdict was computed with. A tick then classifies only those of its
-    requests that have no verdict.
+    A verdict is computed once and carried, with the devices it relies on,
+    across later deaths: its gateway, its hosts and both ends of every link
+    of the routes ``response_times`` took. A failed dependency relies on
+    none and never changes, since deaths are never undone. A tick that
+    applies deaths drops every carried verdict whose devices include a new
+    victim, and then classifies only those of its requests that have no
+    verdict.
 
     Carrying is exact. ``Topology.shortest_hop_path`` is a BFS over
     ascending neighbour lists, so each node's parent is its first-dequeued
@@ -181,7 +178,7 @@ def run(
     death_times = [t for t, _ in deaths]
     victims = [victim for _, victim in deaths]
     ticks: list[Tick] = []
-    carried: dict[int, _Carried] = {}
+    carried: dict[int, tuple[Verdict, frozenset[int]]] = {}
     verdicts: dict[int, Verdict] = {}
     tick_ids: tuple[int, ...] = ()
     dead: frozenset[int] = frozenset()
@@ -199,7 +196,7 @@ def run(
         if epoch > first:
             new_victims = victims[first:epoch]
             dead = dead.union(new_victims)
-            stale = [rid for rid, kept in carried.items() if not kept.holds(new_victims, topology)]
+            stale = [rid for rid, (_, used) in carried.items() if not used.isdisjoint(new_victims)]
             for rid in stale:
                 del carried[rid]
             changed = bool(stale)
@@ -210,10 +207,10 @@ def run(
                     continue
                 if rid not in instances:
                     raise ValueError(f"schedule at {time_s} s names unknown request {rid}")
-                carried[rid] = _Carried(instances[rid], plans.get(rid), topology, dead)
+                carried[rid] = _classify(instances[rid], plans.get(rid), topology, dead)
                 changed = True
         if changed:
-            verdicts = {rid: kept.verdict for rid, kept in carried.items()}
+            verdicts = {rid: verdict for rid, (verdict, _) in carried.items()}
         ticks.append(Tick(time_s, tick_ids, verdicts))
     outcomes = Outcomes(ticks)
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
@@ -244,50 +241,24 @@ def _check_plans(
                 )
 
 
-class _Carried:
-    """A request's verdict and what it was computed from."""
-
-    __slots__ = ("app", "plan", "dead", "verdict", "devices")
-
-    def __init__(
-        self, app: Application, plan: PlacementPlan | None, topology: Topology, dead: frozenset[int]
-    ) -> None:
-        self.app = app
-        self.plan = plan
-        self.dead = dead
-        self.verdict = _classify(app, plan, topology, dead)
-        self.devices: frozenset[int] | None = None
-
-    def holds(self, victims: Sequence[int], topology: Topology) -> bool:
-        """Whether the verdict still stands after ``victims`` died."""
-        if self.verdict[0] == FAILED_DEPENDENCY:
-            return True
-        if self.devices is None:
-            # any other verdict means a full plan whose every route was live
-            app, assignment = self.app, self.plan.assignment
-            devices = {app.gateway, *assignment.values()}
-            for msg in app.messages:
-                src = app.gateway if msg.source == USER else assignment[msg.source]
-                for link in topology.shortest_hop_path(src, assignment[msg.destination], self.dead):
-                    devices.add(link.a)
-                    devices.add(link.b)
-            self.devices = frozenset(devices)
-        return self.devices.isdisjoint(victims)
-
-
 def _classify(
     app: Application,
     plan: PlacementPlan | None,
     topology: Topology,
     dead: frozenset[int],
-) -> Verdict:
-    """(status, response time in ms) of one request while ``dead`` are down."""
+) -> tuple[Verdict, frozenset[int]]:
+    """One request's verdict while ``dead`` are down, and the devices it relies on.
+
+    The verdict is (status, response time in ms). A failed dependency
+    relies on no device, since deaths are never undone.
+    """
+    failed = (FAILED_DEPENDENCY, None), frozenset()
     if plan is None or not plan.fully_placed:
-        return FAILED_DEPENDENCY, None
+        return failed
     if any(host in dead for host in plan.assignment.values()):
-        return FAILED_DEPENDENCY, None
+        return failed
     try:
-        _, rt_a = response_times(app, plan.assignment, topology, app.gateway, dead)
+        _, rt_a, used = response_times(app, plan.assignment, topology, app.gateway, dead)
     except UnreachableError:
-        return FAILED_DEPENDENCY, None
-    return (SATISFIED if deadline_satisfied(app, rt_a) else MISSED), rt_a
+        return failed
+    return (SATISFIED if deadline_satisfied(app, rt_a) else MISSED, rt_a), used

@@ -134,6 +134,31 @@ def deadline_mode_of_number(scenario, tmp):
     return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": 10.0, "deadline_mode": 1})
 
 
+def config_of_number(scenario, tmp):
+    # died with "TypeError: 'int' object is not iterable"
+    return generate_from(tmp, 5)
+
+
+def config_of_null(scenario, tmp):
+    # died with "TypeError: 'NoneType' object is not iterable"
+    return generate_from(tmp, None)
+
+
+def seed_of_text(scenario, tmp):
+    # exited 0 and stored the seed "x"
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": 10.0, "seed": "x"})
+
+
+def seed_of_null(scenario, tmp):
+    # exited 0 and stored a null seed
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "horizon_s": 10.0, "seed": None})
+
+
+def range_of_text(scenario, tmp):
+    # passed the config checks, then died in random.randint
+    return generate_from(tmp, {"device_count": 10, "gateway_count": 3, "cores_range": ["10", "25"]})
+
+
 def nan_failure_period(scenario, tmp):
     # reported 10 failures while applying none
     return [*edited_plans(scenario, tmp, lambda assignment: None), "--mode", "faulty", "--failure-period-s", "nan"]
@@ -387,13 +412,38 @@ def plans_missing_key(scenario, tmp):
     return argv
 
 
+def device_cores_of_text(scenario, tmp):
+    # died with "TypeError: '<' not supported between instances of 'str' and 'int'"
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].update(cores="x"))
+
+
+def scenario_config_unknown_key(scenario, tmp):
+    # died with "TypeError: ...got an unexpected keyword argument 'bogus'"
+    return place_edited(scenario, tmp, lambda data: data["config"].update(bogus=1))
+
+
+def scenario_config_of_list(scenario, tmp):
+    # was read as the default config
+    return place_edited(scenario, tmp, lambda data: data.update(config=[]))
+
+
+def plans_of_list(scenario, tmp):
+    # died with "AttributeError: 'list' object has no attribute 'items'"
+    argv = edited_plans(scenario, tmp, lambda assignment: None)
+    path = tmp / "place" / "plans.json"
+    data = json.loads(path.read_text())
+    data["plans"] = []
+    path.write_text(json.dumps(data))
+    return argv
+
+
 #: builder of a bad command line -> the reason its error message must give
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
     (malformed_config_json, "config parse error"),
     (malformed_scenario_json, "Expecting value: line 1 column 15 (char 14)"),
     (config_file_missing, "config file not found"),
-    (config_field_of_wrong_type, "invalid config"),
+    (config_field_of_wrong_type, "device_count must be an integer"),
     (ba_attachment_not_below_device_count, "device_count must exceed ba_attachment"),
     (ba_attachment_zero, "ba_attachment must be at least 1"),
     (negative_latency_config, "network parameters out of range"),
@@ -406,6 +456,11 @@ BAD_INPUTS = [
     (fractional_device_count, "device_count must be an integer"),
     (deadline_mode_of_text, "deadline_mode must be true or false"),
     (deadline_mode_of_number, "deadline_mode must be true or false"),
+    (config_of_number, "config must be a JSON object"),
+    (config_of_null, "config must be a JSON object"),
+    (seed_of_text, "seed must be an integer"),
+    (seed_of_null, "seed must be an integer"),
+    (range_of_text, "cores_range must be an integer"),
     (nan_failure_period, "failure period must be positive and finite"),
     (multilayer_without_partitions, "requires --partitions"),
     (negative_alpha, "alpha and beta must be non-negative"),
@@ -443,6 +498,10 @@ BAD_INPUTS = [
     (partitions_missing_key, "partitions document is missing key 'device_index'"),
     (partitions_unknown_layer, "unknown layer 'BOGUS'"),
     (plans_missing_key, "plans document is missing key 'app_rt_ms'"),
+    (device_cores_of_text, "scenario document is malformed: '<' not supported"),
+    (scenario_config_unknown_key, "unexpected keyword argument 'bogus'"),
+    (scenario_config_of_list, "scenario document is malformed: config must be a JSON object"),
+    (plans_of_list, "plans document is malformed: 'list' object has no attribute 'items'"),
 ]
 
 

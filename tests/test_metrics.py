@@ -81,7 +81,7 @@ class TestResourceWastage:
         instances = scenario.instances()
         plans = run_placement(
             instances, topology, strategy=strategy, feature_partitions=fps, network=network
-        ).plans
+        )
         by_id = {app.id: app for app in instances}
         measured = resource_wastage(
             [(by_id[rid], plan) for rid, plan in sorted(plans.items())], scenario.devices

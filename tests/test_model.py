@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import operator
 import random
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,6 @@ from fogpart.model import (
     NetworkLink,
     Service,
     Topology,
-    UnplacedDependencyError,
     UnreachableError,
     USER,
     deadline_satisfied,
@@ -194,14 +191,14 @@ class TestResponseTimes:
         # gateway -> host is one hop (25 ms), ET = 1000 ms
         topo = chain_topology(2)
         app = chain_app(1)
-        per, rt = response_times(app, {0: 1}, topo, gateway=0)
+        per, rt, _ = response_times(app, {0: 1}, topo, gateway=0)
         assert rt == pytest.approx(1025.0)
         assert per[0] == pytest.approx(1025.0)
 
     def test_chain_of_two(self):
         topo = chain_topology(3)
         app = chain_app(2)
-        per, rt = response_times(app, {0: 1, 1: 2}, topo, gateway=0)
+        per, rt, _ = response_times(app, {0: 1, 1: 2}, topo, gateway=0)
         assert rt == pytest.approx(2050.0)
 
     def test_diamond_max_of_equal_branches(self):
@@ -215,16 +212,10 @@ class TestResponseTimes:
         ]
         app = Application(0, services, messages, 50000.0)
         topo = chain_topology(1)
-        per, rt = response_times(app, {i: 0 for i in range(4)}, topo, gateway=0)
+        per, rt, _ = response_times(app, {i: 0 for i in range(4)}, topo, gateway=0)
         # everything co-located: transmissions vanish, depth is 3 services
         assert rt == pytest.approx(3000.0)
         assert per[1] == per[2]
-
-    def test_unplaced_dependency_raises(self):
-        topo = chain_topology(3)
-        app = chain_app(2)
-        with pytest.raises(UnplacedDependencyError):
-            response_times(app, {0: 1, 1: None}, topo, gateway=0)
 
     def test_dead_host_unreachable(self):
         topo = chain_topology(2)
@@ -236,15 +227,15 @@ class TestResponseTimes:
         topo_slow = chain_topology(3, speed=10.0)
         topo_fast = chain_topology(3, speed=20.0)
         app = chain_app(2)
-        _, rt_fast = response_times(app, {0: 1, 1: 2}, topo_fast, gateway=0)
-        _, rt_slow = response_times(app, {0: 1, 1: 2}, topo_slow, gateway=0)
+        _, rt_fast, _ = response_times(app, {0: 1, 1: 2}, topo_fast, gateway=0)
+        _, rt_slow, _ = response_times(app, {0: 1, 1: 2}, topo_slow, gateway=0)
         assert rt_slow >= rt_fast
 
     def test_lower_bounds(self):
         topo = chain_topology(4)
         app = chain_app(3)
         assignment = {0: 1, 1: 2, 2: 3}
-        per, rt = response_times(app, assignment, topo, gateway=0)
+        per, rt, _ = response_times(app, assignment, topo, gateway=0)
         max_et = max(
             execution_time(app.service(s), topo.devices[assignment[s]]) for s in (0, 1, 2)
         )
@@ -326,7 +317,7 @@ class TestResponseTimeOracle:
             app = random_dag_app(rng, trial)
             assignment = {s.id: rng.randrange(len(topo.devices)) for s in app.services}
             gateway = rng.randrange(len(topo.devices))
-            per, rt = response_times(app, assignment, topo, gateway)
+            per, rt, _ = response_times(app, assignment, topo, gateway)
             oracle_per, oracle_rt = rt_oracle(app, assignment, topo, gateway)
             for sid in per:
                 assert per[sid] == pytest.approx(oracle_per[sid], abs=1e-9)
@@ -417,24 +408,51 @@ def topologies(draw):
     return Topology([make_device(i) for i in range(n)], links)
 
 
-class TestRoutesFrom:
+class TestTransmissionTimes:
     @settings(max_examples=200, deadline=None)
-    @given(topologies())
-    def test_matches_shortest_hop_path_exactly(self, topo):
+    @given(topologies(), st.floats(1.0, 5e6))
+    def test_equal_to_transmission_time_over_the_path(self, topo, size):
         for src in topo.devices:
-            routes = topo.routes_from(src)
+            times = topo.transmission_times(src, size)
             for dst in topo.devices:
                 path = topo.shortest_hop_path(src, dst)
                 if path is None:
-                    assert dst not in routes
+                    assert dst not in times
                 else:
-                    # a left fold, as built-in sum() added floats before Python 3.12
-                    assert routes[dst] == (
-                        len(path),
-                        reduce(operator.add, (link.latency for link in path), 0),
-                        reduce(operator.add, (1.0 / link.bandwidth for link in path), 0),
-                    )
+                    # the same fold, so equal bit for bit
+                    assert times[dst] == transmission_time(path, size)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(KeyError):
-            Topology([make_device(0)], []).routes_from(1)
+            Topology([make_device(0)], []).transmission_times(1, 1.0)
+
+
+@st.composite
+def routed_requests(draw):
+    """A connected topology, a DAG app placed on it, its gateway, and a dead set sparing those."""
+    rng = draw(st.randoms(use_true_random=False))
+    topo = random_topology(rng, draw(st.integers(2, 9)))
+    app = random_dag_app(rng, 0)
+    device_ids = st.sampled_from(sorted(topo.devices))
+    assignment = {s.id: draw(device_ids) for s in app.services}
+    gateway = draw(device_ids)
+    dead = frozenset(draw(st.sets(device_ids)) - {gateway, *assignment.values()})
+    return topo, app, assignment, gateway, dead
+
+
+class TestDevicesUsed:
+    @settings(max_examples=200, deadline=None)
+    @given(routed_requests())
+    def test_gateway_hosts_and_every_link_end_of_each_route(self, case):
+        topo, app, assignment, gateway, dead = case
+        expected = {gateway, *assignment.values()}
+        for msg in app.messages:
+            src = gateway if msg.source == USER else assignment[msg.source]
+            path = topo.shortest_hop_path(src, assignment[msg.destination], dead)
+            if path is None:
+                with pytest.raises(UnreachableError):
+                    response_times(app, assignment, topo, gateway, dead)
+                return
+            for link in path:
+                expected |= {link.a, link.b}
+        assert response_times(app, assignment, topo, gateway, dead)[2] == expected

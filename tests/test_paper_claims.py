@@ -34,7 +34,7 @@ def chain(scale: str, seed: int):
     plans = {
         strategy: run_placement(
             instances, topology, strategy=strategy, feature_partitions=fps, network=network
-        ).plans
+        )
         for strategy in STRATEGIES
     }
     return scenario, fps, plans

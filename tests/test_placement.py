@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +22,7 @@ from fogpart.model import (
     USER,
     execution_time,
     response_times,
+    transmission_time,
 )
 from fogpart.multilayer import Layer
 from fogpart.partitioner import (
@@ -42,26 +45,28 @@ from fogpart.placement import (
 RANGES = {"cpu": (20.0, 60.0), "mem": (1.0, 25.0), "storage": (1.0, 25.0)}
 
 
-def fitness(fp_id, service, fps, routes, size, alpha, beta, ranges):
+def transmission_from(topology, gateway, did, size):
+    """T of a ``size``-byte message along the route from ``gateway`` to ``did``; inf if none."""
+    path = topology.shortest_hop_path(gateway, did)
+    return math.inf if path is None else transmission_time(path, size)
+
+
+def fitness(fp_id, service, fps, topology, gateway, size, alpha, beta, ranges):
     """Oracle: alpha * best member similarity + beta / (1 + nearest device T).
 
-    Scores one feature partition on its own, from the definition. T is the
-    transmission time of a ``size``-byte message along a device's route in
-    ``routes``, a gateway's ``Topology.routes_from`` table; when no device
-    of the partition is reachable the proximity term is dropped.
-    Placement splits this score, taking the proximity term from
-    ``app_tables`` once per application.
+    Scores one feature partition on its own, from the definition. T is
+    ``transmission_time`` of a ``size``-byte message over the
+    ``shortest_hop_path`` from ``gateway`` to a device; when no device of
+    the partition is reachable the proximity term is dropped. Placement
+    splits this score, taking the proximity term from ``app_tables`` once
+    per application.
     """
     max_sim = max(
         demand_similarity(fps.features[node], service, ranges)
         for node in fps.feature_partitions[fp_id]
     )
     t_min = min(
-        (
-            routes[did][1] + size * routes[did][2]
-            for did in fps.device_index[fp_id]
-            if did in routes
-        ),
+        (transmission_from(topology, gateway, did, size) for did in fps.device_index[fp_id]),
         default=math.inf,
     )
     if math.isinf(t_min):
@@ -76,6 +81,29 @@ def full_capacity(devices):
 
 def residuals(records):
     return [(left.cores, left.mem, left.storage) for left in records.values()]
+
+
+def hosted(plans, apps):
+    """The services each device hosts under ``plans``, keyed by device id, in commit order.
+
+    ``run_placement`` fills its plans in the order it commits services.
+    """
+    by_id = {app.id: app for app in apps}
+    services: dict[int, list[Service]] = {}
+    for app_id, plan in plans.items():
+        for sid, did in plan.assignment.items():
+            if did is not None:
+                services.setdefault(did, []).append(by_id[app_id].service(sid))
+    return services
+
+
+def left_over(device, services):
+    """(cores, mem, storage) a run leaves of ``device`` after committing ``services`` in order."""
+    return (
+        device.cores - len(services),
+        reduce(operator.sub, (s.mem_demand for s in services), device.mem),
+        reduce(operator.sub, (s.storage_demand for s in services), device.storage),
+    )
 
 
 class TestDemandSimilarity:
@@ -136,12 +164,10 @@ def line_context(core_counts=(10, 10, 10, 10)):
         features=features,
         modularity=0.0,
     )
-    topology = Topology(devices.values(), links)
     return SimpleNamespace(
         devices=devices,
         links=links,
-        topology=topology,
-        routes=topology.routes_from(0),
+        topology=Topology(devices.values(), links),
         network=network,
         fps=fps,
     )
@@ -173,7 +199,7 @@ class TestFitness:
             "mem": (feature.avg_mem, 200.0),
             "storage": (feature.avg_storage, 200.0),
         }
-        value = fitness(0, s, ctx.fps, ctx.routes, 1.0, 0.5, 0.5, ranges)
+        value = fitness(0, s, ctx.fps, ctx.topology, 0, 1.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(1.0)
 
     def test_twenty_five_ms_proximity_term(self):
@@ -186,7 +212,7 @@ class TestFitness:
             "storage": (1.0, 200.0),
         }
         # nearest FP1 device is two hops away; use a size that makes T = 25 ms per hop
-        value = fitness(1, s, ctx.fps, ctx.routes, 1_500_000.0, 0.5, 0.5, ranges)
+        value = fitness(1, s, ctx.fps, ctx.topology, 0, 1_500_000.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(0.5 + 0.5 / 51.0)
 
     def test_one_hop_proximity_value(self):
@@ -202,7 +228,7 @@ class TestFitness:
             modularity=0.0,
         )
         ranges = {"cpu": (20.0, 60.0), "mem": (1.0, 200.0), "storage": (1.0, 200.0)}
-        value = fitness(0, s, fps, ctx.routes, 1_500_000.0, 0.5, 0.5, ranges)
+        value = fitness(0, s, fps, ctx.topology, 0, 1_500_000.0, 0.5, 0.5, ranges)
         assert value == pytest.approx(0.5 + 0.5 / 26.0)
 
     def test_alpha_only_reduces_to_similarity(self):
@@ -212,16 +238,16 @@ class TestFitness:
             demand_similarity(ctx.fps.features[node], s, RANGES)
             for node in ctx.fps.feature_partitions[0]
         ]
-        assert fitness(0, s, ctx.fps, ctx.routes, 1.0, 1.0, 0.0, RANGES) == pytest.approx(max(sims))
+        assert fitness(0, s, ctx.fps, ctx.topology, 0, 1.0, 1.0, 0.0, RANGES) == pytest.approx(max(sims))
 
     def test_unreachable_partition_flagged(self):
         ctx = line_context()
         # without the 1-2 link, FP1's devices 2 and 3 cannot be reached from gateway 0
         links = [NetworkLink(0, 1, 75000.0, 5.0), NetworkLink(2, 3, 75000.0, 5.0)]
-        routes = Topology(ctx.devices.values(), links).routes_from(0)
-        value = fitness(1, Service(0, 25.0, 5.0, 5.0), ctx.fps, routes, 1.0, 0.5, 0.5, RANGES)
+        topology = Topology(ctx.devices.values(), links)
+        value = fitness(1, Service(0, 25.0, 5.0, 5.0), ctx.fps, topology, 0, 1.0, 0.5, 0.5, RANGES)
         assert value <= 0.5
-        d_matrix, proximities = app_tables(ctx.fps, routes, 1.0, 0.5)
+        d_matrix, proximities = app_tables(ctx.fps, topology.transmission_times(0, 1.0), 0.5)
         assert proximities[1] is None
         assert proximities[0] == 0.5
         assert d_matrix == {0: [0, 1], 1: [2, 3]}
@@ -251,7 +277,7 @@ class TestPlaceService:
     def test_first_service_defines_anchor(self):
         ctx = line_context()
         app = app_of([Service(0, 20.0, 1.0, 1.0)])
-        host = place_on_line(ctx, [app]).plans[0].assignment[0]
+        host = place_on_line(ctx, [app])[0].assignment[0]
         assert host == 0  # the gateway is nearest and feasible
         assert ctx.network.assignment[host] == 0
 
@@ -263,18 +289,19 @@ class TestPlaceService:
         services = [Service(0, 20.0, 1.0, 1.0), Service(1, 50.0, 1.0, 1.0)]
         app = app_of(services)
         ranges = normalization_ranges(ctx.devices.values(), [app])
-        _, proximities = app_tables(ctx.fps, ctx.routes, 1_500_000.0, 0.0)
+        _, proximities = app_tables(ctx.fps, ctx.topology.transmission_times(0, 1_500_000.0), 0.0)
         assert rank_feature_partitions(ctx.fps, services[1], proximities, 1.0, ranges) == [1, 0]
-        plan = place_on_line(ctx, [app], alpha=1.0, beta=0.0).plans[0]
+        plan = place_on_line(ctx, [app], alpha=1.0, beta=0.0)[0]
         assert plan.assignment[0] == 0
         assert plan.assignment[1] in (0, 1)
 
     def test_anchor_exhaustion_yields_invalid(self):
         ctx = line_context(core_counts=(1, 1, 10, 10))
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        run = place_on_line(ctx, [app])
-        assert run.plans[0].assignment == {0: 0, 1: 1, 2: None}
-        assert residuals(run.residuals) == [
+        plans = place_on_line(ctx, [app])
+        assert plans[0].assignment == {0: 0, 1: 1, 2: None}
+        services = hosted(plans, [app])
+        assert [left_over(d, services.get(d.id, [])) for d in ctx.devices.values()] == [
             (0, 99.0, 99.0), (0, 99.0, 99.0), (10, 100.0, 100.0), (10, 100.0, 100.0)
         ]
 
@@ -319,7 +346,7 @@ class TestSelectFeaturePartitions:
     def test_ample_capacity_keeps_app_near_gateway(self):
         ctx = line_context()
         app = app_of([Service(i, 20.0, 1.0, 1.0) for i in range(3)])
-        plan = place_on_line(ctx, [app]).plans[0]
+        plan = place_on_line(ctx, [app])[0]
         assert plan.fully_placed
         partitions = {ctx.network.assignment[d] for d in plan.assignment.values()}
         assert partitions == {0}
@@ -329,14 +356,14 @@ class TestSelectFeaturePartitions:
         app = app_of(
             [Service(0, 20.0, 1.0, 1.0), Service(1, 20.0, 1000.0, 1.0)]
         )
-        plan = place_on_line(ctx, [app]).plans[0]
+        plan = place_on_line(ctx, [app])[0]
         assert plan.assignment[0] is not None
         assert plan.assignment[1] is None
 
     def test_core_exhaustion_spills_within_partition(self):
         ctx = line_context(core_counts=(1, 10, 10, 10))
         app = app_of([Service(0, 20.0, 1.0, 1.0), Service(1, 20.0, 1.0, 1.0)])
-        plan = place_on_line(ctx, [app]).plans[0]
+        plan = place_on_line(ctx, [app])[0]
         assert plan.assignment[0] == 0
         assert plan.assignment[1] == 1  # same network partition, different device
         assert ctx.network.assignment[plan.assignment[1]] == 0
@@ -344,7 +371,7 @@ class TestSelectFeaturePartitions:
     def test_rank_is_permutation_of_all_fps(self):
         ctx = line_context()
         s = Service(0, 25.0, 5.0, 5.0)
-        _, proximities = app_tables(ctx.fps, ctx.routes, 1.0, 0.5)
+        _, proximities = app_tables(ctx.fps, ctx.topology.transmission_times(0, 1.0), 0.5)
         rank = rank_feature_partitions(ctx.fps, s, proximities, 0.5, RANGES)
         assert sorted(rank) == [0, 1]
 
@@ -363,8 +390,7 @@ def toy_scenario_inputs():
 def baseline_plan(strategy, app, devices, network=None):
     """The plan one baseline run gives a single app requested at gateway 0."""
     topology = Topology(devices, [])
-    run = run_placement([app], topology, strategy, network=network)
-    return run.plans[app.id]
+    return run_placement([app], topology, strategy, network=network)[app.id]
 
 
 class TestBaselines:
@@ -403,12 +429,12 @@ class TestBaselines:
         )
         ctx = line_context()
         topology = Topology(devices, links)
-        run_ml = run_placement(
+        plans_ml = run_placement(
             apps, topology, "multilayer", feature_partitions=ctx.fps, network=network
         )
-        run_ff = run_placement(apps, topology, "first_fit")
-        placed_ml = sum(d is not None for p in run_ml.plans.values() for d in p.assignment.values())
-        placed_ff = sum(d is not None for p in run_ff.plans.values() for d in p.assignment.values())
+        plans_ff = run_placement(apps, topology, "first_fit")
+        placed_ml = sum(d is not None for p in plans_ml.values() for d in p.assignment.values())
+        placed_ff = sum(d is not None for p in plans_ff.values() for d in p.assignment.values())
         assert placed_ml >= placed_ff
 
 
@@ -454,18 +480,18 @@ class TestRunPlacementInvariants:
 
         topology = Topology(devices, links)
         fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
-        run = run_placement(
+        plans = run_placement(
             apps, topology, self.strategy, feature_partitions=fps, network=network
         )
-        return run, network, topology, apps
+        return plans, network, topology, apps
 
     def test_audit_replays_placement_valid(self):
         # the plans are the record of every admission: replay the CPU term of
         # placement_valid over them (the residual terms are checked below)
-        run, _, topology, apps = self.run_strategy()
+        plans, _, topology, apps = self.run_strategy()
         by_id = {app.id: app for app in apps}
         replayed = 0
-        for app_id, plan in run.plans.items():
+        for app_id, plan in plans.items():
             app = by_id[app_id]
             for sid, did in plan.assignment.items():
                 if did is not None:
@@ -474,40 +500,27 @@ class TestRunPlacementInvariants:
                     replayed += 1
         assert replayed
 
-    def test_residuals_non_negative_and_conserved(self):
-        run, _, topology, apps = self.run_strategy()
-        by_id = {app.id: app for app in apps}
-        hosted: dict[int, list[Service]] = {}
-        for app_id, plan in run.plans.items():
-            for sid, did in plan.assignment.items():
-                if did is not None:
-                    hosted.setdefault(did, []).append(by_id[app_id].service(sid))
+    def test_residuals_non_negative(self):
+        plans, _, topology, apps = self.run_strategy()
+        services = hosted(plans, apps)
+        assert services
         for d in topology.devices.values():
-            left = run.residuals[d.id]
-            assert left.cores >= 0
-            assert left.mem >= 0.0
-            assert left.storage >= 0.0
-            services = hosted.get(d.id, [])
-            assert left.cores == d.cores - len(services)
-            assert left.mem == pytest.approx(d.mem - sum(s.mem_demand for s in services))
-            assert left.storage == pytest.approx(
-                d.storage - sum(s.storage_demand for s in services)
-            )
+            assert min(left_over(d, services.get(d.id, []))) >= 0
 
     def test_app_confined_to_one_network_partition(self):
-        run, network, *_ = self.run_strategy()
-        for plan in run.plans.values():
+        plans, network, *_ = self.run_strategy()
+        for plan in plans.values():
             partitions = {
                 network.assignment[d] for d in plan.assignment.values() if d is not None
             }
             assert len(partitions) <= 1
 
     def test_response_times_attached_to_fully_placed_plans(self):
-        run, _, topology, apps = self.run_strategy()
+        plans, _, topology, apps = self.run_strategy()
         for app in apps:
-            plan = run.plans[app.id]
+            plan = plans[app.id]
             if plan.fully_placed:
-                expected = response_times(app, plan.assignment, topology, app.gateway)
+                expected = response_times(app, plan.assignment, topology, app.gateway)[:2]
                 assert (plan.per_service_rt, plan.app_rt) == expected
             else:
                 assert (plan.per_service_rt, plan.app_rt) == ({}, None)
@@ -515,9 +528,7 @@ class TestRunPlacementInvariants:
     def test_deterministic(self):
         a, *_ = self.run_strategy(seed=5)
         b, *_ = self.run_strategy(seed=5)
-        assert {k: p.assignment for k, p in a.plans.items()} == {
-            k: p.assignment for k, p in b.plans.items()
-        }
+        assert {k: p.assignment for k, p in a.items()} == {k: p.assignment for k, p in b.items()}
 
 
 class TestConnectivityGreedyInvariants(TestRunPlacementInvariants):
@@ -570,20 +581,12 @@ class TestResidualsProperty:
         topology = Topology(devices, links)
         fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
         for strategy in STRATEGIES:
-            run = run_placement(
+            plans = run_placement(
                 apps, topology, strategy, feature_partitions=fps, network=network
             )
-            hosted = {d.id: 0 for d in devices}
-            for plan in run.plans.values():
-                for did in plan.assignment.values():
-                    if did is not None:
-                        hosted[did] += 1
+            services = hosted(plans, apps)
             for d in devices:
-                left = run.residuals[d.id]
-                assert left.cores >= 0
-                assert left.mem >= 0.0
-                assert left.storage >= 0.0
-                assert left.cores == d.cores - hosted[d.id]
+                assert min(left_over(d, services.get(d.id, []))) >= 0
 
 
 @st.composite
@@ -619,7 +622,8 @@ def ranking_inputs(draw):
         0.0,
     )
     alpha, beta = draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.9)]))
-    routes = Topology(devices.values(), links).routes_from(draw(st.integers(0, n - 1)))
+    topology = Topology(devices.values(), links)
+    gateway = draw(st.integers(0, n - 1))
     service = Service(
         0,
         draw(st.floats(20.0, 60.0)),
@@ -627,23 +631,25 @@ def ranking_inputs(draw):
         draw(st.floats(1.0, 25.0)),
     )
     size = draw(st.floats(1.0, 5e6))
-    return fps, routes, service, size, alpha, beta
+    return fps, topology, gateway, service, size, alpha, beta
 
 
 class TestRankMatchesFitness:
     @settings(max_examples=150, deadline=None)
     @given(ranking_inputs())
     def test_rank_sorts_by_fitness_then_id(self, inputs):
-        fps, routes, service, size, alpha, beta = inputs
-        d_matrix, proximities = app_tables(fps, routes, size, beta)
+        fps, topology, gateway, service, size, alpha, beta = inputs
+        d_matrix, proximities = app_tables(fps, topology.transmission_times(gateway, size), beta)
         expected = sorted(
             fps.ids(),
-            key=lambda fp: (-fitness(fp, service, fps, routes, size, alpha, beta, RANGES), fp),
+            key=lambda fp: (
+                -fitness(fp, service, fps, topology, gateway, size, alpha, beta, RANGES),
+                fp,
+            ),
         )
         assert rank_feature_partitions(fps, service, proximities, alpha, RANGES) == expected
 
-        def t(did):
-            route = routes.get(did)
-            return math.inf if route is None else route[1] + size * route[2]
+        def by_t(did):
+            return (transmission_from(topology, gateway, did, size), did)
 
-        assert d_matrix == {fp: sorted(fps.device_index[fp], key=lambda d: (t(d), d)) for fp in fps.ids()}
+        assert d_matrix == {fp: sorted(fps.device_index[fp], key=by_t) for fp in fps.ids()}

@@ -57,6 +57,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             ScenarioConfig(**change)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": "x"},
+            {"seed": None},
+            {"seed": True},
+            {"device_count": False},
+            {"cores_range": ("10", "25")},
+            {"service_count_range": (2, None)},
+        ],
+    )
+    def test_non_integer_in_integer_field_rejected(self, change):
+        with pytest.raises(ConfigError, match=f"{next(iter(change))} must be an integer"):
+            ScenarioConfig(**change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"horizon_s": "10"},
+            {"latency_ms": None},
+            {"cloud_factor": True},
+            {"mem_range": (10.0, "25")},
+            {"deadline_range_ms": (False, 50000.0)},
+        ],
+    )
+    def test_non_number_in_float_field_rejected(self, change):
+        with pytest.raises(ConfigError, match=f"{next(iter(change))} must be a number"):
+            ScenarioConfig(**change)
+
+    def test_int_in_float_field_accepted(self):
+        assert ScenarioConfig(horizon_s=10, mem_range=(10, 25)).horizon_s == 10
+
     @pytest.mark.parametrize("value", ["no", "false", 1, 0, 1.0, None])
     def test_non_bool_in_bool_field_rejected(self, value):
         with pytest.raises(ConfigError, match="deadline_mode must be true or false"):

@@ -232,7 +232,7 @@ def oracle_run(scenario, plans, mode, horizon, period, seed):
         hosts = [] if plan is None else list(plan.assignment.values())
         if app is not None and hosts and all(h is not None and h not in dead for h in hosts):
             try:
-                _, rt = response_times(app, plan.assignment, topology, gateways[rid], dead)
+                _, rt, _ = response_times(app, plan.assignment, topology, gateways[rid], dead)
                 status = SATISFIED if rt < app.deadline else MISSED
             except UnreachableError:
                 pass
@@ -435,6 +435,6 @@ class TestRelayDeath:
         before, after = result.outcomes
         assert (before.status, after.status) == (SATISFIED, SATISFIED)
         (app,) = sc.instances()
-        _, expected = response_times(app, {0: 3}, sc.topology(), 0, frozenset({victim}))
+        _, expected, _ = response_times(app, {0: 3}, sc.topology(), 0, frozenset({victim}))
         assert after.rt_ms == expected
         assert (after.rt_ms != before.rt_ms) == rerouted
