@@ -14,7 +14,7 @@ from .model import (
     response_times,
     transmission_time,
 )
-from .multilayer import Layer, LayerView, MultilayerGraph, build_multilayer
+from .multilayer import Layer, LayerView, MultilayerGraph, SimilarityView, build_multilayer
 from .partitioner import (
     CompressedGraph,
     FeaturePartitionSet,

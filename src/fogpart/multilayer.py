@@ -5,11 +5,18 @@ are complete graphs over the same devices whose edge weights encode how
 close two devices are in that single resource dimension. The coupling of
 a device's replicas across layers is not stored as edges; compression
 links two layer partitions exactly when they share a device.
+
+A complete layer holds n(n-1) weights, so the graph keeps only each
+device's resource value there (``SimilarityView``). A resource layer's rows
+are built when they are read, and live as long as the reader holds them:
+``partitioner.louvain_partition`` reads them once, for one Louvain run, so
+partitioning holds at most one resource layer's weights at a time.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, TypeVar
@@ -47,13 +54,17 @@ def resource_value(device: Device, layer: Layer) -> float:
 
 @dataclass(frozen=True)
 class LayerView:
-    """One layer as index-ordered rows, the form the Louvain core reads.
+    """One layer as stored index-ordered rows, the form the Louvain core reads.
 
     ``nodes`` holds the device ids ascending. ``rows[k]`` is the ``Row`` of
     ``nodes[k]``: the positions in ``nodes`` of its neighbours, ascending, and
     an ``array('d')`` of the edge weights in the same order. Every undirected
-    edge sits in both rows, and no row holds its own position. Rows may share
-    one position list. ``len(view)`` is the undirected edge count.
+    edge sits in both rows, and no row holds its own position.
+    ``len(view)`` is the undirected edge count.
+
+    The network layer is stored this way. A resource layer is a
+    ``SimilarityView``, which reads the same way but builds its rows on each
+    read; they live for one Louvain run.
     """
 
     layer: Layer
@@ -65,11 +76,67 @@ class LayerView:
 
 
 @dataclass(frozen=True)
+class SimilarityView:
+    """A complete resource layer, kept as its devices' values, ascending by id.
+
+    Reading ``rows`` builds the ``LayerView`` rows of the complete graph
+    weighted 1 / (1 + |R_i - R_j|): every weight array at once, each time
+    it is read. Nothing keeps them, so they are freed when the reader drops
+    them. ``len(view)`` is n(n-1)/2 and builds nothing.
+    """
+
+    layer: Layer
+    nodes: tuple[int, ...]
+    values: tuple[float, ...]
+
+    @property
+    def rows(self) -> CompleteRows:
+        vals = self.values
+        rows = []
+        for k, va in enumerate(vals):
+            # each row computes its own weights; abs(a - b) == abs(b - a), so
+            # the two rows of a pair hold the same float
+            weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
+            del weights[k]
+            rows.append(weights)
+        return CompleteRows(rows)
+
+    def __len__(self) -> int:
+        n = len(self.nodes)
+        return n * (n - 1) // 2
+
+
+class CompleteRows(Sequence[Row]):
+    """The rows of a complete graph, from one weight array per node.
+
+    Row k's positions are every other index, ascending. They are made each
+    time the row is read: stored, they would take n(n-1) list slots.
+    """
+
+    def __init__(self, weights: list[array]) -> None:
+        self._weights = weights
+        self._every = list(range(len(weights)))
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __getitem__(self, k: int) -> Row:
+        weights = self._weights[k]
+        positions = self._every.copy()
+        del positions[k]
+        return positions, weights
+
+
+#: A layer in either form; both read alike.
+View = LayerView | SimilarityView
+
+
+@dataclass(frozen=True)
 class MultilayerGraph:
     """Devices replicated across the four layers, with each layer's view."""
 
     devices: tuple[Device, ...]
-    intra_edges: Mapping[Layer, LayerView]
+    intra_edges: Mapping[Layer, View]
 
 
 def pack_row(row: Mapping[int, float]) -> Row:
@@ -96,25 +163,15 @@ def build_multilayer(topology: Topology) -> MultilayerGraph:
 
     Network edges mirror the physical links with unit weight. Each resource
     layer is the complete similarity graph over all devices, weighted
-    1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources.
+    1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources;
+    its weights are built when its rows are read (``SimilarityView``).
     """
     ordered = tuple(sorted(topology.devices.values(), key=lambda d: d.id))
     ids = tuple(d.id for d in ordered)
     index = {did: k for k, did in enumerate(ids)}
     # ascending neighbour ids give ascending positions, as every row needs
     network = tuple(pack_row({index[n]: 1.0 for n in topology.adj[did]}) for did in ids)
-    intra: dict[Layer, LayerView] = {Layer.NETWORK: LayerView(Layer.NETWORK, ids, network)}
-    # every complete layer shares one position list per node: all others, ascending
-    every = list(range(len(ids)))
-    others = [every[:k] + every[k + 1 :] for k in every]
+    intra: dict[Layer, View] = {Layer.NETWORK: LayerView(Layer.NETWORK, ids, network)}
     for layer in RESOURCE_LAYERS:
-        vals = [resource_value(d, layer) for d in ordered]
-        rows = []
-        for k, va in enumerate(vals):
-            # each row computes its own weights; abs(a - b) == abs(b - a), so
-            # the two rows of a pair hold the same float
-            weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
-            del weights[k]
-            rows.append((others[k], weights))
-        intra[layer] = LayerView(layer, ids, tuple(rows))
+        intra[layer] = SimilarityView(layer, ids, tuple(resource_value(d, layer) for d in ordered))
     return MultilayerGraph(devices=ordered, intra_edges=intra)

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import Device, sum_in_order
-from .multilayer import Layer, LayerView, MultilayerGraph, RESOURCE_LAYERS, Row, index_rows, pack_row
+from .multilayer import Layer, MultilayerGraph, RESOURCE_LAYERS, Row, View, index_rows, pack_row
 
 #: Minimum improvement treated as a strictly positive modularity gain.
 GAIN_EPS = 1e-12
@@ -210,21 +210,27 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
     if not moved:
         return comm, False
 
-    kept = [_row_links(row, comm) for row in adj]
-    count = [Counter(map(comm.__getitem__, positions)) for positions, _ in adj]
+    # a complete layer's rows are made on each read (``multilayer.CompleteRows``),
+    # so each row is read once here and later only to re-sum it or spread a move
+    kept: list[dict[int, float]] = []
+    count: list[Counter[int]] = []
+    degree: list[int] = []
+    for row in adj:
+        kept.append(_row_links(row, comm))
+        count.append(Counter(map(comm.__getitem__, row[0])))
+        degree.append(len(row[0]))
     moves = 0
     fresh = [0] * n
     while moved:
         moved = False
         for i in range(n):
             ci = comm[i]
-            row = adj[i]
             s_i = strength[i]
             comm_strength[ci] -= s_i
-            tol = _ROUND * (s_i / w * (len(row[0]) + moves - fresh[i] + 3) + GAIN_EPS)
+            tol = _ROUND * (s_i / w * (degree[i] + moves - fresh[i] + 3) + GAIN_EPS)
             best_c = _best_move(kept[i], ci, s_i, comm_strength, w, tol)
             if best_c is None:
-                kept[i] = _row_links(row, comm)
+                kept[i] = _row_links(adj[i], comm)
                 fresh[i] = moves
                 best_c = _best_move(kept[i], ci, s_i, comm_strength, w, -1.0)
             comm[i] = best_c
@@ -233,7 +239,7 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
                 continue
             moved = True
             moves += 1
-            for j, wij in zip(*row):
+            for j, wij in zip(*adj[i]):
                 links, nbrs = kept[j], count[j]
                 if nbrs[ci] == 1:
                     del links[ci], nbrs[ci]
@@ -301,10 +307,11 @@ def _louvain(
 ) -> tuple[list[frozenset[Hashable]], float]:
     """Two-phase Louvain; returns the best partition seen and its modularity.
 
-    ``adj`` holds the index-ordered rows of ``node_ids`` (see ``index_rows``)
-    and is read as it is. Each iterative step runs the local-move phase and
-    then aggregates the communities into a new network; the loop stops at
-    the first step that fails to improve modularity.
+    ``adj`` holds the index-ordered rows of ``node_ids`` (see ``index_rows``
+    and ``multilayer.CompleteRows``) and is read as it is. Each iterative
+    step runs the local-move phase and then aggregates the communities into
+    a new network; the loop stops at the first step that fails to improve
+    modularity.
     """
     loops = [0.0] * len(node_ids)
     strength = _strengths(adj, loops)
@@ -340,11 +347,12 @@ def _label_partitions(parts: Iterable[frozenset]) -> list[frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def louvain_partition(view: LayerView) -> PartitionSet:
+def louvain_partition(view: View) -> PartitionSet:
     """Two-phase Louvain partitioning of one layer.
 
     The sweep order is fixed (ascending device id), which makes the result
-    deterministic.
+    deterministic. ``view.rows`` is read once; a resource layer builds its
+    rows on that read, and they are freed when this call returns.
     """
     if not view.nodes:
         raise ValueError("cannot partition an empty layer view")
@@ -444,7 +452,8 @@ def multilayer_resource_partition(
     layers, computes per-partition feature triplets, and clusters the
     compressed graph. Returns (feature partitions, network partitions,
     per-resource-layer partitions); placement reads the first two, and the
-    layer partitions are kept for reporting.
+    layer partitions are kept for reporting. The layers are partitioned one
+    after another, so at most one resource layer's weights exist at a time.
     """
     network = louvain_partition(graph.intra_edges[Layer.NETWORK])
     layer_sets: dict[Layer, PartitionSet] = {}

@@ -122,18 +122,65 @@ def _app_to_dict(app: Application) -> dict[str, Any]:
     }
 
 
-def _app_from_dict(data: Mapping[str, Any]) -> Application:
-    return Application(
-        id=data["id"],
-        services=[
-            Service(s["id"], s["workload_mi"], s["mem_gb"], s["storage_tb"])
-            for s in data["services"]
-        ],
-        messages=[
-            Message(m["source"], m["destination"], m["size_bytes"]) for m in data["messages"]
-        ],
-        deadline=data["deadline_ms"],
-    )
+#: A scenario record's integer keys and then its number keys, each in the
+#: order of the constructor's arguments.
+_DEVICE_KEYS = (("id", "cores"), ("cpu_speed_mi_s", "mem_gb", "storage_tb"))
+_LINK_KEYS = (("a", "b"), ("bandwidth_bytes_ms", "latency_ms"))
+_APP_KEYS = (("id",), ("deadline_ms",))
+_SERVICE_KEYS = (("id",), ("workload_mi", "mem_gb", "storage_tb"))
+_MESSAGE_KEYS = (("source", "destination"), ("size_bytes",))
+_REQUEST_KEYS = (("request_id", "app_id", "gateway"), ())
+
+
+def _apps_from_dicts(apps: list) -> list[Application]:
+    heads = _fields(apps, "apps", *_APP_KEYS)
+    return [
+        Application(
+            id=app_id,
+            services=[
+                Service(*values)
+                for values in _fields(app["services"], f"apps[{k}].services", *_SERVICE_KEYS)
+            ],
+            messages=[
+                Message(*values)
+                for values in _fields(app["messages"], f"apps[{k}].messages", *_MESSAGE_KEYS)
+            ],
+            deadline=deadline,
+        )
+        for k, (app, (app_id, deadline)) in enumerate(zip(apps, heads))
+    ]
+
+
+def _fields(
+    records: list, where: str, ints: tuple[str, ...], numbers: tuple[str, ...]
+) -> Iterator[tuple]:
+    """Each record's values at the keys ``ints`` and then ``numbers``, type-checked.
+
+    The rule is ``ScenarioConfig``'s: an integer is an ``int``, and a number
+    is a finite ``int`` or ``float``; a bool is neither. The columns are
+    checked whole; only a failure looks for the record at fault, which the
+    ValueError names within ``where``, as in ``devices[0].cores``.
+    """
+    keys = ints + numbers
+    columns = [list(map(itemgetter(key), records)) for key in keys]
+    for key, column in zip(keys, columns):
+        integer = key in ints
+        if not _column_ok(column, integer):
+            k = next(k for k, value in enumerate(column) if not _column_ok([value], integer))
+            expected = "an integer" if integer else "a finite number"
+            bad = json.dumps(column[k])
+            raise ValueError(f"scenario {where}[{k}].{key} is {bad}; expected {expected}")
+    return zip(*columns)
+
+
+def _column_ok(column: list, integer: bool) -> bool:
+    types = set(map(type, column))
+    if integer or types <= {int}:
+        return types <= {int}
+    try:
+        return types <= {int, float} and all(map(math.isfinite, column))
+    except OverflowError:  # an int too large for a float, which is still finite
+        return all(-math.inf < v < math.inf for v in column)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
@@ -179,18 +226,12 @@ def scenario_from_dict(data: Mapping[str, Any], schedule: bool = True) -> Scenar
             _check_schedule(rows)
         return Scenario(
             config=config_from_dict(data["config"]),
-            devices=[
-                Device(d["id"], d["cores"], d["cpu_speed_mi_s"], d["mem_gb"], d["storage_tb"])
-                for d in data["devices"]
-            ],
-            links=[
-                NetworkLink(l["a"], l["b"], l["bandwidth_bytes_ms"], l["latency_ms"])
-                for l in data["links"]
-            ],
+            devices=[Device(*values) for values in _fields(data["devices"], "devices", *_DEVICE_KEYS)],
+            links=[NetworkLink(*values) for values in _fields(data["links"], "links", *_LINK_KEYS)],
             cloud_id=data["cloud_id"],
-            apps=[_app_from_dict(a) for a in data["apps"]],
+            apps=_apps_from_dicts(data["apps"]),
             requests=[
-                AppRequest(r["request_id"], r["app_id"], r["gateway"]) for r in data["requests"]
+                AppRequest(*values) for values in _fields(data["requests"], "requests", *_REQUEST_KEYS)
             ],
             schedule=rows if schedule else [],
         )
@@ -349,8 +390,7 @@ def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], 
     with _required_keys("plans"):
         for request_id, body in data["plans"].items():
             assignment = {
-                int(sid): (None if dev == INVALID_MARK else int(dev))
-                for sid, dev in body["assignment"].items()
+                int(sid): _host(request_id, sid, dev) for sid, dev in body["assignment"].items()
             }
             plans[int(request_id)] = PlacementPlan(
                 assignment=assignment,
@@ -358,6 +398,19 @@ def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], 
                 app_rt=body["app_rt_ms"],
             )
         return plans, data["strategy"]
+
+
+def _host(request_id: str, sid: str, dev: Any) -> int | None:
+    """A plan's host for a service: a device id, or None for ``INVALID_MARK``."""
+    if dev == INVALID_MARK:
+        return None
+    # int("33"), int(33.7) and int(True) would all read as device ids
+    if type(dev) is not int:
+        raise ValueError(
+            f"plan of request {request_id} puts service {sid} on {json.dumps(dev)}; "
+            f"expected a device id or {json.dumps(INVALID_MARK)}"
+        )
+    return dev
 
 
 @contextmanager

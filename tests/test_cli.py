@@ -253,6 +253,19 @@ def plan_names_unknown_device(scenario, tmp):
     return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": 99999}))
 
 
+def plan_host_of_float(scenario, tmp):
+    # was replayed on device int(33.7) == 33
+    return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": 33.7}))
+
+
+def plan_host_of_text(scenario, tmp):
+    return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": "33"}))
+
+
+def plan_host_of_bool(scenario, tmp):
+    return edited_plans(scenario, tmp, lambda assignment: assignment.update({"0": True}))
+
+
 def edited_scenario(scenario, tmp, edit):
     """A copy of ``scenario`` with ``edit`` applied to its JSON document."""
     data = json.loads(scenario.read_text())
@@ -417,6 +430,19 @@ def device_cores_of_text(scenario, tmp):
     return place_edited(scenario, tmp, lambda data: data["devices"][0].update(cores="x"))
 
 
+def device_cores_of_float(scenario, tmp):
+    # was placed with 2.5 cores
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].update(cores=2.5))
+
+
+def device_cores_of_bool(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].update(cores=True))
+
+
+def device_mem_of_text(scenario, tmp):
+    return place_edited(scenario, tmp, lambda data: data["devices"][0].update(mem_gb="10"))
+
+
 def scenario_config_unknown_key(scenario, tmp):
     # died with "TypeError: ...got an unexpected keyword argument 'bogus'"
     return place_edited(scenario, tmp, lambda data: data["config"].update(bogus=1))
@@ -473,6 +499,9 @@ BAD_INPUTS = [
     (partitions_schema_1, "schema_version 1"),
     (plan_omits_a_service, "plan of request 0 assigns services"),
     (plan_names_unknown_device, "on device 99999, which is not in the scenario"),
+    (plan_host_of_float, 'plan of request 0 puts service 0 on 33.7; expected a device id or "invalid"'),
+    (plan_host_of_text, 'plan of request 0 puts service 0 on "33"; expected a device id'),
+    (plan_host_of_bool, "plan of request 0 puts service 0 on true; expected a device id"),
     (request_names_unknown_app, "request 0 names unknown app 999"),
     (request_on_unknown_gateway, "request 0's gateway 9999 is not a device"),
     (scenario_schema_1, "scenario document has schema_version 1, expected 2"),
@@ -498,7 +527,10 @@ BAD_INPUTS = [
     (partitions_missing_key, "partitions document is missing key 'device_index'"),
     (partitions_unknown_layer, "unknown layer 'BOGUS'"),
     (plans_missing_key, "plans document is missing key 'app_rt_ms'"),
-    (device_cores_of_text, "scenario document is malformed: '<' not supported"),
+    (device_cores_of_text, 'scenario devices[0].cores is "x"; expected an integer'),
+    (device_cores_of_float, "scenario devices[0].cores is 2.5; expected an integer"),
+    (device_cores_of_bool, "scenario devices[0].cores is true; expected an integer"),
+    (device_mem_of_text, 'scenario devices[0].mem_gb is "10"; expected a finite number'),
     (scenario_config_unknown_key, "unexpected keyword argument 'bogus'"),
     (scenario_config_of_list, "scenario document is malformed: config must be a JSON object"),
     (plans_of_list, "plans document is malformed: 'list' object has no attribute 'items'"),

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from array import array
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogpart.model import Device, NetworkLink, Topology
 from fogpart.multilayer import Layer, RESOURCE_LAYERS, build_multilayer, resource_value
+from fogpart.partitioner import multilayer_resource_partition
+from fogpart.scenario import ScenarioConfig, generate_scenario
 
 from conftest import infrastructures, make_view
 
@@ -54,6 +58,11 @@ class TestSimilarityWeight:
                 assert 0.0 < w <= 1.0
 
 
+def materialized(graph):
+    """Each layer's nodes and rows, as the Louvain core reads them."""
+    return {layer: (view.nodes, list(view.rows)) for layer, view in graph.intra_edges.items()}
+
+
 def small_infrastructure():
     devices = devices_with_speeds([20.0, 30.0, 40.0, 50.0])
     links = [
@@ -82,7 +91,7 @@ class TestBuildMultilayer:
             reversed(list(topology.devices.values())),
             [NetworkLink(b, a, 75000.0, 5.0) for a, b in ((2, 3), (1, 2), (0, 1))],
         )
-        assert build_multilayer(topology).intra_edges == build_multilayer(shuffled).intra_edges
+        assert materialized(build_multilayer(topology)) == materialized(build_multilayer(shuffled))
 
 
 class TestLayerView:
@@ -146,3 +155,70 @@ class TestRowsMatchDictBuilder:
             assert view.nodes == ids
             assert [positions for positions, _ in view.rows] == [list(row) for row in layers[layer]]
             assert [list(weights) for _, weights in view.rows] == [list(row.values()) for row in layers[layer]]
+            assert len(view) == sum(len(row) for row in layers[layer]) // 2
+
+
+def eager_resource_rows(ordered, layer):
+    """A frozen copy of the builder that stored every resource layer's rows up front."""
+    vals = [resource_value(d, layer) for d in ordered]
+    every = list(range(len(vals)))
+    others = [every[:k] + every[k + 1 :] for k in every]
+    rows = []
+    for k, va in enumerate(vals):
+        weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
+        del weights[k]
+        rows.append((others[k], weights))
+    return tuple(rows)
+
+
+@st.composite
+def fleets(draw):
+    """1-40 devices with sparse ids and often repeated resources, in any order."""
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=40, unique=True))
+    value = st.sampled_from([10.0, 12.5, 20.0, 21.0, 60.0]) | st.floats(10.0, 60.0)
+    return draw(st.permutations([Device(i, 4, draw(value), draw(value), draw(value)) for i in ids]))
+
+
+class TestRowsBuiltOnRead:
+    @settings(max_examples=200, deadline=None)
+    @given(fleets())
+    def test_rows_equal_the_eager_builder_bit_for_bit(self, devices):
+        graph = build_multilayer(Topology(devices, []))
+        ordered = sorted(devices, key=lambda d: d.id)
+        for layer in RESOURCE_LAYERS:
+            view = graph.intra_edges[layer]
+            expected = eager_resource_rows(ordered, layer)
+            rows = view.rows
+            assert len(rows) == len(expected)
+            for k, (want_positions, want_weights) in enumerate(expected):
+                positions, weights = rows[k]
+                assert type(positions) is list and positions == want_positions
+                assert weights.typecode == "d" and weights.tobytes() == want_weights.tobytes()
+            assert list(rows) == list(expected)
+            assert rows[-1] == expected[-1]
+            assert len(view) == sum(len(positions) for positions, _ in expected) // 2
+
+    def test_each_read_builds_fresh_rows(self):
+        view = build_multilayer(small_infrastructure()).intra_edges[Layer.CPU]
+        rows = view.rows
+        rows[0][0].append(99)  # a reader may keep or change what it read
+        assert rows[0][0] == [1, 2, 3]
+        assert view.rows is not rows and list(view.rows) == list(rows)
+
+    def test_partitioning_holds_one_resource_layer_at_a_time(self):
+        n = 400
+        cfg = ScenarioConfig(device_count=n, gateway_count=n // 4).with_scale("LARGE")
+        topology = generate_scenario(cfg).topology()
+        one_layer = n * (n - 1) * 8  # bytes of one resource layer's weights
+        tracemalloc.start()
+        try:
+            graph = build_multilayer(topology)
+            built = tracemalloc.get_traced_memory()[0]
+            multilayer_resource_partition(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # on Python 3.11, storing every layer's rows up front held 4.3 layers
+        # after the build and peaked at 5.0; built on read, 0.1 and 1.9
+        assert built < one_layer / 4
+        assert peak < 3 * one_layer

@@ -268,6 +268,70 @@ class TestScheduleRows:
             scenario_from_dict(self.document(None))
 
 
+#: (path to a record in a scenario document, key) of every integer field
+INT_FIELDS = [
+    (("devices", 1), "id"), (("devices", 1), "cores"), (("links", 0), "a"), (("links", 0), "b"),
+    (("apps", 0), "id"), (("apps", 0, "services", 0), "id"),
+    (("apps", 0, "messages", 0), "source"), (("apps", 0, "messages", 0), "destination"),
+    (("requests", 0), "request_id"), (("requests", 0), "app_id"), (("requests", 0), "gateway"),
+]
+#: ... and of every number field
+NUMBER_FIELDS = [
+    (("devices", 1), "cpu_speed_mi_s"), (("devices", 1), "mem_gb"), (("devices", 1), "storage_tb"),
+    (("links", 0), "bandwidth_bytes_ms"), (("links", 0), "latency_ms"), (("apps", 0), "deadline_ms"),
+    (("apps", 0, "services", 0), "workload_mi"), (("apps", 0, "services", 0), "mem_gb"),
+    (("apps", 0, "services", 0), "storage_tb"), (("apps", 0, "messages", 0), "size_bytes"),
+]
+
+
+class TestRecordFieldTypes:
+    """Each scenario record field reads only under ``ScenarioConfig``'s type rule."""
+
+    def document(self):
+        app = Application(0, [Service(0, 1.0, 1.0, 1.0)], [Message(USER, 0, 1.0)], 10.0)
+        scenario = Scenario(
+            config=ScenarioConfig(),
+            devices=[Device(0, 1, 1.0, 1.0, 1.0), Device(1, 2, 2.0, 2.0, 2.0)],
+            links=[NetworkLink(0, 1, 1.0, 0.0)],
+            cloud_id=1,
+            apps=[app],
+            requests=[AppRequest(0, app_id=0, gateway=1)],
+        )
+        return through_json(scenario_to_dict(scenario))
+
+    def test_ints_stand_for_numbers(self):
+        data = self.document()
+        # an int too large for a float is still a finite number
+        data["devices"][1].update(cpu_speed_mi_s=3, mem_gb=4, storage_tb=10**400)
+        data["apps"][0]["deadline_ms"] = 7
+        assert scenario_from_dict(data).devices[1] == Device(1, 2, 3.0, 4.0, 10**400)
+
+    @pytest.mark.parametrize(
+        "record, key, bad, expected",
+        [
+            (record, key, bad, "an integer")
+            for record, key in INT_FIELDS
+            for bad in [True, 2.5, "1", None, [1]]
+        ]
+        + [
+            (record, key, bad, "a finite number")
+            for record, key in NUMBER_FIELDS
+            for bad in [False, float("nan"), float("-inf"), "1", None]
+        ],
+        ids=repr,
+    )
+    def test_wrong_type_named_by_path(self, record, key, bad, expected):
+        data = self.document()
+        target = data
+        for step in record:
+            target = target[step]
+        target[key] = bad
+        where = "".join(f"[{step}]" if type(step) is int else f".{step}" for step in record)
+        with pytest.raises(ValueError) as info:
+            scenario_from_dict(data, schedule=False)
+        assert str(info.value) == f"scenario {where[1:]}.{key} is {json.dumps(bad)}; expected {expected}"
+
+
 class TestPartitionsRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(partition_results())
@@ -300,6 +364,15 @@ class TestPlansRoundTrip:
         assert data["plans"]["7"]["assignment"] == {"0": 3, "1": "invalid"}
         assert data["plans"]["7"]["app_rt_ms"] is None
         assert plans_from_dict(data) == (plans, "first_fit")
+
+    @pytest.mark.parametrize("host", [33.7, 3.0, "3", True, None, "INVALID"], ids=repr)
+    def test_host_is_a_device_id_or_invalid(self, host):
+        data = through_json(plans_to_dict({7: PlacementPlan(assignment={0: 3})}, "first_fit", 0.5, 0.5))
+        data["plans"]["7"]["assignment"]["0"] = host
+        expected = f'plan of request 7 puts service 0 on {json.dumps(host)}; expected a device id or "invalid"'
+        with pytest.raises(ValueError) as info:
+            plans_from_dict(data)
+        assert str(info.value) == expected
 
 
 class TestSchemaVersion:
