@@ -123,8 +123,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     scenario = scenario_from_dict(load_json(args.scenario), schedule=False)
-    if not scenario.devices:
-        raise ConfigError("scenario has no devices to partition")
     graph = build_multilayer(scenario.topology())
     fps, network, layer_sets = multilayer_resource_partition(graph)
     out = Path(args.out)
@@ -160,11 +158,18 @@ def cmd_place(args: argparse.Namespace) -> int:
                 "partitions were built for another scenario: their scenario config hash differs"
             )
         # a hand-edited scenario.json keeps its config hash but may change the devices
-        if network.assignment.keys() != {d.id for d in scenario.devices}:
+        ids = {d.id for d in scenario.devices}
+        if network.assignment.keys() != ids:
             raise ConfigError(
                 f"partitions were built for another scenario: they cover "
                 f"{len(network.assignment)} devices, not the scenario's {len(scenario.devices)}"
             )
+        for fp, devs in sorted(fps.device_index.items()):
+            if not devs <= ids:
+                raise ConfigError(
+                    f"feature partition {fp} holds device {min(devs - ids, key=repr)}, "
+                    f"which is not in the scenario"
+                )
     topology = scenario.topology()
     instances = scenario.instances()
     plans = run_placement(
@@ -248,6 +253,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not metrics_path.exists():
             raise ConfigError(f"run directory {run_dir} has no metrics.json")
         data = load_json(metrics_path)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{metrics_path} holds {type(data).__name__}, not a JSON object")
         row = {col: data.get(col) for col in (*REPORT_COLUMNS, "hop_histogram")}
         row["run"] = run_dir.name
         rows.append(row)

@@ -7,16 +7,16 @@ a device's replicas across layers is not stored as edges; compression
 links two layer partitions exactly when they share a device.
 
 A complete layer holds n(n-1) weights, so the graph keeps only each
-device's resource value there (``SimilarityView``). A resource layer's rows
-are built when they are read, and live as long as the reader holds them:
-``partitioner.louvain_partition`` reads them once, for one Louvain run, so
-partitioning holds at most one resource layer's weights at a time.
+device's resource value there (``SimilarityView``). A resource layer's
+weights are built when ``SimilarityView.weights`` is called, and live as
+long as the caller holds them: ``partitioner.louvain_partition`` builds them
+once, for one Louvain run, so partitioning holds at most one resource
+layer's weights at a time.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, TypeVar
@@ -63,8 +63,7 @@ class LayerView:
     ``len(view)`` is the undirected edge count.
 
     The network layer is stored this way. A resource layer is a
-    ``SimilarityView``, which reads the same way but builds its rows on each
-    read; they live for one Louvain run.
+    ``SimilarityView``: a complete graph, kept as one value per device.
     """
 
     layer: Layer
@@ -79,55 +78,38 @@ class LayerView:
 class SimilarityView:
     """A complete resource layer, kept as its devices' values, ascending by id.
 
-    Reading ``rows`` builds the ``LayerView`` rows of the complete graph
-    weighted 1 / (1 + |R_i - R_j|): every weight array at once, each time
-    it is read. Nothing keeps them, so they are freed when the reader drops
-    them. ``len(view)`` is n(n-1)/2 and builds nothing.
+    The layer is the complete graph weighted 1 / (1 + |R_i - R_j|).
+    ``weights()`` builds its weights; ``len(view)`` is n(n-1)/2 and builds
+    nothing.
     """
 
     layer: Layer
     nodes: tuple[int, ...]
     values: tuple[float, ...]
 
-    @property
-    def rows(self) -> CompleteRows:
+    def weights(self) -> list[array]:
+        """Every node's weights to all n nodes, with 0.0 in its own slot.
+
+        Entry j of array k is the weight between ``nodes[k]`` and
+        ``nodes[j]``. Each call builds every array afresh; nothing keeps
+        them, so they are freed when the caller drops them. Each array
+        computes its own weights, and abs(a - b) == abs(b - a), so the
+        two arrays of a pair hold the same float.
+        """
         vals = self.values
         rows = []
         for k, va in enumerate(vals):
-            # each row computes its own weights; abs(a - b) == abs(b - a), so
-            # the two rows of a pair hold the same float
             weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
-            del weights[k]
+            weights[k] = 0.0
             rows.append(weights)
-        return CompleteRows(rows)
+        return rows
 
     def __len__(self) -> int:
         n = len(self.nodes)
         return n * (n - 1) // 2
 
 
-class CompleteRows(Sequence[Row]):
-    """The rows of a complete graph, from one weight array per node.
-
-    Row k's positions are every other index, ascending. They are made each
-    time the row is read: stored, they would take n(n-1) list slots.
-    """
-
-    def __init__(self, weights: list[array]) -> None:
-        self._weights = weights
-        self._every = list(range(len(weights)))
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __getitem__(self, k: int) -> Row:
-        weights = self._weights[k]
-        positions = self._every.copy()
-        del positions[k]
-        return positions, weights
-
-
-#: A layer in either form; both read alike.
+#: A layer in either form.
 View = LayerView | SimilarityView
 
 
@@ -164,7 +146,7 @@ def build_multilayer(topology: Topology) -> MultilayerGraph:
     Network edges mirror the physical links with unit weight. Each resource
     layer is the complete similarity graph over all devices, weighted
     1 / (1 + |R_i - R_j|) in (0, 1], where 1 means identical resources;
-    its weights are built when its rows are read (``SimilarityView``).
+    its weights are built only when read (``SimilarityView.weights``).
     """
     ordered = tuple(sorted(topology.devices.values(), key=lambda d: d.id))
     ids = tuple(d.id for d in ordered)

@@ -11,13 +11,26 @@ a partition is identical before and after aggregation.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .model import Device, sum_in_order
-from .multilayer import Layer, MultilayerGraph, RESOURCE_LAYERS, Row, View, index_rows, pack_row
+from .multilayer import (
+    Layer,
+    MultilayerGraph,
+    RESOURCE_LAYERS,
+    Row,
+    SimilarityView,
+    View,
+    index_rows,
+    pack_row,
+)
 
 #: Minimum improvement treated as a strictly positive modularity gain.
 GAIN_EPS = 1e-12
@@ -81,6 +94,14 @@ class FeaturePartitionSet:
 # adj[i] is node i's Row (see ``multilayer.LayerView``: symmetric, no self
 # entries); loops[i] is the node's ordered-pair internal mass (zero on raw
 # graphs, 2x the merged undirected intra weight after aggregation).
+#
+# Level 0 of a complete resource layer is read as one full weight array per
+# node instead (``SimilarityView.weights``). Every community then holds a
+# neighbour of every node, so a link sum is a gather over the community's
+# members (``_link_sums``), which adds the row's weights in row order, and
+# the first sweep skips the singletons that cannot win
+# (``_first_sweep_complete``). Its labels, rows and Q equal the row path's
+# bit for bit; levels >= 1 are rows again.
 # ---------------------------------------------------------------------------
 
 
@@ -103,7 +124,7 @@ def _singletons_modularity(loops: Sequence[float], strength: Sequence[float]) ->
 
 
 #: Scale of the rounding bound on gains from kept link sums: 8 units of
-#: roundoff (8 * 2**-53); see ``_phase1``.
+#: roundoff (8 * 2**-53); see ``_later_sweeps``.
 _ROUND = 2.0**-50
 
 
@@ -161,36 +182,12 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
     than GAIN_EPS; ties keep the current community (``_best_move``).
 
     The first sweep sums every node's links into each neighbouring community
-    from its row, in row order. If anything moved, the phase then keeps those
-    sums per node, with the number of neighbours behind each: one pass builds
-    them, and each later move of a node updates its neighbours' entries,
-    subtracting each link from the old community and adding it to the new
-    one, and dropping an entry whose count reaches 0. The kept keys are thus
+    from its row, in row order. If anything moved, one pass then keeps those
+    sums per node, with the number of neighbours behind each, and the later
+    sweeps decide from them (``_later_sweeps``): each move of a node
+    subtracts each of its links from the old community and adds it to the
+    new one, and drops an entry whose count reaches 0. The kept keys are thus
     exactly the communities a re-sum would find.
-
-    A kept sum can differ from the row-order re-sum in its last bits, so it
-    decides a node only when no comparison is close. With u = 2**-53,
-    weights >= 0 (and no underflow), s the node's strength, d its degree and
-    t the moves made since its sums were last exact (``moves - fresh[i]``):
-    - every link sum, kept or re-summed, lies in [0, s] (up to roundoff);
-    - the re-sum of up to d terms is within d*u*s of the real sum, and so is
-      the kept sum when built or refreshed from it; each of the at most 2t
-      later updates rounds once, by at most u*s;
-    - so the two sums differ by at most (2d + 2t)*u*s. Each gain
-      ``k/w - c*s/(2w^2)`` has both terms in [0, s/w] (community strengths
-      are at most 2w) and the second term is computed identically on both
-      paths; the division and the subtraction add 2u*s/w more per path, so
-      the gains differ by at most u*(s/w)*(2d + 2t + 4);
-    - the threshold ``best_gain + GAIN_EPS`` inherits that error plus
-      2u*(s/w + GAIN_EPS) from its own rounding.
-    A comparison whose kept margin exceeds u*((s/w)*(4d + 4t + 10) +
-    2*GAIN_EPS) therefore has the sign of the exact one. ``tol`` is at least
-    twice that, which also covers the roundoff of computing it. When some
-    margin is within ``tol``, the node's row is re-summed in row order, its
-    kept sums are replaced by the re-sums, and the decision is taken from
-    them: the same path and the same floats as a full re-sum. Every decision, and with
-    it every label, therefore equals that of re-summing each row on every
-    sweep.
     """
     n = len(adj)
     comm = list(range(n))
@@ -210,44 +207,244 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
     if not moved:
         return comm, False
 
-    # a complete layer's rows are made on each read (``multilayer.CompleteRows``),
-    # so each row is read once here and later only to re-sum it or spread a move
-    kept: list[dict[int, float]] = []
-    count: list[Counter[int]] = []
-    degree: list[int] = []
-    for row in adj:
-        kept.append(_row_links(row, comm))
-        count.append(Counter(map(comm.__getitem__, row[0])))
-        degree.append(len(row[0]))
+    kept = [_row_links(row, comm) for row in adj]
+    count = [Counter(map(comm.__getitem__, positions)) for positions, _ in adj]
+
+    def spread(i: int, ci: int, best_c: int) -> None:
+        for j, wij in zip(*adj[i]):
+            links, nbrs = kept[j], count[j]
+            if nbrs[ci] == 1:
+                del links[ci], nbrs[ci]
+            else:
+                nbrs[ci] -= 1
+                links[ci] -= wij
+            links[best_c] = links.get(best_c, 0.0) + wij
+            nbrs[best_c] += 1
+
+    degree = [len(positions) for positions, _ in adj]
+    _later_sweeps(comm, strength, comm_strength, w, kept, degree, lambda i: _row_links(adj[i], comm), spread)
+    return comm, True
+
+
+def _later_sweeps(
+    comm: list[int],
+    strength: Sequence[float],
+    comm_strength: list[float],
+    w: float,
+    kept: list[dict[int, float]],
+    degree: Sequence[int],
+    resum: Callable[[int], dict[int, float]],
+    spread: Callable[[int, int, int], None],
+) -> None:
+    """Sweep from kept link sums until a full sweep makes no move.
+
+    ``kept[i]`` maps each community holding a neighbour of node i to i's
+    link sum into it, equal to the row-order sum when it was made; ``w`` is
+    the graph's undirected total weight and ``degree[i]`` the length of i's
+    row. ``resum(i)`` sums i's links afresh in row order. ``spread(i, ci,
+    c)`` moves i's links, in its neighbours' kept sums, from community ci to
+    c; it runs after ``comm[i]`` is set to c.
+
+    A kept sum can differ from the row-order re-sum in its last bits, so it
+    decides a node only when no comparison is close. With u = 2**-53,
+    weights >= 0 (and no underflow), s the node's strength, d its degree and
+    t the moves made since its sums were last exact (``moves - fresh[i]``):
+    - every link sum, kept or re-summed, lies in [0, s] (up to roundoff);
+    - the re-sum of up to d terms is within d*u*s of the real sum, and so is
+      the kept sum when built or refreshed from it; each of the at most 2t
+      later updates rounds once, by at most u*s;
+    - so the two sums differ by at most (2d + 2t)*u*s. Each gain
+      ``k/w - c*s/(2w^2)`` has both terms in [0, s/w] (community strengths
+      are at most 2w) and the second term is computed identically on both
+      paths; the division and the subtraction add 2u*s/w more per path, so
+      the gains differ by at most u*(s/w)*(2d + 2t + 4);
+    - the threshold ``best_gain + GAIN_EPS`` inherits that error plus
+      2u*(s/w + GAIN_EPS) from its own rounding.
+    A comparison whose kept margin exceeds u*((s/w)*(4d + 4t + 10) +
+    2*GAIN_EPS) therefore has the sign of the exact one. ``tol`` is at least
+    twice that, which also covers the roundoff of computing it. When some
+    margin is within ``tol``, the node's links are re-summed, its kept sums
+    are replaced by the re-sums, and the decision is taken from them: the
+    same path and the same floats as a full re-sum. Every decision, and with
+    it every label, therefore equals that of re-summing each row on every
+    sweep.
+    """
     moves = 0
-    fresh = [0] * n
+    fresh = [0] * len(comm)
+    moved = True
     while moved:
         moved = False
-        for i in range(n):
+        for i in range(len(comm)):
             ci = comm[i]
             s_i = strength[i]
             comm_strength[ci] -= s_i
             tol = _ROUND * (s_i / w * (degree[i] + moves - fresh[i] + 3) + GAIN_EPS)
             best_c = _best_move(kept[i], ci, s_i, comm_strength, w, tol)
             if best_c is None:
-                kept[i] = _row_links(adj[i], comm)
+                kept[i] = resum(i)
                 fresh[i] = moves
                 best_c = _best_move(kept[i], ci, s_i, comm_strength, w, -1.0)
             comm[i] = best_c
             comm_strength[best_c] += s_i
-            if best_c == ci:
-                continue
-            moved = True
-            moves += 1
-            for j, wij in zip(*adj[i]):
-                links, nbrs = kept[j], count[j]
-                if nbrs[ci] == 1:
-                    del links[ci], nbrs[ci]
-                else:
-                    nbrs[ci] -= 1
-                    links[ci] -= wij
+            if best_c != ci:
+                moved = True
+                moves += 1
+                spread(i, ci, best_c)
+
+
+def _gather(members: Sequence[int]) -> Callable[[array], Sequence[float]]:
+    """A getter of a weight array's entries at ``members``, in that order.
+
+    ``itemgetter`` of a single index returns the entry itself, so a single
+    member is read as a one-entry slice.
+    """
+    if len(members) == 1:
+        return itemgetter(slice(members[0], members[0] + 1))
+    return itemgetter(*members)
+
+
+def _link_sums(weights: array, members: Mapping[int, Sequence[int]]) -> dict[int, float]:
+    """One node's link sum into each community, from its full weight array.
+
+    ``members`` maps each label to its members, ascending. A sum adds the
+    weights at those positions left to right from 0.0. The node's row holds
+    the same weights in the same order, less the node's own 0.0, and adding
+    0.0 to a sum of weights >= 0 changes nothing; so each sum is bit-equal
+    to the one ``_row_links`` adds up from the row.
+    """
+    return {c: reduce(add, _gather(m)(weights), 0.0) for c, m in members.items()}
+
+
+def _first_sweep_complete(
+    weights: Sequence[array],
+    values: Sequence[float],
+    strength: Sequence[float],
+    comm_strength: list[float],
+    w: float,
+) -> tuple[list[int], dict[int, list[int]]]:
+    """``_phase1``'s first sweep on a complete graph, without scoring every node.
+
+    Returns the labels and each community's members, ascending. The
+    communities that are not plain singletons (label j holding only node j)
+    are scored exactly, from ``_link_sums``. A plain singleton j scores
+    ``w_ij/w - s_j*s_i/(2w^2)``, and since s_j >= min(strength) that is at
+    most the bound ``w_ij/w - min(strength)*s_i/(2w^2)``, computed with the
+    same roundings. The weight w_ij falls as |values[i] - values[j]| grows
+    (no value is NaN), so the plain singletons are visited outward from
+    node i in value order, one side after the other, and the bound falls
+    along each side. A side stops at the first node whose bound plus
+    GAIN_EPS is below the top gain so far: no node from there on can beat
+    the top or come within GAIN_EPS of it. Rounding keeps both steps: it
+    never reverses an order, so a computed gain is at most its computed
+    bound, and computed bounds fall along a side.
+
+    The top is taken only when the runner-up plus GAIN_EPS is below it.
+    ``_best_move`` then picks it too: these are the floats it computes, and
+    it replaces its best only for a gain above best + GAIN_EPS, in label
+    order, so the top replaces whatever is best when it is reached and
+    nothing after replaces the top. Otherwise, on a near tie, the node takes
+    ``_best_move`` over all its links, whose order of ties the top alone
+    cannot tell.
+    """
+    n = len(weights)
+    comm = list(range(n))
+    ww2 = 2.0 * w * w
+    s_min = min(strength)
+    members: dict[int, list[int]] = {}  # every community but the plain singletons
+    plain = sorted(zip(values, range(n)))  # (value, node) of the plain singletons
+    for i, wi in enumerate(weights):
+        s_i = strength[i]
+        comm_strength[i] -= s_i  # node i is in its own label until it is swept
+        links = _link_sums(wi, members)
+        scores = {i: links.get(i, 0.0) / w - comm_strength[i] * s_i / ww2}
+        for c, k in links.items():
+            scores[c] = k / w - comm_strength[c] * s_i / ww2
+        top = max(scores.values())
+        at = bisect_left(plain, (values[i], i))
+        alone = at < len(plain) and plain[at][1] == i
+        least = s_min * s_i / ww2
+        for side in (range(at - 1, -1, -1), range(at + alone, len(plain))):
+            for p in side:
+                j = plain[p][1]
+                if wi[j] / w - least + GAIN_EPS < top:
+                    break
+                scores[j] = gain = wi[j] / w - comm_strength[j] * s_i / ww2
+                top = max(top, gain)
+        best_c = max(scores, key=scores.__getitem__)
+        del scores[best_c]
+        if max(scores.values(), default=-math.inf) + GAIN_EPS >= top:
+            links.update((j, wi[j]) for _, j in plain if j != i)
+            best_c = _best_move(links, i, s_i, comm_strength, w, -1.0)
+        comm[i] = best_c
+        comm_strength[best_c] += s_i
+        if best_c == i:
+            continue
+        if alone:
+            del plain[at]
+        else:
+            members[i].remove(i)
+        if best_c in members:
+            insort(members[best_c], i)
+        else:
+            del plain[bisect_left(plain, (values[best_c], best_c))]
+            members[best_c] = sorted((i, best_c))
+    members.update((j, [j]) for _, j in plain)
+    return comm, members
+
+
+def _phase1_complete(
+    weights: Sequence[array],
+    values: Sequence[float],
+    strength: Sequence[float],
+) -> tuple[list[int], bool]:
+    """``_phase1`` on a complete graph given as full weight arrays: the same labels.
+
+    ``weights[i][j]`` is the weight between nodes i and j, falling as
+    |values[i] - values[j]| grows, and 0.0 where i == j
+    (``SimilarityView.weights``). Every link sum is a gather
+    (``_link_sums``), bit-equal to the row-order sum, and the first sweep
+    skips the plain singletons that cannot win (``_first_sweep_complete``).
+    Every community holds a neighbour of every node but its own lone
+    member, so a node's neighbour count in a community is the community's
+    size, less one if the node is in it.
+    """
+    n = len(weights)
+    two_w = sum_in_order(strength)
+    w = two_w / 2.0
+    if two_w <= 0.0 or 2.0 * w * w == 0.0:
+        return list(range(n)), False
+    comm_strength = list(strength)
+    comm, members = _first_sweep_complete(weights, values, strength, comm_strength, w)
+    if len(members) == n:
+        # nothing moved: the first move from singletons empties a label, and none refills one
+        return comm, False
+
+    def resum(i: int) -> dict[int, float]:
+        links = _link_sums(weights[i], members)
+        if len(members[comm[i]]) == 1:
+            del links[comm[i]]
+        return links
+
+    def spread(i: int, ci: int, best_c: int) -> None:
+        left = members[ci]
+        left.remove(i)
+        insort(members[best_c], i)
+        mine = kept[i]
+        for links, wij in zip(kept, weights[i]):
+            if links is not mine:
+                links[ci] -= wij
                 links[best_c] = links.get(best_c, 0.0) + wij
-                nbrs[best_c] += 1
+        # an entry goes when i was the node's last neighbour in ci
+        if len(left) == 1:
+            del kept[left[0]][ci]
+        elif not left:
+            del members[ci]
+            for links in kept:
+                if links is not mine:
+                    del links[ci]
+
+    kept = [resum(i) for i in range(n)]
+    _later_sweeps(comm, strength, comm_strength, w, kept, [n - 1] * n, resum, spread)
     return comm, True
 
 
@@ -301,29 +498,83 @@ def _aggregate(
     return [pack_row(row) for row in new_rows], new_loops, sub, q
 
 
+def _aggregate_complete(
+    weights: Sequence[array],
+    strength: Sequence[float],
+    comm: Sequence[int],
+) -> tuple[list[Row], list[float], list[int], float]:
+    """``_aggregate`` of a complete graph given as full weight arrays: the same floats.
+
+    ``_aggregate`` walks the rows in (node, row) order, adding each weight to
+    the running sum of its (community, community) pair, and every loop mass
+    is 0.0 at this level. Here each node's weights are gathered at every
+    community's members, ascending, and added onto that pair's running sum
+    left to right: the same additions in the same order, plus the node's
+    own 0.0, which changes no sum (``_phase1_complete``). A super-node's
+    loop mass and its ``sig_in`` are then the same sum. The walk first
+    reaches a community at its smallest member, from the smallest member of
+    any other community, so each row lists the other super-nodes by their
+    smallest member.
+    """
+    remap = {lab: idx for idx, lab in enumerate(sorted(set(comm)))}
+    k = len(remap)
+    sub = [remap[c] for c in comm]
+    members: list[list[int]] = [[] for _ in range(k)]
+    sig_tot = [0.0] * k
+    for i, (c, s) in enumerate(zip(sub, strength)):
+        members[c].append(i)
+        sig_tot[c] += s
+    getters = [_gather(m) for m in members]
+    sums = [[0.0] * k for _ in range(k)]
+    for wi, ci in zip(weights, sub):
+        pair = sums[ci]
+        for c, get in enumerate(getters):
+            pair[c] = reduce(add, get(wi), pair[c])
+    reached = sorted(range(k), key=lambda c: members[c][0])
+    rows: list[Row] = []
+    for c, pair in enumerate(sums):
+        others = [d for d in reached if d != c]
+        rows.append((others, array("d", map(pair.__getitem__, others))))
+    loops = [pair[c] for c, pair in enumerate(sums)]
+    two_w = sum_in_order(strength)
+    q = sum_in_order([loops[c] - sig_tot[c] ** 2 / two_w for c in dict.fromkeys(sub)]) / two_w
+    return rows, loops, sub, q
+
+
 def _louvain(
     node_ids: Sequence[Hashable],
-    adj: Sequence[Row],
+    adj: Sequence[Row] | SimilarityView,
 ) -> tuple[list[frozenset[Hashable]], float]:
     """Two-phase Louvain; returns the best partition seen and its modularity.
 
-    ``adj`` holds the index-ordered rows of ``node_ids`` (see ``index_rows``
-    and ``multilayer.CompleteRows``) and is read as it is. Each iterative
-    step runs the local-move phase and then aggregates the communities into
-    a new network; the loop stops at the first step that fails to improve
-    modularity.
+    ``adj`` holds the index-ordered rows of ``node_ids`` (see
+    ``index_rows``), or is the ``SimilarityView`` of a complete layer, whose
+    level 0 runs on its full weight arrays (``_phase1_complete`` and
+    ``_aggregate_complete``); those arrays are freed by the aggregation.
+    Each iterative step runs the local-move phase and then aggregates the
+    communities into a new network; the loop stops at the first step that
+    fails to improve modularity.
     """
     loops = [0.0] * len(node_ids)
-    strength = _strengths(adj, loops)
+    complete = isinstance(adj, SimilarityView)
+    if complete:
+        values, adj = adj.values, adj.weights()
+        strength = [sum_in_order(weights) for weights in adj]
+    else:
+        strength = _strengths(adj, loops)
     groups: list[frozenset[Hashable]] = [frozenset([nid]) for nid in node_ids]
 
     best_parts = list(groups)
     best_q = _singletons_modularity(loops, strength)
     while True:
-        comm, moved = _phase1(adj, strength)
+        comm, moved = _phase1_complete(adj, values, strength) if complete else _phase1(adj, strength)
         if not moved:
             break
-        adj, loops, sub, q = _aggregate(adj, loops, strength, comm)
+        if complete:
+            adj, loops, sub, q = _aggregate_complete(adj, strength, comm)
+            complete = False
+        else:
+            adj, loops, sub, q = _aggregate(adj, loops, strength, comm)
         merged: list[set[Hashable]] = [set() for _ in adj]
         for group, c in zip(groups, sub):
             merged[c].update(group)
@@ -351,12 +602,12 @@ def louvain_partition(view: View) -> PartitionSet:
     """Two-phase Louvain partitioning of one layer.
 
     The sweep order is fixed (ascending device id), which makes the result
-    deterministic. ``view.rows`` is read once; a resource layer builds its
-    rows on that read, and they are freed when this call returns.
+    deterministic. A resource layer's weights are built once, inside this
+    call, and freed before it returns.
     """
     if not view.nodes:
         raise ValueError("cannot partition an empty layer view")
-    parts, q = _louvain(view.nodes, view.rows)
+    parts, q = _louvain(view.nodes, view if isinstance(view, SimilarityView) else view.rows)
     partitions: dict[int, frozenset[int]] = {}
     assignment: dict[int, int] = {}
     for pid, members in enumerate(_label_partitions(parts)):

@@ -224,11 +224,16 @@ def scenario_from_dict(data: Mapping[str, Any], schedule: bool = True) -> Scenar
         rows = data["schedule"]
         if schedule:
             _check_schedule(rows)
+        devices = [Device(*values) for values in _fields(data["devices"], "devices", *_DEVICE_KEYS)]
+        cloud_id = data["cloud_id"]
+        # the simulator keeps the cloud out of faulty mode's deaths by this id
+        if type(cloud_id) is not int or all(d.id != cloud_id for d in devices):
+            raise ValueError(f"scenario cloud_id is {json.dumps(cloud_id)}; expected a device id")
         return Scenario(
             config=config_from_dict(data["config"]),
-            devices=[Device(*values) for values in _fields(data["devices"], "devices", *_DEVICE_KEYS)],
+            devices=devices,
             links=[NetworkLink(*values) for values in _fields(data["links"], "links", *_LINK_KEYS)],
-            cloud_id=data["cloud_id"],
+            cloud_id=cloud_id,
             apps=_apps_from_dicts(data["apps"]),
             requests=[
                 AppRequest(*values) for values in _fields(data["requests"], "requests", *_REQUEST_KEYS)

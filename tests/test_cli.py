@@ -223,7 +223,7 @@ def scenario_edited_by_hand(scenario, tmp):
     # the config, and so its hash, still matches the partitions; the devices do not
     partitions = partitioned(scenario, tmp)
     data = json.loads(scenario.read_text())
-    data["devices"].pop()
+    del data["devices"][0]  # a fog device: without the cloud, the cloud_id check would fire first
     (tmp / "scenario.json").write_text(json.dumps(data))
     return ["place", "--scenario", str(tmp / "scenario.json"), "--partitions", str(partitions)]
 
@@ -293,6 +293,7 @@ def scenario_schema_1(scenario, tmp):
 
 
 def partition_without_devices(scenario, tmp):
+    # a scenario without devices has no device for its cloud_id to name
     edited = edited_scenario(scenario, tmp, lambda data: data.update(devices=[], links=[]))
     return ["partition", "--scenario", str(edited)]
 
@@ -463,6 +464,33 @@ def plans_of_list(scenario, tmp):
     return argv
 
 
+def faulty_with_cloud_id(cloud_id):
+    """A builder of ``simulate --mode faulty`` on a scenario whose ``cloud_id`` is ``cloud_id``."""
+
+    def build(scenario, tmp):
+        # exited 0, with the cloud among the devices that faulty mode may kill
+        return [*simulate_edited(scenario, tmp, lambda data: data.update(cloud_id=cloud_id)), "--mode", "faulty"]
+
+    build.__name__ = f"cloud_id_of_{type(cloud_id).__name__}_{cloud_id}"
+    return build
+
+
+def feature_partition_of_unknown_device(scenario, tmp):
+    # exited 0; a placement scan that reached the device raised KeyError
+    path = partitioned(scenario, tmp)
+    data = json.loads(path.read_text())
+    data["feature_partitions"]["device_index"]["0"] = [99999]
+    path.write_text(json.dumps(data))
+    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+
+
+def report_of_list_metrics(scenario, tmp):
+    # died with "AttributeError: 'list' object has no attribute 'get'"
+    (tmp / "run").mkdir()
+    (tmp / "run" / "metrics.json").write_text("[]\n")
+    return ["report", "--runs", str(tmp / "run")]
+
+
 #: builder of a bad command line -> the reason its error message must give
 BAD_INPUTS = [
     (unknown_config_key, "unknown config keys"),
@@ -505,7 +533,7 @@ BAD_INPUTS = [
     (request_names_unknown_app, "request 0 names unknown app 999"),
     (request_on_unknown_gateway, "request 0's gateway 9999 is not a device"),
     (scenario_schema_1, "scenario document has schema_version 1, expected 2"),
-    (partition_without_devices, "scenario has no devices to partition"),
+    (partition_without_devices, "scenario cloud_id is 10; expected a device id"),
     (self_link, "link endpoints must differ"),
     (zero_bandwidth, "link bandwidth must be positive"),
     (negative_link_latency, "link latency must be non-negative"),
@@ -534,6 +562,12 @@ BAD_INPUTS = [
     (scenario_config_unknown_key, "unexpected keyword argument 'bogus'"),
     (scenario_config_of_list, "scenario document is malformed: config must be a JSON object"),
     (plans_of_list, "plans document is malformed: 'list' object has no attribute 'items'"),
+    (faulty_with_cloud_id("x"), 'scenario cloud_id is "x"; expected a device id'),
+    (faulty_with_cloud_id(True), "scenario cloud_id is true; expected a device id"),
+    (faulty_with_cloud_id(5.0), "scenario cloud_id is 5.0; expected a device id"),
+    (faulty_with_cloud_id(99999), "scenario cloud_id is 99999; expected a device id"),
+    (feature_partition_of_unknown_device, "feature partition 0 holds device 99999, which is not in the scenario"),
+    (report_of_list_metrics, "metrics.json holds list, not a JSON object"),
 ]
 
 

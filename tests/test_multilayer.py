@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogpart.model import Device, NetworkLink, Topology
-from fogpart.multilayer import Layer, RESOURCE_LAYERS, build_multilayer, resource_value
+from fogpart.multilayer import Layer, LayerView, RESOURCE_LAYERS, build_multilayer, resource_value
 from fogpart.partitioner import multilayer_resource_partition
 from fogpart.scenario import ScenarioConfig, generate_scenario
 
@@ -24,11 +24,11 @@ def devices_with_speeds(speeds):
 
 
 def similarity(d_i, d_j, layer):
-    """The weight ``build_multilayer`` stores for the pair, checked in both rows."""
+    """The weight ``build_multilayer``'s layer gives the pair, checked in both arrays."""
     view = build_multilayer(Topology([d_i, d_j], [])).intra_edges[layer]
-    (positions_a, weights_a), (positions_b, weights_b) = view.rows
-    assert positions_a == [1] and positions_b == [0] and weights_a == weights_b
-    return weights_a[0]
+    weights_a, weights_b = view.weights()
+    assert weights_a[0] == weights_b[1] == 0.0 and weights_a[1] == weights_b[0]
+    return weights_a[1]
 
 
 class TestSimilarityWeight:
@@ -59,8 +59,11 @@ class TestSimilarityWeight:
 
 
 def materialized(graph):
-    """Each layer's nodes and rows, as the Louvain core reads them."""
-    return {layer: (view.nodes, list(view.rows)) for layer, view in graph.intra_edges.items()}
+    """Each layer's nodes and rows or weight arrays, as the Louvain core reads them."""
+    return {
+        layer: (view.nodes, view.rows if isinstance(view, LayerView) else view.weights())
+        for layer, view in graph.intra_edges.items()
+    }
 
 
 def small_infrastructure():
@@ -153,9 +156,16 @@ class TestRowsMatchDictBuilder:
         assert list(graph.intra_edges) == list(layers)
         for layer, view in graph.intra_edges.items():
             assert view.nodes == ids
-            assert [positions for positions, _ in view.rows] == [list(row) for row in layers[layer]]
-            assert [list(weights) for _, weights in view.rows] == [list(row.values()) for row in layers[layer]]
             assert len(view) == sum(len(row) for row in layers[layer]) // 2
+            if layer == Layer.NETWORK:
+                assert [positions for positions, _ in view.rows] == [list(row) for row in layers[layer]]
+                assert [list(weights) for _, weights in view.rows] == [list(row.values()) for row in layers[layer]]
+            else:
+                # a complete layer: every other node, ascending, and 0.0 for the node itself
+                assert [list(row) for row in layers[layer]] == [[j for j in range(len(ids)) if j != k] for k in range(len(ids))]
+                assert [list(weights) for weights in view.weights()] == [
+                    [row.get(j, 0.0) for j in range(len(ids))] for row in layers[layer]
+                ]
 
 
 def eager_resource_rows(ordered, layer):
@@ -182,28 +192,26 @@ def fleets(draw):
 class TestRowsBuiltOnRead:
     @settings(max_examples=200, deadline=None)
     @given(fleets())
-    def test_rows_equal_the_eager_builder_bit_for_bit(self, devices):
+    def test_weights_equal_the_eager_builder_bit_for_bit(self, devices):
+        # array k is row k's weights with a 0.0 put back at position k
         graph = build_multilayer(Topology(devices, []))
         ordered = sorted(devices, key=lambda d: d.id)
         for layer in RESOURCE_LAYERS:
             view = graph.intra_edges[layer]
             expected = eager_resource_rows(ordered, layer)
-            rows = view.rows
-            assert len(rows) == len(expected)
+            weights = view.weights()
+            assert type(weights) is list and len(weights) == len(expected)
             for k, (want_positions, want_weights) in enumerate(expected):
-                positions, weights = rows[k]
-                assert type(positions) is list and positions == want_positions
-                assert weights.typecode == "d" and weights.tobytes() == want_weights.tobytes()
-            assert list(rows) == list(expected)
-            assert rows[-1] == expected[-1]
+                assert weights[k].typecode == "d" and weights[k][k] == 0.0
+                assert want_positions == [j for j in range(len(weights)) if j != k]
+                assert (weights[k][:k] + weights[k][k + 1 :]).tobytes() == want_weights.tobytes()
             assert len(view) == sum(len(positions) for positions, _ in expected) // 2
 
-    def test_each_read_builds_fresh_rows(self):
+    def test_each_call_builds_fresh_weights(self):
         view = build_multilayer(small_infrastructure()).intra_edges[Layer.CPU]
-        rows = view.rows
-        rows[0][0].append(99)  # a reader may keep or change what it read
-        assert rows[0][0] == [1, 2, 3]
-        assert view.rows is not rows and list(view.rows) == list(rows)
+        weights = view.weights()
+        weights[0][1] = 99.0  # a caller may keep or change what it got
+        assert view.weights() is not weights and view.weights()[0][1] == 1.0 / 11.0
 
     def test_partitioning_holds_one_resource_layer_at_a_time(self):
         n = 400

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from array import array
@@ -22,11 +23,12 @@ from conftest import (
     triangle_view,
     two_pairs_view,
 )
-from fogpart.model import Device, NetworkLink, Topology
+from fogpart.model import Device, NetworkLink, Topology, sum_in_order
 from fogpart.scenario import ScenarioConfig, generate_scenario
 from fogpart.multilayer import (
     Layer,
     RESOURCE_LAYERS,
+    SimilarityView,
     build_multilayer,
     index_rows,
     resource_value,
@@ -41,8 +43,11 @@ from fogpart.partitioner import (
     multilayer_resource_partition,
     partition_feature,
     _aggregate,
+    _aggregate_complete,
     _label_partitions,
     _phase1,
+    _phase1_complete,
+    _row_links,
     _singletons_modularity,
     _strengths,
 )
@@ -56,6 +61,17 @@ def random_view(rng, n=None, p=0.5):
             if rng.random() < p:
                 edges[(i, j)] = rng.uniform(0.1, 2.0)
     return make_view(Layer.CPU, range(n), edges)
+
+
+def level0_rows(view):
+    """A layer's rows: stored, or made from a complete layer's full weight arrays."""
+    if not isinstance(view, SimilarityView):
+        return view.rows
+    rows = []
+    for k, weights in enumerate(view.weights()):
+        positions = [j for j in range(len(weights)) if j != k]
+        rows.append((positions, array("d", map(weights.__getitem__, positions))))
+    return rows
 
 
 def dict_rows(rows):
@@ -83,7 +99,7 @@ def fused_modularity(adj, loops, comm):
 def modularity(view, assignment):
     """Single-layer modularity of a device-to-partition assignment, from the frozen pass."""
     comm = [assignment[nid] for nid in view.nodes]
-    return frozen_modularity_raw(dict_rows(view.rows), [0.0] * len(view.nodes), comm)
+    return frozen_modularity_raw(dict_rows(level0_rows(view)), [0.0] * len(view.nodes), comm)
 
 
 class TestModularity:
@@ -772,6 +788,134 @@ class TestRowsMatchReferencePath:
         assert fps.modularity == q
 
 
+@st.composite
+def complete_layers(draw):
+    """Complete resource layers over 1-60 devices with sparse ids.
+
+    The values repeat a few drawn ones, often tie-prone, so many gains tie
+    exactly or within GAIN_EPS and the first sweep falls back to
+    ``_best_move``; a large value plays the cloud, whose weights are all
+    near 0.
+    """
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=60, unique=True))
+    value = st.sampled_from([10.0, 10.5, 11.0, 12.5, 20.0, 21.0, 60.0, 600.0]) | st.floats(10.0, 60.0)
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return SimilarityView(Layer.CPU, tuple(sorted(ids)), tuple(rng.choice(pool) for _ in ids))
+
+
+class TestCompleteLevelMatchesReferencePath:
+    """A complete layer's level 0, by gathers and a pruned first sweep, against the row path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(complete_layers())
+    def test_louvain_exactly_equal(self, view):
+        ps = louvain_partition(view)
+        edges = {
+            (a, b): 1.0 / (1.0 + abs(va - vb))
+            for (a, va), (b, vb) in combinations(zip(view.nodes, view.values), 2)
+        }
+        parts, q = reference_louvain(view.nodes, reference_adjacency(view.nodes, edges))
+        assert [list(p) for p in ps.partitions.values()] == [list(p) for p in parts]
+        assert ps.assignment == {d: pid for pid, p in enumerate(parts) for d in p}
+        assert ps.modularity == q
+
+    @settings(max_examples=200, deadline=None)
+    @given(complete_layers())
+    def test_phase1_and_aggregate_exactly_equal(self, view):
+        weights = view.weights()
+        strength = [sum_in_order(row) for row in weights]
+        rows = level0_rows(view)
+        loops = [0.0] * len(rows)
+        assert strength == _strengths(rows, loops)
+        comm, moved = _phase1_complete(weights, view.values, strength)
+        assert (comm, moved) == frozen_phase1(dict_rows(rows), loops)
+        if moved:
+            assert _aggregate_complete(weights, strength, comm) == _aggregate(rows, loops, strength, comm)
+
+
+class TestKeptSumsFollowEveryMove:
+    """The later sweeps' kept sums hold, after every move, the keys a re-sum finds.
+
+    ``_later_sweeps`` is wrapped so that each ``spread`` and ``resum`` is
+    checked against ``_row_links`` on the level's rows: a re-sum must be
+    the row-order sum bit for bit, and a kept sum must have the same keys
+    and nearly the same value. A stale key, such as a community that
+    emptied, would offer a move the row path never sees.
+    """
+
+    @staticmethod
+    def run_checked(phase1, rows):
+        checked = []
+
+        def later_sweeps(comm, strength, comm_strength, w, kept, degree, resum, spread):
+            def check():
+                for row, links in zip(rows, kept):
+                    want = _row_links(row, comm)
+                    assert links.keys() == want.keys()
+                    assert all(math.isclose(links[c], want[c], rel_tol=1e-12, abs_tol=1e-15) for c in want)
+                checked.append(len(comm))
+
+            def checked_resum(i):
+                links = resum(i)
+                assert links == _row_links(rows[i], comm)
+                return links
+
+            def checked_spread(i, ci, best_c):
+                spread(i, ci, best_c)
+                check()
+
+            check()
+            original(comm, strength, comm_strength, w, kept, degree, checked_resum, checked_spread)
+
+        original = partitioner._later_sweeps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitioner, "_later_sweeps", later_sweeps)
+            result = phase1()
+        return result, checked
+
+    @settings(max_examples=200, deadline=None)
+    @given(complete_layers())
+    def test_complete_level(self, view):
+        weights = view.weights()
+        strength = [sum_in_order(row) for row in weights]
+        rows = level0_rows(view)
+        (comm, moved), checked = self.run_checked(lambda: _phase1_complete(weights, view.values, strength), rows)
+        assert bool(checked) == moved and (comm, moved) == _phase1(rows, strength)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_graphs())
+    def test_rows(self, graph):
+        adj, loops = graph
+        rows = packed(adj)
+        result, _ = self.run_checked(lambda: _phase1(rows, _strengths(rows, loops)), rows)
+        assert result == frozen_phase1(adj, loops)
+
+
+def near_tie_layer():
+    """Five devices on which the first sweep's top candidate is not ``_best_move``'s.
+
+    From singletons, node 0 (value 10.0) gains 7e-18 more by joining node 2
+    (9.0) than node 1 (11.93999...), less than GAIN_EPS, so ``_best_move``
+    keeps node 1, the earlier label. Node 1 has the least strength, so its
+    pruning bound equals its gain and comes within GAIN_EPS of the top.
+    """
+    return SimilarityView(Layer.CPU, (0, 1, 2, 3, 4), (10.0, 11.93999472050141, 9.0, 8.3, 8.2))
+
+
+class TestFirstSweepNearTie:
+    def test_near_tie_is_decided_by_best_move(self):
+        view = near_tie_layer()
+        weights = view.weights()
+        strength = [sum_in_order(row) for row in weights]
+        w = sum_in_order(strength) / 2.0
+        join = [weights[0][c] / w - strength[c] * strength[0] / (2.0 * w * w) for c in range(5)]
+        assert max(join[3:]) < join[1] < join[2] < join[1] + GAIN_EPS
+        assert min(strength) == strength[1]
+        expected = frozen_phase1(dict_rows(level0_rows(view)), [0.0] * 5)
+        assert _phase1_complete(weights, view.values, strength) == expected == ([1, 1, 4, 4, 4], True)
+
+
 class TestNeverBelowSingletonsProperty:
     @settings(max_examples=200, deadline=None)
     @given(infrastructures())
@@ -784,8 +928,9 @@ class TestNeverBelowSingletonsProperty:
             assert ps.modularity >= modularity(view, {n: n for n in view.nodes})
             singles = list(range(len(view.nodes)))
             loops = [0.0] * len(view.nodes)
-            singles_q = frozen_modularity_raw(dict_rows(view.rows), loops, singles)
-            assert _singletons_modularity(loops, _strengths(view.rows, loops)) == singles_q
+            rows = level0_rows(view)
+            singles_q = frozen_modularity_raw(dict_rows(rows), loops, singles)
+            assert _singletons_modularity(loops, _strengths(rows, loops)) == singles_q
             layer_sets[layer] = ps
 
         cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], {d.id: d for d in devices})

@@ -331,6 +331,20 @@ class TestRecordFieldTypes:
             scenario_from_dict(data, schedule=False)
         assert str(info.value) == f"scenario {where[1:]}.{key} is {json.dumps(bad)}; expected {expected}"
 
+    def test_cloud_id_of_a_device_reads(self):
+        data = self.document()
+        data["cloud_id"] = 0
+        assert scenario_from_dict(data, schedule=False).cloud_id == 0
+
+    # True and 1.0 equal the id 1 of a device; 2 names none
+    @pytest.mark.parametrize("bad", ["x", True, 1.0, None, 2, -1], ids=repr)
+    def test_cloud_id_must_be_a_device_id(self, bad):
+        data = self.document()
+        data["cloud_id"] = bad
+        with pytest.raises(ValueError) as info:
+            scenario_from_dict(data, schedule=False)
+        assert str(info.value) == f"scenario cloud_id is {json.dumps(bad)}; expected a device id"
+
 
 class TestPartitionsRoundTrip:
     @settings(max_examples=60, deadline=None)
