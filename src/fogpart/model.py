@@ -13,6 +13,7 @@ where its request enters the network (see ``scenario.Scenario.instances``).
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,8 +51,9 @@ class Device:
     storage: float    # TB
 
     def __post_init__(self) -> None:
-        if self.cpu_speed <= 0 or self.mem <= 0 or self.storage <= 0:
-            raise ValueError(f"device {self.id}: capacities must be strictly positive")
+        # comparisons, not math.isfinite: an int too large for a float is finite
+        if not (0 < self.cpu_speed < math.inf and 0 < self.mem < math.inf and 0 < self.storage < math.inf):
+            raise ValueError(f"device {self.id}: capacities must be strictly positive and finite")
         if self.cores < 1:
             raise ValueError(f"device {self.id}: needs at least one core")
 
@@ -68,10 +70,10 @@ class NetworkLink:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("link endpoints must differ")
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("link latency must be non-negative")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("link bandwidth must be positive and finite")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError("link latency must be non-negative and finite")
 
     @property
     def key(self) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -93,15 +92,19 @@ class FeaturePartitionSet:
 #
 # adj[i] is node i's Row (see ``multilayer.LayerView``: symmetric, no self
 # entries); loops[i] is the node's ordered-pair internal mass (zero on raw
-# graphs, 2x the merged undirected intra weight after aggregation).
+# graphs, 2x the merged undirected intra weight after aggregation). The
+# local moves re-sum a node's row on every decision (``_phase1``): network
+# rows are short and aggregated levels have few nodes.
 #
 # Level 0 of a complete resource layer is read as one full weight array per
 # node instead (``SimilarityView.weights``). Every community then holds a
 # neighbour of every node, so a link sum is a gather over the community's
 # members (``_link_sums``), which adds the row's weights in row order, and
 # the first sweep skips the singletons that cannot win
-# (``_first_sweep_complete``). Its labels, rows and Q equal the row path's
-# bit for bit; levels >= 1 are rows again.
+# (``_first_sweep_complete``); the later sweeps keep each node's link sums
+# across moves (``_later_sweeps``), since a re-sum there gathers all n
+# weights. Its labels, rows and Q equal the row path's bit for bit; levels
+# >= 1 are rows again.
 # ---------------------------------------------------------------------------
 
 
@@ -123,8 +126,8 @@ def _singletons_modularity(loops: Sequence[float], strength: Sequence[float]) ->
     return sum_in_order([loop - s**2 / two_w for loop, s in zip(loops, strength)]) / two_w
 
 
-#: Scale of the rounding bound on gains from kept link sums: 8 units of
-#: roundoff (8 * 2**-53); see ``_later_sweeps``.
+#: Scale of the rounding bound on gains from a complete layer's kept link
+#: sums: 8 units of roundoff (8 * 2**-53); see ``_later_sweeps``.
 _ROUND = 2.0**-50
 
 
@@ -179,15 +182,10 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
 
     Nodes are swept in ascending index order until a full sweep makes no
     move. A node changes community only for a gain over staying put larger
-    than GAIN_EPS; ties keep the current community (``_best_move``).
-
-    The first sweep sums every node's links into each neighbouring community
-    from its row, in row order. If anything moved, one pass then keeps those
-    sums per node, with the number of neighbours behind each, and the later
-    sweeps decide from them (``_later_sweeps``): each move of a node
-    subtracts each of its links from the old community and adds it to the
-    new one, and drops an entry whose count reaches 0. The kept keys are thus
-    exactly the communities a re-sum would find.
+    than GAIN_EPS; ties keep the current community (``_best_move``). Every
+    decision sums the node's links into each neighbouring community afresh
+    from its row, in row order; rows are short or few, so no sums are kept
+    between sweeps (only complete layers keep them, ``_phase1_complete``).
     """
     n = len(adj)
     comm = list(range(n))
@@ -196,34 +194,19 @@ def _phase1(adj: Sequence[Row], strength: Sequence[float]) -> tuple[list[int], b
     if two_w <= 0.0 or 2.0 * w * w == 0.0:
         return comm, False  # no weight, or so little that every gain divides by zero
     comm_strength = list(strength)
-    moved = False
-    for i in range(n):
-        ci = comm[i]
-        comm_strength[ci] -= strength[i]
-        best_c = _best_move(_row_links(adj[i], comm), ci, strength[i], comm_strength, w, -1.0)
-        comm[i] = best_c
-        comm_strength[best_c] += strength[i]
-        moved = moved or best_c != ci
-    if not moved:
-        return comm, False
-
-    kept = [_row_links(row, comm) for row in adj]
-    count = [Counter(map(comm.__getitem__, positions)) for positions, _ in adj]
-
-    def spread(i: int, ci: int, best_c: int) -> None:
-        for j, wij in zip(*adj[i]):
-            links, nbrs = kept[j], count[j]
-            if nbrs[ci] == 1:
-                del links[ci], nbrs[ci]
-            else:
-                nbrs[ci] -= 1
-                links[ci] -= wij
-            links[best_c] = links.get(best_c, 0.0) + wij
-            nbrs[best_c] += 1
-
-    degree = [len(positions) for positions, _ in adj]
-    _later_sweeps(comm, strength, comm_strength, w, kept, degree, lambda i: _row_links(adj[i], comm), spread)
-    return comm, True
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        for i in range(n):
+            ci = comm[i]
+            comm_strength[ci] -= strength[i]
+            best_c = _best_move(_row_links(adj[i], comm), ci, strength[i], comm_strength, w, -1.0)
+            comm[i] = best_c
+            comm_strength[best_c] += strength[i]
+            if best_c != ci:
+                moved = improved = True
+    return comm, improved
 
 
 def _later_sweeps(
@@ -232,23 +215,24 @@ def _later_sweeps(
     comm_strength: list[float],
     w: float,
     kept: list[dict[int, float]],
-    degree: Sequence[int],
     resum: Callable[[int], dict[int, float]],
     spread: Callable[[int, int, int], None],
 ) -> None:
-    """Sweep from kept link sums until a full sweep makes no move.
+    """Sweep a complete graph of n nodes from kept link sums until a full sweep makes no move.
 
-    ``kept[i]`` maps each community holding a neighbour of node i to i's
-    link sum into it, equal to the row-order sum when it was made; ``w`` is
-    the graph's undirected total weight and ``degree[i]`` the length of i's
-    row. ``resum(i)`` sums i's links afresh in row order. ``spread(i, ci,
-    c)`` moves i's links, in its neighbours' kept sums, from community ci to
-    c; it runs after ``comm[i]`` is set to c.
+    Only complete layers keep sums (``_phase1_complete``); ``_phase1``
+    re-sums rows. ``kept[i]`` maps each community holding a neighbour of
+    node i to i's link sum into it, equal to the row-order sum when it was
+    made; ``w`` is the graph's undirected total weight. ``resum(i)`` sums
+    i's links afresh in row order. ``spread(i, ci, c)`` moves i's links, in
+    its neighbours' kept sums, from community ci to c; it runs after
+    ``comm[i]`` is set to c.
 
     A kept sum can differ from the row-order re-sum in its last bits, so it
     decides a node only when no comparison is close. With u = 2**-53,
-    weights >= 0 (and no underflow), s the node's strength, d its degree and
-    t the moves made since its sums were last exact (``moves - fresh[i]``):
+    weights >= 0 (and no underflow), s the node's strength, d = n - 1 its
+    degree (every other node is a neighbour) and t the moves made since its
+    sums were last exact (``moves - fresh[i]``):
     - every link sum, kept or re-summed, lies in [0, s] (up to roundoff);
     - the re-sum of up to d terms is within d*u*s of the real sum, and so is
       the kept sum when built or refreshed from it; each of the at most 2t
@@ -269,6 +253,7 @@ def _later_sweeps(
     it every label, therefore equals that of re-summing each row on every
     sweep.
     """
+    degree = len(comm) - 1
     moves = 0
     fresh = [0] * len(comm)
     moved = True
@@ -278,7 +263,7 @@ def _later_sweeps(
             ci = comm[i]
             s_i = strength[i]
             comm_strength[ci] -= s_i
-            tol = _ROUND * (s_i / w * (degree[i] + moves - fresh[i] + 3) + GAIN_EPS)
+            tol = _ROUND * (s_i / w * (degree + moves - fresh[i] + 3) + GAIN_EPS)
             best_c = _best_move(kept[i], ci, s_i, comm_strength, w, tol)
             if best_c is None:
                 kept[i] = resum(i)
@@ -444,7 +429,7 @@ def _phase1_complete(
                     del links[ci]
 
     kept = [resum(i) for i in range(n)]
-    _later_sweeps(comm, strength, comm_strength, w, kept, [n - 1] * n, resum, spread)
+    _later_sweeps(comm, strength, comm_strength, w, kept, resum, spread)
     return comm, True
 
 

@@ -358,7 +358,23 @@ def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, 
             },
             modularity=fp_data["modularity"],
         )
+        _check_feature_partitions(fps)
         return fps, _partition_set_from_dict(data["network"]), data["scenario_config_hash"]
+
+
+def _check_feature_partitions(fps: FeaturePartitionSet) -> None:
+    """Every member has stored features, and members and device_index list the same fps."""
+    for fp, nodes in sorted(fps.feature_partitions.items()):
+        missing = sorted(nodes - fps.features.keys())
+        if missing:
+            raise ValueError(
+                f"feature partition {fp} holds {_node_key(missing[0])}, which has no stored features"
+            )
+    unmatched = fps.feature_partitions.keys() ^ fps.device_index.keys()
+    if unmatched:
+        fp = min(unmatched)
+        here, there = ("members", "device_index") if fp in fps.feature_partitions else ("device_index", "members")
+        raise ValueError(f"feature partition {fp} is in {here} but not in {there}")
 
 
 # -- placement plans ---------------------------------------------------------

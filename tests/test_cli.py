@@ -401,20 +401,20 @@ def scenario_missing_key(scenario, tmp):
     return place_edited(scenario, tmp, lambda data: data["devices"][0].pop("cores"))
 
 
-def partitions_missing_key(scenario, tmp):
+def place_on_edited_partitions(scenario, tmp, edit):
     path = partitioned(scenario, tmp)
     data = json.loads(path.read_text())
-    del data["feature_partitions"]["device_index"]
+    edit(data)
     path.write_text(json.dumps(data))
     return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+
+
+def partitions_missing_key(scenario, tmp):
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["feature_partitions"].pop("device_index"))
 
 
 def partitions_unknown_layer(scenario, tmp):
-    path = partitioned(scenario, tmp)
-    data = json.loads(path.read_text())
-    data["network"]["layer"] = "BOGUS"
-    path.write_text(json.dumps(data))
-    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["network"].update(layer="BOGUS"))
 
 
 def plans_missing_key(scenario, tmp):
@@ -477,11 +477,30 @@ def faulty_with_cloud_id(cloud_id):
 
 def feature_partition_of_unknown_device(scenario, tmp):
     # exited 0; a placement scan that reached the device raised KeyError
-    path = partitioned(scenario, tmp)
-    data = json.loads(path.read_text())
-    data["feature_partitions"]["device_index"]["0"] = [99999]
-    path.write_text(json.dumps(data))
-    return ["place", "--scenario", str(scenario), "--partitions", str(path)]
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["feature_partitions"]["device_index"].update({"0": [99999]})
+    )
+
+
+def feature_partition_member_without_features(scenario, tmp):
+    # placement died with "KeyError: (<Layer.CPU: 1>, 999)"
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["feature_partitions"]["members"]["0"].append("CPU:999")
+    )
+
+
+def feature_partition_without_device_index(scenario, tmp):
+    # placement died with "KeyError: 1"
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["feature_partitions"]["device_index"].pop("1")
+    )
+
+
+def feature_partition_without_members(scenario, tmp):
+    # placement died with "KeyError: 99"
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["feature_partitions"]["members"].update({"99": ["CPU:0"]})
+    )
 
 
 def report_of_list_metrics(scenario, tmp):
@@ -567,6 +586,9 @@ BAD_INPUTS = [
     (faulty_with_cloud_id(5.0), "scenario cloud_id is 5.0; expected a device id"),
     (faulty_with_cloud_id(99999), "scenario cloud_id is 99999; expected a device id"),
     (feature_partition_of_unknown_device, "feature partition 0 holds device 99999, which is not in the scenario"),
+    (feature_partition_member_without_features, "feature partition 0 holds CPU:999, which has no stored features"),
+    (feature_partition_without_device_index, "feature partition 1 is in members but not in device_index"),
+    (feature_partition_without_members, "feature partition 99 is in members but not in device_index"),
     (report_of_list_metrics, "metrics.json holds list, not a JSON object"),
 ]
 

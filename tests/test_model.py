@@ -44,11 +44,28 @@ class TestDevice:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.cores = 9
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Device(0, 10, 0.0, 10.0, 10.0)
-        with pytest.raises(ValueError):
-            Device(0, 10, 20.0, -1.0, 10.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
+    @pytest.mark.parametrize("slot", [2, 3, 4])
+    def test_rejects_capacity_not_positive_and_finite(self, slot, bad):
+        args = [0, 10, 20.0, 10.0, 10.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="^device 0: capacities must be strictly positive and finite$"):
+            Device(*args)
+
+
+class TestNetworkLink:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0], ids=repr)
+    def test_rejects_bandwidth_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^link bandwidth must be positive and finite$"):
+            NetworkLink(0, 1, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=repr)
+    def test_rejects_latency_not_non_negative_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^link latency must be non-negative and finite$"):
+            NetworkLink(0, 1, 1.0, bad)
+
+    def test_zero_latency_accepted(self):
+        assert NetworkLink(0, 1, 1.0, 0.0).latency == 0.0
 
 
 class TestSumInOrder:

@@ -363,6 +363,21 @@ class TestPartitionsRoundTrip:
         ]
         assert data["feature_partitions"]["features"] == {"CPU:0": [1.0, 2.0, 3.0]}
 
+    @pytest.mark.parametrize(
+        "key, fp, value, expected",
+        [
+            ("members", "0", ["CPU:0", "MEM:0"], "feature partition 0 holds MEM:0, which has no stored features"),
+            ("members", "1", ["CPU:0"], "feature partition 1 is in members but not in device_index"),
+            ("device_index", "1", [0], "feature partition 1 is in device_index but not in members"),
+        ],
+    )
+    def test_feature_partitions_must_match_their_features_and_index(self, key, fp, value, expected):
+        data = through_json(partitions_to_dict(*one_device_partitions(), CONFIG_HASH))
+        data["feature_partitions"][key][fp] = value
+        with pytest.raises(ValueError) as info:
+            partitions_from_dict(data)
+        assert str(info.value) == expected
+
 
 class TestPlansRoundTrip:
     @settings(max_examples=100, deadline=None)
