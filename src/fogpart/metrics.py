@@ -101,16 +101,17 @@ def hop_histogram(
 ) -> dict[int | str, int]:
     """Histogram of gateway-to-host hop counts over placed services.
 
-    Each application instance is measured from its own ``gateway``.
-    Unreachable hosts land in the dedicated "unreachable" bucket.
+    Each application instance is measured from its own ``gateway``, by one
+    ``Topology.hop_counts`` search to all of its hosts; a service counts the
+    hops of ``shortest_hop_path`` to its host. Unreachable hosts land in the
+    dedicated "unreachable" bucket.
     """
     histogram: dict[int | str, int] = {}
     for app, plan in placements:
-        for device_id in plan.assignment.values():
-            if device_id is None:
-                continue
-            path = topology.shortest_hop_path(app.gateway, device_id)
-            key: int | str = "unreachable" if path is None else len(path)
+        hosts = [d for d in plan.assignment.values() if d is not None]
+        hops = topology.hop_counts(app.gateway, hosts)
+        for device_id in hosts:
+            key: int | str = hops.get(device_id, "unreachable")
             histogram[key] = histogram.get(key, 0) + 1
     return histogram
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 MS_PER_S = 1000.0
 
@@ -90,8 +89,12 @@ class Service:
     storage_demand: float  # TB
 
     def __post_init__(self) -> None:
-        if self.workload <= 0 or self.mem_demand <= 0 or self.storage_demand <= 0:
-            raise ValueError(f"service {self.id}: demands must be strictly positive")
+        if not (
+            0 < self.workload < math.inf
+            and 0 < self.mem_demand < math.inf
+            and 0 < self.storage_demand < math.inf
+        ):
+            raise ValueError(f"service {self.id}: demands must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ class Message:
     size: float  # bytes
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError("message size must be positive")
+        if not 0 < self.size < math.inf:
+            raise ValueError("message size must be positive and finite")
         if self.source == self.destination:
             raise ValueError("message source and destination must differ")
 
@@ -131,8 +134,8 @@ class Application:
         self.messages = tuple(messages)
         self.deadline = float(deadline)
         self.gateway = gateway
-        if self.deadline <= 0:
-            raise ValueError(f"app {id}: deadline must be positive")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError(f"app {id}: deadline must be positive and finite")
         if not self.services:
             raise ValueError(f"app {id}: needs at least one service")
         self._by_id = {s.id: s for s in self.services}
@@ -242,23 +245,35 @@ class Topology:
         return self._links[(a, b) if a < b else (b, a)]
 
     def _parents(
-        self, src: int, dead: frozenset[int] | set[int] = frozenset(), dst: int | None = None
+        self,
+        src: int,
+        dead: frozenset[int] | set[int] = frozenset(),
+        targets: Collection[int] | None = None,
     ) -> dict[int, int]:
-        """BFS parent of each live device reached from live ``src``, in dequeue order.
+        """BFS parent of each live device reached from live ``src``, in visiting order.
 
-        ``src`` is its own parent. The search stops once ``dst`` is reached,
-        so with a ``dst`` the dict may hold only part of the reachable graph.
+        ``src`` is its own parent. Without ``targets`` the search covers all
+        that ``src`` reaches. With them it stops once every target outside
+        ``dead`` is reached (at once when none is left), so the dict may
+        hold only part of the reachable graph. A BFS's parent entries up to
+        a node do not depend on where it stops, so each target gets the
+        parent chain a search for it alone would give.
         """
         parent: dict[int, int] = {src: src}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
+        left = set(targets or ()).difference(dead)
+        left.discard(src)
+        if targets is not None and not left:
+            return parent
+        frontier = [src]
+        for node in frontier:  # the list grows behind the loop, in BFS order
             for nxt in self.adj[node]:
                 if nxt in dead or nxt in parent:
                     continue
                 parent[nxt] = node
-                if nxt == dst:
-                    return parent
+                if nxt in left:
+                    left.remove(nxt)
+                    if not left:
+                        return parent
                 frontier.append(nxt)
         return parent
 
@@ -276,7 +291,7 @@ class Topology:
             return None
         if src == dst:
             return []
-        parent = self._parents(src, dead, dst)
+        parent = self._parents(src, dead, (dst,))
         if dst not in parent:
             return None
         path: list[NetworkLink] = []
@@ -286,6 +301,25 @@ class Topology:
             cur = parent[cur]
         path.reverse()
         return path
+
+    def hop_counts(self, src: int, targets: Collection[int]) -> dict[int, int]:
+        """``len(shortest_hop_path(src, t))`` for each target ``t`` that ``src`` reaches.
+
+        One BFS serves every target and stops once all are reached; a
+        target's count is its depth in that parent tree. Unreachable
+        targets are absent, and ``src`` itself counts 0.
+        """
+        if src not in self.devices:
+            raise KeyError(f"unknown device {src} in route query")
+        parent = self._parents(src, targets=targets)
+        counts: dict[int, int] = {}
+        for target in targets:
+            if target in parent:
+                hops, node = 0, target
+                while parent[node] != node:
+                    hops, node = hops + 1, parent[node]
+                counts[target] = hops
+        return counts
 
     def transmission_times(self, src: int, size: float) -> dict[int, float]:
         """``transmission_time`` of a ``size``-byte message from ``src`` to each device it reaches.
@@ -297,12 +331,13 @@ class Topology:
         """
         if src not in self.devices:
             raise KeyError(f"unknown device {src} in route query")
+        links = self._links
         times: dict[int, float] = {}
         for node, up in self._parents(src).items():
             if node == up:
                 times[node] = 0.0
             else:
-                link = self.link(up, node)
+                link = links[(up, node) if up < node else (node, up)]
                 times[node] = times[up] + (link.latency + size / link.bandwidth)
         return times
 

@@ -9,8 +9,9 @@ keyed by device id. The strategies differ only in the order they offer:
 
 - ``first_fit``: every device, by ascending id;
 - ``connectivity_greedy``: the members, ascending, of the network partition
-  with the most residual units when the application arrives
-  (``fullest_partition``);
+  with the most ``residual_units`` when the application arrives. The run
+  keeps one sum per partition and re-sums only the partition each
+  application placed in, the only one whose residuals changed;
 - ``multilayer``: feature partitions by descending fitness
   (``rank_feature_partitions``, a weighted mix of ``demand_similarity`` and
   the user-proximity term from ``app_tables``), each partition's devices by
@@ -22,6 +23,7 @@ keyed by device id. The strategies differ only in the order they offer:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -135,15 +137,18 @@ def app_tables(
     message from its gateway; it does not depend on the service, so
     ``run_placement`` builds these tables once per application. Each
     partition's devices are listed ascending by (T, id), where T is the
-    device's transmission time (inf when unreachable). The proximity term
-    is beta / (1 + T_min), or None for a partition with no reachable device.
+    device's transmission time (inf when unreachable): sorted by id, then
+    stably by T, which gives that order without a (T, id) tuple per device.
+    The proximity term is beta / (1 + T_min), or None for a partition with
+    no reachable device.
     """
+    t_of = defaultdict(lambda: math.inf, times).__getitem__  # a copy; inf where unreachable
     d_matrix: dict[int, list[int]] = {}
     terms: dict[int, float | None] = {}
     for fp_id in fps.ids():
-        rows = sorted((times.get(did, math.inf), did) for did in fps.device_index[fp_id])
-        d_matrix[fp_id] = [did for _, did in rows]
-        t_min = rows[0][0] if rows else math.inf
+        row = d_matrix[fp_id] = sorted(fps.device_index[fp_id])
+        row.sort(key=t_of)
+        t_min = t_of(row[0]) if row else math.inf
         terms[fp_id] = None if math.isinf(t_min) else beta / (1.0 + t_min)
     return d_matrix, terms
 
@@ -174,23 +179,15 @@ def rank_feature_partitions(
     return [fp_id for _, fp_id in scored]
 
 
-def fullest_partition(network: PartitionSet, residuals: Mapping[int, Residual]) -> list[int]:
-    """Members, ascending, of the network partition with the most residual units.
+def residual_units(members: Iterable[int], residuals: Mapping[int, Residual]) -> float:
+    """Residual units of a network partition's ``members``, summed in their iteration order.
 
     A device's residual units are the largest of its residual cores, GB and
-    TB (the 1 core, 1 GB, 1 TB unit scale); ties go to the lowest partition id.
+    TB (the 1 core, 1 GB, 1 TB unit scale).
     """
-    best: frozenset[int] = frozenset()
-    best_units = -1.0
-    for pid in sorted(network.partitions):
-        members = network.partitions[pid]
-        units = sum_in_order(
-            max(float(left.cores), left.mem, left.storage)
-            for left in (residuals[d] for d in members)
-        )
-        if units > best_units:
-            best, best_units = members, units
-    return sorted(best)
+    return sum_in_order(
+        max(float(left.cores), left.mem, left.storage) for left in map(residuals.__getitem__, members)
+    )
 
 
 def sort_applications(apps: Iterable[Application]) -> list[Application]:
@@ -237,9 +234,12 @@ def run_placement(
     compared on one ``topology``. The multilayer strategy routes from each
     application's gateway once (``Topology.transmission_times``) and keeps
     those times only while it builds the application's ``app_tables``.
-    Response times are attached to every plan that is fully placed and
-    routable. Each application must be an instance whose ``gateway`` is a
-    device of ``topology`` (``Scenario.instances`` checks this). Raises
+    connectivity_greedy keeps each network partition's ``residual_units``
+    and re-sums, after each application, only the partition it placed in.
+    Nothing routed is kept from one application to the next. Response
+    times are attached to every plan that is fully placed and routable.
+    Each application must be an instance whose ``gateway`` is a device of
+    ``topology`` (``Scenario.instances`` checks this). Raises
     ValueError for an unknown strategy, a negative weight or two zero
     weights, or missing partitions.
     """
@@ -256,11 +256,15 @@ def run_placement(
     ordered = sort_applications(instances)
     ranges = normalization_ranges(devices.values(), ordered) if strategy == "multilayer" else {}
     order: Iterable[int] = sorted(devices)  # first_fit's candidates for the whole run
+    if strategy == "connectivity_greedy":
+        units = {pid: residual_units(members, residuals) for pid, members in network.partitions.items()}
 
     plans: dict[int, PlacementPlan] = {}
     for app in ordered:
         if strategy == "connectivity_greedy":
-            order = fullest_partition(network, residuals)
+            # max keeps the first of equals, so ties go to the lowest partition id
+            fullest = max(sorted(units), key=units.__getitem__)
+            order = sorted(network.partitions[fullest])
         elif strategy == "multilayer":
             d_matrix, proximities = app_tables(
                 feature_partitions,
@@ -284,6 +288,8 @@ def run_placement(
             host = assignment[sid] = place_service(service, order, app.deadline, devices, residuals)
             if strategy == "multilayer" and anchor is None and host is not None:
                 anchor = network.assignment[host]
+        if strategy == "connectivity_greedy":
+            units[fullest] = residual_units(network.partitions[fullest], residuals)
         plan = plans[app.id] = PlacementPlan(assignment=assignment)
         if not plan.fully_placed:
             continue

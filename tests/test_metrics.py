@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_request_series, per_request_tally
+from conftest import infrastructures, per_request_series, per_request_tally
 
 from fogpart.metrics import (
     REPORT_COLUMNS,
@@ -148,6 +148,19 @@ class TestCumulativeSeries:
         assert outcome_counts(ticks) == per_request_tally(outcomes)
 
 
+def routed_hop_histogram(placements, topology):
+    """Frozen copy of ``hop_histogram`` as it was: one ``shortest_hop_path`` per placed service."""
+    histogram = {}
+    for app, plan in placements:
+        for device_id in plan.assignment.values():
+            if device_id is None:
+                continue
+            path = topology.shortest_hop_path(app.gateway, device_id)
+            key = "unreachable" if path is None else len(path)
+            histogram[key] = histogram.get(key, 0) + 1
+    return histogram
+
+
 class TestHopHistogram:
     def test_each_instance_counts_from_its_own_gateway(self):
         # path 0-1-2 plus an isolated device 3
@@ -165,6 +178,23 @@ class TestHopHistogram:
             (Application(2, services, messages, 1000.0, gateway=0), PlacementPlan({0: 3, 1: 1})),
         ]
         assert hop_histogram(placements, topology) == {0: 1, 2: 2, 1: 1, "unreachable": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_to_one_route_per_service(self, data):
+        devices, links = data.draw(infrastructures())
+        topology = Topology(devices, links)
+        ids = sorted(topology.devices)
+        placements = []
+        for app_id in range(data.draw(st.integers(0, 4))):
+            services = [Service(i, 20.0, 1.0, 1.0) for i in range(data.draw(st.integers(1, 4)))]
+            messages = [Message(USER, 0, 1.0)] + [Message(0, s.id, 1.0) for s in services[1:]]
+            gateway = data.draw(st.sampled_from(ids))
+            app = Application(app_id, services, messages, 1000.0, gateway=gateway)
+            # hosts may repeat, may be the gateway, and may be cut off from it
+            host = st.none() | st.sampled_from(ids)
+            placements.append((app, PlacementPlan({s.id: data.draw(host) for s in services})))
+        assert hop_histogram(placements, topology) == routed_hop_histogram(placements, topology)
 
 
 class TestHopSummary:

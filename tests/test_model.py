@@ -5,10 +5,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import infrastructures
 
 from fogpart.model import (
     Application,
@@ -66,6 +69,26 @@ class TestNetworkLink:
 
     def test_zero_latency_accepted(self):
         assert NetworkLink(0, 1, 1.0, 0.0).latency == 0.0
+
+
+NOT_POSITIVE_AND_FINITE = [0.0, -1.0, float("nan"), float("inf")]
+
+
+class TestService:
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE, ids=repr)
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_rejects_demand_not_positive_and_finite(self, slot, bad):
+        args = [0, 20.0, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="^service 0: demands must be strictly positive and finite$"):
+            Service(*args)
+
+
+class TestMessage:
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE, ids=repr)
+    def test_rejects_size_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^message size must be positive and finite$"):
+            Message(USER, 0, bad)
 
 
 class TestSumInOrder:
@@ -201,6 +224,11 @@ class TestApplication:
     def test_topological_order_respects_edges(self):
         app = chain_app(4)
         assert list(app.topological_order()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE, ids=repr)
+    def test_rejects_deadline_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="^app 0: deadline must be positive and finite$"):
+            Application(0, [Service(0, 1, 1, 1)], [Message(USER, 0, 1.0)], bad)
 
 
 class TestResponseTimes:
@@ -442,6 +470,91 @@ class TestTransmissionTimes:
     def test_unknown_source_rejected(self):
         with pytest.raises(KeyError):
             Topology([make_device(0)], []).transmission_times(1, 1.0)
+
+
+def single_target_parents(topo, src, dead, dst=None):
+    """Frozen copy of ``Topology._parents`` as it was before it took several targets.
+
+    A deque-fed BFS that stops as soon as its one ``dst`` is reached, or
+    covers all that ``src`` reaches without one.
+    """
+    parent = {src: src}
+    frontier = deque([src])
+    while frontier:
+        node = frontier.popleft()
+        for nxt in topo.adj[node]:
+            if nxt in dead or nxt in parent:
+                continue
+            parent[nxt] = node
+            if nxt == dst:
+                return parent
+            frontier.append(nxt)
+    return parent
+
+
+def chain_to_source(parent, node):
+    chain = [node]
+    while parent[node] != node:
+        node = parent[node]
+        chain.append(node)
+    return chain
+
+
+@st.composite
+def searches(draw):
+    """A topology that is often disconnected, a live source, a dead set (maybe empty) and 0-5 targets."""
+    devices, links = draw(infrastructures())
+    topo = Topology(devices, links)
+    ids = st.sampled_from(sorted(topo.devices))
+    src = draw(ids)
+    dead = frozenset(draw(st.sets(ids)) - {src}) if draw(st.booleans()) else frozenset()
+    return topo, src, dead, draw(st.lists(ids, max_size=5))
+
+
+class TestMultiTargetParents:
+    @settings(max_examples=300, deadline=None)
+    @given(searches())
+    def test_each_target_gets_its_single_target_chain(self, case):
+        topo, src, dead, targets = case
+        parent = topo._parents(src, dead, targets)
+        whole = single_target_parents(topo, src, dead)
+        # the search is the whole one, stopped early
+        assert list(parent.items()) == list(whole.items())[: len(parent)]
+        for target in targets:
+            if target in whole:
+                alone = single_target_parents(topo, src, dead, target)
+                assert chain_to_source(parent, target) == chain_to_source(alone, target)
+            else:
+                assert target not in parent
+
+    @settings(max_examples=200, deadline=None)
+    @given(searches())
+    def test_without_targets_the_whole_search(self, case):
+        topo, src, dead, _ = case
+        assert list(topo._parents(src, dead).items()) == list(single_target_parents(topo, src, dead).items())
+
+    def test_stops_at_the_last_live_target(self):
+        topo = chain_topology(6)
+        assert topo._parents(0, targets=[2, 1]) == {0: 0, 1: 0, 2: 1}
+        assert topo._parents(0, dead={4}, targets=[4, 2]) == {0: 0, 1: 0, 2: 1}
+        # nothing left to find: the source alone, without a step
+        assert topo._parents(0, dead={3}, targets=[0, 3]) == {0: 0}
+        assert topo._parents(0, targets=[]) == {0: 0}
+        # an unreachable target runs the search to its end
+        assert topo._parents(0, dead={3}, targets=[1, 5]) == {0: 0, 1: 0, 2: 1}
+
+
+class TestHopCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(searches())
+    def test_equal_to_the_shortest_path_lengths(self, case):
+        topo, src, _, targets = case
+        paths = {t: topo.shortest_hop_path(src, t) for t in targets}
+        assert topo.hop_counts(src, targets) == {t: len(p) for t, p in paths.items() if p is not None}
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(KeyError):
+            Topology([make_device(0)], []).hop_counts(1, [1])
 
 
 @st.composite

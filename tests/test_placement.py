@@ -17,8 +17,10 @@ from fogpart.model import (
     Device,
     Message,
     NetworkLink,
+    PlacementPlan,
     Service,
     Topology,
+    UnreachableError,
     USER,
     execution_time,
     response_times,
@@ -653,3 +655,98 @@ class TestRankMatchesFitness:
             return (transmission_from(topology, gateway, did, size), did)
 
         assert d_matrix == {fp: sorted(fps.device_index[fp], key=by_t) for fp in fps.ids()}
+
+
+def greedy_by_full_scan(instances, topology, network):
+    """Frozen copy of ``run_placement``'s connectivity_greedy as it was.
+
+    Before each application it re-summed the residual units of every
+    network partition, in ascending partition id, and took the first with
+    the most.
+    """
+    devices = topology.devices
+    residuals = full_capacity(devices)
+    plans = {}
+    for app in sort_applications(instances):
+        best, best_units = frozenset(), -1.0
+        for pid in sorted(network.partitions):
+            members = network.partitions[pid]
+            units = reduce(
+                operator.add,
+                (max(float(left.cores), left.mem, left.storage) for left in (residuals[d] for d in members)),
+                0.0,
+            )
+            if units > best_units:
+                best, best_units = members, units
+        order = sorted(best)
+        assignment = {}
+        for sid in app.topological_order():
+            assignment[sid] = place_service(app.service(sid), order, app.deadline, devices, residuals)
+        plan = plans[app.id] = PlacementPlan(assignment)
+        if plan.fully_placed:
+            try:
+                plan.per_service_rt, plan.app_rt, _ = response_times(app, assignment, topology, app.gateway)
+            except UnreachableError:
+                pass
+    return plans
+
+
+@st.composite
+def greedy_inputs(draw):
+    """1-4 network partitions of small devices, often with equal residual units, and 1-6 apps.
+
+    Capacities and demands come from short lists, and a partition may copy
+    an earlier one's capacities, so partitions tie on residual units when
+    apps arrive. Partition ids are sparse and listed out of order, device
+    ids are shuffled across partitions, and links may leave hosts cut off.
+    """
+    capacity = st.tuples(st.integers(1, 2), st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([1.0, 2.0]))
+    parts: list[list[tuple[int, float, float]]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        if parts and draw(st.booleans()):
+            parts.append(list(draw(st.sampled_from(parts))))
+        else:
+            parts.append(draw(st.lists(capacity, min_size=1, max_size=3)))
+    pids = draw(st.lists(st.integers(0, 30), min_size=len(parts), max_size=len(parts), unique=True))
+    ids = draw(st.permutations(range(sum(map(len, parts)))))
+    devices, assignment, partitions = [], {}, {}
+    it = iter(ids)
+    for pid, caps in zip(pids, parts):
+        members = []
+        for cores, mem, storage in caps:
+            did = next(it)
+            devices.append(Device(did, cores, 20.0, mem, storage))
+            assignment[did] = pid
+            members.append(did)
+        partitions[pid] = frozenset(members)
+    pairs = [(a, b) for a in range(len(ids)) for b in range(a + 1, len(ids))]
+    links = [NetworkLink(a, b, 75000.0, 5.0) for a, b in pairs if draw(st.booleans())]
+    demand = st.sampled_from([0.5, 1.0, 1.5])
+    apps = []
+    for app_id in range(draw(st.integers(1, 6))):
+        services = [Service(i, 20.0, draw(demand), draw(demand)) for i in range(draw(st.integers(1, 3)))]
+        app = app_of(services, deadline=draw(st.sampled_from([300.0, 500.0])), app_id=app_id)
+        app.gateway = draw(st.sampled_from(ids))
+        apps.append(app)
+    network = PartitionSet(Layer.NETWORK, assignment, partitions, 0.0)
+    return Topology(devices, links), network, apps
+
+
+class TestConnectivityGreedyMatchesFullScan:
+    @settings(max_examples=300, deadline=None)
+    @given(greedy_inputs())
+    def test_plans_equal(self, inputs):
+        topology, network, apps = inputs
+        expected = greedy_by_full_scan(apps, topology, network)
+        assert run_placement(apps, topology, "connectivity_greedy", network=network) == expected
+
+    def test_tie_after_an_app_goes_to_the_lowest_id(self):
+        # partitions 3 and 1 start at 3 and 2 units; app 0 takes a core from 3, leaving a 2-2 tie
+        devices = [Device(0, 2, 20.0, 1.0, 1.0), Device(1, 3, 20.0, 1.0, 1.0)]
+        network = PartitionSet(Layer.NETWORK, {0: 1, 1: 3}, {3: frozenset({1}), 1: frozenset({0})}, 0.0)
+        apps = [app_of([Service(0, 20.0, 0.5, 0.5)], app_id=a) for a in range(2)]
+        for app in apps:
+            app.gateway = 0
+        plans = run_placement(apps, Topology(devices, []), "connectivity_greedy", network=network)
+        assert plans == greedy_by_full_scan(apps, Topology(devices, []), network)
+        assert [set(plans[a].assignment.values()) for a in (0, 1)] == [{1}, {0}]
