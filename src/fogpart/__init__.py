@@ -21,6 +21,7 @@ from .partitioner import (
     FeatureTriplet,
     PartitionSet,
     compress_graph,
+    derive_feature_partitions,
     feature_partition,
     louvain_partition,
     multilayer_resource_partition,

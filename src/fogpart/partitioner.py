@@ -76,7 +76,11 @@ class CompressedGraph:
 
 @dataclass(frozen=True)
 class FeaturePartitionSet:
-    """Disjoint clusters of layer partitions with similar average resources."""
+    """Disjoint clusters of layer partitions with similar average resources.
+
+    Clustering picks ``feature_partitions`` and ``modularity``; the rest, which
+    placement reads, follows from them (``derive_feature_partitions``).
+    """
 
     feature_partitions: Mapping[int, frozenset[CompressedNode]]
     device_index: Mapping[int, frozenset[int]]
@@ -657,26 +661,32 @@ def compress_graph(
     )
 
 
+def derive_feature_partitions(
+    feature_partitions: Mapping[int, frozenset[CompressedNode]], cg: CompressedGraph, modularity: float
+) -> FeaturePartitionSet:
+    """The fps whose members are ``feature_partitions``, nodes of ``cg``.
+
+    Each fp's devices are the union of its members' devices; the triplets are ``cg``'s.
+    """
+    device_index = {
+        fp: frozenset().union(*map(cg.members.__getitem__, nodes))
+        for fp, nodes in feature_partitions.items()
+    }
+    return FeaturePartitionSet(dict(feature_partitions), device_index, cg.features, modularity)
+
+
 def feature_partition(cg: CompressedGraph) -> FeaturePartitionSet:
     """Louvain over the compressed graph, weighted by feature similarity.
 
     Edge weights are 1 / (1 + euclidean feature distance) so that clusters
-    group layer partitions with similar average resources. The result keeps
-    the compressed graph's features, which placement scores services against.
+    group layer partitions with similar average resources. Louvain picks the
+    members and the modularity; ``derive_feature_partitions`` adds the rest.
     """
     if not cg.nodes:
         raise ValueError("cannot feature-partition an empty compressed graph")
     weights = {(a, b): 1.0 / (1.0 + cg.features[a].distance(cg.features[b])) for a, b in cg.edges}
     parts, q = _louvain(*index_rows(cg.nodes, weights))
-    feature_partitions: dict[int, frozenset[CompressedNode]] = {}
-    device_index: dict[int, frozenset[int]] = {}
-    for fp_id, nodes in enumerate(_label_partitions(parts)):
-        feature_partitions[fp_id] = nodes
-        devs: set[int] = set()
-        for node in nodes:
-            devs.update(cg.members[node])
-        device_index[fp_id] = frozenset(devs)
-    return FeaturePartitionSet(feature_partitions, device_index, cg.features, q)
+    return derive_feature_partitions(dict(enumerate(_label_partitions(parts))), cg, q)
 
 
 def multilayer_resource_partition(

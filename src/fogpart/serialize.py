@@ -10,11 +10,12 @@ version, and a reader accepts only that one:
   Version 1 kept those gateways in a separate user list, one user per
   request, and also stored the generator's gateway list, which no command
   read, and a null ``user`` on every app template;
-- ``partitions.json``: 3, which holds the network and resource-layer
-  partitions, the feature partitions with their members, devices and
-  stored feature triplets, and the config hash of the scenario they were
-  built from (version 2 lacked the hash; version 1 also held the
-  compressed graph);
+- ``partitions.json``: 4, which holds the network and resource-layer
+  partitions, the feature partitions' members, and the config hash of the
+  scenario they were built from; each fp's devices and the feature triplets
+  are derived on load. ``device_index`` is written for ``bench/checks.py``
+  only. Version 3 also stored the triplets, 2 lacked the hash, and 1 held
+  the compressed graph;
 - ``plans.json``: 1.
 """
 
@@ -31,12 +32,13 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service
-from .multilayer import Layer
-from .partitioner import CompressedNode, FeaturePartitionSet, FeatureTriplet, PartitionSet
+from .multilayer import RESOURCE_LAYERS, Layer
+from .partitioner import CompressedNode, FeaturePartitionSet, PartitionSet
+from .partitioner import compress_graph, derive_feature_partitions
 from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
 #: document kind -> the one schema_version its reader accepts
-SCHEMA_VERSIONS = {"scenario": 2, "partitions": 3, "plans": 1}
+SCHEMA_VERSIONS = {"scenario": 2, "partitions": 4, "plans": 1}
 
 INVALID_MARK = "invalid"
 
@@ -280,11 +282,6 @@ def _node_key(node: CompressedNode) -> str:
     return f"{Layer(layer).name}:{pid}"
 
 
-def _node_from_key(key: str) -> CompressedNode:
-    layer_name, pid = key.split(":")
-    return (_layer(layer_name), int(pid))
-
-
 def _layer(name: str) -> Layer:
     # a KeyError would read as a missing key (see _required_keys)
     try:
@@ -301,15 +298,33 @@ def _partition_set_to_dict(ps: PartitionSet) -> dict[str, Any]:
     }
 
 
-def _partition_set_from_dict(data: Mapping[str, Any]) -> PartitionSet:
+def _partition_set_from_dict(data: Mapping[str, Any], layer: Layer, ids: set[int]) -> PartitionSet:
+    if _layer(data["layer"]) is not layer:
+        raise ValueError(f"the {layer.name} partitions are labelled {data['layer']}")
     partitions = {int(pid): frozenset(devs) for pid, devs in data["partitions"].items()}
+    _check_cover(partitions, f"{layer.name} partition", ids, "a scenario device")
     assignment = {dev: pid for pid, devs in partitions.items() for dev in devs}
-    return PartitionSet(
-        layer=_layer(data["layer"]),
-        assignment=assignment,
-        partitions=partitions,
-        modularity=data["modularity"],
-    )
+    return PartitionSet(layer, assignment, partitions, data["modularity"])
+
+
+def _check_cover(groups: Mapping[int, frozenset], kind: str, items: set, what: str) -> None:
+    """ValueError unless no group is empty and the groups hold each of ``items`` once.
+
+    A group is a ``kind``, as in ``feature partition``. An item must also
+    have an item's type, since ``True == 1.0 == 1``.
+    """
+    types = set(map(type, items))
+    owner: dict[Any, int] = {}
+    for group, members in sorted(groups.items()):
+        if not members:
+            raise ValueError(f"{kind} {group} is empty")
+        for item in members:
+            if type(item) not in types or item not in items:
+                raise ValueError(f"{kind} {group} holds {json.dumps(item)}, which is not {what}")
+            if owner.setdefault(item, group) != group:
+                raise ValueError(f"{kind}s {owner[item]} and {group} both hold {json.dumps(item)}")
+    if len(owner) < len(items):
+        raise ValueError(f"no {kind} holds {json.dumps(min(items - owner.keys()))}")
 
 
 def partitions_to_dict(
@@ -331,50 +346,34 @@ def partitions_to_dict(
                 str(fp): sorted(_node_key(n) for n in nodes)
                 for fp, nodes in fps.feature_partitions.items()
             },
-            "device_index": {
-                str(fp): sorted(devs) for fp, devs in fps.device_index.items()
-            },
-            "features": {
-                _node_key(n): [f.avg_cpu, f.avg_mem, f.avg_storage]
-                for n, f in fps.features.items()
-            },
+            # output only, for bench/checks.py: partitions_from_dict derives it
+            "device_index": {str(fp): sorted(devs) for fp, devs in fps.device_index.items()},
         },
     }
 
 
-def partitions_from_dict(data: Mapping[str, Any]) -> tuple[FeaturePartitionSet, PartitionSet, str]:
-    """The feature and network partitions placement reads, and the scenario config hash."""
+def partitions_from_dict(
+    data: Mapping[str, Any], devices: Sequence[Device]
+) -> tuple[FeaturePartitionSet, PartitionSet, str]:
+    """The feature and network partitions of ``devices``, and the scenario config hash.
+
+    Each fp's devices and the triplets are derived, not read. ValueError unless each
+    layer holds every device once and the fps every resource-layer partition once.
+    """
     _check_version(data, "partitions")
+    ids = {d.id for d in devices}
     with _required_keys("partitions"):
+        network = _partition_set_from_dict(data["network"], Layer.NETWORK, ids)
+        layers = data["resource_layers"]
+        layer_sets = [_partition_set_from_dict(layers[layer.name], layer, ids) for layer in RESOURCE_LAYERS]
+        cg = compress_graph(layer_sets, {d.id: d for d in devices})
         fp_data = data["feature_partitions"]
-        fps = FeaturePartitionSet(
-            feature_partitions={
-                int(fp): frozenset(_node_from_key(k) for k in nodes)
-                for fp, nodes in fp_data["members"].items()
-            },
-            device_index={int(fp): frozenset(devs) for fp, devs in fp_data["device_index"].items()},
-            features={
-                _node_from_key(k): FeatureTriplet(*vals) for k, vals in fp_data["features"].items()
-            },
-            modularity=fp_data["modularity"],
-        )
-        _check_feature_partitions(fps)
-        return fps, _partition_set_from_dict(data["network"]), data["scenario_config_hash"]
-
-
-def _check_feature_partitions(fps: FeaturePartitionSet) -> None:
-    """Every member has stored features, and members and device_index list the same fps."""
-    for fp, nodes in sorted(fps.feature_partitions.items()):
-        missing = sorted(nodes - fps.features.keys())
-        if missing:
-            raise ValueError(
-                f"feature partition {fp} holds {_node_key(missing[0])}, which has no stored features"
-            )
-    unmatched = fps.feature_partitions.keys() ^ fps.device_index.keys()
-    if unmatched:
-        fp = min(unmatched)
-        here, there = ("members", "device_index") if fp in fps.feature_partitions else ("device_index", "members")
-        raise ValueError(f"feature partition {fp} is in {here} but not in {there}")
+        nodes = {_node_key(node): node for node in cg.nodes}
+        keys = {int(fp): frozenset(ks) for fp, ks in fp_data["members"].items()}
+        _check_cover(keys, "feature partition", set(nodes), "a resource-layer partition")
+        members = {fp: frozenset(map(nodes.__getitem__, ks)) for fp, ks in keys.items()}
+        fps = derive_feature_partitions(members, cg, fp_data["modularity"])
+        return fps, network, data["scenario_config_hash"]
 
 
 # -- placement plans ---------------------------------------------------------

@@ -410,7 +410,7 @@ def place_on_edited_partitions(scenario, tmp, edit):
 
 
 def partitions_missing_key(scenario, tmp):
-    return place_on_edited_partitions(scenario, tmp, lambda data: data["feature_partitions"].pop("device_index"))
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["feature_partitions"].pop("members"))
 
 
 def partitions_unknown_layer(scenario, tmp):
@@ -475,32 +475,60 @@ def faulty_with_cloud_id(cloud_id):
     return build
 
 
-def feature_partition_of_unknown_device(scenario, tmp):
-    # exited 0; a placement scan that reached the device raised KeyError
-    return place_on_edited_partitions(
-        scenario, tmp, lambda data: data["feature_partitions"]["device_index"].update({"0": [99999]})
-    )
-
-
-def feature_partition_member_without_features(scenario, tmp):
+def feature_partition_member_of_no_partition(scenario, tmp):
     # placement died with "KeyError: (<Layer.CPU: 1>, 999)"
     return place_on_edited_partitions(
         scenario, tmp, lambda data: data["feature_partitions"]["members"]["0"].append("CPU:999")
     )
 
 
-def feature_partition_without_device_index(scenario, tmp):
-    # placement died with "KeyError: 1"
-    return place_on_edited_partitions(
-        scenario, tmp, lambda data: data["feature_partitions"]["device_index"].pop("1")
-    )
-
-
-def feature_partition_without_members(scenario, tmp):
-    # placement died with "KeyError: 99"
+def feature_partitions_overlap(scenario, tmp):
+    # exited 0, with CPU:0 in two feature partitions
     return place_on_edited_partitions(
         scenario, tmp, lambda data: data["feature_partitions"]["members"].update({"99": ["CPU:0"]})
     )
+
+
+def empty_feature_partition(scenario, tmp):
+    # died with "max() arg is an empty sequence"
+    def edit(data):
+        data["feature_partitions"]["members"]["9"] = []
+        data["feature_partitions"]["device_index"]["9"] = []
+
+    return place_on_edited_partitions(scenario, tmp, edit)
+
+
+def feature_partitions_miss_a_member(scenario, tmp):
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["feature_partitions"]["members"]["0"].pop()
+    )
+
+
+def resource_layer_missing(scenario, tmp):
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["resource_layers"].pop("MEM"))
+
+
+def resource_layers_swapped(scenario, tmp):
+    def edit(data):
+        layers = data["resource_layers"]
+        layers["CPU"], layers["MEM"] = layers["MEM"], layers["CPU"]
+
+    return place_on_edited_partitions(scenario, tmp, edit)
+
+
+def empty_resource_layer_partition(scenario, tmp):
+    # an empty partition has no mean resources
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["resource_layers"]["CPU"]["partitions"].update({"99": []})
+    )
+
+
+def network_partition_repeats_a_device(scenario, tmp):
+    # exited 0 on SMALL seed 0 with other multilayer plans: the last copy set device 0's partition
+    argv = ["generate", "--preset", "SMALL", "--seed", "0", "--out", str(tmp / "small")]
+    assert cli.main(argv) == 0
+    small = tmp / "small" / "scenario.json"
+    return place_on_edited_partitions(small, tmp, lambda data: data["network"]["partitions"]["8"].append(0))
 
 
 def report_of_list_metrics(scenario, tmp):
@@ -539,10 +567,10 @@ BAD_INPUTS = [
     (negative_alpha, "alpha and beta must be non-negative"),
     (report_without_metrics, "has no metrics.json"),
     (wrong_schema_version, "schema_version 99"),
-    (partitions_of_smaller_scenario, "built for another scenario"),
-    (partitions_of_larger_scenario, "built for another scenario"),
+    (partitions_of_smaller_scenario, "no NETWORK partition holds 9"),
+    (partitions_of_larger_scenario, "holds 9, which is not a scenario device"),
     (partitions_of_another_seed, "scenario config hash differs"),
-    (scenario_edited_by_hand, "they cover"),
+    (scenario_edited_by_hand, "holds 0, which is not a scenario device"),
     (partitions_schema_1, "schema_version 1"),
     (plan_omits_a_service, "plan of request 0 assigns services"),
     (plan_names_unknown_device, "on device 99999, which is not in the scenario"),
@@ -571,7 +599,7 @@ BAD_INPUTS = [
     (place_repeated_request_id, "request id 0 is repeated"),
     (simulate_repeated_request_id, "request id 0 is repeated"),
     (scenario_missing_key, "scenario document is missing key 'cores'"),
-    (partitions_missing_key, "partitions document is missing key 'device_index'"),
+    (partitions_missing_key, "partitions document is missing key 'members'"),
     (partitions_unknown_layer, "unknown layer 'BOGUS'"),
     (plans_missing_key, "plans document is missing key 'app_rt_ms'"),
     (device_cores_of_text, 'scenario devices[0].cores is "x"; expected an integer'),
@@ -585,10 +613,14 @@ BAD_INPUTS = [
     (faulty_with_cloud_id(True), "scenario cloud_id is true; expected a device id"),
     (faulty_with_cloud_id(5.0), "scenario cloud_id is 5.0; expected a device id"),
     (faulty_with_cloud_id(99999), "scenario cloud_id is 99999; expected a device id"),
-    (feature_partition_of_unknown_device, "feature partition 0 holds device 99999, which is not in the scenario"),
-    (feature_partition_member_without_features, "feature partition 0 holds CPU:999, which has no stored features"),
-    (feature_partition_without_device_index, "feature partition 1 is in members but not in device_index"),
-    (feature_partition_without_members, "feature partition 99 is in members but not in device_index"),
+    (feature_partition_member_of_no_partition, 'feature partition 0 holds "CPU:999", which is not a resource-layer partition'),
+    (feature_partitions_overlap, 'feature partitions 0 and 99 both hold "CPU:0"'),
+    (empty_feature_partition, "feature partition 9 is empty"),
+    (feature_partitions_miss_a_member, "no feature partition holds "),
+    (resource_layer_missing, "partitions document is missing key 'MEM'"),
+    (resource_layers_swapped, "the CPU partitions are labelled MEM"),
+    (empty_resource_layer_partition, "CPU partition 99 is empty"),
+    (network_partition_repeats_a_device, "NETWORK partitions 0 and 8 both hold 0"),
     (report_of_list_metrics, "metrics.json holds list, not a JSON object"),
 ]
 
@@ -602,6 +634,19 @@ def test_error_exits_one_with_command_prefix(bad_input, reason, scenario_path, t
     err = capsys.readouterr().err
     assert err.startswith(f"fogpart {argv[0]}: ")
     assert reason in err
+
+
+def test_device_index_is_never_read(scenario_path, tmp_path):
+    # partitions.json still writes each fp's devices, but place derives them from the members
+    partitions = partitioned(scenario_path, tmp_path)
+    place = ["place", "--scenario", str(scenario_path), "--partitions", str(partitions)]
+    assert cli.main([*place, "--out", str(tmp_path / "stored")]) == 0
+    data = json.loads(partitions.read_text())
+    data["feature_partitions"]["device_index"] = {"0": [99999], "7": []}
+    partitions.write_text(json.dumps(data))
+    assert cli.main([*place, "--out", str(tmp_path / "edited")]) == 0
+    for name in ("plans.json", "metrics.json"):
+        assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "stored" / name).read_bytes()
 
 
 def test_simulate_stops_at_the_scenario_horizon(scenario_path, tmp_path):

@@ -31,8 +31,12 @@ memberships, plans and outcomes did not. Every JSON hash moved again when
 ``indent=2``; no CSV hash moved. ``INDENTED`` keeps the D-SMALL case's JSON
 hashes from before, and ``test_json_reindents_to_indented_hashes`` shows
 that the values did not change: each new JSON artifact, re-encoded with
-``indent=2``, hashes to them. A change that moves any hash changes program
-output.
+``indent=2``, hashes to them. The five ``partition/partitions.json`` hashes,
+and ``INDENTED``'s partitions entry, moved once more with partitions schema
+4: it drops every compressed node's stored feature triplet, which ``place``
+now derives from the layer partitions and the scenario's devices; each
+fp's ``device_index`` is still written. No other artifact moved with it.
+A change that moves any hash changes program output.
 Manifests are left out: they carry the tool version, not results.
 
 To print the hashes of the current code: ``python tests/test_golden.py``.
@@ -70,7 +74,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "77ec68cd75a43f8cddf712a1d991fd7e08fdf0115bc92f67da23a231a344d6e1",
+            "1a6ca1226c3834c6e2a70dc243fa7f0b4caee5e8fc61b77853ee0d7363a136a5",
         "place/connectivity_greedy/metrics.json":
             "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
@@ -118,7 +122,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "cd63587175320306bf95ab65c2292ecbb4fd6cb032fd921425c0b0e56796f986",
+            "15e0fd98d9593a9c6b02afa001afedd56f7b90f77ac1e8edb05e5f08fab83b46",
         "place/connectivity_greedy/metrics.json":
             "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
@@ -166,7 +170,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "cc20e987d7b26518dd4c5378f9df2919a7466c86a80d5c675d2ff67fd58c9d2d",
         "partition/partitions.json":
-            "b01c85b27d152a393fbd5402742e51c6e1b762b21da21480e242e3ad4ba8559b",
+            "fbebacc2682b2ee51a3dd8bea301ce7aa8d37fee5dd033d6e872c919c4535e23",
         "place/connectivity_greedy/metrics.json":
             "6f7c6df3f5423f0e87ba85aed10670f0c35f8d1afe6973c7b7142bfbd094cf93",
         "place/connectivity_greedy/plans.json":
@@ -186,7 +190,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "4bd461a1c1dc9adefa2763a83b7c8d7070c13f6f16c7c39acdb0db5d3cfb46ec",
         "partition/partitions.json":
-            "2e158f4cc0148781ddea19f98855393c46e0e74a46dfd039280ab16550de849d",
+            "8c1b064269b912a08e872b044a8f5c2fcc3723496c101e04b316e68f8da9f9a0",
         "place/connectivity_greedy/metrics.json":
             "3aac2c8b020e22f9ff8c3ca7db0c23ffc821a02b1cfefe997e43b5dd264eb3a5",
         "place/connectivity_greedy/plans.json":
@@ -206,7 +210,7 @@ GOLDEN = {
         "partition/modularity.csv":
             "3c50917e4a9c5de376b92d8f765fb13d146af5c63baade260dae57f62c44bd2c",
         "partition/partitions.json":
-            "e4572fef7900d795f43a4d7be755fea7e9c8761d3efa60f2461a4eae290a66ac",
+            "188234df19983ca8cb4d90fdb694e68eb8e713196256016b7f1c0340fabc7a69",
         "place/connectivity_greedy/metrics.json":
             "5ab7f5661c2b7e3462c0d4ecd10e3a374c3f02ad9e67d0c1988f57c495bacfaa",
         "place/connectivity_greedy/plans.json":
@@ -224,13 +228,13 @@ GOLDEN = {
 
 
 #: D-SMALL-seed0-h100's JSON hashes when ``dump_json`` wrote ``indent=2``; that
-#: case writes every kind of JSON artifact
+#: case writes every kind of JSON artifact. The partitions entry is schema 4's.
 INDENTED_CASE = "D-SMALL-seed0-h100"
 INDENTED = {
     "generate/scenario.json":
         "74215a5318531bfd53b9eec8635b194020cde22419fcdc0a17b2f840a7cb1202",
     "partition/partitions.json":
-        "4f01630d8fe8f960a5d9b4b6517619157449064f105a83fda270e2dcd0b88dc2",
+        "61ac226d4805eb1111cb2d08b9e58f95bbb1f76dd0f9c545cd9c708d315936a0",
     "place/connectivity_greedy/metrics.json":
         "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
     "place/connectivity_greedy/plans.json":

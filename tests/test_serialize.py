@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER
-from fogpart.multilayer import RESOURCE_LAYERS, Layer
-from fogpart.partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
-from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig
+from fogpart.multilayer import RESOURCE_LAYERS, Layer, build_multilayer
+from fogpart.partitioner import (
+    FeatureTriplet,
+    PartitionSet,
+    compress_graph,
+    derive_feature_partitions,
+    multilayer_resource_partition,
+)
+from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig, generate_scenario
 from fogpart.serialize import (
     config_from_dict,
     config_to_dict,
@@ -126,38 +133,37 @@ def layer_partition(draw, layer, device_ids):
 
 @st.composite
 def partition_results(draw):
-    device_ids = list(range(draw(st.integers(1, 6))))
+    """(feature, network and layer partitions, devices), the fps drawn as groups of compressed nodes."""
+    devices = [
+        Device(d, 1, draw(positive), draw(positive), draw(positive))
+        for d in range(draw(st.integers(1, 6)))
+    ]
+    device_ids = [d.id for d in devices]
     network = draw(layer_partition(Layer.NETWORK, device_ids))
     layer_sets = {layer: draw(layer_partition(layer, device_ids)) for layer in RESOURCE_LAYERS}
+    cg = compress_graph(list(layer_sets.values()), {d.id: d for d in devices})
+    groups = {node: draw(st.integers(0, len(cg.nodes) - 1)) for node in cg.nodes}
     members = {
-        (layer, pid): devs for layer, ps in layer_sets.items() for pid, devs in ps.partitions.items()
+        fp: frozenset(n for n, g in groups.items() if g == old)
+        for fp, old in enumerate(sorted(set(groups.values())))
     }
-    nodes = tuple(sorted(members))
-    features = {node: FeatureTriplet(draw(finite), draw(finite), draw(finite)) for node in nodes}
-    groups = {node: draw(st.integers(0, len(nodes) - 1)) for node in nodes}
-    fp_ids = sorted(set(groups.values()))
-    feature_partitions = {
-        fp: frozenset(n for n, g in groups.items() if g == old) for fp, old in enumerate(fp_ids)
-    }
-    device_index = {
-        fp: frozenset(d for n in ns for d in members[n]) for fp, ns in feature_partitions.items()
-    }
-    fps = FeaturePartitionSet(feature_partitions, device_index, features, draw(finite))
-    return fps, network, layer_sets
+    fps = derive_feature_partitions(members, cg, draw(finite))
+    return fps, network, layer_sets, devices
 
 
 #: stands in for the sha256 of a scenario config that cli.cmd_partition records
 CONFIG_HASH = "0" * 64
 
+#: the one device of ``one_device_partitions``
+ONE_DEVICE = [Device(0, 1, 1.0, 2.0, 3.0)]
+
 
 def one_device_partitions():
-    """(feature partitions, network partitions, layer partitions) of one device."""
+    """(feature partitions, network partitions, layer partitions) of ``ONE_DEVICE``."""
     network = PartitionSet(Layer.NETWORK, {0: 0}, {0: frozenset({0})}, 0.0)
-    node = (Layer.CPU, 0)
-    fps = FeaturePartitionSet(
-        {0: frozenset({node})}, {0: frozenset({0})}, {node: FeatureTriplet(1.0, 2.0, 3.0)}, 0.0
-    )
-    layer_sets = {Layer.CPU: PartitionSet(Layer.CPU, {0: 0}, {0: frozenset({0})}, 0.0)}
+    layer_sets = {layer: PartitionSet(layer, {0: 0}, {0: frozenset({0})}, 0.0) for layer in RESOURCE_LAYERS}
+    cg = compress_graph(list(layer_sets.values()), {0: ONE_DEVICE[0]})
+    fps = derive_feature_partitions({0: frozenset(cg.nodes)}, cg, 0.0)
     return fps, network, layer_sets
 
 
@@ -350,33 +356,57 @@ class TestPartitionsRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(partition_results())
     def test_round_trip(self, result):
-        fps, network, layer_sets = result
+        fps, network, layer_sets, devices = result
         data = through_json(partitions_to_dict(fps, network, layer_sets, CONFIG_HASH))
-        assert partitions_from_dict(data) == (fps, network, CONFIG_HASH)
+        assert partitions_from_dict(data, devices) == (fps, network, CONFIG_HASH)
 
-    def test_no_compressed_graph_stored(self):
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["SMALL", "LARGE"]), st.integers(4, 40), st.integers(0, 10**6))
+    def test_loader_rebuilds_what_partitioning_returns(self, scale, n, seed):
+        cfg = replace(ScenarioConfig(seed=seed), device_count=n, gateway_count=n // 4).with_scale(scale)
+        scenario = generate_scenario(cfg)
+        fps, network, layer_sets = multilayer_resource_partition(build_multilayer(scenario.topology()))
+        data = through_json(partitions_to_dict(fps, network, layer_sets, CONFIG_HASH))
+        assert partitions_from_dict(data, scenario.devices) == (fps, network, CONFIG_HASH)
+
+    def test_repeat_inside_one_partition_is_harmless(self):
+        # a partition's device list stands for a set
+        data = through_json(partitions_to_dict(*one_device_partitions(), CONFIG_HASH))
+        data["network"]["partitions"]["0"].append(0)
+        assert partitions_from_dict(data, ONE_DEVICE) == (*one_device_partitions()[:2], CONFIG_HASH)
+
+    def test_stores_no_triplets_and_reads_no_device_index(self):
         fps, network, layer_sets = one_device_partitions()
-        data = partitions_to_dict(fps, network, layer_sets, CONFIG_HASH)
+        data = through_json(partitions_to_dict(fps, network, layer_sets, CONFIG_HASH))
         assert sorted(data) == [
             "feature_partitions", "network", "resource_layers", "scenario_config_hash",
             "schema_version",
         ]
-        assert data["feature_partitions"]["features"] == {"CPU:0": [1.0, 2.0, 3.0]}
+        assert sorted(data["feature_partitions"]) == ["device_index", "members", "modularity"]
+        del data["feature_partitions"]["device_index"]
+        assert partitions_from_dict(data, ONE_DEVICE) == (fps, network, CONFIG_HASH)
+        assert fps.features[(Layer.CPU, 0)] == FeatureTriplet(1.0, 2.0, 3.0)
 
     @pytest.mark.parametrize(
-        "key, fp, value, expected",
+        "edit, expected",
         [
-            ("members", "0", ["CPU:0", "MEM:0"], "feature partition 0 holds MEM:0, which has no stored features"),
-            ("members", "1", ["CPU:0"], "feature partition 1 is in members but not in device_index"),
-            ("device_index", "1", [0], "feature partition 1 is in device_index but not in members"),
+            # True == 1.0 == 1 would pass a set comparison
+            (lambda d: d["network"]["partitions"].update({"0": [0.0]}), "NETWORK partition 0 holds 0.0, which is not a scenario device"),
+            (lambda d: d["network"]["partitions"].update({"0": [True]}), "NETWORK partition 0 holds true, which is not a scenario device"),
+            (lambda d: d["network"].update(layer="CPU"), "the NETWORK partitions are labelled CPU"),
+            (lambda d: d["feature_partitions"]["members"]["0"].append("NETWORK:0"), 'feature partition 0 holds "NETWORK:0", which is not a resource-layer partition'),
+            (lambda d: d["feature_partitions"]["members"]["0"].append("CPU"), 'feature partition 0 holds "CPU", which is not a resource-layer partition'),
+            (lambda d: d["feature_partitions"]["members"]["0"].append("CPU:00"), 'feature partition 0 holds "CPU:00", which is not a resource-layer partition'),
+            # "00" and "0" are both fp 0, so one list replaces the other
+            (lambda d: d["feature_partitions"]["members"].update({"00": ["MEM:0"]}), 'no feature partition holds "CPU:0"'),
         ],
     )
-    def test_feature_partitions_must_match_their_features_and_index(self, key, fp, value, expected):
+    def test_partitions_must_cover_once(self, edit, expected):
         data = through_json(partitions_to_dict(*one_device_partitions(), CONFIG_HASH))
-        data["feature_partitions"][key][fp] = value
+        edit(data)
         with pytest.raises(ValueError) as info:
-            partitions_from_dict(data)
-        assert str(info.value) == expected
+            partitions_from_dict(data, ONE_DEVICE)
+        assert expected in str(info.value)
 
 
 class TestPlansRoundTrip:
@@ -417,7 +447,11 @@ class TestSchemaVersion:
         )
         return [
             (scenario_from_dict, scenario_to_dict(scenario), 2),
-            (partitions_from_dict, partitions_to_dict(*one_device_partitions(), CONFIG_HASH), 3),
+            (
+                lambda data: partitions_from_dict(data, ONE_DEVICE),
+                partitions_to_dict(*one_device_partitions(), CONFIG_HASH),
+                4,
+            ),
             (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 1),
         ]
 
@@ -428,10 +462,10 @@ class TestSchemaVersion:
             with pytest.raises(ValueError, match=f"schema_version '{expected}', expected {expected}"):
                 reader(dict(data, schema_version=str(expected)))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, None, True, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, None, True, 1.0, 2.0, 3.0, 4.0])
     def test_wrong_version_rejected(self, version):
         # 1 covers partitions and scenarios, whose old versions have no reader,
-        # and 2 partitions and plans; True and the floats equal some kind's
+        # 2 partitions and plans, and 3 partitions; True and the floats equal some kind's
         # version in Python but are not ints
         for reader, data, expected in self.documents():
             if type(version) is not int or version != expected:
