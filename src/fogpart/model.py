@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -205,11 +205,13 @@ class Application:
 
 @dataclass
 class PlacementPlan:
-    """Mapping from service id to hosting device (None marks an invalid placement)."""
+    """Mapping from service id to hosting device (None marks an invalid placement).
+
+    A plan holds no response times: ``simulator.run`` computes them from the
+    assignment under each mode's dead set.
+    """
 
     assignment: dict[int, int | None]
-    per_service_rt: dict[int, float] = field(default_factory=dict)
-    app_rt: float | None = None
 
     @property
     def fully_placed(self) -> bool:

@@ -3,7 +3,8 @@
 ``run_placement`` walks the applications by ascending deadline
 (``sort_applications``) and each application's services in topological
 order. Every service goes to the first device of a candidate order that
-passes ``placement_valid`` (``place_service``). The topology is only read:
+passes ``placement_valid`` (``place_service``). Each application's plan is
+its assignment alone; ``simulator.run`` times it. The topology is only read:
 the run keeps what is left of each device in its own ``Residual`` records,
 keyed by device id. The strategies differ only in the order they offer:
 
@@ -33,8 +34,7 @@ from .model import (
     PlacementPlan,
     Service,
     Topology,
-    UnreachableError,
-    response_times,
+    response_times,  # noqa: F401  unused here: only bench/tracing.py reads it, by name
     sum_in_order,
 )
 from .partitioner import FeaturePartitionSet, FeatureTriplet, PartitionSet
@@ -233,13 +233,13 @@ def run_placement(
     Only the run's own residual records change, so strategies can be
     compared on one ``topology``. The multilayer strategy routes from each
     application's gateway once (``Topology.transmission_times``) and keeps
-    those times only while it builds the application's ``app_tables``.
-    connectivity_greedy keeps each network partition's ``residual_units``
-    and re-sums, after each application, only the partition it placed in.
-    Nothing routed is kept from one application to the next. Response
-    times are attached to every plan that is fully placed and routable.
-    Each application must be an instance whose ``gateway`` is a device of
-    ``topology`` (``Scenario.instances`` checks this). Raises
+    those times only while it builds the application's ``app_tables``; the
+    baselines route nothing. connectivity_greedy keeps each network
+    partition's ``residual_units`` and re-sums, after each application, only
+    the partition it placed in. Nothing is timed: a plan is its assignment,
+    and ``simulator.run`` computes its response times. Each application must
+    be an instance whose ``gateway`` is a device of ``topology``
+    (``Scenario.instances`` checks this). Raises
     ValueError for an unknown strategy, a negative weight or two zero
     weights, or missing partitions.
     """
@@ -290,14 +290,6 @@ def run_placement(
                 anchor = network.assignment[host]
         if strategy == "connectivity_greedy":
             units[fullest] = residual_units(network.partitions[fullest], residuals)
-        plan = plans[app.id] = PlacementPlan(assignment=assignment)
-        if not plan.fully_placed:
-            continue
-        try:
-            plan.per_service_rt, plan.app_rt, _ = response_times(
-                app, plan.assignment, topology, app.gateway
-            )
-        except UnreachableError:
-            pass
+        plans[app.id] = PlacementPlan(assignment=assignment)
 
     return plans

@@ -16,7 +16,8 @@ version, and a reader accepts only that one:
   are derived on load. ``device_index`` is written for ``bench/checks.py``
   only. Version 3 also stored the triplets, 2 lacked the hash, and 1 held
   the compressed graph;
-- ``plans.json``: 1.
+- ``plans.json``: 2, which holds each plan's assignment only. Version 1
+  also stored per-service and app response times, which no command read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .partitioner import compress_graph, derive_feature_partitions
 from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
 
 #: document kind -> the one schema_version its reader accepts
-SCHEMA_VERSIONS = {"scenario": 2, "partitions": 4, "plans": 1}
+SCHEMA_VERSIONS = {"scenario": 2, "partitions": 4, "plans": 2}
 
 INVALID_MARK = "invalid"
 
@@ -304,7 +305,14 @@ def _partition_set_from_dict(data: Mapping[str, Any], layer: Layer, ids: set[int
     partitions = {int(pid): frozenset(devs) for pid, devs in data["partitions"].items()}
     _check_cover(partitions, f"{layer.name} partition", ids, "a scenario device")
     assignment = {dev: pid for pid, devs in partitions.items() for dev in devs}
-    return PartitionSet(layer, assignment, partitions, data["modularity"])
+    return PartitionSet(layer, assignment, partitions, _modularity(data["modularity"], layer.name))
+
+
+def _modularity(value: Any, name: str) -> float:
+    """``value`` if it is a finite number by ``_column_ok``'s rule; else a ValueError naming ``name``."""
+    if not _column_ok([value], integer=False):
+        raise ValueError(f"partitions {name} modularity is {json.dumps(value)}; expected a finite number")
+    return value
 
 
 def _check_cover(groups: Mapping[int, frozenset], kind: str, items: set, what: str) -> None:
@@ -358,7 +366,8 @@ def partitions_from_dict(
     """The feature and network partitions of ``devices``, and the scenario config hash.
 
     Each fp's devices and the triplets are derived, not read. ValueError unless each
-    layer holds every device once and the fps every resource-layer partition once.
+    layer holds every device once, the fps every resource-layer partition once, and
+    every modularity is a finite number.
     """
     _check_version(data, "partitions")
     ids = {d.id for d in devices}
@@ -372,7 +381,7 @@ def partitions_from_dict(
         keys = {int(fp): frozenset(ks) for fp, ks in fp_data["members"].items()}
         _check_cover(keys, "feature partition", set(nodes), "a resource-layer partition")
         members = {fp: frozenset(map(nodes.__getitem__, ks)) for fp, ks in keys.items()}
-        fps = derive_feature_partitions(members, cg, fp_data["modularity"])
+        fps = derive_feature_partitions(members, cg, _modularity(fp_data["modularity"], "FEATURE"))
         return fps, network, data["scenario_config_hash"]
 
 
@@ -385,16 +394,15 @@ def plans_to_dict(
     alpha: float,
     beta: float,
 ) -> dict[str, Any]:
-    serialized = {}
-    for request_id, plan in plans.items():
-        serialized[str(request_id)] = {
+    serialized = {
+        str(request_id): {
             "assignment": {
                 str(sid): (INVALID_MARK if dev is None else dev)
                 for sid, dev in plan.assignment.items()
-            },
-            "per_service_rt_ms": {str(s): rt for s, rt in plan.per_service_rt.items()},
-            "app_rt_ms": plan.app_rt,
+            }
         }
+        for request_id, plan in plans.items()
+    }
     return {
         "schema_version": SCHEMA_VERSIONS["plans"],
         "strategy": strategy,
@@ -406,17 +414,13 @@ def plans_to_dict(
 
 def plans_from_dict(data: Mapping[str, Any]) -> tuple[dict[int, PlacementPlan], str]:
     _check_version(data, "plans")
-    plans: dict[int, PlacementPlan] = {}
     with _required_keys("plans"):
-        for request_id, body in data["plans"].items():
-            assignment = {
-                int(sid): _host(request_id, sid, dev) for sid, dev in body["assignment"].items()
-            }
-            plans[int(request_id)] = PlacementPlan(
-                assignment=assignment,
-                per_service_rt={int(s): rt for s, rt in body["per_service_rt_ms"].items()},
-                app_rt=body["app_rt_ms"],
+        plans = {
+            int(request_id): PlacementPlan(
+                {int(sid): _host(request_id, sid, dev) for sid, dev in body["assignment"].items()}
             )
+            for request_id, body in data["plans"].items()
+        }
         return plans, data["strategy"]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -234,15 +235,25 @@ def partitions_schema_1(scenario, tmp):
     return ["place", "--scenario", str(scenario), "--partitions", str(path)]
 
 
-def edited_plans(scenario, tmp, edit):
-    """First-fit plans of ``scenario`` with ``edit`` applied to request 0's assignment."""
+def simulate_on_edited_plans(scenario, tmp, edit):
+    """``simulate`` of ``scenario`` against its first-fit plans.json, edited by ``edit``."""
     place = ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
     assert cli.main(place) == 0
     path = tmp / "place" / "plans.json"
     data = json.loads(path.read_text())
-    edit(data["plans"]["0"]["assignment"])
+    edit(data)
     path.write_text(json.dumps(data))
     return ["simulate", "--scenario", str(scenario), "--plans", str(path)]
+
+
+def edited_plans(scenario, tmp, edit):
+    """First-fit plans of ``scenario`` with ``edit`` applied to request 0's assignment."""
+    return simulate_on_edited_plans(scenario, tmp, lambda data: edit(data["plans"]["0"]["assignment"]))
+
+
+def plans_schema_1(scenario, tmp):
+    # schema 1 also stored response times, which no command read
+    return simulate_on_edited_plans(scenario, tmp, lambda data: data.update(schema_version=1))
 
 
 def plan_omits_a_service(scenario, tmp):
@@ -418,12 +429,7 @@ def partitions_unknown_layer(scenario, tmp):
 
 
 def plans_missing_key(scenario, tmp):
-    argv = edited_plans(scenario, tmp, lambda assignment: None)
-    path = tmp / "place" / "plans.json"
-    data = json.loads(path.read_text())
-    del data["plans"]["0"]["app_rt_ms"]
-    path.write_text(json.dumps(data))
-    return argv
+    return simulate_on_edited_plans(scenario, tmp, lambda data: data["plans"]["0"].pop("assignment"))
 
 
 def device_cores_of_text(scenario, tmp):
@@ -456,12 +462,7 @@ def scenario_config_of_list(scenario, tmp):
 
 def plans_of_list(scenario, tmp):
     # died with "AttributeError: 'list' object has no attribute 'items'"
-    argv = edited_plans(scenario, tmp, lambda assignment: None)
-    path = tmp / "place" / "plans.json"
-    data = json.loads(path.read_text())
-    data["plans"] = []
-    path.write_text(json.dumps(data))
-    return argv
+    return simulate_on_edited_plans(scenario, tmp, lambda data: data.update(plans=[]))
 
 
 def faulty_with_cloud_id(cloud_id):
@@ -502,6 +503,21 @@ def feature_partitions_miss_a_member(scenario, tmp):
     return place_on_edited_partitions(
         scenario, tmp, lambda data: data["feature_partitions"]["members"]["0"].pop()
     )
+
+
+def network_modularity_of_text(scenario, tmp):
+    # exited 0: a stored modularity was read without a type check
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["network"].update(modularity="x"))
+
+
+def resource_modularity_of_nan(scenario, tmp):
+    return place_on_edited_partitions(
+        scenario, tmp, lambda data: data["resource_layers"]["MEM"].update(modularity=math.nan)
+    )
+
+
+def feature_modularity_of_list(scenario, tmp):
+    return place_on_edited_partitions(scenario, tmp, lambda data: data["feature_partitions"].update(modularity=[1]))
 
 
 def resource_layer_missing(scenario, tmp):
@@ -601,7 +617,8 @@ BAD_INPUTS = [
     (scenario_missing_key, "scenario document is missing key 'cores'"),
     (partitions_missing_key, "partitions document is missing key 'members'"),
     (partitions_unknown_layer, "unknown layer 'BOGUS'"),
-    (plans_missing_key, "plans document is missing key 'app_rt_ms'"),
+    (plans_missing_key, "plans document is missing key 'assignment'"),
+    (plans_schema_1, "plans document has schema_version 1, expected 2"),
     (device_cores_of_text, 'scenario devices[0].cores is "x"; expected an integer'),
     (device_cores_of_float, "scenario devices[0].cores is 2.5; expected an integer"),
     (device_cores_of_bool, "scenario devices[0].cores is true; expected an integer"),
@@ -617,6 +634,9 @@ BAD_INPUTS = [
     (feature_partitions_overlap, 'feature partitions 0 and 99 both hold "CPU:0"'),
     (empty_feature_partition, "feature partition 9 is empty"),
     (feature_partitions_miss_a_member, "no feature partition holds "),
+    (network_modularity_of_text, 'partitions NETWORK modularity is "x"; expected a finite number'),
+    (resource_modularity_of_nan, "partitions MEM modularity is NaN; expected a finite number"),
+    (feature_modularity_of_list, "partitions FEATURE modularity is [1]; expected a finite number"),
     (resource_layer_missing, "partitions document is missing key 'MEM'"),
     (resource_layers_swapped, "the CPU partitions are labelled MEM"),
     (empty_resource_layer_partition, "CPU partition 99 is empty"),

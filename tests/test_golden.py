@@ -36,6 +36,12 @@ and ``INDENTED``'s partitions entry, moved once more with partitions schema
 4: it drops every compressed node's stored feature triplet, which ``place``
 now derives from the layer partitions and the scenario's devices; each
 fp's ``device_index`` is still written. No other artifact moved with it.
+The 15 ``place/*/plans.json`` hashes, and ``INDENTED``'s three plans
+entries, moved with plans schema 2, which stores each plan's assignment
+only: version 1 also stored the per-service and app response times that
+placement computed for every fully placed plan, and no command read them.
+No other artifact moved with it; the simulator's outcomes and metrics
+stayed byte-identical, so it never read the stored times.
 A change that moves any hash changes program output.
 Manifests are left out: they carry the tool version, not results.
 
@@ -78,15 +84,15 @@ GOLDEN = {
         "place/connectivity_greedy/metrics.json":
             "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
-            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
+            "fa9b10b26347b6295ea2c93291951133c97bae1534bc3389a8349a49881a0c51",
         "place/first_fit/metrics.json":
             "67fe8919fdafa4c546bd20c1641d3fbd902e8597cda80d42b944674e81937218",
         "place/first_fit/plans.json":
-            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
+            "ef5967475b89e8ac7995dc8a936969a02426415a9e9c1bc3a21154cd61c4bfed",
         "place/multilayer/metrics.json":
             "7e8707486c51ba482ab69db625f2b22013203549530a1c38423e646483aaf752",
         "place/multilayer/plans.json":
-            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
+            "8a7be64023cabfbf51616710a5b1b0b8521def38b5e9d6988c8e7ffc8370c705",
         "report/comparison.csv":
             "2ac1bfa31068d69b7bdb6d44cbb97eb3bbd4e37a44590a5b8b275ff980ae1871",
         "report/report.json":
@@ -126,15 +132,15 @@ GOLDEN = {
         "place/connectivity_greedy/metrics.json":
             "ea06e4d8e8eee123147a68e3b2ab720ad50f2787097378b160941ce87705221b",
         "place/connectivity_greedy/plans.json":
-            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
+            "fa9b10b26347b6295ea2c93291951133c97bae1534bc3389a8349a49881a0c51",
         "place/first_fit/metrics.json":
             "67fe8919fdafa4c546bd20c1641d3fbd902e8597cda80d42b944674e81937218",
         "place/first_fit/plans.json":
-            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
+            "ef5967475b89e8ac7995dc8a936969a02426415a9e9c1bc3a21154cd61c4bfed",
         "place/multilayer/metrics.json":
             "7e8707486c51ba482ab69db625f2b22013203549530a1c38423e646483aaf752",
         "place/multilayer/plans.json":
-            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
+            "8a7be64023cabfbf51616710a5b1b0b8521def38b5e9d6988c8e7ffc8370c705",
         "report/comparison.csv":
             "e927d232c407c304b92d5d56d8bdad209a154dab31eacdabaf9cfcdc7aba68c5",
         "report/report.json":
@@ -174,15 +180,15 @@ GOLDEN = {
         "place/connectivity_greedy/metrics.json":
             "6f7c6df3f5423f0e87ba85aed10670f0c35f8d1afe6973c7b7142bfbd094cf93",
         "place/connectivity_greedy/plans.json":
-            "1f1cee441bd47eeab2922164868e71fd9dcc6f40839da8cacf69b090cf90ebaf",
+            "3025779620080afcb64037df0c7ca0387cc23c7cfe8a892d63e63893e461cbc8",
         "place/first_fit/metrics.json":
             "310745392cbbed58fc79ff23470d61a7a847520521a0be36f1e1213f11b896af",
         "place/first_fit/plans.json":
-            "81b554ee35e4d46a0990f2330edc5734cdb9e553757ef2c4aff777a643875b6d",
+            "e8ef70f4dd1ba5d20b0828391f79063995c3fe0886c566f735e892efc0481d7d",
         "place/multilayer/metrics.json":
             "4dc1fc037eaa3a8a2cfdf8040b66caee0e0eaff15a4b49e151ef9789dd836cf6",
         "place/multilayer/plans.json":
-            "d63511f9fd227912aa2182b5a52a83b053077918ae640dbb6a7751f342314481",
+            "ea7986030d69e725cd4dd13d64c22f7894daa0f9c223451346dd063277c3daf1",
     },
     "SMALL-seed0": {
         "generate/scenario.json":
@@ -194,15 +200,15 @@ GOLDEN = {
         "place/connectivity_greedy/metrics.json":
             "3aac2c8b020e22f9ff8c3ca7db0c23ffc821a02b1cfefe997e43b5dd264eb3a5",
         "place/connectivity_greedy/plans.json":
-            "52f4150ff8a5e86242ba1053f34c9d60a6026a8931af4a9eb73a3a95a870d23e",
+            "fa9b10b26347b6295ea2c93291951133c97bae1534bc3389a8349a49881a0c51",
         "place/first_fit/metrics.json":
             "04ccc7de99467c5856ead5edbab52bbae32dda5a76212bdb8fa177be807a831c",
         "place/first_fit/plans.json":
-            "9366bfc0412c225a4bb26225ce13c9e61cebec7af424de20c925e14882d33458",
+            "ef5967475b89e8ac7995dc8a936969a02426415a9e9c1bc3a21154cd61c4bfed",
         "place/multilayer/metrics.json":
             "3496e2bbb22c9ba201a510cb3b752d6adb8fb8c1bddcc62694b5a1449d42a5a0",
         "place/multilayer/plans.json":
-            "25316625f2d209581ceff594ed771fd1b8442001a156be8f9a87420d304dc081",
+            "8a7be64023cabfbf51616710a5b1b0b8521def38b5e9d6988c8e7ffc8370c705",
     },
     "SMALL-seed1": {
         "generate/scenario.json":
@@ -214,21 +220,22 @@ GOLDEN = {
         "place/connectivity_greedy/metrics.json":
             "5ab7f5661c2b7e3462c0d4ecd10e3a374c3f02ad9e67d0c1988f57c495bacfaa",
         "place/connectivity_greedy/plans.json":
-            "5d1cc1f26dfa83d8f56bc262ed08461e6131dbc2d393b2d053811853965d2ccb",
+            "f14e8c5e1bf8f7585c899fc762c413136d2cf844a0d58ef8608eca35a5dbae0d",
         "place/first_fit/metrics.json":
             "b2ccb98ac556b2641533263a018bd791b517a499ab3650fce0802046f7b237ea",
         "place/first_fit/plans.json":
-            "9f3e6728baf669657015b7d465e84551cf983ecaea2d989c9c3c3d1c58bfb316",
+            "4bb8d634a88d7499aacd2fbaeed5cfd2941f34cb25a9c009f3a102fd7b85a17c",
         "place/multilayer/metrics.json":
             "6be87c0398fa7d0da7f58113f97e2bc78cdf1372acb1f42a233ee82c71bd92f7",
         "place/multilayer/plans.json":
-            "e1bc18eb441ff2f78ef292c93cca581b00424faa83b26a3b05b22cf6bd5c5f36",
+            "14ff86d4f58c5708b0a73c36a747ba1ee958f397ad59fa64c8c822975dfc64b0",
     },
 }
 
 
 #: D-SMALL-seed0-h100's JSON hashes when ``dump_json`` wrote ``indent=2``; that
-#: case writes every kind of JSON artifact. The partitions entry is schema 4's.
+#: case writes every kind of JSON artifact. The partitions entry is schema 4's,
+#: and the three plans entries are plans schema 2's.
 INDENTED_CASE = "D-SMALL-seed0-h100"
 INDENTED = {
     "generate/scenario.json":
@@ -238,15 +245,15 @@ INDENTED = {
     "place/connectivity_greedy/metrics.json":
         "3b2afce3013ba8b85abb52ddb64640e2672ad04993cb9d5264923ad35ccbb6e9",
     "place/connectivity_greedy/plans.json":
-        "0bb574c3b771441cb3cafc9b81c24670ba8181fd772e6c10ca20a3302c741ca8",
+        "2a3275fe7ae481cef0fbb9abf683b61fe378851cd46cd8d140bf9992225b8df5",
     "place/first_fit/metrics.json":
         "d8c01453018aa20629af43a1e5a231cbc994828cb74a230a446d07d4ff2855af",
     "place/first_fit/plans.json":
-        "477eb8c95f674124e625a0eb8e1a77b5e0cca3016b6a02f763733bfefd699323",
+        "f70b2229836f0cbffad39a1cd34ec2035682001d56c7366590b35aeb0e6f2d40",
     "place/multilayer/metrics.json":
         "e5801a8fddd753658977994fdd9a5e3049ece215f62494465ed8b91ec0e73022",
     "place/multilayer/plans.json":
-        "4ee95cddf797115d6a3cd5c7346ff265ab300e02f24afff11b07da9a3ecf6a18",
+        "8e59a16b73d65e1ba78f2eaf9c111b36e6a95f7d19d3024f61933cae471c6c13",
     "report/report.json":
         "e66bb6fca14820aedd75782cb4664d8323528972e77211d69f2464dee3267298",
     "simulate/connectivity_greedy-faulty/metrics.json":

@@ -20,10 +20,8 @@ from fogpart.model import (
     PlacementPlan,
     Service,
     Topology,
-    UnreachableError,
     USER,
     execution_time,
-    response_times,
     transmission_time,
 )
 from fogpart.multilayer import Layer
@@ -517,15 +515,21 @@ class TestRunPlacementInvariants:
             }
             assert len(partitions) <= 1
 
-    def test_response_times_attached_to_fully_placed_plans(self):
-        plans, _, topology, apps = self.run_strategy()
-        for app in apps:
-            plan = plans[app.id]
-            if plan.fully_placed:
-                expected = response_times(app, plan.assignment, topology, app.gateway)[:2]
-                assert (plan.per_service_rt, plan.app_rt) == expected
-            else:
-                assert (plan.per_service_rt, plan.app_rt) == ({}, None)
+    def test_routes_nothing_after_placing(self, monkeypatch):
+        # a plan is its assignment, and the simulator times it: multilayer
+        # routes once per application to rank fps, the baselines not at all
+        calls = dict.fromkeys(("shortest_hop_path", "transmission_times"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _method=getattr(Topology, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(Topology, name, counted)
+        plans, _, _, apps = self.run_strategy()
+        assert any(plan.fully_placed for plan in plans.values())
+        routed = len(apps) if self.strategy == "multilayer" else 0
+        assert calls == {"shortest_hop_path": 0, "transmission_times": routed}
 
     def test_deterministic(self):
         a, *_ = self.run_strategy(seed=5)
@@ -682,12 +686,7 @@ def greedy_by_full_scan(instances, topology, network):
         assignment = {}
         for sid in app.topological_order():
             assignment[sid] = place_service(app.service(sid), order, app.deadline, devices, residuals)
-        plan = plans[app.id] = PlacementPlan(assignment)
-        if plan.fully_placed:
-            try:
-                plan.per_service_rt, plan.app_rt, _ = response_times(app, assignment, topology, app.gateway)
-            except UnreachableError:
-                pass
+        plans[app.id] = PlacementPlan(assignment)
     return plans
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -172,13 +173,7 @@ def plan_sets(draw):
     plans = {}
     for request_id in draw(st.lists(st.integers(0, 1000), unique=True, max_size=5)):
         sids = range(draw(st.integers(1, 4)))
-        assignment = {sid: draw(st.one_of(st.none(), st.integers(0, 99))) for sid in sids}
-        per_service = draw(st.dictionaries(st.sampled_from(list(sids)), finite))
-        plans[request_id] = PlacementPlan(
-            assignment=assignment,
-            per_service_rt=per_service,
-            app_rt=draw(st.one_of(st.none(), finite)),
-        )
+        plans[request_id] = PlacementPlan({sid: draw(st.one_of(st.none(), st.integers(0, 99))) for sid in sids})
     return plans
 
 
@@ -408,6 +403,29 @@ class TestPartitionsRoundTrip:
             partitions_from_dict(data, ONE_DEVICE)
         assert expected in str(info.value)
 
+    @pytest.mark.parametrize("bad", ["x", None, True, [1], {"q": 1}, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "where, name",
+        [
+            (lambda d: d["network"], "NETWORK"),
+            (lambda d: d["resource_layers"]["STORAGE"], "STORAGE"),
+            (lambda d: d["feature_partitions"], "FEATURE"),
+        ],
+        ids=["network", "resource", "feature"],
+    )
+    def test_modularity_is_a_finite_number(self, where, name, bad):
+        data = through_json(partitions_to_dict(*one_device_partitions(), CONFIG_HASH))
+        where(data)["modularity"] = bad
+        with pytest.raises(ValueError) as info:
+            partitions_from_dict(data, ONE_DEVICE)
+        assert str(info.value) == f"partitions {name} modularity is {json.dumps(bad)}; expected a finite number"
+
+    def test_modularity_of_an_int_is_read(self):
+        data = through_json(partitions_to_dict(*one_device_partitions(), CONFIG_HASH))
+        data["network"]["modularity"] = data["feature_partitions"]["modularity"] = 0
+        fps, network, _ = partitions_from_dict(data, ONE_DEVICE)
+        assert (fps.modularity, network.modularity) == (0, 0)
+
 
 class TestPlansRoundTrip:
     @settings(max_examples=100, deadline=None)
@@ -417,11 +435,13 @@ class TestPlansRoundTrip:
         assert plans_from_dict(data) == (plans, strategy)
         assert (data["alpha"], data["beta"]) == (alpha, beta)
 
-    def test_unplaced_service_and_missing_rt(self):
-        plans = {7: PlacementPlan(assignment={0: 3, 1: None})}
+    def test_a_stored_plan_is_its_assignment(self):
+        # schema 1 also stored response times, which no command read
+        plans = {7: PlacementPlan(assignment={0: 3, 1: None}), 8: PlacementPlan(assignment={0: 3})}
         data = through_json(plans_to_dict(plans, "first_fit", 0.5, 0.5))
+        assert sorted(data) == ["alpha", "beta", "plans", "schema_version", "strategy"]
+        assert [set(body) for body in data["plans"].values()] == [{"assignment"}] * 2
         assert data["plans"]["7"]["assignment"] == {"0": 3, "1": "invalid"}
-        assert data["plans"]["7"]["app_rt_ms"] is None
         assert plans_from_dict(data) == (plans, "first_fit")
 
     @pytest.mark.parametrize("host", [33.7, 3.0, "3", True, None, "INVALID"], ids=repr)
@@ -452,7 +472,7 @@ class TestSchemaVersion:
                 partitions_to_dict(*one_device_partitions(), CONFIG_HASH),
                 4,
             ),
-            (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 1),
+            (plans_from_dict, plans_to_dict({}, "first_fit", 0.5, 0.5), 2),
         ]
 
     def test_each_kind_written_and_read_at_its_version(self):
@@ -464,9 +484,9 @@ class TestSchemaVersion:
 
     @pytest.mark.parametrize("version", [0, 1, 2, 3, None, True, 1.0, 2.0, 3.0, 4.0])
     def test_wrong_version_rejected(self, version):
-        # 1 covers partitions and scenarios, whose old versions have no reader,
-        # 2 partitions and plans, and 3 partitions; True and the floats equal some kind's
-        # version in Python but are not ints
+        # 1 covers every kind, whose old versions have no reader, and 2 and 3
+        # partitions; True and the floats equal some kind's version in Python
+        # but are not ints
         for reader, data, expected in self.documents():
             if type(version) is not int or version != expected:
                 with pytest.raises(ValueError, match=f"schema_version {version!r}, expected {expected}"):
