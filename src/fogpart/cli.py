@@ -86,8 +86,7 @@ def _load_config_file(path: Path | None, preset: str | None, seed: int | None) -
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
         if type(data) is not dict:
             raise ConfigError("config must be a JSON object")
-    known = set(config_to_dict(ScenarioConfig()).keys())
-    unknown = set(data) - known
+    unknown = set(data).difference(ScenarioConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     file_scale = data.pop("scale", None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -39,77 +38,114 @@ class UnreachableError(RuntimeError):
     """No live route exists between two devices."""
 
 
-@dataclass(frozen=True)
-class Device:
-    """A fog node's capacities; each hosted service occupies exactly one core."""
+class Record:
+    """Base of the slotted records; ``__slots__`` names the fields in constructor order.
 
-    id: int
-    cores: int
-    cpu_speed: float  # MI per second, per core
-    mem: float        # GB
-    storage: float    # TB
+    Records of one type are equal when their fields are, and a record reprs
+    as ``Name(field=value, ...)``. Defining ``__eq__`` leaves it unhashable.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets each field once, by ``object.__setattr__``.
+
+    Assigning or deleting a field raises AttributeError, and equal records
+    hash alike.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+
+class Device(FrozenRecord):
+    """A fog node's capacities; each hosted service occupies exactly one core.
+
+    ``cpu_speed`` is MI per second, per core; ``mem`` is GB and ``storage`` TB.
+    """
+
+    __slots__ = ("id", "cores", "cpu_speed", "mem", "storage")
+
+    def __init__(self, id: int, cores: int, cpu_speed: float, mem: float, storage: float) -> None:
         # comparisons, not math.isfinite: an int too large for a float is finite
-        if not (0 < self.cpu_speed < math.inf and 0 < self.mem < math.inf and 0 < self.storage < math.inf):
-            raise ValueError(f"device {self.id}: capacities must be strictly positive and finite")
-        if self.cores < 1:
-            raise ValueError(f"device {self.id}: needs at least one core")
+        if not (0 < cpu_speed < math.inf and 0 < mem < math.inf and 0 < storage < math.inf):
+            raise ValueError(f"device {id}: capacities must be strictly positive and finite")
+        if cores < 1:
+            raise ValueError(f"device {id}: needs at least one core")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "cores", cores)
+        object.__setattr__(self, "cpu_speed", cpu_speed)
+        object.__setattr__(self, "mem", mem)
+        object.__setattr__(self, "storage", storage)
 
 
-@dataclass(frozen=True)
-class NetworkLink:
-    """Bidirectional connection between two devices."""
+class NetworkLink(FrozenRecord):
+    """Bidirectional connection between two devices; bandwidth in bytes per ms, latency in ms."""
 
-    a: int
-    b: int
-    bandwidth: float  # bytes per ms
-    latency: float    # ms
+    __slots__ = ("a", "b", "bandwidth", "latency")
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+    def __init__(self, a: int, b: int, bandwidth: float, latency: float) -> None:
+        if a == b:
             raise ValueError("link endpoints must differ")
-        if not 0 < self.bandwidth < math.inf:
+        if not 0 < bandwidth < math.inf:
             raise ValueError("link bandwidth must be positive and finite")
-        if not 0 <= self.latency < math.inf:
+        if not 0 <= latency < math.inf:
             raise ValueError("link latency must be non-negative and finite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "bandwidth", bandwidth)
+        object.__setattr__(self, "latency", latency)
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
-@dataclass(frozen=True)
-class Service:
-    """Resource demand triplet of a single application service."""
+class Service(FrozenRecord):
+    """Resource demand triplet of a single application service: MI, GB, TB."""
 
-    id: int
-    workload: float        # MI
-    mem_demand: float      # GB
-    storage_demand: float  # TB
+    __slots__ = ("id", "workload", "mem_demand", "storage_demand")
 
-    def __post_init__(self) -> None:
-        if not (
-            0 < self.workload < math.inf
-            and 0 < self.mem_demand < math.inf
-            and 0 < self.storage_demand < math.inf
-        ):
-            raise ValueError(f"service {self.id}: demands must be strictly positive and finite")
+    def __init__(self, id: int, workload: float, mem_demand: float, storage_demand: float) -> None:
+        if not (0 < workload < math.inf and 0 < mem_demand < math.inf and 0 < storage_demand < math.inf):
+            raise ValueError(f"service {id}: demands must be strictly positive and finite")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "workload", workload)
+        object.__setattr__(self, "mem_demand", mem_demand)
+        object.__setattr__(self, "storage_demand", storage_demand)
 
 
-@dataclass(frozen=True)
-class Message:
-    """Request message between two services, or from the user (source USER)."""
+class Message(FrozenRecord):
+    """Request message of ``size`` bytes between two services, or from the user (source USER)."""
 
-    source: int
-    destination: int
-    size: float  # bytes
+    __slots__ = ("source", "destination", "size")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.size < math.inf:
+    def __init__(self, source: int, destination: int, size: float) -> None:
+        if not 0 < size < math.inf:
             raise ValueError("message size must be positive and finite")
-        if self.source == self.destination:
+        if source == destination:
             raise ValueError("message source and destination must differ")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "destination", destination)
+        object.__setattr__(self, "size", size)
 
 
 class Application:
@@ -203,15 +239,17 @@ class Application:
         return f"Application(id={self.id}, services={len(self.services)}, deadline={self.deadline})"
 
 
-@dataclass
-class PlacementPlan:
+class PlacementPlan(Record):
     """Mapping from service id to hosting device (None marks an invalid placement).
 
     A plan holds no response times: ``simulator.run`` computes them from the
     assignment under each mode's dead set.
     """
 
-    assignment: dict[int, int | None]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: dict[int, int | None]) -> None:
+        self.assignment = assignment
 
     @property
     def fully_placed(self) -> bool:

@@ -17,11 +17,10 @@ layer's weights at a time.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
-from .model import Device, Topology
+from .model import Device, FrozenRecord, Topology
 
 
 N = TypeVar("N")
@@ -52,8 +51,7 @@ def resource_value(device: Device, layer: Layer) -> float:
     raise ValueError(f"layer {layer!r} carries no scalar resource")
 
 
-@dataclass(frozen=True)
-class LayerView:
+class LayerView(FrozenRecord):
     """One layer as stored index-ordered rows, the form the Louvain core reads.
 
     ``nodes`` holds the device ids ascending. ``rows[k]`` is the ``Row`` of
@@ -66,16 +64,18 @@ class LayerView:
     ``SimilarityView``: a complete graph, kept as one value per device.
     """
 
-    layer: Layer
-    nodes: tuple[int, ...]
-    rows: tuple[Row, ...]
+    __slots__ = ("layer", "nodes", "rows")
+
+    def __init__(self, layer: Layer, nodes: tuple[int, ...], rows: tuple[Row, ...]) -> None:
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return sum(len(positions) for positions, _ in self.rows) // 2
 
 
-@dataclass(frozen=True)
-class SimilarityView:
+class SimilarityView(FrozenRecord):
     """A complete resource layer, kept as its devices' values, ascending by id.
 
     The layer is the complete graph weighted 1 / (1 + |R_i - R_j|).
@@ -83,9 +83,12 @@ class SimilarityView:
     nothing.
     """
 
-    layer: Layer
-    nodes: tuple[int, ...]
-    values: tuple[float, ...]
+    __slots__ = ("layer", "nodes", "values")
+
+    def __init__(self, layer: Layer, nodes: tuple[int, ...], values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
 
     def weights(self) -> list[array]:
         """Every node's weights to all n nodes, with 0.0 in its own slot.
@@ -113,8 +116,7 @@ class SimilarityView:
 View = LayerView | SimilarityView
 
 
-@dataclass(frozen=True)
-class MultilayerGraph:
+class MultilayerGraph(NamedTuple):
     """Devices replicated across the four layers, with each layer's view."""
 
     devices: tuple[Device, ...]

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import add, itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Device, sum_in_order
 from .multilayer import (
@@ -35,8 +34,7 @@ from .multilayer import (
 GAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class PartitionSet:
+class PartitionSet(NamedTuple):
     """Disjoint device clusters of one layer, with the partition's modularity."""
 
     layer: Layer
@@ -45,27 +43,22 @@ class PartitionSet:
     modularity: float
 
 
-@dataclass(frozen=True)
-class FeatureTriplet:
+class FeatureTriplet(NamedTuple):
     """Per-partition averages of CPU speed (MI/s), memory (GB), storage (TB)."""
 
     avg_cpu: float
     avg_mem: float
     avg_storage: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.avg_cpu, self.avg_mem, self.avg_storage)
-
-    def distance(self, other: "FeatureTriplet") -> float:
-        return math.dist(self.as_tuple(), other.as_tuple())
+    def distance(self, other: FeatureTriplet) -> float:
+        return math.dist(self, other)
 
 
 #: A compressed-graph node: (resource layer, partition id within that layer).
 CompressedNode = tuple[Layer, int]
 
 
-@dataclass(frozen=True)
-class CompressedGraph:
+class CompressedGraph(NamedTuple):
     """Resource-layer partitions as nodes, linked when they share a device."""
 
     nodes: tuple[CompressedNode, ...]
@@ -74,8 +67,7 @@ class CompressedGraph:
     features: Mapping[CompressedNode, FeatureTriplet]
 
 
-@dataclass(frozen=True)
-class FeaturePartitionSet:
+class FeaturePartitionSet(NamedTuple):
     """Disjoint clusters of layer partitions with similar average resources.
 
     Clustering picks ``feature_partitions`` and ``modularity``; the rest, which

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
     Application,
     Device,
     PlacementPlan,
+    Record,
     Service,
     Topology,
     response_times,  # noqa: F401  unused here: only bench/tracing.py reads it, by name
@@ -44,13 +44,15 @@ STRATEGIES = ("multilayer", "first_fit", "connectivity_greedy")
 DIMENSIONS = ("cpu", "mem", "storage")
 
 
-@dataclass
-class Residual:
+class Residual(Record):
     """What a run has left of one device; ``cores`` doubles as free service slots."""
 
-    cores: int
-    mem: float
-    storage: float
+    __slots__ = ("cores", "mem", "storage")
+
+    def __init__(self, cores: int, mem: float, storage: float) -> None:
+        self.cores = cores
+        self.mem = mem
+        self.storage = storage
 
 
 def placement_valid(service: Service, device: Device, left: Residual, deadline_ms: float) -> bool:
@@ -110,11 +112,10 @@ def demand_similarity(
     dimensions is normalized by sqrt(k), so identical scaled triplets score
     1 and maximally distant ones score 0.
     """
-    feat = feature.as_tuple()
     dem = (service.workload, service.mem_demand, service.storage_demand)
     squared = 0.0
     active = 0
-    for dim, f, s in zip(DIMENSIONS, feat, dem):
+    for dim, f, s in zip(DIMENSIONS, feature, dem):
         lo, hi = ranges.get(dim, (0.0, 0.0))
         if hi <= lo:
             continue

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from functools import wraps
+from typing import Any, NamedTuple, Sequence, TypeVar
 
-from .model import Application, Device, Message, NetworkLink, Service, Topology, USER
+from .model import Application, Device, Message, NetworkLink, Record, Service, Topology, USER
 
 
 class ConfigError(ValueError):
@@ -45,9 +45,34 @@ PRESETS: dict[str, tuple[int, int, bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Knobs for scenario synthesis; defaults mirror the evaluation setup."""
+T = TypeVar("T", bound=tuple)
+
+
+def _validated(cls: type[T]) -> type[T]:
+    """Make the NamedTuple ``cls`` run ``cls._check`` on every record its constructor builds.
+
+    NamedTuple forbids ``__new__`` in a class body, so it is set here.
+    ``_replace`` and ``_make`` build without ``__new__`` and skip the check.
+    """
+    build = cls.__new__
+
+    @wraps(build)
+    def __new__(cls: type[T], *args: Any, **kwargs: Any) -> T:
+        self = build(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    return cls
+
+
+@_validated
+class ScenarioConfig(NamedTuple):
+    """Knobs for scenario synthesis; defaults mirror the evaluation setup.
+
+    A NamedTuple, so it equals any tuple of the same values. Derive a
+    changed config with ``replace``, which checks it as the constructor does.
+    """
 
     device_count: int = 100
     gateway_count: int = 25
@@ -73,22 +98,22 @@ class ScenarioConfig:
     scale: str | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # each value, or each end of a range, has its default's type; an int
         # may stand for a float, but a bool is neither
-        for f in fields(self):
-            value, default = getattr(self, f.name), f.default
+        for name, default in self._field_defaults.items():
+            value = getattr(self, name)
             ranged = isinstance(default, tuple)
             kind = type(default[0] if ranged else default)
             for v in value if ranged else (value,):
                 if kind is bool and type(v) is not bool:
-                    raise ConfigError(f"{f.name} must be true or false")
+                    raise ConfigError(f"{name} must be true or false")
                 if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite")
+                    raise ConfigError(f"{name} must be finite")
                 if kind is int and type(v) is not int:
-                    raise ConfigError(f"{f.name} must be an integer")
+                    raise ConfigError(f"{name} must be an integer")
                 if kind is float and type(v) not in (int, float):
-                    raise ConfigError(f"{f.name} must be a number")
+                    raise ConfigError(f"{name} must be a number")
         if self.gateway_count < 0:
             raise ConfigError("gateway_count must be non-negative")
         if self.gateway_count >= self.device_count:
@@ -108,20 +133,23 @@ class ScenarioConfig:
         if self.app_count < 1 or self.user_count < 1:
             raise ConfigError("app_count and user_count must be positive")
 
-    def with_scale(self, scale: str) -> "ScenarioConfig":
+    def replace(self, **changes: Any) -> ScenarioConfig:
+        """This config with ``changes`` applied, checked as a new config is."""
+        return ScenarioConfig(**{**self._asdict(), **changes})
+
+    def with_scale(self, scale: str) -> ScenarioConfig:
         if scale not in PRESETS:
             raise ConfigError(f"unknown scale {scale!r}; expected one of {sorted(PRESETS)}")
-        return replace(self, scale=scale, **dict(zip(PRESET_FIELDS, PRESETS[scale])))
+        return self.replace(scale=scale, **dict(zip(PRESET_FIELDS, PRESETS[scale])))
 
 
 #: The (min, max) fields of ScenarioConfig, in declaration order.
 RANGE_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in fields(ScenarioConfig) if isinstance(f.default, tuple)
+    name for name, default in ScenarioConfig._field_defaults.items() if isinstance(default, tuple)
 )
 
 
-@dataclass(frozen=True)
-class AppRequest:
+class AppRequest(NamedTuple):
     """One user's request: an application template and the gateway it enters at."""
 
     request_id: int
@@ -129,18 +157,32 @@ class AppRequest:
     gateway: int
 
 
-@dataclass
-class Scenario:
-    """A fully materialized, replayable evaluation scenario."""
+class Scenario(Record):
+    """A fully materialized, replayable evaluation scenario.
 
-    config: ScenarioConfig
-    devices: list[Device]
-    links: list[NetworkLink]
-    cloud_id: int
-    apps: list[Application]
-    requests: list[AppRequest]
-    #: ``[time_s, request_id]`` rows, as ``scenario.json`` stores them
-    schedule: list[list] = field(default_factory=list)
+    ``schedule`` holds ``[time_s, request_id]`` rows, as ``scenario.json``
+    stores them; it defaults to a new empty list.
+    """
+
+    __slots__ = ("config", "devices", "links", "cloud_id", "apps", "requests", "schedule")
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        devices: list[Device],
+        links: list[NetworkLink],
+        cloud_id: int,
+        apps: list[Application],
+        requests: list[AppRequest],
+        schedule: list[list] | None = None,
+    ) -> None:
+        self.config = config
+        self.devices = devices
+        self.links = links
+        self.cloud_id = cloud_id
+        self.apps = apps
+        self.requests = requests
+        self.schedule = [] if schedule is None else schedule
 
     def topology(self) -> Topology:
         """The scenario's devices and links, checked for duplicates and dangling ids."""

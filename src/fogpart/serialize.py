@@ -27,7 +27,6 @@ import gc
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -89,7 +88,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    data = cfg._asdict()
     for name in RANGE_FIELDS:
         data[name] = list(data[name])
     return data

@@ -25,13 +25,13 @@ import logging
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     Application,
     PlacementPlan,
+    Record,
     Topology,
     UnreachableError,
     deadline_satisfied,
@@ -90,11 +90,13 @@ class Outcomes:
                 yield RequestOutcome(time_s, request_id, *verdicts[request_id])
 
 
-@dataclass
-class SimulationResult:
-    mode: str
-    outcomes: Outcomes
-    deaths: list[tuple[float, int]]
+class SimulationResult(Record):
+    __slots__ = ("mode", "outcomes", "deaths")
+
+    def __init__(self, mode: str, outcomes: Outcomes, deaths: list[tuple[float, int]]) -> None:
+        self.mode = mode
+        self.outcomes = outcomes
+        self.deaths = deaths
 
 
 def failure_deaths(

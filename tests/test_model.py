@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import deque
@@ -28,7 +27,10 @@ from fogpart.model import (
     sum_in_order,
     transmission_time,
 )
+from fogpart.multilayer import Layer, build_multilayer
+from fogpart.partitioner import compress_graph, multilayer_resource_partition
 from fogpart.placement import Residual, placement_valid
+from fogpart.scenario import AppRequest, ScenarioConfig
 
 
 def make_device(device_id=0, cores=10, speed=20.0, mem=10.0, storage=10.0):
@@ -40,13 +42,60 @@ def full(device):
     return Residual(device.cores, device.mem, device.storage)
 
 
-class TestDevice:
-    def test_is_frozen(self):
-        # placement takes capacity from its own residual records, never from a device
-        d = make_device()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            d.cores = 9
+def frozen_records():
+    """One record of each immutable type, by type name, with a field to assign."""
+    topology = Topology([make_device(i) for i in range(3)], [NetworkLink(0, 1, 1.0, 0.0), NetworkLink(1, 2, 1.0, 0.0)])
+    graph = build_multilayer(topology)
+    fps, network, layer_sets = multilayer_resource_partition(graph)
+    cg = compress_graph(list(layer_sets.values()), topology.devices)
+    records = [
+        (make_device(), "cores"),
+        (NetworkLink(0, 1, 1.0, 0.0), "latency"),
+        (Service(0, 1.0, 1.0, 1.0), "workload"),
+        (Message(USER, 0, 1.0), "size"),
+        (graph.intra_edges[Layer.NETWORK], "rows"),
+        (graph.intra_edges[Layer.CPU], "values"),
+        (graph, "devices"),
+        (network, "modularity"),
+        (cg.features[cg.nodes[0]], "avg_cpu"),
+        (cg, "edges"),
+        (fps, "modularity"),
+        (ScenarioConfig(), "device_count"),
+        (AppRequest(0, 0, 0), "gateway"),
+    ]
+    return {type(record).__name__: (record, field) for record, field in records}
 
+
+FROZEN = (
+    "Device", "NetworkLink", "Service", "Message", "LayerView", "SimilarityView", "MultilayerGraph",
+    "PartitionSet", "FeatureTriplet", "CompressedGraph", "FeaturePartitionSet", "ScenarioConfig", "AppRequest",
+)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_is_frozen(name):
+    # stages share these records; placement, say, takes capacity from its own
+    # residual records, never from a device
+    record, field = frozen_records()[name]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 9)
+    assert getattr(record, field) is before
+
+
+def test_records_compare_and_repr_by_fields():
+    d = make_device()
+    assert d == make_device() and hash(d) == hash(make_device())
+    assert d != make_device(device_id=1)
+    assert repr(d) == "Device(id=0, cores=10, cpu_speed=20.0, mem=10.0, storage=10.0)"
+    left = full(d)
+    assert left == Residual(10, 10.0, 10.0)
+    assert repr(left) == "Residual(cores=10, mem=10.0, storage=10.0)"
+    left.cores -= 1  # a residual is placement's own, and mutable
+    assert left != full(d)
+
+
+class TestDevice:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
     @pytest.mark.parametrize("slot", [2, 3, 4])
     def test_rejects_capacity_not_positive_and_finite(self, slot, bad):

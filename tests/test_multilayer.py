@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import tracemalloc
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,11 @@ def similarity(d_i, d_j, layer):
     return weights_a[1]
 
 
+def with_id(device, device_id):
+    """``device``'s capacities under another id."""
+    return Device(device_id, device.cores, device.cpu_speed, device.mem, device.storage)
+
+
 class TestSimilarityWeight:
     def test_identical_resources_score_one(self):
         a = Device(0, 10, 20.0, 10.0, 10.0)
@@ -54,7 +58,7 @@ class TestSimilarityWeight:
             b = Device(1, 10, rng.uniform(20, 60), rng.uniform(10, 25), rng.uniform(10, 25))
             for layer in RESOURCE_LAYERS:
                 w = similarity(a, b, layer)
-                assert w == similarity(replace(b, id=0), replace(a, id=1), layer)
+                assert w == similarity(with_id(b, 0), with_id(a, 1), layer)
                 assert 0.0 < w <= 1.0
 
 

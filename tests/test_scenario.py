@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -106,6 +105,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig().with_scale("HUGE")
 
+    def test_derived_config_is_checked(self):
+        cfg = ScenarioConfig()
+        message = "^gateway_count must be smaller than device_count$"
+        with pytest.raises(ConfigError, match=message):
+            cfg.replace(gateway_count=cfg.device_count)
+        # NamedTuple's _replace skips the checks; with_scale must not carry its result on
+        unchecked = cfg._replace(gateway_count=cfg.device_count)
+        with pytest.raises(ConfigError, match=message):
+            unchecked.with_scale("SMALL")
+
 
 class TestTopology:
     def test_counts(self):
@@ -168,20 +177,20 @@ class TestTopology:
 class TestApplications:
     def test_service_counts_in_range(self):
         cfg = ScenarioConfig(seed=6)
-        apps = generate_applications(replace(cfg, app_count=200))
+        apps = generate_applications(cfg.replace(app_count=200))
         for app in apps:
             assert 2 <= len(app.services) <= 10
 
     def test_single_entry_and_acyclic_by_construction(self):
         cfg = ScenarioConfig(seed=7)
-        for app in generate_applications(replace(cfg, app_count=100)):
+        for app in generate_applications(cfg.replace(app_count=100)):
             entries = [m for m in app.messages if m.source == USER]
             assert len(entries) == 1
             assert len(app.topological_order()) == len(app.services)
 
     def test_demands_within_ranges(self):
         cfg = ScenarioConfig(seed=8)
-        for app in generate_applications(replace(cfg, app_count=100)):
+        for app in generate_applications(cfg.replace(app_count=100)):
             assert cfg.deadline_range_ms[0] <= app.deadline <= cfg.deadline_range_ms[1]
             for s in app.services:
                 assert cfg.workload_range[0] <= s.workload <= cfg.workload_range[1]
@@ -195,8 +204,8 @@ class TestApplications:
 
     def test_same_seed_same_apps(self):
         cfg = ScenarioConfig(seed=9)
-        a = generate_applications(replace(cfg, app_count=20))
-        b = generate_applications(replace(cfg, app_count=20))
+        a = generate_applications(cfg.replace(app_count=20))
+        b = generate_applications(cfg.replace(app_count=20))
         assert [x.deadline for x in a] == [x.deadline for x in b]
         assert [tuple(m.size for m in x.messages) for x in a] == [
             tuple(m.size for m in x.messages) for x in b

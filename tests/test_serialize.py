@@ -6,7 +6,6 @@ import gc
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -358,7 +357,7 @@ class TestPartitionsRoundTrip:
     @settings(max_examples=8, deadline=None)
     @given(st.sampled_from(["SMALL", "LARGE"]), st.integers(4, 40), st.integers(0, 10**6))
     def test_loader_rebuilds_what_partitioning_returns(self, scale, n, seed):
-        cfg = replace(ScenarioConfig(seed=seed), device_count=n, gateway_count=n // 4).with_scale(scale)
+        cfg = ScenarioConfig(seed=seed).replace(device_count=n, gateway_count=n // 4).with_scale(scale)
         scenario = generate_scenario(cfg)
         fps, network, layer_sets = multilayer_resource_partition(build_multilayer(scenario.topology()))
         data = through_json(partitions_to_dict(fps, network, layer_sets, CONFIG_HASH))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -67,7 +66,8 @@ def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
 
 def with_horizon(scenario, horizon):
     """``scenario`` with its config's horizon replaced, the one horizon ``run`` reads."""
-    return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, horizon_s=horizon))
+    sc = scenario
+    return Scenario(sc.config.replace(horizon_s=horizon), sc.devices, sc.links, sc.cloud_id, sc.apps, sc.requests, sc.schedule)
 
 
 def full_plans(scenario, host=1):
