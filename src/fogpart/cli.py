@@ -9,6 +9,7 @@ manifest timestamp).
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -24,7 +25,6 @@ from .metrics import (
     emit_report,
     hop_histogram,
     hop_summary,
-    outcome_counts,
     placement_success_rate,
     resource_wastage,
 )
@@ -202,11 +202,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    rows = cumulative_series(result.outcomes.ticks)
+    rows, tally = cumulative_series(result.outcomes.ticks)
     artifacts = [
         write_csv(out / "outcomes.csv", ["time_s", "requests", "satisfied", "cumulative_ratio"], rows)
     ]
-    tally = outcome_counts(result.outcomes.ticks)
     requests = tally.total()
     metrics = {
         "schema_version": 1,
@@ -305,11 +304,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command leaves almost no cyclic garbage, so a collection would only
+    # re-walk its growing heap, decoded documents included; the collector is
+    # paused for the command and left as the caller had it
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"fogpart {args.command}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

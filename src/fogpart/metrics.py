@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import Application, Device, PlacementPlan, Topology, sum_in_order
 from .serialize import dump_json, write_csv
@@ -61,38 +61,24 @@ def resource_wastage(
     return 1.0 - consumed / offered
 
 
-def _tick_counts(ticks: Iterable[Tick]) -> Iterator[tuple[float, Counter[str]]]:
-    """Each tick's time and status counts.
+def cumulative_series(ticks: Iterable[Tick]) -> tuple[list[tuple[float, int, int, float]], Counter[str]]:
+    """Rows (time_s, requests, satisfied, cumulative_ratio), one per tick, and requests per status.
 
     A tick with the previous tick's id tuple and verdict map (the same
     objects, see ``Tick``) reuses its counts.
     """
+    rows: list[tuple[float, int, int, float]] = []
+    tally: Counter[str] = Counter()
+    requests = 0
     ids = verdicts = counts = None
     for tick in ticks:
         if tick.request_ids is not ids or tick.verdicts is not verdicts:
             ids, verdicts = tick.request_ids, tick.verdicts
             counts = Counter(map(itemgetter(0), map(verdicts.__getitem__, ids)))
-        yield tick.time_s, counts
-
-
-def cumulative_series(ticks: Iterable[Tick]) -> list[tuple[float, int, int, float]]:
-    """Rows (time_s, requests, satisfied, cumulative_ratio), one per tick."""
-    rows: list[tuple[float, int, int, float]] = []
-    requests = 0
-    satisfied = 0
-    for time_s, counts in _tick_counts(ticks):
-        requests += counts.total()
-        satisfied += counts[SATISFIED]
-        rows.append((time_s, requests, satisfied, satisfied / requests))
-    return rows
-
-
-def outcome_counts(ticks: Iterable[Tick]) -> Counter[str]:
-    """Requests per status over all ticks."""
-    tally: Counter[str] = Counter()
-    for _, counts in _tick_counts(ticks):
         tally.update(counts)
-    return tally
+        requests += len(ids)
+        rows.append((tick.time_s, requests, tally[SATISFIED], tally[SATISFIED] / requests))
+    return rows, tally
 
 
 def hop_histogram(

@@ -22,7 +22,9 @@ import math
 import random
 from bisect import bisect_left
 from functools import wraps
-from typing import Any, NamedTuple, Sequence, TypeVar
+from itertools import islice
+from operator import le
+from typing import Any, Iterator, NamedTuple, Sequence, TypeVar
 
 from .model import Application, Device, Message, NetworkLink, Record, Service, Topology, USER
 
@@ -157,11 +159,37 @@ class AppRequest(NamedTuple):
     gateway: int
 
 
+class Schedule(Record):
+    """Scheduled requests as two equal-length columns: the list ``times`` and the tuple ``request_ids``.
+
+    Its length is the number of scheduled requests. Iterating it yields
+    ``(time_s, request_id)`` pairs in column order, which ``scenario.json``
+    stores as ``[time_s, request_id]`` rows; the times need not be sorted.
+    """
+
+    __slots__ = ("times", "request_ids")
+
+    def __init__(self, times: list[float] | None = None, request_ids: tuple[int, ...] = ()) -> None:
+        self.times = [] if times is None else times
+        self.request_ids = request_ids
+        if len(self.times) != len(request_ids):
+            raise ValueError("schedule columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.request_ids)
+
+    def __iter__(self) -> Iterator[tuple[float, int]]:
+        return zip(self.times, self.request_ids)
+
+    def in_order(self) -> bool:
+        """Whether no time is below the one before it; a NaN next to any time breaks the order."""
+        return all(map(le, self.times, islice(self.times, 1, None)))
+
+
 class Scenario(Record):
     """A fully materialized, replayable evaluation scenario.
 
-    ``schedule`` holds ``[time_s, request_id]`` rows, as ``scenario.json``
-    stores them; it defaults to a new empty list.
+    ``schedule`` is a ``Schedule``, by default a new empty one.
     """
 
     __slots__ = ("config", "devices", "links", "cloud_id", "apps", "requests", "schedule")
@@ -174,7 +202,7 @@ class Scenario(Record):
         cloud_id: int,
         apps: list[Application],
         requests: list[AppRequest],
-        schedule: list[list] | None = None,
+        schedule: Schedule | None = None,
     ) -> None:
         self.config = config
         self.devices = devices
@@ -182,7 +210,7 @@ class Scenario(Record):
         self.cloud_id = cloud_id
         self.apps = apps
         self.requests = requests
-        self.schedule = [] if schedule is None else schedule
+        self.schedule = Schedule() if schedule is None else schedule
 
     def topology(self) -> Topology:
         """The scenario's devices and links, checked for duplicates and dangling ids."""
@@ -415,11 +443,12 @@ def generate_applications(cfg: ScenarioConfig) -> list[Application]:
 
 def generate_users(
     cfg: ScenarioConfig, gateways: Sequence[int]
-) -> tuple[list[AppRequest], list[list]]:
+) -> tuple[list[AppRequest], Schedule]:
     """One request per user: a random gateway, then a random application.
 
     In deadline mode every request repeats with the configured period until
-    the horizon; otherwise each request fires once at t=0.
+    the horizon; otherwise each request fires once at t=0. The requests of
+    one tick share its time object.
     """
     if not gateways:
         raise ConfigError("cannot attach users without gateways")
@@ -430,17 +459,12 @@ def generate_users(
         gateway = rng.choice(ordered_gateways)  # drawn before the app: this order fixes the scenario
         requests.append(AppRequest(uid, app_id=rng.randrange(cfg.app_count), gateway=gateway))
 
-    schedule: list[list] = []
+    ticks = [0.0]
     if cfg.deadline_mode:
-        ticks = int(math.floor(cfg.horizon_s / cfg.request_period_s))
-        for k in range(1, ticks + 1):
-            t = k * cfg.request_period_s
-            for req in requests:
-                schedule.append([t, req.request_id])
-    else:
-        for req in requests:
-            schedule.append([0.0, req.request_id])
-    return requests, schedule
+        count = int(math.floor(cfg.horizon_s / cfg.request_period_s))
+        ticks = [k * cfg.request_period_s for k in range(1, count + 1)]
+    ids = tuple(req.request_id for req in requests)
+    return requests, Schedule([t for t in ticks for _ in ids], ids * len(ticks))
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:

@@ -6,10 +6,12 @@ newline, so identical inputs serialize to identical bytes;
 carry a ``schema_version`` field. Each kind of document has its own
 version, and a reader accepts only that one:
 
-- ``scenario.json``: 2, in which each request carries its gateway.
-  Version 1 kept those gateways in a separate user list, one user per
-  request, and also stored the generator's gateway list, which no command
-  read, and a null ``user`` on every app template;
+- ``scenario.json``: 2, in which each request carries its gateway, and the
+  schedule is a list of ``[time_s, request_id]`` rows that the reader turns
+  into the two columns of a ``Schedule``. Version 1 kept those gateways in
+  a separate user list, one user per request, and also stored the
+  generator's gateway list, which no command read, and a null ``user`` on
+  every app template;
 - ``partitions.json``: 4, which holds the network and resource-layer
   partitions, the feature partitions' members, and the config hash of the
   scenario they were built from; each fp's devices and the feature triplets
@@ -23,7 +25,6 @@ version, and a reader accepts only that one:
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import math
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from .model import Application, Device, Message, NetworkLink, PlacementPlan, Ser
 from .multilayer import RESOURCE_LAYERS, Layer
 from .partitioner import CompressedNode, FeaturePartitionSet, PartitionSet
 from .partitioner import compress_graph, derive_feature_partitions
-from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig
+from .scenario import RANGE_FIELDS, AppRequest, Scenario, ScenarioConfig, Schedule
 
 #: document kind -> the one schema_version its reader accepts
 SCHEMA_VERSIONS = {"scenario": 2, "partitions": 4, "plans": 2}
@@ -58,19 +59,11 @@ def dump_json(path: Path, payload: Mapping[str, Any]) -> Path:
 def load_json(path: Path) -> dict[str, Any]:
     """The JSON document at ``path``, compact or pretty-printed alike.
 
-    The cyclic collector is paused while decoding and then restored to the
-    caller's state: a decoded document holds only acyclic lists and dicts,
-    so a collection finds nothing to free, yet it would re-walk the growing
-    heap every few hundred allocations.
+    A decoded document holds only acyclic lists and dicts, so a collection
+    finds nothing in it to free; ``cli.main`` pauses the cyclic collector
+    for the whole command rather than let it re-walk them.
     """
-    text = Path(path).read_text()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    finally:
-        if enabled:
-            gc.enable()
+    return json.loads(Path(path).read_text())
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
@@ -209,23 +202,23 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
             {"request_id": r.request_id, "app_id": r.app_id, "gateway": r.gateway}
             for r in scenario.requests
         ],
-        "schedule": scenario.schedule,
+        # json writes each (time_s, request_id) pair as a [time_s, request_id] row
+        "schedule": list(scenario.schedule),
     }
 
 
 def scenario_from_dict(data: Mapping[str, Any], schedule: bool = True) -> Scenario:
     """The scenario of a ``scenario.json`` document.
 
-    The schedule rows are checked and kept as they are. ``schedule=False``
-    skips them and leaves the scenario's schedule empty, for readers that
-    never replay it: a D-LARGE schedule holds 125,832 rows, most of a
-    document's decoding.
+    The schedule rows are read into the columns of a ``Schedule``, and
+    checked as they are built. ``schedule=False`` skips them and leaves the
+    scenario's schedule empty, for readers that never replay it: a D-LARGE
+    schedule holds 125,832 rows, most of a document's decoding.
     """
     _check_version(data, "scenario")
     with _required_keys("scenario"):
         rows = data["schedule"]
-        if schedule:
-            _check_schedule(rows)
+        columns = _schedule(rows) if schedule else Schedule()
         devices = [Device(*values) for values in _fields(data["devices"], "devices", *_DEVICE_KEYS)]
         cloud_id = data["cloud_id"]
         # the simulator keeps the cloud out of faulty mode's deaths by this id
@@ -240,38 +233,40 @@ def scenario_from_dict(data: Mapping[str, Any], schedule: bool = True) -> Scenar
             requests=[
                 AppRequest(*values) for values in _fields(data["requests"], "requests", *_REQUEST_KEYS)
             ],
-            schedule=rows if schedule else [],
+            schedule=columns,
         )
 
 
-def _check_schedule(rows: Any) -> None:
-    """Raise ValueError naming the first row that is not ``[time_s >= 0, request_id]``."""
+def _schedule(rows: Any) -> Schedule:
+    """The columns of ``rows``; ValueError naming the first row that is not ``[time_s >= 0, request_id]``."""
     if type(rows) is not list:
         raise ValueError("scenario schedule must be a list of [time_s, request_id] rows")
-    if not _rows_ok(rows):
+    schedule = _columns(rows)
+    if schedule is None:
         # the columns are checked whole; only a failure looks for the row at fault
-        index = next(i for i, row in enumerate(rows) if not _rows_ok([row]))
+        index = next(i for i, row in enumerate(rows) if _columns([row]) is None)
         raise ValueError(
             f"schedule row {index} is {json.dumps(rows[index])}; expected [time_s, request_id] "
             "with time_s a finite number >= 0 and request_id an integer"
         )
+    return schedule
 
 
-def _rows_ok(rows: list) -> bool:
-    """Whether every row is a finite time >= 0 and an integer request id, column by column."""
+def _columns(rows: list) -> Schedule | None:
+    """The rows as columns, or None unless each is a finite time >= 0 and an integer request id."""
     try:
         times = list(map(itemgetter(0), rows))
-        ids = list(map(itemgetter(1), rows))
+        ids = tuple(map(itemgetter(1), rows))
         lengths = set(map(len, rows))
     except (TypeError, KeyError, IndexError):
-        return False
-    # bool is neither int nor float here, and a NaN fails 0 <= t
-    return (
-        lengths <= {2}
-        and set(map(type, times)) <= {int, float}
-        and set(map(type, ids)) <= {int}
-        and all(0 <= t < math.inf for t in set(times))
-    )
+        return None
+    # bool is neither int nor float here
+    if not (lengths <= {2} and set(map(type, times)) <= {int, float} and set(map(type, ids)) <= {int}):
+        return None
+    schedule = Schedule(times, ids)
+    # a NaN fails 0 <= t and breaks the order, so times in order need only their ends checked
+    ends = times[:1] + times[-1:] if schedule.in_order() else set(times)
+    return schedule if all(0 <= t < math.inf for t in ends) else None
 
 
 # -- partition results -------------------------------------------------------

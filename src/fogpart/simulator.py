@@ -132,9 +132,11 @@ def run(
     """Classify every scheduled request up to the scenario's horizon, tick by tick.
 
     Requests are taken in time order, schedule order breaking ties, and
-    grouped into ticks of equal time. Before each tick every death at or
-    before its time is applied, so failures precede requests at the same
-    instant. A request whose app has an unplaced service, a dead host, or
+    grouped into ticks of equal time: the run reads the schedule's columns
+    as they are, and sorts the schedule stably by time only if a time is
+    below the one before it. Before each tick every death at or before its
+    time is applied, so failures precede requests at the same instant. A
+    request whose app has an unplaced service, a dead host, or
     no live route fails its dependency; otherwise the response time decides
     between satisfied and missed.
 
@@ -173,9 +175,9 @@ def run(
     instances = {inst.id: inst for inst in scenario.instances()}
     _check_plans(plans, instances, topology.devices.keys())
 
-    entries = sorted(scenario.schedule, key=itemgetter(0))
-    times = list(map(itemgetter(0), entries))
-    ids = tuple(map(itemgetter(1), entries))
+    times, ids = scenario.schedule.times, scenario.schedule.request_ids
+    if not scenario.schedule.in_order():
+        times, ids = zip(*sorted(scenario.schedule, key=itemgetter(0)))
     end = bisect_right(times, horizon)
     death_times = [t for t, _ in deaths]
     victims = [victim for _, victim in deaths]

@@ -10,12 +10,18 @@ from hypothesis import strategies as st
 
 from fogpart.model import Device, NetworkLink
 from fogpart.multilayer import Layer, LayerView, index_rows
+from fogpart.scenario import Schedule
 from fogpart.simulator import SATISFIED
 
 
 def make_view(layer: Layer, node_ids, edges) -> LayerView:
     """A LayerView from an undirected (i < j) edge-weight mapping."""
     return LayerView(layer, *index_rows(node_ids, edges))
+
+
+def schedule_of(rows) -> Schedule:
+    """The ``Schedule`` whose ``(time_s, request_id)`` pairs are ``rows``, in order."""
+    return Schedule([t for t, _ in rows], tuple(rid for _, rid in rows))
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -681,6 +682,41 @@ def test_simulate_stops_at_the_scenario_horizon(scenario_path, tmp_path):
     metrics = json.loads((tmp_path / "sim" / "metrics.json").read_text())
     assert (metrics["horizon_s"], metrics["requests"]) == (horizon, in_horizon)
     assert sum(metrics["outcome_counts"].values()) == in_horizon
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the command and leaves it as the caller had it."""
+
+    def place(self, scenario, tmp):
+        return ["place", "--scenario", str(scenario), "--strategy", "first_fit", "--out", str(tmp / "place")]
+
+    def rejected(self, tmp):
+        (tmp / "bad.json").write_text('{"schedule": [')
+        return self.place(tmp / "bad.json", tmp)
+
+    def test_paused_while_the_command_reads(self, scenario_path, tmp_path, monkeypatch):
+        seen = []
+        load = cli.load_json
+        monkeypatch.setattr(cli, "load_json", lambda path: seen.append(gc.isenabled()) or load(path))
+        assert cli.main(self.place(scenario_path, tmp_path)) == 0
+        assert seen == [False]
+
+    def test_restored_after_success_and_after_a_rejected_document(self, scenario_path, tmp_path):
+        assert gc.isenabled()
+        assert cli.main(self.place(scenario_path, tmp_path)) == 0
+        assert gc.isenabled()
+        assert cli.main(self.rejected(tmp_path)) == 1
+        assert gc.isenabled()
+
+    def test_left_disabled_for_a_caller_that_disabled_it(self, scenario_path, tmp_path):
+        gc.disable()
+        try:
+            assert cli.main(self.place(scenario_path, tmp_path)) == 0
+            assert not gc.isenabled()
+            assert cli.main(self.rejected(tmp_path)) == 1
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def generated_config(tmp_path, argv, config):

@@ -18,7 +18,6 @@ from fogpart.metrics import (
     emit_report,
     hop_histogram,
     hop_summary,
-    outcome_counts,
     placement_success_rate,
     resource_wastage,
 )
@@ -121,12 +120,10 @@ class TestCumulativeSeries:
             Tick(5.0, (0,), verdicts),
             Tick(10.0, both, {0: (FAILED_DEPENDENCY, None), 1: (SATISFIED, 2.0)}),
         ]
-        assert cumulative_series(ticks) == [
-            (0.0, 2, 1, 0.5),
-            (5.0, 3, 2, 2 / 3),
-            (10.0, 5, 3, 0.6),
-        ]
-        assert outcome_counts(ticks) == Counter({SATISFIED: 3, MISSED: 1, FAILED_DEPENDENCY: 1})
+        assert cumulative_series(ticks) == (
+            [(0.0, 2, 1, 0.5), (5.0, 3, 2, 2 / 3), (10.0, 5, 3, 0.6)],
+            Counter({SATISFIED: 3, MISSED: 1, FAILED_DEPENDENCY: 1}),
+        )
 
     def test_new_verdict_map_is_recounted_under_the_same_ids(self):
         ids = (0, 1)
@@ -134,18 +131,17 @@ class TestCumulativeSeries:
             Tick(1.0, ids, {0: (SATISFIED, 1.0), 1: (SATISFIED, 1.0)}),
             Tick(2.0, ids, {0: (SATISFIED, 1.0), 1: (FAILED_DEPENDENCY, None)}),
         ]
-        assert cumulative_series(ticks) == [(1.0, 2, 2, 1.0), (2.0, 4, 3, 0.75)]
+        rows, _ = cumulative_series(ticks)
+        assert rows == [(1.0, 2, 2, 1.0), (2.0, 4, 3, 0.75)]
 
     def test_empty(self):
-        assert cumulative_series([]) == []
-        assert outcome_counts([]) == Counter()
+        assert cumulative_series([]) == ([], Counter())
 
     @settings(max_examples=200, deadline=None)
     @given(tick_blocks())
     def test_matches_the_per_request_reference(self, ticks):
         outcomes = expand(ticks)
-        assert cumulative_series(ticks) == per_request_series(outcomes)
-        assert outcome_counts(ticks) == per_request_tally(outcomes)
+        assert cumulative_series(ticks) == (per_request_series(outcomes), per_request_tally(outcomes))
 
 
 def routed_hop_histogram(placements, topology):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import tempfile
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import schedule_of
 from fogpart.model import Application, Device, Message, NetworkLink, PlacementPlan, Service, USER
 from fogpart.multilayer import RESOURCE_LAYERS, Layer, build_multilayer
 from fogpart.partitioner import (
@@ -21,7 +21,7 @@ from fogpart.partitioner import (
     derive_feature_partitions,
     multilayer_resource_partition,
 )
-from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig, generate_scenario
+from fogpart.scenario import PRESETS, AppRequest, Scenario, ScenarioConfig, Schedule, generate_scenario
 from fogpart.serialize import (
     config_from_dict,
     config_to_dict,
@@ -106,7 +106,7 @@ def scenarios(draw):
         AppRequest(r, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
         for r in range(draw(st.integers(0, 4)))
     ]
-    schedule = draw(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 10)).map(list), max_size=8))
+    schedule = schedule_of(draw(st.lists(st.tuples(st.floats(0.0, 1e4), st.integers(0, 10)), max_size=8)))
     return Scenario(
         config=cfg,
         devices=devices,
@@ -201,7 +201,7 @@ class TestScenarioRoundTrip:
         assert back.cloud_id == scenario.cloud_id
         assert [app_fields(a) for a in back.apps] == [app_fields(a) for a in scenario.apps]
         assert back.requests == scenario.requests
-        assert back.schedule == scenario.schedule
+        assert list(back.schedule) == list(scenario.schedule)
         assert through_json(scenario_to_dict(back)) == data
 
     def test_gateways_stored_only_on_requests(self):
@@ -225,7 +225,7 @@ class TestScenarioRoundTrip:
 
 
 class TestScheduleRows:
-    """``scenario_from_dict`` checks the schedule column by column, and names the first bad row."""
+    """``scenario_from_dict`` reads the schedule into columns, checks them whole, and names the first bad row."""
 
     def document(self, rows):
         scenario = Scenario(
@@ -240,7 +240,9 @@ class TestScheduleRows:
 
     def test_numbers_read_as_rows(self):
         rows = [[0, 0], [2.5, 7], [0.0, 10**30], [10**30, 1]]
-        assert scenario_from_dict(self.document(rows)).schedule == rows
+        schedule = scenario_from_dict(self.document(rows)).schedule
+        assert [(type(t), t, rid) for t, rid in schedule] == [(type(t), t, rid) for t, rid in rows]
+        assert type(schedule.request_ids) is tuple
 
     @pytest.mark.parametrize(
         "row",
@@ -259,9 +261,21 @@ class TestScheduleRows:
         with pytest.raises(ValueError, match=rf"^schedule row {index} is "):
             scenario_from_dict(self.document(rows))
 
+    # in times that never decrease, only the first and last are range-checked
+    @pytest.mark.parametrize(
+        "index, time, shown",
+        [(0, -1.0, "-1.0"), (5, float("inf"), "Infinity"), (3, float("nan"), "NaN")],
+        ids=["negative_first", "infinite_last", "nan_middle"],
+    )
+    def test_bad_time_in_order_named_by_index(self, index, time, shown):
+        rows = [[float(k), k] for k in range(6)]
+        rows[index] = [time, index]
+        with pytest.raises(ValueError, match=rf"^schedule row {index} is \[{shown}, {index}\]; expected "):
+            scenario_from_dict(self.document(rows))
+
     def test_skipped_rows_are_not_read(self):
         scenario = scenario_from_dict(self.document([[0.0, 0], None]), schedule=False)
-        assert scenario.schedule == []
+        assert scenario.schedule == Schedule()
 
     def test_schedule_must_be_a_list(self):
         with pytest.raises(ValueError, match="schedule must be a list"):
@@ -497,30 +511,3 @@ class TestSchemaVersion:
             del data["schema_version"]
             with pytest.raises(ValueError, match="schema_version"):
                 reader(data)
-
-
-class TestLoadJsonCollector:
-    """``load_json`` pauses the cyclic collector and leaves it as the caller had it."""
-
-    def test_collector_restored_after_a_load(self, tmp_path):
-        path = dump_json(tmp_path / "doc.json", {"rows": [[0.0, 1]] * 100})
-        assert gc.isenabled()
-        assert load_json(path) == {"rows": [[0.0, 1]] * 100}
-        assert gc.isenabled()
-
-    def test_collector_restored_after_a_malformed_file(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text('{"rows": [')
-        assert gc.isenabled()
-        with pytest.raises(json.JSONDecodeError):
-            load_json(path)
-        assert gc.isenabled()
-
-    def test_collector_left_disabled_for_a_caller_that_disabled_it(self, tmp_path):
-        path = dump_json(tmp_path / "doc.json", {"a": 1})
-        gc.disable()
-        try:
-            assert load_json(path) == {"a": 1}
-            assert not gc.isenabled()
-        finally:
-            gc.enable()

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_request_series, per_request_tally
+from conftest import per_request_series, per_request_tally, schedule_of
 from fogpart.model import (
     Application,
     Device,
@@ -21,9 +23,10 @@ from fogpart.model import (
     USER,
     response_times,
 )
-from fogpart.metrics import cumulative_series, outcome_counts
-from fogpart.scenario import AppRequest, Scenario, ScenarioConfig
+from fogpart.metrics import cumulative_series
+from fogpart.scenario import AppRequest, Scenario, ScenarioConfig, Schedule
 from fogpart import simulator
+from fogpart.serialize import scenario_from_dict, scenario_to_dict
 from fogpart.simulator import FAULTY, FAILED_DEPENDENCY, MISSED, RELIABLE, SATISFIED, RequestOutcome
 
 
@@ -60,7 +63,7 @@ def tiny_scenario(deadline=50000.0, horizon=60.0, period=1.0, n_devices=4):
         cloud_id=n_devices - 1,
         apps=[app],
         requests=requests,
-        schedule=schedule,
+        schedule=schedule_of(schedule),
     )
 
 
@@ -97,7 +100,7 @@ class TestReliableRun:
 
     def test_empty_schedule_empty_result(self):
         sc = tiny_scenario()
-        sc.schedule = []
+        sc.schedule = Schedule()
         result = simulator.run(sc, full_plans(sc), mode=RELIABLE)
         assert list(result.outcomes) == []
         assert not result.outcomes
@@ -198,7 +201,7 @@ class TestFaultyRun:
 class TestScheduleOrder:
     def test_unsorted_schedule_runs_in_stable_time_order(self):
         sc = tiny_scenario(horizon=3.0)
-        sc.schedule = [(3.0, 1), (1.0, 1), (4.0, 0), (3.0, 0), (1.0, 0), (2.0, 1)]
+        sc.schedule = schedule_of([(3.0, 1), (1.0, 1), (4.0, 0), (3.0, 0), (1.0, 0), (2.0, 1)])
         result = simulator.run(sc, full_plans(sc), mode=RELIABLE)
         assert [(o.time_s, o.request_id) for o in result.outcomes] == [
             (1.0, 1), (1.0, 0), (2.0, 1), (3.0, 1), (3.0, 0)
@@ -220,10 +223,11 @@ def oracle_run(scenario, plans, mode, horizon, period, seed):
     topology = scenario.topology()
     gateways = {req.request_id: req.gateway for req in scenario.requests}
     apps = {app.id: app for app in scenario.instances()}
-    order = sorted(range(len(scenario.schedule)), key=lambda i: (scenario.schedule[i][0], i))
+    schedule = list(scenario.schedule)
+    order = sorted(range(len(schedule)), key=lambda i: (schedule[i][0], i))
     rows = []
     for i in order:
-        t, rid = scenario.schedule[i]
+        t, rid = schedule[i]
         if t > horizon:
             continue
         dead = frozenset(victim for death_t, victim in deaths if death_t <= t)
@@ -272,7 +276,7 @@ def simulations(draw):
             assignment={s.id: (None if h < 0 else h) for s, h in zip(services, hosts)}
         )
     ticks = st.integers(0, 12).map(float)
-    schedule = draw(st.lists(st.tuples(ticks, st.integers(0, n_users - 1)), max_size=40))
+    schedule = schedule_of(draw(st.lists(st.tuples(ticks, st.integers(0, n_users - 1)), max_size=40)))
     cfg = ScenarioConfig(device_count=4, gateway_count=1, app_count=1, user_count=1, seed=0)
     scenario = Scenario(
         config=cfg,
@@ -342,7 +346,7 @@ def relay_simulations(draw):
             for s in templates[req.app_id].services
         })
     horizon = draw(st.integers(4, n))
-    schedule = [(float(t), req.request_id) for t in range(horizon + 1) for req in requests]
+    schedule = schedule_of([(float(t), req.request_id) for t in range(horizon + 1) for req in requests])
     cfg = ScenarioConfig(device_count=4, gateway_count=1, app_count=1, user_count=1, seed=0)
     scenario = Scenario(
         config=cfg,
@@ -369,6 +373,43 @@ class TestRelayDeathOracle:
         assert result.deaths == deaths
 
 
+#: repeated times, some ints and some floats, a few equal as numbers (2 and 2.0)
+mixed_times = st.integers(0, 6) | st.integers(0, 12).map(lambda k: k / 2)
+
+
+class TestReplayPaths:
+    """A schedule read from ``scenario.json`` replays as the stable time sort of its rows.
+
+    Shuffled rows take the sorting path of ``simulator.run`` and rows drawn
+    in time order take the other; int times stay ints throughout.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(mixed_times, st.integers(0, 1)), max_size=30),
+        st.booleans(),
+        st.sampled_from([RELIABLE, FAULTY]),
+        st.integers(0, 3),
+    )
+    def test_read_schedule_replays_as_its_stable_time_sort(self, rows, presorted, mode, seed):
+        if presorted:
+            rows = sorted(rows, key=itemgetter(0))
+        sc = tiny_scenario(horizon=6.0, n_devices=5)
+        sc.schedule = schedule_of(rows)
+        read = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+        assert [(type(t), t, rid) for t, rid in read.schedule] == [(type(t), t, rid) for t, rid in rows]
+
+        def replay(scenario):
+            plans = full_plans(scenario, host=3)
+            result = simulator.run(scenario, plans, mode=mode, failure_period_s=2.0, seed=seed)
+            return [(type(o.time_s), *o) for o in result.outcomes]
+
+        sc.schedule = schedule_of(sorted(rows, key=itemgetter(0)))
+        assert replay(read) == replay(sc)
+        oracle, _ = oracle_run(sc, full_plans(sc, host=3), mode, 6.0, 2.0, seed)
+        assert [o[1:] for o in replay(read)] == oracle
+
+
 class TestTickSeries:
     """The per-tick series and tally against the per-request ones over the oracle's records.
 
@@ -388,8 +429,7 @@ class TestTickSeries:
         rows, _ = oracle_run(scenario, plans, mode, horizon, period, seed)
         outcomes = [RequestOutcome(*row) for row in rows]
         ticks = result.outcomes.ticks
-        assert cumulative_series(ticks) == per_request_series(outcomes)
-        assert outcome_counts(ticks) == per_request_tally(outcomes)
+        assert cumulative_series(ticks) == (per_request_series(outcomes), per_request_tally(outcomes))
         assert len(result.outcomes) == sum(1 for t, _ in scenario.schedule if t <= horizon)
         assert bool(result.outcomes) == bool(rows)
 
@@ -417,7 +457,7 @@ def diamond_scenario():
         cloud_id=4,
         apps=[app],
         requests=[AppRequest(0, app_id=0, gateway=0)],
-        schedule=[(1.0, 0), (3.0, 0)],
+        schedule=schedule_of([(1.0, 0), (3.0, 0)]),
     )
 
 
