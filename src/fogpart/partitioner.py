@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, insort
-from functools import reduce
 from itertools import combinations
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Device, sum_in_order
@@ -95,10 +94,10 @@ class FeaturePartitionSet(NamedTuple):
 # Level 0 of a complete resource layer is read as one full weight array per
 # node instead (``SimilarityView.weights``). Every community then holds a
 # neighbour of every node, so a link sum is a gather over the community's
-# members (``_link_sums``), which adds the row's weights in row order, and
-# the first sweep skips the singletons that cannot win
-# (``_first_sweep_complete``); the later sweeps keep each node's link sums
-# across moves (``_later_sweeps``), since a re-sum there gathers all n
+# members (``_link_sums``), whose weights ``sum_in_order`` adds left to
+# right, in row order, and the first sweep skips the singletons that cannot
+# win (``_first_sweep_complete``); the later sweeps keep each node's link
+# sums across moves (``_later_sweeps``), since a re-sum there gathers all n
 # weights. Its labels, rows and Q equal the row path's bit for bit; levels
 # >= 1 are rows again.
 # ---------------------------------------------------------------------------
@@ -288,12 +287,13 @@ def _link_sums(weights: array, members: Mapping[int, Sequence[int]]) -> dict[int
     """One node's link sum into each community, from its full weight array.
 
     ``members`` maps each label to its members, ascending. A sum adds the
-    weights at those positions left to right from 0.0. The node's row holds
-    the same weights in the same order, less the node's own 0.0, and adding
-    0.0 to a sum of weights >= 0 changes nothing; so each sum is bit-equal
-    to the one ``_row_links`` adds up from the row.
+    weights at those positions left to right from 0.0 (``sum_in_order``).
+    The node's row holds the same weights in the same order, less the
+    node's own 0.0, and adding 0.0 to a sum of weights >= 0 changes
+    nothing; so each sum is bit-equal to the one ``_row_links`` adds up
+    from the row.
     """
-    return {c: reduce(add, _gather(m)(weights), 0.0) for c, m in members.items()}
+    return {c: sum_in_order(_gather(m)(weights)) for c, m in members.items()}
 
 
 def _first_sweep_complete(
@@ -490,12 +490,12 @@ def _aggregate_complete(
     the running sum of its (community, community) pair, and every loop mass
     is 0.0 at this level. Here each node's weights are gathered at every
     community's members, ascending, and added onto that pair's running sum
-    left to right: the same additions in the same order, plus the node's
-    own 0.0, which changes no sum (``_phase1_complete``). A super-node's
-    loop mass and its ``sig_in`` are then the same sum. The walk first
-    reaches a community at its smallest member, from the smallest member of
-    any other community, so each row lists the other super-nodes by their
-    smallest member.
+    left to right (``sum_in_order``, started at that sum): the same
+    additions in the same order, plus the node's own 0.0, which changes no
+    sum (``_phase1_complete``). A super-node's loop mass and its ``sig_in``
+    are then the same sum. The walk first reaches a community at its
+    smallest member, from the smallest member of any other community, so
+    each row lists the other super-nodes by their smallest member.
     """
     remap = {lab: idx for idx, lab in enumerate(sorted(set(comm)))}
     k = len(remap)
@@ -510,7 +510,7 @@ def _aggregate_complete(
     for wi, ci in zip(weights, sub):
         pair = sums[ci]
         for c, get in enumerate(getters):
-            pair[c] = reduce(add, get(wi), pair[c])
+            pair[c] = sum_in_order(get(wi), pair[c])
     reached = sorted(range(k), key=lambda c: members[c][0])
     rows: list[Row] = []
     for c, pair in enumerate(sums):

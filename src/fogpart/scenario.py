@@ -165,25 +165,25 @@ class Schedule(Record):
     Its length is the number of scheduled requests. Iterating it yields
     ``(time_s, request_id)`` pairs in column order, which ``scenario.json``
     stores as ``[time_s, request_id]`` rows; the times need not be sorted.
+    ``ordered``, set once from the columns given, says whether no time is
+    below the one before it; a NaN next to any time breaks the order. The
+    columns are not changed in place after that.
     """
 
-    __slots__ = ("times", "request_ids")
+    __slots__ = ("times", "request_ids", "ordered")
 
     def __init__(self, times: list[float] | None = None, request_ids: tuple[int, ...] = ()) -> None:
         self.times = [] if times is None else times
         self.request_ids = request_ids
         if len(self.times) != len(request_ids):
             raise ValueError("schedule columns differ in length")
+        self.ordered = all(map(le, self.times, islice(self.times, 1, None)))
 
     def __len__(self) -> int:
         return len(self.request_ids)
 
     def __iter__(self) -> Iterator[tuple[float, int]]:
         return zip(self.times, self.request_ids)
-
-    def in_order(self) -> bool:
-        """Whether no time is below the one before it; a NaN next to any time breaks the order."""
-        return all(map(le, self.times, islice(self.times, 1, None)))
 
 
 class Scenario(Record):

@@ -265,7 +265,7 @@ def _columns(rows: list) -> Schedule | None:
         return None
     schedule = Schedule(times, ids)
     # a NaN fails 0 <= t and breaks the order, so times in order need only their ends checked
-    ends = times[:1] + times[-1:] if schedule.in_order() else set(times)
+    ends = times[:1] + times[-1:] if schedule.ordered else set(times)
     return schedule if all(0 <= t < math.inf for t in ends) else None
 
 

@@ -176,7 +176,7 @@ def run(
     _check_plans(plans, instances, topology.devices.keys())
 
     times, ids = scenario.schedule.times, scenario.schedule.request_ids
-    if not scenario.schedule.in_order():
+    if not scenario.schedule.ordered:
         times, ids = zip(*sorted(scenario.schedule, key=itemgetter(0)))
     end = bisect_right(times, horizon)
     death_times = [t for t, _ in deaths]

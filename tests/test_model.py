@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+import struct
+from array import array
 from collections import deque
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,15 @@ from fogpart.multilayer import Layer, build_multilayer
 from fogpart.partitioner import compress_graph, multilayer_resource_partition
 from fogpart.placement import Residual, placement_valid
 from fogpart.scenario import AppRequest, ScenarioConfig
+
+
+#: name -> how ``TestSumInOrder`` hands a list of values to ``sum_in_order``
+SUM_INPUTS = {
+    "list": list,
+    "tuple": tuple,
+    "array": lambda values: array("d", values),
+    "generator": lambda values: (v for v in values),
+}
 
 
 def make_device(device_id=0, cores=10, speed=20.0, mem=10.0, storage=10.0):
@@ -149,6 +163,28 @@ class TestSumInOrder:
 
     def test_empty_is_float_zero(self):
         assert repr(sum_in_order([])) == "0.0"
+
+    @pytest.mark.parametrize("kind", SUM_INPUTS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_subnormal=True)
+            | st.sampled_from([-0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+            # past 2**63 an int leaves a C long, and sum() adds it the generic way
+            | st.integers(-(2**70), 2**70),
+            max_size=12,
+        ),
+        st.floats(allow_subnormal=True) | st.sampled_from([-0.0, 0.0]),
+    )
+    def test_equals_reduce_bit_for_bit(self, kind, values, start):
+        make = SUM_INPUTS[kind]
+        got = sum_in_order(make(values), start)
+        expected = reduce(operator.add, make(values), start)
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 class TestPlacementValid:

@@ -4,7 +4,8 @@ The abstract claims that, against two baselines, multilayer placement
 places twice as many services (2×), satisfies deadlines for three times as
 many requests (3×) and wastes 15–32× fewer resources. The tables below pin
 what the code measures, strategy by strategy, at SMALL and LARGE seeds 0–2
-(and reliable satisfaction at D-LARGE seed 0). They record the departures;
+(reliable satisfaction at D-LARGE seed 0, and the overlap of feature
+partitions at D-LARGE seeds 0–9). They record the departures;
 they are not targets. Each tuple lists (multilayer, first_fit,
 connectivity_greedy). A change that moves a number updates it here and
 says why in CHANGES.md.
@@ -17,7 +18,7 @@ from functools import lru_cache
 from fogpart import simulator
 from fogpart.metrics import placement_success_rate, resource_wastage
 from fogpart.multilayer import build_multilayer
-from fogpart.partitioner import multilayer_resource_partition
+from fogpart.partitioner import RESOURCE_LAYERS, multilayer_resource_partition
 from fogpart.placement import STRATEGIES, run_placement
 from fogpart.scenario import ScenarioConfig, generate_scenario
 
@@ -138,6 +139,47 @@ def test_feature_partitions():
         ("LARGE", 0): (2, 173),
         ("LARGE", 1): (3, 206),
         ("LARGE", 2): (2, 159),
+    }
+
+
+def test_feature_partitions_overlap_across_cells():
+    """Departure: feature partitions overlap. Pinned, not fixed: the overlap is not what costs multilayer.
+
+    A feature partition is the union of its resource-layer partitions, so
+    its device sets overlap instead of splitting the devices. Pinned at
+    D-LARGE (101 devices) over scenario seeds 0–9 as (fp count, each fp's
+    device count in fp id order, distinct (CPU, MEM, STORAGE) partition
+    cells): 2–3 fps of 32–99 devices each, against 29–45 cells. Disjoint
+    fps, one per cell with the cell's three layer partitions as members,
+    were tried over these seeds: multilayer's fully placed apps went from
+    794 to 808 and its stranded apps from 160 to 142. Dropping the anchor
+    rule instead, which confines an app to its first service's network
+    partition, gave 850 and 28. So the anchor costs multilayer its whole
+    apps, not the overlap.
+    """
+
+    def shape(seed):
+        scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale("D-LARGE"))
+        fps, _, layer_sets = multilayer_resource_partition(build_multilayer(scenario.topology()))
+        cell = {d.id: [] for d in scenario.devices}
+        for layer in RESOURCE_LAYERS:
+            for pid, devs in sorted(layer_sets[layer].partitions.items()):
+                for d in devs:
+                    cell[d].append(pid)
+        sizes = tuple(len(fps.device_index[f]) for f in fps.ids())
+        return len(sizes), sizes, len({tuple(pids) for pids in cell.values()})
+
+    assert {seed: shape(seed) for seed in range(10)} == {
+        0: (2, (77, 96), 32),
+        1: (3, (32, 91, 83), 39),
+        2: (2, (99, 60), 34),
+        3: (3, (67, 72, 67), 35),
+        4: (3, (58, 79, 71), 38),
+        5: (3, (81, 84, 50), 33),
+        6: (3, (71, 62, 70), 45),
+        7: (3, (79, 46, 82), 29),
+        8: (2, (68, 98), 33),
+        9: (3, (53, 69, 78), 39),
     }
 
 

@@ -12,6 +12,7 @@ from fogpart.scenario import (
     ConfigError,
     PRESETS,
     ScenarioConfig,
+    Schedule,
     generate_applications,
     generate_scenario,
     generate_topology,
@@ -238,6 +239,26 @@ class TestUsers:
         a = generate_users(cfg, [0, 1, 2])
         b = generate_users(cfg, [0, 1, 2])
         assert a == b
+
+
+class TestScheduleOrdered:
+    @pytest.mark.parametrize(
+        "times, ordered",
+        [
+            ([], True),
+            ([3.0], True),
+            ([0.0, 1, 1.0, 2.5], True),
+            ([1.0, 0.0], False),
+            ([0.0, 2.0, 1.0, 3.0], False),
+            # a NaN breaks the order wherever it stands next to another time
+            ([math.nan], True),
+            ([math.nan, 1.0], False),
+            ([0.0, math.nan, 1.0], False),
+            ([0.0, 1.0, math.nan], False),
+        ],
+    )
+    def test_ordered_is_set_from_the_times(self, times, ordered):
+        assert Schedule(times, tuple(range(len(times)))).ordered is ordered
 
 
 class TestScenario:
