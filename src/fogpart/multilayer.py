@@ -10,8 +10,8 @@ A complete layer holds n(n-1) weights, so the graph keeps only each
 device's resource value there (``SimilarityView``). A resource layer's
 weights are built when ``SimilarityView.weights`` is called, and live as
 long as the caller holds them: ``partitioner.louvain_partition`` builds them
-once, for one Louvain run, so partitioning holds at most one resource
-layer's weights at a time.
+once, for one Louvain run, so a process that partitions holds at most one
+resource layer's weights at a time.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 
+from fogpart import partitioner
 from fogpart.model import Device, NetworkLink
 from fogpart.multilayer import Layer, LayerView, index_rows
 from fogpart.scenario import Schedule
@@ -54,6 +56,25 @@ def triangle_view() -> LayerView:
 def two_pairs_view() -> LayerView:
     """Layer with unit edges (d1,d2) and (d3,d4)."""
     return make_view(Layer.MEM, [1, 2, 3, 4], {(1, 2): 1.0, (3, 4): 1.0})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked during a test, with two CPUs usable; no child may be left once it ends."""
+    monkeypatch.setattr(partitioner, "_usable_cpus", lambda: 2)
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -13,18 +13,20 @@ from pathlib import Path
 import pytest
 
 import fogpart
-from fogpart import cli
+from fogpart import cli, partitioner
 from fogpart.model import Topology
 from fogpart.placement import STRATEGIES
 
 
-def test_import_leaves_numpy_dataclasses_and_inspect_out():
+def test_import_leaves_numpy_dataclasses_inspect_pickle_and_process_pools_out():
     # every command of a chain shares one process, so numpy loaded at import
     # would add its import time to every start-up and its memory to every peak;
-    # dataclasses (which loads inspect) cost each start-up about 15 ms
+    # dataclasses (which loads inspect) cost each start-up about 15 ms, and a
+    # cold pickle about 3 ms, so only partitioning's fork path imports pickle
     src = Path(fogpart.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, fogpart.cli; print(*sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    kept_out = {"numpy", "dataclasses", "inspect", "pickle", "multiprocessing", "concurrent.futures"}
+    code = f"import sys, fogpart.cli; print(*sorted({kept_out!r} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == ""
 
@@ -767,3 +769,41 @@ def test_each_command_builds_one_topology(scenario_path, tmp_path, monkeypatch):
                 "--out", str(tmp_path / f"sim-{strategy}")]
         assert cli.main(argv) == 0
         assert len(built) == 1, strategy
+
+
+class TestForkedPartition:
+    """``partition`` above ``FORK_MIN_DEVICES`` partitions the resource layers in forked children."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path_factory):
+        """A generated LARGE scenario.json with 50 devices more than ``FORK_MIN_DEVICES``."""
+        n = partitioner.FORK_MIN_DEVICES + 50
+        tmp = tmp_path_factory.mktemp("forked")
+        (tmp / "config.json").write_text(json.dumps({"device_count": n, "gateway_count": n // 4}))
+        argv = ["generate", "--config", str(tmp / "config.json"), "--preset", "LARGE", "--out", str(tmp / "gen")]
+        assert cli.main(argv) == 0
+        return tmp / "gen" / "scenario.json"
+
+    def test_writes_the_in_process_bytes(self, scenario, forks, tmp_path, monkeypatch):
+        argv = ["partition", "--scenario", str(scenario), "--out"]
+        assert cli.main([*argv, str(tmp_path / "forked")]) == 0
+        assert len(forks) == 3
+        monkeypatch.setattr(partitioner, "FORK_MIN_DEVICES", math.inf)
+        assert cli.main([*argv, str(tmp_path / "here")]) == 0
+        assert len(forks) == 3
+        for name in ("partitions.json", "modularity.csv"):
+            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+    def test_a_child_error_exits_one(self, scenario, forks, tmp_path, monkeypatch, capsys):
+        real = partitioner.louvain_partition
+
+        def louvain(view):
+            if view.layer.name == "CPU":
+                raise ValueError("no CPU partition today")
+            return real(view)
+
+        monkeypatch.setattr(partitioner, "louvain_partition", louvain)
+        argv = ["partition", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert len(forks) == 3
+        assert capsys.readouterr().err == "fogpart partition: no CPU partition today\n"

@@ -4,8 +4,9 @@ The abstract claims that, against two baselines, multilayer placement
 places twice as many services (2×), satisfies deadlines for three times as
 many requests (3×) and wastes 15–32× fewer resources. The tables below pin
 what the code measures, strategy by strategy, at SMALL and LARGE seeds 0–2
-(reliable satisfaction at D-LARGE seed 0, and the overlap of feature
-partitions at D-LARGE seeds 0–9). They record the departures;
+(reliable satisfaction at D-LARGE seed 0, the overlap of feature
+partitions and connectivity_greedy's whole apps at D-LARGE seeds 0–9,
+and its hosts at D-LARGE seed 1). They record the departures;
 they are not targets. Each tuple lists (multilayer, first_fit,
 connectivity_greedy). A change that moves a number updates it here and
 says why in CHANGES.md.
@@ -181,6 +182,42 @@ def test_feature_partitions_overlap_across_cells():
         8: (2, (68, 98), 33),
         9: (3, (53, 69, 78), 39),
     }
+
+
+def test_connectivity_greedy_places_only_in_the_cloud_partition():
+    """Departure: connectivity_greedy offers every app the cloud's network partition.
+
+    It gives each app the network partition with the most residual units,
+    and a device's units are the largest of its free cores, GB and TB. The
+    cloud starts with 250 of each; its memory or storage runs out long
+    before its cores, but the cores keep its partition the "fullest" after
+    nothing fits there. At D-LARGE seed 1 every one of its 15 hosts lies
+    in the cloud's network partition, and it places 118 of 625 services.
+    """
+    scenario, _, plans = chain("D-LARGE", 1)
+    _, network, _ = multilayer_resource_partition(build_multilayer(scenario.topology()))
+    hosts = [d for plan in plans["connectivity_greedy"].values() for d in plan.assignment.values()]
+    placed = {d for d in hosts if d is not None}
+    cloud_partition = network.partitions[network.assignment[scenario.cloud_id]]
+    assert (len(placed), len(hosts) - hosts.count(None), len(hosts)) == (15, 118, 625)
+    assert placed <= cloud_partition
+
+
+def test_whole_apps_over_ten_seeds():
+    """The cost of connectivity_greedy's rule over D-LARGE seeds 0–9, in whole apps of 980.
+
+    Pinned as (apps with no placed service, fully placed, stranded) per
+    strategy: connectivity_greedy places nothing of 693 apps, against 26
+    for multilayer and 118 for first_fit.
+    """
+
+    def shape(strategy):
+        plans = [plan for seed in range(10) for plan in chain("D-LARGE", seed)[2][strategy].values()]
+        nothing = sum(all(d is None for d in plan.assignment.values()) for plan in plans)
+        full = sum(plan.fully_placed for plan in plans)
+        return nothing, full, len(plans) - nothing - full
+
+    assert tuple(shape(strategy) for strategy in STRATEGIES) == ((26, 794, 160), (118, 842, 20), (693, 266, 21))
 
 
 def test_reliable_deadline_satisfaction():

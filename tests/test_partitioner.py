@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import random
 from array import array
 from functools import reduce
@@ -426,6 +427,88 @@ class TestPipeline:
         b = multilayer_resource_partition(g)
         assert a[0].feature_partitions == b[0].feature_partitions
         assert a[1].partitions == b[1].partitions
+
+
+def failing_in(layer, fail):
+    """``louvain_partition`` that calls ``fail()`` instead on ``layer``."""
+    real = partitioner.louvain_partition
+
+    def louvain(view):
+        return fail() if view.layer == layer else real(view)
+
+    return louvain
+
+
+class TestForkedLayers:
+    """The resource layers in forked children, the network layer in the parent.
+
+    Every graph here is below ``FORK_MIN_DEVICES``, so ``forks`` sets it to 0.
+    """
+
+    @pytest.fixture
+    def forks(self, forks, monkeypatch):
+        monkeypatch.setattr(partitioner, "FORK_MIN_DEVICES", 0)
+        return forks
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", ["SMALL", "LARGE"])
+    def test_equal_to_in_process(self, forks, monkeypatch, scale, seed):
+        scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale(scale))
+        graph = build_multilayer(scenario.topology())
+        monkeypatch.setattr(partitioner, "FORK_MIN_DEVICES", math.inf)
+        here = multilayer_resource_partition(graph)
+        assert forks == []
+        monkeypatch.setattr(partitioner, "FORK_MIN_DEVICES", 0)
+        forked = multilayer_resource_partition(graph)
+        assert len(forks) == len(RESOURCE_LAYERS)
+        # PartitionSets and FeaturePartitionSets compare their modularities by ==
+        assert forked == here
+        assert list(forked[2]) == list(RESOURCE_LAYERS)
+
+    def test_child_exception_is_raised_here(self, forks, monkeypatch):
+        def fail():
+            raise ValueError("no MEM partition today")
+
+        monkeypatch.setattr(partitioner, "louvain_partition", failing_in(Layer.MEM, fail))
+        graph = build_multilayer(Topology(list(fig_devices().values()), []))
+        with pytest.raises(ValueError, match="^no MEM partition today$"):
+            multilayer_resource_partition(graph)
+        assert len(forks) == len(RESOURCE_LAYERS)
+
+    def test_child_that_dies_without_a_result(self, forks, monkeypatch):
+        monkeypatch.setattr(partitioner, "louvain_partition", failing_in(Layer.STORAGE, lambda: os._exit(3)))
+        graph = build_multilayer(Topology(list(fig_devices().values()), []))
+        with pytest.raises(RuntimeError, match="STORAGE layer ended without a result"):
+            multilayer_resource_partition(graph)
+        assert len(forks) == len(RESOURCE_LAYERS)
+
+    def test_network_failure_here_reaps_the_children(self, forks, monkeypatch):
+        def fail():
+            raise ValueError("no network partition today")
+
+        monkeypatch.setattr(partitioner, "louvain_partition", failing_in(Layer.NETWORK, fail))
+        graph = build_multilayer(Topology(list(fig_devices().values()), []))
+        with pytest.raises(ValueError, match="^no network partition today$"):
+            multilayer_resource_partition(graph)
+        assert len(forks) == len(RESOURCE_LAYERS)
+
+    def test_in_process_below_the_size_or_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(partitioner, "_usable_cpus", lambda: 2)
+        big = partitioner.FORK_MIN_DEVICES
+        assert partitioner._forks(big) is True
+        assert partitioner._forks(big - 1) is False
+        monkeypatch.setattr(partitioner, "_usable_cpus", lambda: 1)
+        assert partitioner._forks(big) is False
+        monkeypatch.setattr(partitioner, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert partitioner._forks(big) is False
+
+    def test_usable_cpus_follow_the_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert partitioner._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert partitioner._usable_cpus() == 1
 
 
 class TestNetworkPartitionsConnected:
