@@ -8,10 +8,11 @@ links two layer partitions exactly when they share a device.
 
 A complete layer holds n(n-1) weights, so the graph keeps only each
 device's resource value there (``SimilarityView``). A resource layer's
-weights are built when ``SimilarityView.weights`` is called, and live as
-long as the caller holds them: ``partitioner.louvain_partition`` builds them
-once, for one Louvain run, so a process that partitions holds at most one
-resource layer's weights at a time.
+weights are built when ``SimilarityView.weights`` is called, as one n x n
+matrix in which each pair's weight is computed once and mirrored, and live
+as long as the caller holds a row of it: ``partitioner.louvain_partition``
+builds them once, for one Louvain run, so a process that partitions holds
+at most one resource layer's weights at a time.
 """
 
 from __future__ import annotations
@@ -90,22 +91,27 @@ class SimilarityView(FrozenRecord):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
-    def weights(self) -> list[array]:
+    def weights(self) -> list[memoryview]:
         """Every node's weights to all n nodes, with 0.0 in its own slot.
 
-        Entry j of array k is the weight between ``nodes[k]`` and
-        ``nodes[j]``. Each call builds every array afresh; nothing keeps
-        them, so they are freed when the caller drops them. Each array
-        computes its own weights, and abs(a - b) == abs(b - a), so the
-        two arrays of a pair hold the same float.
+        Entry j of row k is the weight between ``nodes[k]`` and
+        ``nodes[j]``. The rows are ``memoryview`` slices of one n x n
+        ``array('d')``, built afresh by each call; nothing else keeps it,
+        so it is freed when the caller drops every row. Row k computes its
+        weights to the nodes after it and copies those to the nodes before
+        it from column k, so each pair's weight is computed once; since
+        abs(a - b) == abs(b - a), that is the float either row would
+        compute.
         """
         vals = self.values
-        rows = []
+        n = len(vals)
+        matrix = array("d", [0.0]) * (n * n)
         for k, va in enumerate(vals):
-            weights = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals])
-            weights[k] = 0.0
-            rows.append(weights)
-        return rows
+            start = k * n
+            matrix[start : start + k] = matrix[k:start:n]
+            matrix[start + k + 1 : start + n] = array("d", [1.0 / (1.0 + abs(va - vb)) for vb in vals[k + 1 :]])
+        rows = memoryview(matrix)
+        return [rows[k * n : (k + 1) * n] for k in range(n)]
 
     def __len__(self) -> int:
         n = len(self.nodes)

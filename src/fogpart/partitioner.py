@@ -92,15 +92,15 @@ class FeaturePartitionSet(NamedTuple):
 # local moves re-sum a node's row on every decision (``_phase1``): network
 # rows are short and aggregated levels have few nodes.
 #
-# Level 0 of a complete resource layer is read as one full weight array per
-# node instead (``SimilarityView.weights``). Every community then holds a
-# neighbour of every node, so a link sum is a gather over the community's
-# members (``_link_sums``), whose weights ``sum_in_order`` adds left to
-# right, in row order, and the first sweep skips the singletons that cannot
-# win (``_first_sweep_complete``); the later sweeps keep each node's link
-# sums across moves (``_later_sweeps``), since a re-sum there gathers all n
-# weights. Its labels, rows and Q equal the row path's bit for bit; levels
-# >= 1 are rows again.
+# Level 0 of a complete resource layer is read instead as one full weight
+# row per node, each a slice of one n x n matrix (``SimilarityView.weights``).
+# Every community then holds a neighbour of every node, so a link sum is a
+# gather over the community's members (``_link_sums``), whose weights
+# ``sum_in_order`` adds left to right, in row order, and the first sweep
+# skips the singletons that cannot win (``_first_sweep_complete``); the later
+# sweeps keep each node's link sums across moves (``_later_sweeps``), since a
+# re-sum there gathers all n weights. Its labels, rows and Q equal the row
+# path's bit for bit; levels >= 1 are rows again.
 # ---------------------------------------------------------------------------
 
 
@@ -273,8 +273,12 @@ def _later_sweeps(
                 spread(i, ci, best_c)
 
 
-def _gather(members: Sequence[int]) -> Callable[[array], Sequence[float]]:
-    """A getter of a weight array's entries at ``members``, in that order.
+#: A weight row's entries at a community's members, in order (``_gather``).
+_Getter = Callable[[Sequence[float]], Sequence[float]]
+
+
+def _gather(members: Sequence[int]) -> _Getter:
+    """A getter of a weight row's entries at ``members``, in that order.
 
     ``itemgetter`` of a single index returns the entry itself, so a single
     member is read as a one-entry slice.
@@ -284,29 +288,31 @@ def _gather(members: Sequence[int]) -> Callable[[array], Sequence[float]]:
     return itemgetter(*members)
 
 
-def _link_sums(weights: array, members: Mapping[int, Sequence[int]]) -> dict[int, float]:
-    """One node's link sum into each community, from its full weight array.
+def _link_sums(weights: Sequence[float], getters: Mapping[int, _Getter]) -> dict[int, float]:
+    """One node's link sum into each community, from its full weight row.
 
-    ``members`` maps each label to its members, ascending. A sum adds the
-    weights at those positions left to right from 0.0 (``sum_in_order``).
-    The node's row holds the same weights in the same order, less the
-    node's own 0.0, and adding 0.0 to a sum of weights >= 0 changes
-    nothing; so each sum is bit-equal to the one ``_row_links`` adds up
-    from the row.
+    ``getters`` maps each label to the ``_gather`` of its members,
+    ascending. A sum adds the weights at those positions left to right from
+    0.0 (``sum_in_order``). The node's row holds the same weights in the
+    same order, less the node's own 0.0, and adding 0.0 to a sum of weights
+    >= 0 changes nothing; so each sum is bit-equal to the one ``_row_links``
+    adds up from the row.
     """
-    return {c: sum_in_order(_gather(m)(weights)) for c, m in members.items()}
+    return {c: sum_in_order(get(weights)) for c, get in getters.items()}
 
 
 def _first_sweep_complete(
-    weights: Sequence[array],
+    weights: Sequence[Sequence[float]],
     values: Sequence[float],
     strength: Sequence[float],
     comm_strength: list[float],
     w: float,
-) -> tuple[list[int], dict[int, list[int]]]:
+) -> tuple[list[int], dict[int, list[int]], dict[int, _Getter]]:
     """``_phase1``'s first sweep on a complete graph, without scoring every node.
 
-    Returns the labels and each community's members, ascending. The
+    Returns the labels, each community's members, ascending, and the
+    ``_gather`` of each community's members, in the same label order: a
+    getter is made when a move changes its community, not per node. The
     communities that are not plain singletons (label j holding only node j)
     are scored exactly, from ``_link_sums``. A plain singleton j scores
     ``w_ij/w - s_j*s_i/(2w^2)``, and since s_j >= min(strength) that is at
@@ -333,11 +339,12 @@ def _first_sweep_complete(
     ww2 = 2.0 * w * w
     s_min = min(strength)
     members: dict[int, list[int]] = {}  # every community but the plain singletons
+    getters: dict[int, _Getter] = {}  # the _gather of each entry of members
     plain = sorted(zip(values, range(n)))  # (value, node) of the plain singletons
     for i, wi in enumerate(weights):
         s_i = strength[i]
         comm_strength[i] -= s_i  # node i is in its own label until it is swept
-        links = _link_sums(wi, members)
+        links = _link_sums(wi, getters)
         scores = {i: links.get(i, 0.0) / w - comm_strength[i] * s_i / ww2}
         for c, k in links.items():
             scores[c] = k / w - comm_strength[c] * s_i / ww2
@@ -365,27 +372,33 @@ def _first_sweep_complete(
             del plain[at]
         else:
             members[i].remove(i)
+            getters[i] = _gather(members[i])
         if best_c in members:
             insort(members[best_c], i)
         else:
             del plain[bisect_left(plain, (values[best_c], best_c))]
             members[best_c] = sorted((i, best_c))
-    members.update((j, [j]) for _, j in plain)
-    return comm, members
+        getters[best_c] = _gather(members[best_c])
+    for _, j in plain:
+        members[j] = [j]
+        getters[j] = _gather(members[j])
+    return comm, members, getters
 
 
 def _phase1_complete(
-    weights: Sequence[array],
+    weights: Sequence[Sequence[float]],
     values: Sequence[float],
     strength: Sequence[float],
 ) -> tuple[list[int], bool]:
-    """``_phase1`` on a complete graph given as full weight arrays: the same labels.
+    """``_phase1`` on a complete graph given as full weight rows: the same labels.
 
     ``weights[i][j]`` is the weight between nodes i and j, falling as
     |values[i] - values[j]| grows, and 0.0 where i == j
     (``SimilarityView.weights``). Every link sum is a gather
     (``_link_sums``), bit-equal to the row-order sum, and the first sweep
     skips the plain singletons that cannot win (``_first_sweep_complete``).
+    A community's getter is kept until a move changes its members, and the
+    kept sums start from one getter per community, applied to every row.
     Every community holds a neighbour of every node but its own lone
     member, so a node's neighbour count in a community is the community's
     size, less one if the node is in it.
@@ -396,13 +409,13 @@ def _phase1_complete(
     if two_w <= 0.0 or 2.0 * w * w == 0.0:
         return list(range(n)), False
     comm_strength = list(strength)
-    comm, members = _first_sweep_complete(weights, values, strength, comm_strength, w)
+    comm, members, getters = _first_sweep_complete(weights, values, strength, comm_strength, w)
     if len(members) == n:
         # nothing moved: the first move from singletons empties a label, and none refills one
         return comm, False
 
     def resum(i: int) -> dict[int, float]:
-        links = _link_sums(weights[i], members)
+        links = _link_sums(weights[i], getters)
         if len(members[comm[i]]) == 1:
             del links[comm[i]]
         return links
@@ -411,6 +424,9 @@ def _phase1_complete(
         left = members[ci]
         left.remove(i)
         insort(members[best_c], i)
+        if left:
+            getters[ci] = _gather(left)
+        getters[best_c] = _gather(members[best_c])
         mine = kept[i]
         for links, wij in zip(kept, weights[i]):
             if links is not mine:
@@ -420,12 +436,17 @@ def _phase1_complete(
         if len(left) == 1:
             del kept[left[0]][ci]
         elif not left:
-            del members[ci]
+            del members[ci], getters[ci]
             for links in kept:
                 if links is not mine:
                     del links[ci]
 
-    kept = [resum(i) for i in range(n)]
+    kept: list[dict[int, float]] = [{} for _ in range(n)]
+    for c, get in getters.items():
+        for links, total in zip(kept, map(sum_in_order, map(get, weights))):
+            links[c] = total
+        if len(members[c]) == 1:
+            del kept[members[c][0]][c]
     _later_sweeps(comm, strength, comm_strength, w, kept, resum, spread)
     return comm, True
 
@@ -481,11 +502,11 @@ def _aggregate(
 
 
 def _aggregate_complete(
-    weights: Sequence[array],
+    weights: Sequence[Sequence[float]],
     strength: Sequence[float],
     comm: Sequence[int],
 ) -> tuple[list[Row], list[float], list[int], float]:
-    """``_aggregate`` of a complete graph given as full weight arrays: the same floats.
+    """``_aggregate`` of a complete graph given as full weight rows: the same floats.
 
     ``_aggregate`` walks the rows in (node, row) order, adding each weight to
     the running sum of its (community, community) pair, and every loop mass
@@ -531,8 +552,9 @@ def _louvain(
 
     ``adj`` holds the index-ordered rows of ``node_ids`` (see
     ``index_rows``), or is the ``SimilarityView`` of a complete layer, whose
-    level 0 runs on its full weight arrays (``_phase1_complete`` and
-    ``_aggregate_complete``); those arrays are freed by the aggregation.
+    level 0 runs on its full weight rows (``_phase1_complete`` and
+    ``_aggregate_complete``); the matrix under those rows lives until the
+    aggregation's rows replace them.
     Each iterative step runs the local-move phase and then aggregates the
     communities into a new network; the loop stops at the first step that
     fails to improve modularity.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogpart import partitioner
 from fogpart.model import Device, NetworkLink, Topology
 from fogpart.multilayer import Layer, LayerView, RESOURCE_LAYERS, build_multilayer, resource_value
 from fogpart.partitioner import multilayer_resource_partition
@@ -197,7 +198,7 @@ class TestRowsBuiltOnRead:
     @settings(max_examples=200, deadline=None)
     @given(fleets())
     def test_weights_equal_the_eager_builder_bit_for_bit(self, devices):
-        # array k is row k's weights with a 0.0 put back at position k
+        # weights row k is row k's weights with a 0.0 put back at position k
         graph = build_multilayer(Topology(devices, []))
         ordered = sorted(devices, key=lambda d: d.id)
         for layer in RESOURCE_LAYERS:
@@ -206,9 +207,10 @@ class TestRowsBuiltOnRead:
             weights = view.weights()
             assert type(weights) is list and len(weights) == len(expected)
             for k, (want_positions, want_weights) in enumerate(expected):
-                assert weights[k].typecode == "d" and weights[k][k] == 0.0
+                row = weights[k]
+                assert row.format == "d" and len(row) == len(weights) and row[k] == 0.0
                 assert want_positions == [j for j in range(len(weights)) if j != k]
-                assert (weights[k][:k] + weights[k][k + 1 :]).tobytes() == want_weights.tobytes()
+                assert row[:k].tobytes() + row[k + 1 :].tobytes() == want_weights.tobytes()
             assert len(view) == sum(len(positions) for positions, _ in expected) // 2
 
     def test_each_call_builds_fresh_weights(self):
@@ -217,11 +219,13 @@ class TestRowsBuiltOnRead:
         weights[0][1] = 99.0  # a caller may keep or change what it got
         assert view.weights() is not weights and view.weights()[0][1] == 1.0 / 11.0
 
-    def test_partitioning_holds_one_resource_layer_at_a_time(self):
+    @staticmethod
+    def traced_partition(fork_min_devices, monkeypatch):
+        """(bytes of one resource layer's weights, traced bytes after the build, traced peak) at 401 devices."""
         n = 400
         cfg = ScenarioConfig(device_count=n, gateway_count=n // 4).with_scale("LARGE")
         topology = generate_scenario(cfg).topology()
-        one_layer = n * (n - 1) * 8  # bytes of one resource layer's weights
+        monkeypatch.setattr(partitioner, "FORK_MIN_DEVICES", fork_min_devices)
         tracemalloc.start()
         try:
             graph = build_multilayer(topology)
@@ -230,7 +234,21 @@ class TestRowsBuiltOnRead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return n * (n - 1) * 8, built, peak
+
+    def test_partitioning_holds_one_resource_layer_at_a_time(self, forks, monkeypatch):
+        # above the device count, so the layers are partitioned in this process
+        one_layer, built, peak = self.traced_partition(1_000, monkeypatch)
         # on Python 3.11, storing every layer's rows up front held 4.3 layers
-        # after the build and peaked at 5.0; built on read, 0.1 and 1.9
+        # after the build and peaked at 5.0; built on read, 0.1 and 1.7 (one
+        # array per row, or one mirrored matrix per layer)
+        assert not forks
         assert built < one_layer / 4
         assert peak < 3 * one_layer
+
+    def test_forked_partitioning_holds_no_resource_layer_here(self, forks, monkeypatch):
+        # each resource layer's weights live in its own child; this process peaked at 0.3 layers
+        one_layer, built, peak = self.traced_partition(0, monkeypatch)
+        assert len(forks) == len(RESOURCE_LAYERS)
+        assert built < one_layer / 4
+        assert peak < one_layer

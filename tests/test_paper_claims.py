@@ -5,8 +5,9 @@ places twice as many services (2×), satisfies deadlines for three times as
 many requests (3×) and wastes 15–32× fewer resources. The tables below pin
 what the code measures, strategy by strategy, at SMALL and LARGE seeds 0–2
 (reliable satisfaction at D-LARGE seed 0, the overlap of feature
-partitions and connectivity_greedy's whole apps at D-LARGE seeds 0–9,
-and its hosts at D-LARGE seed 1). They record the departures;
+partitions, connectivity_greedy's whole apps and the multilayer ablation
+at D-LARGE seeds 0–9, and connectivity_greedy's hosts at D-LARGE seed 1).
+They record the departures;
 they are not targets. Each tuple lists (multilayer, first_fit,
 connectivity_greedy). A change that moves a number updates it here and
 says why in CHANGES.md.
@@ -19,7 +20,13 @@ from functools import lru_cache
 from fogpart import simulator
 from fogpart.metrics import placement_success_rate, resource_wastage
 from fogpart.multilayer import build_multilayer
-from fogpart.partitioner import RESOURCE_LAYERS, multilayer_resource_partition
+from fogpart.partitioner import (
+    RESOURCE_LAYERS,
+    PartitionSet,
+    compress_graph,
+    derive_feature_partitions,
+    multilayer_resource_partition,
+)
 from fogpart.placement import STRATEGIES, run_placement
 from fogpart.scenario import ScenarioConfig, generate_scenario
 
@@ -28,10 +35,10 @@ CASES = [(scale, seed) for scale in ("SMALL", "LARGE") for seed in range(3)]
 
 @lru_cache(maxsize=None)
 def chain(scale: str, seed: int):
-    """(scenario, feature partitions, {strategy: plans}) as the CLI chain builds them."""
+    """(scenario, feature partitions, {strategy: plans}, network partitions, {layer: partitions}) as the CLI chain builds them."""
     scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale(scale))
     topology = scenario.topology()
-    fps, network, _ = multilayer_resource_partition(build_multilayer(topology))
+    fps, network, layer_sets = multilayer_resource_partition(build_multilayer(topology))
     instances = scenario.instances()
     plans = {
         strategy: run_placement(
@@ -39,14 +46,14 @@ def chain(scale: str, seed: int):
         )
         for strategy in STRATEGIES
     }
-    return scenario, fps, plans
+    return scenario, fps, plans, network, layer_sets
 
 
 def per_strategy(measure):
     """``measure(scenario, plans)`` of every strategy, for every case."""
     table = {}
     for case in CASES:
-        scenario, _, plans = chain(*case)
+        scenario, _, plans, _, _ = chain(*case)
         table[case] = tuple(measure(scenario, plans[strategy]) for strategy in STRATEGIES)
     return table
 
@@ -160,8 +167,7 @@ def test_feature_partitions_overlap_across_cells():
     """
 
     def shape(seed):
-        scenario = generate_scenario(ScenarioConfig(seed=seed).with_scale("D-LARGE"))
-        fps, _, layer_sets = multilayer_resource_partition(build_multilayer(scenario.topology()))
+        scenario, fps, _, _, layer_sets = chain("D-LARGE", seed)
         cell = {d.id: [] for d in scenario.devices}
         for layer in RESOURCE_LAYERS:
             for pid, devs in sorted(layer_sets[layer].partitions.items()):
@@ -194,8 +200,7 @@ def test_connectivity_greedy_places_only_in_the_cloud_partition():
     nothing fits there. At D-LARGE seed 1 every one of its 15 hosts lies
     in the cloud's network partition, and it places 118 of 625 services.
     """
-    scenario, _, plans = chain("D-LARGE", 1)
-    _, network, _ = multilayer_resource_partition(build_multilayer(scenario.topology()))
+    scenario, _, plans, network, _ = chain("D-LARGE", 1)
     hosts = [d for plan in plans["connectivity_greedy"].values() for d in plan.assignment.values()]
     placed = {d for d in hosts if d is not None}
     cloud_partition = network.partitions[network.assignment[scenario.cloud_id]]
@@ -220,6 +225,62 @@ def test_whole_apps_over_ten_seeds():
     assert tuple(shape(strategy) for strategy in STRATEGIES) == ((26, 794, 160), (118, 842, 20), (693, 266, 21))
 
 
+def test_multilayer_ablation_over_ten_seeds():
+    """What the multilayer method's parts buy over D-LARGE seeds 0–9: the feature partitions barely steer placement.
+
+    Each variant of multilayer placement is pinned as (fully placed apps of
+    980, stranded apps, satisfied requests per tick), summed over the seeds.
+    In reliable mode every tick fires every request with the same verdict.
+    The variants are built from data, with no strategy or option of their
+    own:
+    - ``alpha`` 1 with ``beta`` 0 ranks the fps by demand similarity alone,
+      and ``alpha`` 0 with ``beta`` 1 by proximity alone;
+    - one fp holds every compressed node (``derive_feature_partitions``), so
+      every device is offered, ordered by transmission time from the gateway;
+    - no anchor gives the network one partition of every device, so an app
+      is not confined to its first service's network partition.
+    The fp ranking moves at most 9 fully placed apps and the fps themselves
+    8: the feature partitions, the paper's core, move fewer than 10 of 980
+    apps. Dropping the anchor places 56 more and strands 132 fewer. With one
+    fp and no anchor, multilayer is proximity-ordered first fit, and it
+    places 853 apps fully, more than first_fit's 842.
+    """
+
+    totals: dict[str, tuple[int, int, int]] = {}
+    for seed in range(10):
+        scenario, fps, _, network, layer_sets = chain("D-LARGE", seed)
+        topology = scenario.topology()
+        instances = scenario.instances()
+        cg = compress_graph([layer_sets[layer] for layer in RESOURCE_LAYERS], topology.devices)
+        one_fp = derive_feature_partitions({0: frozenset(cg.nodes)}, cg, 0.0)
+        everyone = frozenset(topology.devices)
+        no_anchor = PartitionSet(network.layer, dict.fromkeys(everyone, 0), {0: everyone}, 0.0)
+        variants = {  # (feature partitions, network partitions, alpha, beta)
+            "default": (fps, network, 0.5, 0.5),
+            "alpha 1, beta 0": (fps, network, 1.0, 0.0),
+            "alpha 0, beta 1": (fps, network, 0.0, 1.0),
+            "one fp": (one_fp, network, 0.5, 0.5),
+            "no anchor": (fps, no_anchor, 0.5, 0.5),
+            "one fp, no anchor": (one_fp, no_anchor, 0.5, 0.5),
+        }
+        for name, (feature_partitions, anchors, alpha, beta) in variants.items():
+            plans = run_placement(instances, topology, "multilayer", feature_partitions, anchors, alpha, beta)
+            full = sum(plan.fully_placed for plan in plans.values())
+            started = sum(any(d is not None for d in plan.assignment.values()) for plan in plans.values())
+            outcomes = simulator.run(scenario, plans, mode=simulator.RELIABLE).outcomes
+            satisfied = sum(o.status == simulator.SATISFIED for o in outcomes) // len(outcomes.ticks)
+            before = totals.get(name, (0, 0, 0))
+            totals[name] = (before[0] + full, before[1] + started - full, before[2] + satisfied)
+    assert totals == {
+        "default": (794, 160, 705),
+        "alpha 1, beta 0": (792, 152, 704),
+        "alpha 0, beta 1": (785, 158, 697),
+        "one fp": (786, 164, 698),
+        "no anchor": (850, 28, 765),
+        "one fp, no anchor": (853, 33, 768),
+    }
+
+
 def test_reliable_deadline_satisfaction():
     """Claim: 3× the satisfied requests. Measured at D-LARGE seed 0: 0.96× first_fit.
 
@@ -228,7 +289,7 @@ def test_reliable_deadline_satisfaction():
     satisfies 71, first_fit 74 and connectivity_greedy 22: 3.23× the latter
     only.
     """
-    scenario, _, plans = chain("D-LARGE", 0)
+    scenario, _, plans, _, _ = chain("D-LARGE", 0)
     measured = []
     for strategy in STRATEGIES:
         outcomes = simulator.run(scenario, plans[strategy], mode=simulator.RELIABLE).outcomes

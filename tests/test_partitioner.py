@@ -952,7 +952,9 @@ class TestKeptSumsFollowEveryMove:
     ``_row_links`` on the level's rows: a re-sum must be the row-order sum
     bit for bit, and a kept sum must have the same keys and nearly the
     same value. A stale key, such as a community that emptied, would offer
-    a move the row path never sees.
+    a move the row path never sees. After each ``spread`` every node is
+    also re-summed, so each community's kept getter must follow every move,
+    even where no later decision re-sums.
     """
 
     @staticmethod
@@ -975,6 +977,7 @@ class TestKeptSumsFollowEveryMove:
             def checked_spread(i, ci, best_c):
                 spread(i, ci, best_c)
                 check()
+                assert [resum(j) for j in range(len(rows))] == [_row_links(row, comm) for row in rows]
 
             check()
             original(comm, strength, comm_strength, w, kept, checked_resum, checked_spread)
@@ -993,6 +996,18 @@ class TestKeptSumsFollowEveryMove:
         rows = level0_rows(view)
         (comm, moved), checked = self.run_checked(lambda: _phase1_complete(weights, view.values, strength), rows)
         assert bool(checked) == moved and (comm, moved) == _phase1(rows, strength)
+
+    @pytest.mark.parametrize("layer", RESOURCE_LAYERS)
+    def test_generated_layer(self, layer):
+        # the drawn layers' few repeated values rarely move a node after the
+        # first sweep; SMALL seed 0's layers move 18-23 nodes each there
+        topology = generate_scenario(ScenarioConfig(seed=0).with_scale("SMALL")).topology()
+        view = build_multilayer(topology).intra_edges[layer]
+        weights = view.weights()
+        strength = [sum_in_order(row) for row in weights]
+        rows = level0_rows(view)
+        (comm, moved), checked = self.run_checked(lambda: _phase1_complete(weights, view.values, strength), rows)
+        assert len(checked) > 10 and (comm, moved) == _phase1(rows, strength)
 
 
 def near_tie_layer():
