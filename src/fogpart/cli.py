@@ -180,7 +180,7 @@ def cmd_place(args: argparse.Namespace) -> int:
         "strategy": args.strategy,
         "placement_success_rate": placement_success_rate(plans.values()),
         "resource_wastage": resource_wastage(placements, scenario.devices),
-        "hop_histogram": {str(k): v for k, v in sorted(histogram.items(), key=lambda kv: str(kv[0]))},
+        "hop_histogram": {str(k): v for k, v in histogram.items()},
         "hop_mean": mean_hops,
         "hop_max": max_hops,
         "unreachable_services": unreachable,

@@ -1,8 +1,8 @@
 """Evaluation metrics: placement success, resource wastage, deadline satisfaction, hops.
 
-Resource accounting uses the unit basis (1 core, 1 GB, 1 TB): the units of
-an entity are the maximum of its three normalized components, with every
-service counting one core-equivalent on the CPU axis.
+Resource accounting uses the unit basis of ``model.resource_units``: the
+units of an entity are the largest of its cores, GB and TB, with every
+service counting one core.
 """
 
 from __future__ import annotations
@@ -12,23 +12,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import Application, Device, PlacementPlan, Topology, sum_in_order
+from .model import Application, Device, PlacementPlan, Topology, resource_units, sum_in_order
 from .serialize import dump_json, write_csv
 from .simulator import SATISFIED, Tick
 
 
 class ZeroServicesError(ValueError):
     """No services were requested, so a success ratio is undefined."""
-
-
-def service_units(mem_demand: float, storage_demand: float) -> float:
-    """Units consumed by a placed service: max(1 core-equivalent, GB, TB)."""
-    return max(1.0, mem_demand, storage_demand)
-
-
-def device_units(device: Device) -> float:
-    """Units offered by a device: max(cores, GB, TB)."""
-    return max(float(device.cores), device.mem, device.storage)
 
 
 def placement_success_rate(plans: Iterable[PlacementPlan]) -> float:
@@ -54,8 +44,8 @@ def resource_wastage(
             if device_id is None:
                 continue
             s = app.service(sid)
-            consumed += service_units(s.mem_demand, s.storage_demand)
-    offered = sum_in_order(device_units(d) for d in devices)
+            consumed += resource_units(1, s.mem_demand, s.storage_demand)
+    offered = sum_in_order(resource_units(d.cores, d.mem, d.storage) for d in devices)
     if offered <= 0:
         raise ValueError("infrastructure offers no resource units")
     return 1.0 - consumed / offered
@@ -130,8 +120,8 @@ def emit_report(rows: Sequence[Mapping[str, object]], out_dir: Path) -> list[Pat
 
 def hop_summary(histogram: Mapping[int | str, int]) -> tuple[float | None, int | None, int]:
     """(mean, max, unreachable count) of a hop histogram."""
-    unreachable = int(histogram.get("unreachable", 0))
-    numeric = {int(k): v for k, v in histogram.items() if k != "unreachable"}
+    unreachable = histogram.get("unreachable", 0)
+    numeric = {k: v for k, v in histogram.items() if k != "unreachable"}
     total = sum(numeric.values())
     if total == 0:
         return None, None, unreachable

@@ -69,7 +69,9 @@ class FrozenRecord(Record):
     """A record whose ``__init__`` sets each field once, by ``object.__setattr__``.
 
     Assigning or deleting a field raises AttributeError, and equal records
-    hash alike.
+    hash alike. Its slots are exactly its constructor's parameters, so
+    pickling and copying rebuild a record through the constructor, and its
+    checks run again.
     """
 
     __slots__ = ()
@@ -82,6 +84,9 @@ class FrozenRecord(Record):
 
     def __hash__(self) -> int:
         return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 class Device(FrozenRecord):
@@ -103,6 +108,11 @@ class Device(FrozenRecord):
         object.__setattr__(self, "cpu_speed", cpu_speed)
         object.__setattr__(self, "mem", mem)
         object.__setattr__(self, "storage", storage)
+
+    @property
+    def resources(self) -> tuple[float, float, float]:
+        """(CPU speed, memory, storage): the triplet the resource layers and features read."""
+        return self.cpu_speed, self.mem, self.storage
 
 
 class NetworkLink(FrozenRecord):
@@ -139,6 +149,11 @@ class Service(FrozenRecord):
         object.__setattr__(self, "workload", workload)
         object.__setattr__(self, "mem_demand", mem_demand)
         object.__setattr__(self, "storage_demand", storage_demand)
+
+    @property
+    def demand(self) -> tuple[float, float, float]:
+        """(workload, memory, storage), in the order of ``Device.resources``."""
+        return self.workload, self.mem_demand, self.storage_demand
 
 
 class Message(FrozenRecord):
@@ -388,6 +403,11 @@ class Topology:
                 link = links[(up, node) if up < node else (node, up)]
                 times[node] = times[up] + (link.latency + size / link.bandwidth)
         return times
+
+
+def resource_units(cores: int, mem: float, storage: float) -> float:
+    """Units on the (1 core, 1 GB, 1 TB) basis: the largest of cores, GB and TB."""
+    return max(float(cores), mem, storage)
 
 
 def execution_time(service: Service, device: Device) -> float:

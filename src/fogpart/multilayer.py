@@ -42,14 +42,8 @@ RESOURCE_LAYERS: tuple[Layer, ...] = (Layer.CPU, Layer.MEM, Layer.STORAGE)
 
 
 def resource_value(device: Device, layer: Layer) -> float:
-    """The device's scalar resource in a given resource layer."""
-    if layer == Layer.CPU:
-        return device.cpu_speed
-    if layer == Layer.MEM:
-        return device.mem
-    if layer == Layer.STORAGE:
-        return device.storage
-    raise ValueError(f"layer {layer!r} carries no scalar resource")
+    """The device's scalar resource in a resource layer; ValueError for the network layer."""
+    return device.resources[RESOURCE_LAYERS.index(layer)]
 
 
 class LayerView(FrozenRecord):

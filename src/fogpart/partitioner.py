@@ -629,11 +629,7 @@ def partition_feature(devices: Iterable[Device]) -> FeatureTriplet:
     """
     devs = sorted(devices, key=lambda d: d.id)
     n = len(devs)
-    return FeatureTriplet(
-        avg_cpu=sum_in_order(d.cpu_speed for d in devs) / n,
-        avg_mem=sum_in_order(d.mem for d in devs) / n,
-        avg_storage=sum_in_order(d.storage for d in devs) / n,
-    )
+    return FeatureTriplet(*(sum_in_order(column) / n for column in zip(*(d.resources for d in devs))))
 
 
 def compress_graph(

@@ -34,6 +34,7 @@ from .model import (
     Record,
     Service,
     Topology,
+    resource_units,
     response_times,  # noqa: F401  unused here: only bench/tracing.py reads it, by name
     sum_in_order,
 )
@@ -79,43 +80,27 @@ def normalization_ranges(
     One shared range per dimension keeps similarity scores comparable
     across feature partitions.
     """
-    cpu: list[float] = []
-    mem: list[float] = []
-    storage: list[float] = []
-    for d in devices:
-        cpu.append(d.cpu_speed)
-        mem.append(d.mem)
-        storage.append(d.storage)
-    for app in apps:
-        for s in app.services:
-            cpu.append(s.workload)
-            mem.append(s.mem_demand)
-            storage.append(s.storage_demand)
-    if not cpu:
+    triplets = [d.resources for d in devices] + [s.demand for app in apps for s in app.services]
+    if not triplets:
         raise ValueError("cannot derive normalization ranges from empty inputs")
-    return {
-        "cpu": (min(cpu), max(cpu)),
-        "mem": (min(mem), max(mem)),
-        "storage": (min(storage), max(storage)),
-    }
+    return {dim: (min(column), max(column)) for dim, column in zip(DIMENSIONS, zip(*triplets))}
 
 
 def demand_similarity(
     feature: FeatureTriplet,
-    service: Service,
+    demand: tuple[float, float, float],
     ranges: Mapping[str, tuple[float, float]],
 ) -> float:
-    """Similarity in [0, 1] between a partition feature and a service demand.
+    """Similarity in [0, 1] between a partition feature and a service's ``Service.demand`` triplet.
 
     Both triplets are min-max scaled per dimension; dimensions whose range
     is degenerate are skipped. The euclidean distance over the k active
     dimensions is normalized by sqrt(k), so identical scaled triplets score
     1 and maximally distant ones score 0.
     """
-    dem = (service.workload, service.mem_demand, service.storage_demand)
     squared = 0.0
     active = 0
-    for dim, f, s in zip(DIMENSIONS, feature, dem):
+    for dim, f, s in zip(DIMENSIONS, feature, demand):
         lo, hi = ranges.get(dim, (0.0, 0.0))
         if hi <= lo:
             continue
@@ -167,10 +152,11 @@ def rank_feature_partitions(
     its members' feature triplets to ``service``, plus its proximity term
     from ``app_tables`` unless that term is None.
     """
+    demand = service.demand
     scored = []
     for fp_id in fps.ids():
         max_sim = max(
-            demand_similarity(fps.features[node], service, ranges)
+            demand_similarity(fps.features[node], demand, ranges)
             for node in fps.feature_partitions[fp_id]
         )
         term = proximities[fp_id]
@@ -183,11 +169,11 @@ def rank_feature_partitions(
 def residual_units(members: Iterable[int], residuals: Mapping[int, Residual]) -> float:
     """Residual units of a network partition's ``members``, summed in their iteration order.
 
-    A device's residual units are the largest of its residual cores, GB and
-    TB (the 1 core, 1 GB, 1 TB unit scale).
+    A device's residual units are the ``resource_units`` of its residual
+    cores, GB and TB.
     """
     return sum_in_order(
-        max(float(left.cores), left.mem, left.storage) for left in map(residuals.__getitem__, members)
+        resource_units(left.cores, left.mem, left.storage) for left in map(residuals.__getitem__, members)
     )
 
 

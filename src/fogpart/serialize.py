@@ -20,6 +20,9 @@ version, and a reader accepts only that one:
   the compressed graph;
 - ``plans.json``: 2, which holds each plan's assignment only. Version 1
   also stored per-service and app response times, which no command read.
+
+Each scenario record's JSON keys are spelled once, in the ``_*_KEYS``
+table its reader checks; the writer pairs that table with the record's fields.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .model import Application, Device, Message, NetworkLink, PlacementPlan, Service
+from .model import Application, Device, Message, NetworkLink, PlacementPlan, Record, Service
 from .multilayer import RESOURCE_LAYERS, Layer
 from .partitioner import CompressedNode, FeaturePartitionSet, PartitionSet
 from .partitioner import compress_graph, derive_feature_partitions
@@ -97,26 +100,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def _app_to_dict(app: Application) -> dict[str, Any]:
-    return {
-        "id": app.id,
-        "deadline_ms": app.deadline,
-        "services": [
-            {
-                "id": s.id,
-                "workload_mi": s.workload,
-                "mem_gb": s.mem_demand,
-                "storage_tb": s.storage_demand,
-            }
-            for s in app.services
-        ],
-        "messages": [
-            {"source": m.source, "destination": m.destination, "size_bytes": m.size}
-            for m in app.messages
-        ],
-    }
-
-
 #: A scenario record's integer keys and then its number keys, each in the
 #: order of the constructor's arguments.
 _DEVICE_KEYS = (("id", "cores"), ("cpu_speed_mi_s", "mem_gb", "storage_tb"))
@@ -125,6 +108,23 @@ _APP_KEYS = (("id",), ("deadline_ms",))
 _SERVICE_KEYS = (("id",), ("workload_mi", "mem_gb", "storage_tb"))
 _MESSAGE_KEYS = (("source", "destination"), ("size_bytes",))
 _REQUEST_KEYS = (("request_id", "app_id", "gateway"), ())
+
+
+def _writer(record_type: type[Record], keys: tuple[tuple[str, ...], tuple[str, ...]]) -> Callable:
+    """A function from records of ``record_type`` to their dicts at ``keys``, as ``_fields`` reads them.
+
+    The keys pair in order with the record's slots, which ``Record`` keeps
+    in the order of the constructor's parameters.
+    """
+    names = keys[0] + keys[1]
+    values = attrgetter(*record_type.__slots__)
+    return lambda records: [dict(zip(names, values(r))) for r in records]
+
+
+_devices_to_dicts = _writer(Device, _DEVICE_KEYS)
+_links_to_dicts = _writer(NetworkLink, _LINK_KEYS)
+_services_to_dicts = _writer(Service, _SERVICE_KEYS)
+_messages_to_dicts = _writer(Message, _MESSAGE_KEYS)
 
 
 def _apps_from_dicts(apps: list) -> list[Application]:
@@ -182,26 +182,19 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSIONS["scenario"],
         "config": config_to_dict(scenario.config),
-        "devices": [
-            {
-                "id": d.id,
-                "cores": d.cores,
-                "cpu_speed_mi_s": d.cpu_speed,
-                "mem_gb": d.mem,
-                "storage_tb": d.storage,
-            }
-            for d in scenario.devices
-        ],
-        "links": [
-            {"a": l.a, "b": l.b, "bandwidth_bytes_ms": l.bandwidth, "latency_ms": l.latency}
-            for l in scenario.links
-        ],
+        "devices": _devices_to_dicts(scenario.devices),
+        "links": _links_to_dicts(scenario.links),
         "cloud_id": scenario.cloud_id,
-        "apps": [_app_to_dict(a) for a in scenario.apps],
-        "requests": [
-            {"request_id": r.request_id, "app_id": r.app_id, "gateway": r.gateway}
-            for r in scenario.requests
+        "apps": [
+            {
+                "id": a.id,
+                "deadline_ms": a.deadline,
+                "services": _services_to_dicts(a.services),
+                "messages": _messages_to_dicts(a.messages),
+            }
+            for a in scenario.apps
         ],
+        "requests": [r._asdict() for r in scenario.requests],
         # json writes each (time_s, request_id) pair as a [time_s, request_id] row
         "schedule": list(scenario.schedule),
     }

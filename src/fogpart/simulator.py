@@ -134,11 +134,12 @@ def run(
     Requests are taken in time order, schedule order breaking ties, and
     grouped into ticks of equal time: the run reads the schedule's columns
     as they are, and sorts the schedule stably by time only if a time is
-    below the one before it. Before each tick every death at or before its
-    time is applied, so failures precede requests at the same instant. A
-    request whose app has an unplaced service, a dead host, or
-    no live route fails its dependency; otherwise the response time decides
-    between satisfied and missed.
+    below the one before it. A tick's time is reported as a float, so equal
+    int and float times give one time whatever their order. Before each
+    tick every death at or before its time is applied, so failures precede
+    requests at the same instant. A request whose app has an unplaced
+    service, a dead host, or no live route fails its dependency; otherwise
+    the response time decides between satisfied and missed.
 
     A verdict is computed once and carried, with the devices it relies on,
     across later deaths: its gateway, its hosts and both ends of every link
@@ -215,7 +216,7 @@ def run(
                 changed = True
         if changed:
             verdicts = {rid: verdict for rid, (verdict, _) in carried.items()}
-        ticks.append(Tick(time_s, tick_ids, verdicts))
+        ticks.append(Tick(float(time_s), tick_ids, verdicts))
     outcomes = Outcomes(ticks)
     log.info("simulated %d requests (%s), %d failures", len(outcomes), mode, len(deaths))
     return SimulationResult(mode=mode, outcomes=outcomes, deaths=deaths)

@@ -16,6 +16,11 @@ from fogpart.scenario import Schedule
 from fogpart.simulator import SATISFIED
 
 
+#: Each resource layer's ``Device`` field, named outright: reference code reads
+#: these, not ``Device.resources``, so a permuted triplet fails against it.
+LAYER_FIELDS = {Layer.CPU: "cpu_speed", Layer.MEM: "mem", Layer.STORAGE: "storage"}
+
+
 def make_view(layer: Layer, node_ids, edges) -> LayerView:
     """A LayerView from an undirected (i < j) edge-weight mapping."""
     return LayerView(layer, *index_rows(node_ids, edges))

@@ -686,6 +686,18 @@ def test_simulate_stops_at_the_scenario_horizon(scenario_path, tmp_path):
     assert sum(metrics["outcome_counts"].values()) == in_horizon
 
 
+def test_a_tick_of_int_and_float_times_writes_one_float_time(scenario_path, tmp_path):
+    # rows at 2 and 2.0 form one tick; its time_s must not follow the first row's type
+    written = []
+    for name, rows in (("int_first", [[2, 0], [2.0, 1]]), ("float_first", [[2.0, 1], [2, 0]])):
+        (tmp_path / name).mkdir()
+        argv = simulate_edited(scenario_path, tmp_path / name, lambda data: data.update(schedule=rows))
+        assert cli.main([*argv, "--out", str(tmp_path / name / "sim")]) == 0
+        written.append((tmp_path / name / "sim" / "outcomes.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[1].startswith(b"2.0,2,")
+
+
 class TestCollectorPause:
     """``main`` pauses the cyclic collector for the command and leaves it as the caller had it."""
 

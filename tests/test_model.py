@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 import struct
 from array import array
@@ -28,6 +30,7 @@ from fogpart.model import (
     USER,
     deadline_satisfied,
     execution_time,
+    resource_units,
     response_times,
     sum_in_order,
     transmission_time,
@@ -95,6 +98,32 @@ def test_is_frozen(name):
     with pytest.raises(AttributeError):
         setattr(record, field, 9)
     assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", ["Device", "NetworkLink", "Service", "Message", "LayerView", "SimilarityView"])
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_frozen_record_pickles_and_copies(name, round_trip):
+    # restoring slot state would assign each field; a frozen record is rebuilt by its constructor
+    record, _ = frozen_records()[name]
+    again = round_trip(record)
+    assert type(again) is type(record) and again == record
+
+
+def test_triplets_list_their_fields_in_order():
+    d = Device(0, 4, 20.0, 10.0, 5.0)
+    s = Service(0, 30.0, 2.0, 1.0)
+    assert d.resources == (d.cpu_speed, d.mem, d.storage) == (20.0, 10.0, 5.0)
+    assert s.demand == (s.workload, s.mem_demand, s.storage_demand) == (30.0, 2.0, 1.0)
+
+
+def test_resource_units_is_the_largest_of_cores_gb_and_tb():
+    assert resource_units(4, 2.0, 3.0) == 4.0 and type(resource_units(4, 2.0, 3.0)) is float
+    assert resource_units(1, 5.0, 3.0) == 5.0
+    assert resource_units(1, 0.5, 7.0) == 7.0
 
 
 def test_records_compare_and_repr_by_fields():

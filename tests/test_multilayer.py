@@ -16,7 +16,7 @@ from fogpart.multilayer import Layer, LayerView, RESOURCE_LAYERS, build_multilay
 from fogpart.partitioner import multilayer_resource_partition
 from fogpart.scenario import ScenarioConfig, generate_scenario
 
-from conftest import infrastructures, make_view
+from conftest import LAYER_FIELDS, infrastructures, make_view
 
 
 def devices_with_speeds(speeds):
@@ -34,6 +34,13 @@ def similarity(d_i, d_j, layer):
 def with_id(device, device_id):
     """``device``'s capacities under another id."""
     return Device(device_id, device.cores, device.cpu_speed, device.mem, device.storage)
+
+
+def test_resource_value_reads_each_layer_field():
+    d = Device(0, 4, 20.0, 10.0, 5.0)
+    assert [resource_value(d, layer) for layer in RESOURCE_LAYERS] == [20.0, 10.0, 5.0]
+    with pytest.raises(ValueError):
+        resource_value(d, Layer.NETWORK)
 
 
 class TestSimilarityWeight:
@@ -142,7 +149,7 @@ def dict_builder(topology):
     index = {did: k for k, did in enumerate(ids)}
     layers = {Layer.NETWORK: [{index[n]: 1.0 for n in topology.adj[did]} for did in ids]}
     for layer in RESOURCE_LAYERS:
-        vals = [resource_value(d, layer) for d in ordered]
+        vals = [getattr(d, LAYER_FIELDS[layer]) for d in ordered]
         rows = [{} for _ in ordered]
         for k, va in enumerate(vals):
             for j in range(k + 1, len(vals)):
@@ -175,7 +182,7 @@ class TestRowsMatchDictBuilder:
 
 def eager_resource_rows(ordered, layer):
     """A frozen copy of the builder that stored every resource layer's rows up front."""
-    vals = [resource_value(d, layer) for d in ordered]
+    vals = [getattr(d, LAYER_FIELDS[layer]) for d in ordered]
     every = list(range(len(vals)))
     others = [every[:k] + every[k + 1 :] for k in every]
     rows = []

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LAYER_FIELDS,
     assignment_of,
     best_partition_bruteforce,
     fig_devices,
@@ -32,7 +33,6 @@ from fogpart.multilayer import (
     SimilarityView,
     build_multilayer,
     index_rows,
-    resource_value,
 )
 from fogpart import partitioner
 from fogpart.partitioner import (
@@ -569,7 +569,7 @@ class TestResourcePartitionsAreIntervals:
         _, _, layer_sets = multilayer_resource_partition(build_multilayer(topology))
         fog = [d for d in topology.devices.values() if d.id != scenario.cloud_id]
         for layer, ps in layer_sets.items():
-            order = sorted(fog, key=lambda d: (resource_value(d, layer), d.id))
+            order = sorted(fog, key=lambda d: (getattr(d, LAYER_FIELDS[layer]), d.id))
             labels = [ps.assignment[d.id] for d in order]
             runs = [pid for k, pid in enumerate(labels) if k == 0 or labels[k - 1] != pid]
             assert len(runs) == len(set(runs)) > 1, f"{layer.name}: a partition is not one run"
@@ -825,10 +825,10 @@ class TestKeptLinkSums:
 def reference_edges(devices, links):
     ordered = sorted(devices, key=lambda d: d.id)
     intra = {Layer.NETWORK: {link.key: 1.0 for link in links}}
-    for layer in RESOURCE_LAYERS:
+    for layer, field in LAYER_FIELDS.items():
         edges = {}
         for d_i, d_j in combinations(ordered, 2):
-            w = 1.0 / (1.0 + abs(resource_value(d_i, layer) - resource_value(d_j, layer)))
+            w = 1.0 / (1.0 + abs(getattr(d_i, field) - getattr(d_j, field)))
             edges[(d_i.id, d_j.id)] = w
         intra[layer] = edges
     return [d.id for d in ordered], intra

@@ -62,7 +62,7 @@ def fitness(fp_id, service, fps, topology, gateway, size, alpha, beta, ranges):
     per application.
     """
     max_sim = max(
-        demand_similarity(fps.features[node], service, ranges)
+        demand_similarity(fps.features[node], service.demand, ranges)
         for node in fps.feature_partitions[fp_id]
     )
     t_min = min(
@@ -110,23 +110,23 @@ class TestDemandSimilarity:
     def test_identical_triplets_score_one(self):
         f = FeatureTriplet(30.0, 5.0, 5.0)
         s = Service(0, 30.0, 5.0, 5.0)
-        assert demand_similarity(f, s, RANGES) == pytest.approx(1.0)
+        assert demand_similarity(f, s.demand, RANGES) == pytest.approx(1.0)
 
     def test_opposite_extremes_score_zero(self):
         f = FeatureTriplet(20.0, 1.0, 1.0)
         s = Service(0, 60.0, 25.0, 25.0)
-        assert demand_similarity(f, s, RANGES) == pytest.approx(0.0, abs=1e-12)
+        assert demand_similarity(f, s.demand, RANGES) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_dimension_spread(self):
         f = FeatureTriplet(20.0, 5.0, 5.0)
         s = Service(0, 60.0, 5.0, 5.0)
-        assert demand_similarity(f, s, RANGES) == pytest.approx(1.0 - 1.0 / math.sqrt(3.0))
+        assert demand_similarity(f, s.demand, RANGES) == pytest.approx(1.0 - 1.0 / math.sqrt(3.0))
 
     def test_degenerate_dimension_skipped(self):
         ranges = {"cpu": (30.0, 30.0), "mem": (1.0, 25.0), "storage": (1.0, 25.0)}
         f = FeatureTriplet(30.0, 5.0, 5.0)
         s = Service(0, 55.0, 5.0, 5.0)
-        assert demand_similarity(f, s, ranges) == pytest.approx(1.0)
+        assert demand_similarity(f, s.demand, ranges) == pytest.approx(1.0)
 
 
 def line_context(core_counts=(10, 10, 10, 10)):
@@ -188,6 +188,48 @@ def app_of(services, deadline=50000.0, size=1_500_000.0, app_id=0):
     return Application(app_id, services, messages, deadline, gateway=0)
 
 
+#: triplet values drawn from a small pool, so that minima and maxima repeat
+triplet_values = st.sampled_from([0.5, 1.0, 2.0, 20.0, 60.0]) | st.floats(0.1, 100.0)
+
+
+@st.composite
+def devices_and_apps(draw):
+    """Devices and apps with at least one triplet between them."""
+    devices = [
+        Device(i, 4, draw(triplet_values), draw(triplet_values), draw(triplet_values))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    apps = []
+    for app_id in range(draw(st.integers(0 if devices else 1, 3))):
+        services = [
+            Service(sid, draw(triplet_values), draw(triplet_values), draw(triplet_values))
+            for sid in range(draw(st.integers(1, 3)))
+        ]
+        apps.append(app_of(services, app_id=app_id))
+    return devices, apps
+
+
+class TestNormalizationRanges:
+    @settings(max_examples=100, deadline=None)
+    @given(devices_and_apps())
+    def test_min_and_max_per_field(self, case):
+        devices, apps = case
+        services = [s for app in apps for s in app.services]
+        expected = {}
+        for dim, device_field, service_field in (
+            ("cpu", "cpu_speed", "workload"),
+            ("mem", "mem", "mem_demand"),
+            ("storage", "storage", "storage_demand"),
+        ):
+            values = [getattr(d, device_field) for d in devices] + [getattr(s, service_field) for s in services]
+            expected[dim] = (min(values), max(values))
+        assert normalization_ranges(devices, apps) == expected
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="empty inputs"):
+            normalization_ranges([], [])
+
+
 class TestFitness:
     def test_perfect_similarity_and_colocation(self):
         ctx = line_context()
@@ -235,7 +277,7 @@ class TestFitness:
         ctx = line_context()
         s = Service(0, 25.0, 5.0, 5.0)
         sims = [
-            demand_similarity(ctx.fps.features[node], s, RANGES)
+            demand_similarity(ctx.fps.features[node], s.demand, RANGES)
             for node in ctx.fps.feature_partitions[0]
         ]
         assert fitness(0, s, ctx.fps, ctx.topology, 0, 1.0, 1.0, 0.0, RANGES) == pytest.approx(max(sims))

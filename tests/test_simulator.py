@@ -381,7 +381,8 @@ class TestReplayPaths:
     """A schedule read from ``scenario.json`` replays as the stable time sort of its rows.
 
     Shuffled rows take the sorting path of ``simulator.run`` and rows drawn
-    in time order take the other; int times stay ints throughout.
+    in time order take the other. Int times stay ints in the read schedule;
+    each tick reports its time as a float.
     """
 
     @settings(max_examples=200, deadline=None)
